@@ -1,18 +1,16 @@
 """fp64 reverse-mode autodiff: tensors, parameters, optimizers, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .params import Adam, ParamStore, glorot, sgd_step
-from .tensor import Tensor, concat, constant, rows
+from .params import Adam, ParamStore, glorot
+from .tensor import Tensor, concat, rows
 
 __all__ = [
     "Adam",
     "ParamStore",
     "Tensor",
     "concat",
-    "constant",
     "glorot",
     "load_checkpoint",
     "rows",
     "save_checkpoint",
-    "sgd_step",
 ]

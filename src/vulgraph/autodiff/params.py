@@ -56,13 +56,6 @@ class ParamStore:
         return sum(t.data.size for t in self._params.values())
 
 
-def sgd_step(store: ParamStore, lr: float) -> None:
-    for name, t in store.items():
-        if t.grad is None:
-            raise MissingGradient(name)
-        t.data -= lr * t.grad
-
-
 class Adam:
     """Adam with bias correction; state is keyed by parameter name so it can
     be checkpointed and restored exactly."""

@@ -431,7 +431,3 @@ def rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
     out = Tensor._make(table.data[idx].copy(), (table,), backward)
     return out
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,13 +28,14 @@ from .explain import (
     ExplainConfig,
     explanation_report,
     extract_subgraph,
+    hard_subset_score,
     learn_edge_mask,
+    method_features,
     subgraph_to_dot,
 )
 from .fagcn import (
     RankedDetection,
     TrainConfig,
-    classify,
     detection_report,
     load_model,
     rank_methods,
@@ -79,7 +79,6 @@ class RunConfig:
     entropy_weight: float = 0.1
     k: int = 5
     min_support: int = 2
-    jobs: int = 1
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
@@ -136,8 +135,6 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         cfg = RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
     if cfg.k < 1:
         raise ConfigError("k must be at least 1")
     return cfg
@@ -145,7 +142,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     overrides = {}
-    for key in ("seed", "jobs", "k", "min_support"):
+    for key in ("seed", "k", "min_support"):
         if hasattr(args, key):
             overrides[key] = getattr(args, key)
     return load_run_config(getattr(args, "config", None), overrides)
@@ -162,13 +159,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _usable_entries(path):
     entries = load_corpus(path)
     usable = []
@@ -178,14 +168,6 @@ def _usable_entries(path):
         else:
             usable.append(entry)
     return entries, usable
-
-
-def _score_in_chunks(model, items, jobs: int, chunk: int = 16) -> list:
-    """Scores in fixed 16-method batches so results are bitwise identical
-    for every --jobs value."""
-    chunks = [items[lo : lo + chunk] for lo in range(0, len(items), chunk)]
-    parts = _parallel_map(lambda part: score_methods(model, part, chunk=chunk), chunks, jobs)
-    return [pair for part in parts for pair in part]
 
 
 # --- commands ---------------------------------------------------------------
@@ -245,11 +227,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _config_from_args(args)
+    _config_from_args(args)  # detect reads no key, but a bad --config is still an error
     model = load_model(args.model)
     _, usable = _usable_entries(args.corpus)
     items = [(e.id, e.pdg) for e in usable]
-    scored = _score_in_chunks(model, items, cfg.jobs)
+    scored = score_methods(model, items)
     ranked = rank_methods(scored, model.threshold)
     report = {"threshold": model.threshold, "methods": detection_report(ranked)}
     _emit(dump_json(report, indent=2), args.out)
@@ -270,13 +252,14 @@ def cmd_explain(args) -> int:
         chosen = usable
 
     explain_cfg = cfg.explain_settings()
-    forced = bool(args.method)
-
-    def one(entry):
-        score, decision = classify(entry.pdg, model)
-        if not forced and decision != "V":
-            return None
-        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg)
+    results = []
+    for entry in chosen:
+        feats = method_features(entry.pdg, model)
+        score = hard_subset_score(entry.pdg, model, range(len(entry.pdg.edges)), feats)
+        decision = "V" if score >= model.threshold else "NV"
+        if not args.method and decision != "V":
+            continue
+        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg, feats)
         sub = extract_subgraph(entry.pdg, mask, cfg.k)
         sub.method = entry.id
         report = explanation_report(entry.pdg, model, decision, sub)
@@ -286,9 +269,7 @@ def cmd_explain(args) -> int:
             "nodes": [[i, label] for i, label in graph.nodes],
             "edges": [[s, d, kind] for s, d, kind in graph.edges],
         }
-        return report, subgraph_to_dot(entry.pdg, sub)
-
-    results = [r for r in _parallel_map(one, chosen, cfg.jobs) if r is not None]
+        results.append((report, subgraph_to_dot(entry.pdg, sub)))
     reports = [report for report, _ in results]
     if args.out:
         out_dir = Path(args.out)
@@ -447,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vulgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, jobs=False, k=False, min_support=False):
+    def common(p, *, k=False, min_support=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="random seed")
-        if jobs:
-            p.add_argument("--jobs", type=int, help="parallel workers")
         if k:
             p.add_argument("--k", type=int, help="edges kept per explanation")
         if min_support:
@@ -477,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="report path (default: stdout)")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("explain", help="edge-mask explanations for detections")
@@ -486,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", action="append",
                    help="explain this method id (repeatable; default: all detected V)")
     p.add_argument("--out", help="output directory (default: stdout)")
-    common(p, jobs=True, k=True)
+    common(p, k=True)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="detection and interpretation metrics")

@@ -17,9 +17,9 @@ Fusion then scores every statement in {center} union PDG-neighbors, softmaxes
 the scores, and sums the weighted per-statement concatenations through a final
 projection.
 
-Everything here is batched: the module-level single-statement operations are
-thin wrappers over the same arithmetic used by encode_method_batch, which
-processes all statements of many methods in one tensor program.
+Everything here is batched: encode_method_batch processes all statements of
+many methods in one tensor program, and encode_method is that program on a
+single method.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, concat, glorot, rows
-from .errors import ConfigError, EmptyTree, MissingNeighbor, ShapeMismatch
+from .errors import ConfigError, EmptyTree, ShapeMismatch
 from .features import (
     StatementFeatureBundle,
     Vocabulary,
@@ -69,12 +69,6 @@ class EncoderConfig:
             "tree_hidden": self.tree_hidden,
             "stmt_dim": self.stmt_dim,
         }
-
-
-@dataclass
-class StatementVector:
-    values: Tensor
-    stmt: int
 
 
 _GRU_GATES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
@@ -230,29 +224,7 @@ def init_encoder_params(
     store.add("fuse.out_b", np.zeros(cfg.stmt_dim))
 
 
-# --- single-statement operations -------------------------------------------------
-
-
-def gru_encode(ids: list[int], mask: list[int], store: ParamStore, prefix: str = "sub_gru") -> Tensor:
-    """Encode one token-id sequence; returns the final hidden state."""
-    if len(ids) != len(mask):
-        raise ShapeMismatch("ids and mask must have the same length")
-    gru = Gru(store, prefix)
-    if not ids:
-        return Tensor(np.zeros(gru.hidden))
-    embed = store["embed.table"]
-    steps = [rows(embed, np.array([i], dtype=np.int64)) for i in ids]
-    masks = [np.array([m], dtype=np.float64) for m in mask]
-    return gru.run(steps, masks).reshape(gru.hidden)
-
-
-def tree_lstm_encode(ast, vocab: Vocabulary, store: ParamStore) -> Tensor:
-    """Encode one syntax tree; returns the root hidden state."""
-    if not ast:
-        raise EmptyTree("cannot encode an empty syntax tree")
-    tree = TreeLstm(store)
-    out = tree.encode_forest([ast], vocab, store["embed.table"])
-    return out.reshape(tree.hidden)
+# --- batched method encoding ------------------------------------------------------
 
 
 def _attention_scores(features: list[Tensor], store: ParamStore) -> Tensor:
@@ -269,49 +241,6 @@ def _attention_scores(features: list[Tensor], store: ParamStore) -> Tensor:
         e = (f @ store["attn.q_w"] + ctx + store["attn.bias"]).tanh() @ store["attn.v"]
         cols.append(e)
     return concat(cols, axis=1)
-
-
-def attention_weights(features: list[Tensor], store: ParamStore) -> list[Tensor]:
-    """Softmax-normalized weight per feature vector; weights sum to one."""
-    if not features:
-        raise ShapeMismatch("need at least one feature vector")
-    width = features[0].data.shape[-1]
-    if any(f.data.shape[-1] != width for f in features):
-        raise ShapeMismatch("feature vectors must share one width")
-    lifted = [f.reshape(1, width) if f.data.ndim == 1 else f for f in features]
-    weights = _attention_scores(lifted, store).softmax(axis=1)
-    return [weights[0, j] for j in range(len(features))]
-
-
-def fuse_statement(
-    center: int,
-    neighbors: list[int],
-    vectors: dict[int, list[Tensor]],
-    store: ParamStore,
-    cfg: EncoderConfig,
-) -> StatementVector:
-    """Fuse the weighted features of the center statement and its dependence
-    neighbors into one stmt_dim vector."""
-    members = [center] + [n for n in neighbors if n != center]
-    for m in members:
-        if m not in vectors:
-            raise MissingNeighbor(m)
-    h_rows_list = []
-    for m in members:
-        widened = [
-            (f.reshape(1, f.data.shape[-1]) @ store["fuse.h_w"] + store["fuse.h_b"])
-            for f in vectors[m]
-        ]
-        h_rows_list.append(concat(widened, axis=1))
-    g = concat(h_rows_list, axis=0) if len(h_rows_list) > 1 else h_rows_list[0]
-    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
-    w = scores.softmax(axis=0)
-    fused = w.transpose() @ g
-    out = fused @ store["fuse.out_w"] + store["fuse.out_b"]
-    return StatementVector(values=out.reshape(cfg.stmt_dim), stmt=center)
-
-
-# --- batched method encoding ------------------------------------------------------
 
 
 def _token_matrix(
@@ -363,27 +292,14 @@ def _weight_features(features: list[Tensor], weights: Tensor) -> list[Tensor]:
     return out
 
 
-def encode_method_batch(
-    pdgs: list[Pdg],
+def _statement_features(
+    bundle_lists: list[list[StatementFeatureBundle]],
+    spans: list[tuple[int, int]],
     vocab: Vocabulary,
     store: ParamStore,
-    cfg: EncoderConfig,
-    bundle_lists: list[list[StatementFeatureBundle]] | None = None,
-) -> tuple[Tensor, list[tuple[int, int]]]:
-    """Encode every statement of every method in one tensor program.
-
-    Returns (matrix [total_stmts, stmt_dim], [(start, end) per method]).
-    """
-    if not pdgs:
-        return Tensor(np.zeros((0, cfg.stmt_dim))), []
-    if bundle_lists is None:
-        bundle_lists = [extract_method_features(p) for p in pdgs]
-    spans = []
-    start = 0
-    for bundles in bundle_lists:
-        spans.append((start, start + len(bundles)))
-        start += len(bundles)
-    total = start
+) -> list[Tensor]:
+    """The six per-statement feature matrices [total_stmts, gru_hidden] of
+    every method, in feature order; spans place each method's rows."""
     flat = [b for bundles in bundle_lists for b in bundles]
     embed = store["embed.table"]
 
@@ -408,8 +324,32 @@ def encode_method_batch(
             ctrl_ctx.append([s + local[j] for j in b.ctrl_ctx if j in local])
     f5 = _run_context_gru(Gru(store, "data_gru"), f1, data_ctx)
     f6 = _run_context_gru(Gru(store, "ctrl_gru"), f1, ctrl_ctx)
+    return [f1, f2, f3, f4, f5, f6]
 
-    features = [f1, f2, f3, f4, f5, f6]
+
+def encode_method_batch(
+    pdgs: list[Pdg],
+    vocab: Vocabulary,
+    store: ParamStore,
+    cfg: EncoderConfig,
+    bundle_lists: list[list[StatementFeatureBundle]] | None = None,
+) -> tuple[Tensor, list[tuple[int, int]]]:
+    """Encode every statement of every method in one tensor program.
+
+    Returns (matrix [total_stmts, stmt_dim], [(start, end) per method]).
+    """
+    if not pdgs:
+        return Tensor(np.zeros((0, cfg.stmt_dim))), []
+    if bundle_lists is None:
+        bundle_lists = [extract_method_features(p) for p in pdgs]
+    spans = []
+    start = 0
+    for bundles in bundle_lists:
+        spans.append((start, start + len(bundles)))
+        start += len(bundles)
+    total = start
+
+    features = _statement_features(bundle_lists, spans, vocab, store)
     attn = _attention_scores(features, store).softmax(axis=1)
     weighted = _weight_features(features, attn)
 

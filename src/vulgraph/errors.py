@@ -54,14 +54,6 @@ class EmptyTree(VulgraphError):
     """Tree encoding was requested for an empty syntax tree."""
 
 
-class MissingNeighbor(VulgraphError):
-    """Fusion input lacks a vector for a required neighbor statement."""
-
-    def __init__(self, idx: int):
-        super().__init__(f"no feature vectors supplied for statement {idx}")
-        self.idx = idx
-
-
 class CheckpointError(VulgraphError):
     """Malformed or version-incompatible checkpoint file."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import Adam, ParamStore, Tensor
 from .encoders import encode_method
 from .errors import MaskMisaligned, TooManyEdges
-from .fagcn import DetectionModel, graph_logits
+from .fagcn import DetectionModel, graph_logits, normalized_adjacency, sym_normalize
 from .frontend import Pdg
 
 DEFAULT_TOP_EDGES = 5
@@ -77,12 +77,6 @@ def method_features(pdg: Pdg, model: DetectionModel) -> Tensor:
     return Tensor(enc.data.copy())
 
 
-def _normalize(adj: Tensor) -> Tensor:
-    dinv = adj.sum(axis=1, keepdims=True).pow_scalar(-0.5)
-    scaled = adj * dinv.transpose()  # column scale
-    return (scaled.transpose() * dinv.transpose()).transpose()  # row scale
-
-
 def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
     """Symmetric normalized adjacency with each undirected slot weighted by
     the noisy-OR of its edges' gate values; self-loops stay at one."""
@@ -99,7 +93,7 @@ def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
         pattern[i, j] = 1.0
         pattern[j, i] = 1.0
         adj = adj + g * Tensor(pattern)
-    return _normalize(adj)
+    return sym_normalize(adj)
 
 
 def masked_forward(
@@ -126,14 +120,17 @@ def learn_edge_mask(
     model: DetectionModel,
     y_pred: str,
     config: ExplainConfig | None = None,
+    feats: Tensor | None = None,
 ) -> EdgeMask:
     """Optimize edge-mask logits to keep P(y_pred) high on the masked graph
-    while driving the mask sparse and binary."""
+    while driving the mask sparse and binary. `feats` defaults to the
+    method's own statement vectors."""
     config = config or ExplainConfig()
     n_edges = len(pdg.edges)
     if n_edges == 0:
         return EdgeMask(logits=Tensor(np.zeros(0)))
-    feats = method_features(pdg, model)
+    if feats is None:
+        feats = method_features(pdg, model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore()
     logits = store.add("mask", np.full(n_edges, config.init_logit))
@@ -183,15 +180,7 @@ def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = DEFAULT_TOP_EDGES) -> In
 
 def hard_subset_score(pdg: Pdg, model: DetectionModel, keep, feats: Tensor) -> float:
     """V-probability with only the `keep` edge positions present."""
-    n = len(pdg.nodes)
-    a = np.eye(n)
-    for pos in keep:
-        e = pdg.edges[pos]
-        a[e.src, e.dst] = 1.0
-        a[e.dst, e.src] = 1.0
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    adj = Tensor(np.outer(dinv, dinv) * a)
-    probs = graph_logits(adj, feats, model.store).softmax(axis=1)
+    probs = graph_logits(normalized_adjacency(pdg, keep), feats, model.store).softmax(axis=1)
     return float(probs.data[0, 1])
 
 

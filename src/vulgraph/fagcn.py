@@ -10,7 +10,7 @@ on a tuning split by F1 search and persisted with the checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .autodiff import (
 )
 from .encoders import EncoderConfig, encode_method_batch, init_encoder_params
 from .errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
-from .features import Vocabulary, extract_method_features
+from .features import Vocabulary
 from .frontend import Pdg
 from .metrics import auc
 from .rng import Rng
@@ -34,12 +34,6 @@ POOL_LEVELS = (1, 2, 4)
 GCN_HIDDEN = 64
 FC_HIDDEN = (64, 32)
 N_CLASSES = 2
-
-
-@dataclass
-class MethodFeatureMatrix:
-    matrix: Tensor
-    graph: Pdg
 
 
 @dataclass(frozen=True)
@@ -93,24 +87,30 @@ def new_model(vocab: Vocabulary, cfg: EncoderConfig | None = None, seed: int = 0
     return DetectionModel(store=store, vocab=vocab, encoder_config=cfg)
 
 
-def normalized_adjacency(pdg: Pdg) -> Tensor:
-    """D^{-1/2} (A + I) D^{-1/2} over the symmetrized edge set."""
-    n = len(pdg.nodes)
-    a = np.eye(n)
-    for e in pdg.edges:
+def sym_normalize(adj: Tensor) -> Tensor:
+    """D^{-1/2} A D^{-1/2} (Kipf & Welling, ICLR 2017), D the row sums of A."""
+    # 1 / D^{1/2}, not D^{-1/2}: the two differ in the last bit, and this
+    # form keeps the detector's scores and reports byte-stable.
+    d = Tensor(np.ones(())) / adj.sum(axis=1, keepdims=True).pow_scalar(0.5)
+    return (d @ d.transpose()) * adj
+
+
+def normalized_adjacency(pdg: Pdg, keep=None) -> Tensor:
+    """Normalized (A + I) over the symmetrized edge set, or over only the
+    `keep` edge positions when given."""
+    a = np.eye(len(pdg.nodes))
+    for pos in range(len(pdg.edges)) if keep is None else keep:
+        e = pdg.edges[pos]
         a[e.src, e.dst] = 1.0
         a[e.dst, e.src] = 1.0
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return Tensor(np.outer(dinv, dinv) * a)
+    return sym_normalize(Tensor(a))
 
 
-def gcn_forward(fm: MethodFeatureMatrix, store: ParamStore, adj: Tensor | None = None) -> Tensor:
+def gcn_forward(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
     """Two relu graph-convolution layers; rows stay aligned with statements."""
-    if adj is None:
-        adj = normalized_adjacency(fm.graph)
-    if adj.data.shape[0] != fm.matrix.data.shape[0]:
+    if adj.data.shape[0] != feats.data.shape[0]:
         raise ShapeMismatch("adjacency and feature matrix disagree on n")
-    h1 = (adj @ (fm.matrix @ store["gcn.w1"])).relu()
+    h1 = (adj @ (feats @ store["gcn.w1"])).relu()
     return (adj @ (h1 @ store["gcn.w2"])).relu()
 
 
@@ -137,27 +137,29 @@ def _head_logits(pooled: Tensor, store: ParamStore) -> Tensor:
 
 def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
     """Full model head over an (optionally masked) adjacency: [1, 2] logits."""
-    fm = MethodFeatureMatrix(matrix=feats, graph=None)
-    h = gcn_forward(fm, store, adj=adj)
-    return _head_logits(pyramid_pool(h), store)
+    return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
 
 
-def _softmax_row(logits: Tensor) -> Tensor:
-    return logits.softmax(axis=1)
+def _chunk_logits(model: DetectionModel, items: list) -> Tensor:
+    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch."""
+    pdgs = [p for _, p in items]
+    enc, spans = encode_method_batch(pdgs, model.vocab, model.store, model.encoder_config)
+    return concat(
+        [graph_logits(normalized_adjacency(p), enc[s:e], model.store) for p, (s, e) in zip(pdgs, spans)],
+        axis=0,
+    )
 
 
 def score_methods(model: DetectionModel, items: list, chunk: int = 16) -> list:
-    """Scores for [(id, pdg)] pairs; forward passes batched per chunk."""
+    """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
+    # The parameters are read as constants, so scoring records no autodiff
+    # tape and each chunk's intermediates are freed as soon as it is scored.
+    frozen = replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
     out = []
     for lo in range(0, len(items), chunk):
         part = items[lo : lo + chunk]
-        pdgs = [p for _, p in part]
-        bundles = [extract_method_features(p) for p in pdgs]
-        enc, spans = encode_method_batch(pdgs, model.vocab, model.store, model.encoder_config, bundles)
-        for (mid, pdg), (s, e) in zip(part, spans):
-            adj = normalized_adjacency(pdg)
-            probs = _softmax_row(graph_logits(adj, enc[s:e], model.store))
-            out.append((mid, float(probs.data[0, 1])))
+        probs = _chunk_logits(frozen, part).softmax(axis=1).data[:, 1]
+        out.extend((mid, float(p)) for (mid, _), p in zip(part, probs))
     return out
 
 
@@ -223,14 +225,7 @@ def balanced_training_pairs(items: list, labels: dict) -> list:
 
 
 def _batch_loss(model: DetectionModel, batch: list, labels: dict) -> Tensor:
-    pdgs = [p for _, p in batch]
-    bundles = [extract_method_features(p) for p in pdgs]
-    enc, spans = encode_method_batch(pdgs, model.vocab, model.store, model.encoder_config, bundles)
-    logit_rows = []
-    for (mid, pdg), (s, e) in zip(batch, spans):
-        adj = normalized_adjacency(pdg)
-        logit_rows.append(graph_logits(adj, enc[s:e], model.store))
-    logits = concat(logit_rows, axis=0)
+    logits = _chunk_logits(model, batch)
     y = np.array([1 if labels[mid] == "V" else 0 for mid, _ in batch], dtype=np.int64)
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
     shifted = (logits.transpose() - shift.transpose()).transpose()

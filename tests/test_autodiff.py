@@ -10,7 +10,6 @@ from vulgraph.autodiff import (
     load_checkpoint,
     rows,
     save_checkpoint,
-    sgd_step,
 )
 from vulgraph.errors import CheckpointError, MissingGradient, ShapeMismatch
 from vulgraph.rng import Rng
@@ -180,19 +179,19 @@ def test_backward_fills_zero_grads_for_unused_params():
     loss = used.sum()
     loss.backward(params=store)
     assert np.array_equal(unused.grad, np.zeros(3))
-    sgd_step(store, 0.5)
-    assert np.array_equal(used.data, np.full((2, 2), 0.5))
+    Adam(store, lr=0.5).step()  # a zero gradient leaves its parameter in place
+    assert np.allclose(used.data, np.full((2, 2), 0.5), rtol=0, atol=1e-7)
     assert np.array_equal(unused.data, np.ones(3))
 
 
 # --- optimizers ------------------------------------------------------------------
 
 
-def test_sgd_missing_gradient():
+def test_adam_missing_gradient():
     store = ParamStore()
     store.add("w", np.ones(2))
-    with pytest.raises(MissingGradient):
-        sgd_step(store, 0.1)
+    with pytest.raises(MissingGradient, match="'w'"):
+        Adam(store, lr=0.1).step()
 
 
 def test_adam_matches_reference_updates():

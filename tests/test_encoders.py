@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor
+from vulgraph.autodiff import ParamStore, Tensor, rows
 from vulgraph.encoders import (
     EncoderConfig,
     Gru,
     TreeLstm,
-    attention_weights,
+    _attention_scores,
+    _statement_features,
     encode_method,
     encode_method_batch,
-    fuse_statement,
-    gru_encode,
     init_encoder_params,
-    tree_lstm_encode,
 )
-from vulgraph.errors import ConfigError, EmptyTree, MissingNeighbor
+from vulgraph.errors import ConfigError, EmptyTree
 from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
@@ -75,12 +73,23 @@ def test_gru_matches_reference_recurrence():
 
 def test_gru_masked_steps_and_padding():
     _, _, vocab, store = make_setup()
+    gru = Gru(store, "sub_gru")
+    embed = store["embed.table"]
+
+    def run(ids, mask):
+        # row 0: the sequence under its mask; row 1: a fully unmasked copy
+        steps = [rows(embed, np.array([i, i])) for i in ids]
+        return gru.run(steps, [np.array([m, 1.0]) for m in mask]).data
+
     ids = [vocab.id("total"), vocab.id("n"), vocab.id("i")]
-    base = gru_encode(ids, [1, 1, 1], store)
-    padded = gru_encode(ids + [0, 0], [1, 1, 1, 0, 0], store)
-    assert np.array_equal(base.data, padded.data)
-    allmask = gru_encode(ids, [0, 0, 0], store)
-    assert np.array_equal(allmask.data, np.zeros(CFG.gru_hidden))
+    base = run(ids, [1, 1, 1])
+    assert np.array_equal(base[0], base[1])
+    padded = run(ids + [0, 0], [1, 1, 1, 0, 0])
+    assert np.array_equal(base[0], padded[0])
+    assert not np.array_equal(padded[0], padded[1])  # the PAD steps did run unmasked
+    allmask = run(ids, [0, 0, 0])
+    assert np.array_equal(allmask[0], np.zeros(CFG.gru_hidden))
+    assert np.array_equal(allmask[1], base[1])  # masking is per row
 
 
 def test_gru_zero_weights_close_all_gates():
@@ -122,10 +131,11 @@ def test_tree_lstm_matches_recursive_reference():
     pdg, bundles, vocab, store = make_setup()
     p = {k: store[f"tree.{k}"].data for k in ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")}
     embed = store["embed.table"].data
-    for b in bundles:
-        got = tree_lstm_encode(b.ast, vocab, store)
+    got = TreeLstm(store).encode_forest([b.ast for b in bundles], vocab, store["embed.table"])
+    assert got.data.shape == (len(bundles), CFG.tree_hidden)
+    for row, b in enumerate(bundles):
         expect, _ = ref_tree(p, embed, vocab, b.ast)
-        assert rel_err(got.data, expect) < 1e-10, f"stmt {b.index}"
+        assert rel_err(got.data[row], expect) < 1e-10, f"stmt {b.index}"
 
 
 def test_tree_lstm_child_permutation_invariant():
@@ -133,82 +143,98 @@ def test_tree_lstm_child_permutation_invariant():
     kids = [["id:a", []], ["int:3", []], ["call:f", [["id:b", []]]]]
     t1 = ["assign:=", kids]
     t2 = ["assign:=", [kids[2], kids[0], kids[1]]]
-    a = tree_lstm_encode(t1, vocab, store)
-    b = tree_lstm_encode(t2, vocab, store)
-    assert rel_err(a.data, b.data) < 1e-12
+    out = TreeLstm(store).encode_forest([t1, t2], vocab, store["embed.table"])
+    assert rel_err(out.data[0], out.data[1]) < 1e-12
 
 
 def test_tree_lstm_rejects_empty():
-    _, _, vocab, store = make_setup()
-    with pytest.raises(EmptyTree):
-        tree_lstm_encode(None, vocab, store)
+    _, bundles, vocab, store = make_setup()
+    tree = TreeLstm(store)
+    for forest in ([], [None], [bundles[0].ast, None]):
+        with pytest.raises(EmptyTree):
+            tree.encode_forest(forest, vocab, store["embed.table"])
 
 
 # --- attention --------------------------------------------------------------------
 
 
+def _attention_weights(features, store):
+    """The per-statement softmax over the six features, as encode_method_batch takes it."""
+    return _attention_scores(features, store).softmax(axis=1).data
+
+
 def test_attention_weights_normalize_and_symmetry():
     _, _, _, store = make_setup()
     rng = Rng(9)
-    same = Tensor(np.array([rng.gauss(0, 1) for _ in range(CFG.gru_hidden)]))
-    ws = attention_weights([same, same, same], store)
-    vals = [float(w.data) for w in ws]
-    assert abs(sum(vals) - 1.0) < 1e-12
-    assert max(vals) - min(vals) < 1e-12  # identical inputs, uniform weights
-    only = attention_weights([same], store)
-    assert abs(float(only[0].data) - 1.0) < 1e-12
+    same = Tensor(np.array([[rng.gauss(0, 1) for _ in range(CFG.gru_hidden)]]))
+    ws = _attention_weights([same] * 6, store)
+    assert abs(ws.sum() - 1.0) < 1e-12
+    assert ws.max() - ws.min() < 1e-12  # identical inputs, uniform weights
+    only = _attention_weights([same], store)
+    assert abs(only[0, 0] - 1.0) < 1e-12
 
 
 def test_attention_weights_sum_to_one_randomized():
     _, _, _, store = make_setup()
     rng = Rng(17)
-    for _ in range(100):
-        feats = [
-            Tensor(np.array([rng.gauss(0, 2) for _ in range(CFG.gru_hidden)]))
-            for _ in range(6)
-        ]
-        ws = attention_weights(feats, store)
-        assert abs(sum(float(w.data) for w in ws) - 1.0) < 1e-12
+    feats = [
+        Tensor(np.array([[rng.gauss(0, 2) for _ in range(CFG.gru_hidden)] for _ in range(100)]))
+        for _ in range(6)
+    ]
+    ws = _attention_weights(feats, store)
+    assert ws.shape == (100, 6)
+    assert np.abs(ws.sum(axis=1) - 1.0).max() < 1e-12
 
 
 # --- fusion -----------------------------------------------------------------------
 
+TWO_SRC = "int two(int alpha) { int beta = alpha + 1; return beta; }"
 
-def test_fuse_missing_neighbor_and_zero_weights():
-    _, _, _, store = make_setup()
-    rng = Rng(5)
-    feats = {
-        0: [Tensor(np.array([rng.gauss(0, 1) for _ in range(CFG.gru_hidden)])) for _ in range(6)]
-    }
-    with pytest.raises(MissingNeighbor):
-        fuse_statement(0, [1], feats, store, CFG)
-    sv = fuse_statement(0, [], feats, store, CFG)
-    assert sv.stmt == 0 and sv.values.data.shape == (CFG.stmt_dim,)
+
+def _encode_with_fusion_input(pdg, vocab, store):
+    """encode_method_batch's output and the widened, attention-weighted
+    feature rows g that its fusion step consumes."""
+    bundles = extract_method_features(pdg)
+    out, _ = encode_method_batch([pdg], vocab, store, CFG, [bundles])
+    feats = _statement_features([bundles], [(0, len(bundles))], vocab, store)
+    w = _attention_weights(feats, store)
+    hw, hb = store["fuse.h_w"].data, store["fuse.h_b"].data
+    g = np.concatenate([(f.data * w[:, j : j + 1]) @ hw + hb for j, f in enumerate(feats)], axis=1)
+    return out.data, g
+
+
+def _manual_fusion(store, g):
+    """Softmax over the member rows of g, weighted sum, output projection."""
+    s = g @ store["fuse.score_w"].data + store["fuse.score_b"].data
+    e = np.exp(s - s.max())
+    fused = (e / e.sum() * g).sum(axis=0)
+    return fused @ store["fuse.out_w"].data + store["fuse.out_b"].data
+
+
+def test_fuse_isolated_statements_and_zero_weights():
+    # no edges: each statement fuses with itself alone
+    _, _, vocab, store = make_setup(seed=5)
+    pdg = pdg_from_source("int lone() { int a = 1; int b = 2; return 0; }")
+    assert len(pdg.edges) == 0
+    out, g = _encode_with_fusion_input(pdg, vocab, store)
+    for row in range(len(pdg.nodes)):
+        assert rel_err(out[row], _manual_fusion(store, g[row : row + 1])) < 1e-10
     store["fuse.out_w"].data[:] = 0.0
     store["fuse.out_b"].data[:] = 0.0
-    sv = fuse_statement(0, [], feats, store, CFG)
-    assert np.array_equal(sv.values.data, np.zeros(CFG.stmt_dim))
+    zero, _ = _encode_with_fusion_input(pdg, vocab, store)
+    assert np.array_equal(zero, np.zeros((len(pdg.nodes), CFG.stmt_dim)))
 
 
 def test_fuse_matches_manual_arithmetic_two_statements():
-    _, _, _, store = make_setup(seed=11)
-    rng = Rng(31)
-    feats = {
-        i: [Tensor(np.array([rng.gauss(0, 1) for _ in range(CFG.gru_hidden)])) for _ in range(6)]
-        for i in (0, 1)
-    }
-    sv = fuse_statement(0, [1], feats, store, CFG)
-
-    hw, hb = store["fuse.h_w"].data, store["fuse.h_b"].data
-    g = np.stack(
-        [np.concatenate([f.data @ hw + hb for f in feats[i]]) for i in (0, 1)]
-    )
-    s = g @ store["fuse.score_w"].data + store["fuse.score_b"].data
-    e = np.exp(s - s.max())
-    w = e / e.sum()
-    fused = (w * g).sum(axis=0)
-    expect = fused @ store["fuse.out_w"].data + store["fuse.out_b"].data
-    assert rel_err(sv.values.data, expect) < 1e-10
+    pdg = pdg_from_source(TWO_SRC)
+    assert len(pdg.nodes) == 2 and len(pdg.edges) == 1
+    vocab = build_vocabulary([extract_method_features(pdg)])
+    store = ParamStore()
+    init_encoder_params(store, Rng(11), len(vocab), CFG)
+    out, g = _encode_with_fusion_input(pdg, vocab, store)
+    expect = _manual_fusion(store, g)  # the two statements are each other's neighbor
+    assert rel_err(out[0], expect) < 1e-10
+    assert rel_err(out[1], expect) < 1e-10
 
 
 # --- whole-method path ------------------------------------------------------------

@@ -17,7 +17,7 @@ from vulgraph.explain import (
     masked_forward,
     method_features,
 )
-from vulgraph.fagcn import DetectionModel, _batch_loss, new_model, normalized_adjacency
+from vulgraph.fagcn import DetectionModel, _batch_loss, classify, new_model, normalized_adjacency
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 
@@ -180,6 +180,20 @@ def test_masked_adjacency_merges_parallel_edges():
     want = np.outer(dinv, dinv) * a
     assert rel_err(got, want) < 1e-12
     assert np.abs(got - got.T).max() < 1e-15
+
+
+def test_open_gate_adjacency_is_the_detector_adjacency(demo):
+    for pdg in (demo, _parallel_edge_pdg(), _five_edge_pdg(), pdg_from_source(CHAIN_SRC)):
+        got = masked_adjacency(pdg, Tensor(np.ones(len(pdg.edges)))).data
+        assert np.array_equal(got, normalized_adjacency(pdg).data)
+
+
+def test_full_edge_set_score_is_the_detector_score(corpus, fitted_model):
+    items, _ = corpus
+    for _, pdg in items:
+        feats = method_features(pdg, fitted_model)
+        score, _ = classify(pdg, fitted_model)
+        assert hard_subset_score(pdg, fitted_model, range(len(pdg.edges)), feats) == score
 
 
 def test_misaligned_mask_rejected(demo, vocab):

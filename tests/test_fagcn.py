@@ -9,8 +9,9 @@ from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
 from vulgraph.fagcn import (
     GCN_HIDDEN,
     DetectionModel,
-    MethodFeatureMatrix,
     TrainConfig,
+    _batch_loss,
+    _chunk_logits,
     balanced_training_pairs,
     best_threshold,
     classify,
@@ -58,6 +59,14 @@ def test_normalized_adjacency_examples():
     assert np.all(path.data >= 0)
 
 
+def test_normalized_adjacency_keeps_listed_edges_only():
+    pdg = _chain_pdg(3, [(0, 1), (1, 2)])
+    assert np.array_equal(normalized_adjacency(pdg, keep=[0, 1]).data, normalized_adjacency(pdg).data)
+    assert np.array_equal(normalized_adjacency(pdg, keep=[]).data, np.eye(3))
+    only_first = normalized_adjacency(pdg, keep=[0]).data
+    assert np.array_equal(only_first, normalized_adjacency(_chain_pdg(3, [(0, 1)])).data)
+
+
 def test_gcn_forward_reductions():
     rng = Rng(2)
     store = ParamStore()
@@ -65,18 +74,18 @@ def test_gcn_forward_reductions():
     store.add("gcn.w2", np.array([[rng.gauss() for _ in range(3)] for _ in range(3)]))
     feats = np.array([[rng.gauss() for _ in range(4)] for _ in range(2)])
     # no edges: adjacency is I, so the conv is a per-row MLP
-    fm = MethodFeatureMatrix(matrix=Tensor(feats), graph=_chain_pdg(2))
-    out = gcn_forward(fm, store)
+    eye = normalized_adjacency(_chain_pdg(2))
+    out = gcn_forward(eye, Tensor(feats), store)
     manual = np.maximum(np.maximum(feats @ store["gcn.w1"].data, 0) @ store["gcn.w2"].data, 0)
     assert rel_err(out.data, manual) < 1e-12
     # identical rows on a symmetric 2-node graph stay identical
-    fm2 = MethodFeatureMatrix(matrix=Tensor(np.tile(feats[0], (2, 1))), graph=_chain_pdg(2, [(0, 1)]))
-    out2 = gcn_forward(fm2, store)
+    pair = normalized_adjacency(_chain_pdg(2, [(0, 1)]))
+    out2 = gcn_forward(pair, Tensor(np.tile(feats[0], (2, 1))), store)
     assert np.array_equal(out2.data[0], out2.data[1])
     store["gcn.w2"].data[:] = 0.0
-    assert not np.any(gcn_forward(fm, store).data)
+    assert not np.any(gcn_forward(eye, Tensor(feats), store).data)
     with pytest.raises(ShapeMismatch):
-        gcn_forward(fm, store, adj=Tensor(np.eye(3)))
+        gcn_forward(Tensor(np.eye(3)), Tensor(feats), store)
 
 
 def test_pyramid_pool_bins():
@@ -215,8 +224,6 @@ def test_balanced_pairs_drop_remainder():
 
 
 def test_train_one_epoch_improves_loss_most_seeds():
-    from vulgraph.fagcn import _batch_loss
-
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
@@ -268,6 +275,24 @@ def test_classify_boundary_and_roundtrip(tmp_path):
     before = score_methods(model, items)
     after = score_methods(loaded, items)
     assert before == after
+
+
+def test_scores_are_the_softmax_of_the_training_logits():
+    items, labels = _toy_corpus()
+    vocab = _toy_vocab(items)
+    model = new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12), seed=4)
+    logits = _chunk_logits(model, items)
+    probs = logits.softmax(axis=1).data
+    assert score_methods(model, items) == [(mid, float(p)) for (mid, _), p in zip(items, probs[:, 1])]
+    # the training loss is the cross-entropy of those same logits
+    y = [1 if labels[mid] == "V" else 0 for mid, _ in items]
+    nll = np.mean([-math.log(probs[i, c]) for i, c in enumerate(y)])
+    assert abs(float(_batch_loss(model, items, labels).data) - nll) < 1e-12
+    # a chunk is one encoder batch, so other chunk sizes agree up to rounding
+    for chunk in (1, 3):
+        scored = score_methods(model, items, chunk=chunk)
+        assert [mid for mid, _ in scored] == [mid for mid, _ in items]
+        assert max(abs(p - q) for (_, p), q in zip(scored, probs[:, 1])) < 1e-12
 
 
 def test_fit_threshold_requires_data():
