@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .params import Adam, ParamStore, glorot
-from .tensor import Tensor, concat, rows
+from .tensor import Tensor, concat, rows, scatter
 
 __all__ = [
     "Adam",
@@ -13,4 +13,5 @@ __all__ = [
     "load_checkpoint",
     "rows",
     "save_checkpoint",
+    "scatter",
 ]

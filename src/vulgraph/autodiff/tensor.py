@@ -1,8 +1,11 @@
 """Minimal reverse-mode automatic differentiation over fp64 numpy arrays.
 
-Each op records its parents and a closure that routes the output gradient
-back to them; Tensor.backward() replays those closures in reverse topological
-order, visiting every node exactly once. Broadcasting is permitted over the
+Each op records its parents and a backward function that routes the output
+gradient back to them; Tensor.backward() replays those functions in reverse
+topological order, visiting every node exactly once. A backward function
+receives its output node as its argument instead of capturing it, so a tape
+holds no reference cycle and is freed by reference counting as soon as its
+last tensor goes. Broadcasting is permitted over the
 leading dimension only (a (1, ...) or lower-rank operand against a (B, ...)
 one, plus true scalars); anything else raises ShapeMismatch. Tensors are
 treated as immutable once created.
@@ -97,7 +100,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
-                node._backward_fn()
+                node._backward_fn(node)
         if params is not None:
             for tensor in params.tensors():
                 if tensor.grad is None:
@@ -123,14 +126,13 @@ class Tensor:
         out_data = self.data + other.data
         a, b = self, other
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(out.grad, a.data.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(out.grad, b.data.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     __radd__ = __add__
 
@@ -140,14 +142,13 @@ class Tensor:
         out_data = self.data - other.data
         a, b = self, other
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(out.grad, a.data.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(-out.grad, b.data.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -158,14 +159,13 @@ class Tensor:
         out_data = self.data * other.data
         a, b = self, other
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
 
-        out = Tensor._make(out_data, (a, b), backward)
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -175,7 +175,7 @@ class Tensor:
         out_data = self.data / other.data
         a, b = self, other
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
             if b.requires_grad:
@@ -183,18 +183,16 @@ class Tensor:
                     _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
                 )
 
-        out = Tensor._make(out_data, (a, b), backward)
-        return out
+        return Tensor._make(out_data, (a, b), backward)
 
     def __neg__(self):
         a = self
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(-out.grad)
 
-        out = Tensor._make(-self.data, (a,), backward)
-        return out
+        return Tensor._make(-self.data, (a,), backward)
 
     def maximum(self, other: "Tensor") -> "Tensor":
         """Elementwise max; on ties the gradient goes to self."""
@@ -204,25 +202,23 @@ class Tensor:
         a, b = self, other
         take_a = a.data >= b.data
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * take_a)
             if b.requires_grad:
                 b._accumulate(out.grad * ~take_a)
 
-        out = Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
-        return out
+        return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
 
     def pow_scalar(self, exponent: float) -> "Tensor":
         a = self
         out_data = np.power(a.data, exponent)
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * exponent * np.power(a.data, exponent - 1.0))
 
-        out = Tensor._make(out_data, (a,), backward)
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     # --- nonlinearities ----------------------------------------------------
 
@@ -233,55 +229,50 @@ class Tensor:
             np.exp(a.data) / (1.0 + np.exp(a.data)),
         )
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * out.data * (1.0 - out.data))
 
-        out = Tensor._make(out_data, (a,), backward)
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def tanh(self) -> "Tensor":
         a = self
         out_data = np.tanh(a.data)
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * (1.0 - out.data * out.data))
 
-        out = Tensor._make(out_data, (a,), backward)
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def relu(self) -> "Tensor":
         a = self
         keep = a.data > 0
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * keep)
 
-        out = Tensor._make(a.data * keep, (a,), backward)
-        return out
+        return Tensor._make(a.data * keep, (a,), backward)
 
     def exp(self) -> "Tensor":
         a = self
         out_data = np.exp(a.data)
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad * out.data)
 
-        out = Tensor._make(out_data, (a,), backward)
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     def log(self) -> "Tensor":
         a = self
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad / a.data)
 
-        out = Tensor._make(np.log(a.data), (a,), backward)
-        return out
+        return Tensor._make(np.log(a.data), (a,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         a = self
@@ -289,14 +280,13 @@ class Tensor:
         e = np.exp(shifted)
         out_data = e / e.sum(axis=axis, keepdims=True)
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 y = out.data
                 g = out.grad
                 a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-        out = Tensor._make(out_data, (a,), backward)
-        return out
+        return Tensor._make(out_data, (a,), backward)
 
     # --- shape ops ----------------------------------------------------------
 
@@ -308,14 +298,13 @@ class Tensor:
                 f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
             )
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad @ b.data.T)
             if b.requires_grad:
                 b._accumulate(a.data.T @ out.grad)
 
-        out = Tensor._make(a.data @ b.data, (a, b), backward)
-        return out
+        return Tensor._make(a.data @ b.data, (a, b), backward)
 
     __matmul__ = matmul
 
@@ -324,62 +313,63 @@ class Tensor:
         if a.data.ndim != 2:
             raise ShapeMismatch("transpose expects a matrix")
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad.T)
 
-        out = Tensor._make(a.data.T.copy(), (a,), backward)
-        return out
+        return Tensor._make(a.data.T.copy(), (a,), backward)
 
     def reshape(self, *shape) -> "Tensor":
         a = self
         old = a.data.shape
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 a._accumulate(out.grad.reshape(old))
 
-        out = Tensor._make(a.data.reshape(*shape), (a,), backward)
-        return out
+        return Tensor._make(a.data.reshape(*shape), (a,), backward)
 
     def __getitem__(self, key) -> "Tensor":
         a = self
+        parts = key if isinstance(key, tuple) else (key,)
+        # An array key may repeat an index; only np.add.at sums every repeat.
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
-                a.grad[key] += out.grad
+                if fancy:
+                    np.add.at(a.grad, key, out.grad)
+                else:
+                    a.grad[key] += out.grad
 
-        out = Tensor._make(a.data[key].copy(), (a,), backward)
-        return out
+        return Tensor._make(a.data[key].copy(), (a,), backward)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-        out = Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-        return out
+        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
         count = a.data.size if axis is None else a.data.shape[axis]
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 a._accumulate(np.broadcast_to(g, a.data.shape) / count)
 
-        out = Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
-        return out
+        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
     def amax_rows(self) -> "Tensor":
         """Column-wise max over axis 0; ties send the gradient to the first
@@ -390,14 +380,13 @@ class Tensor:
         idx = np.argmax(a.data, axis=0)
         cols = np.arange(a.data.shape[1])
 
-        def backward():
+        def backward(out):
             if a.requires_grad:
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
                 np.add.at(a.grad, (idx, cols), out.grad)
 
-        out = Tensor._make(a.data[idx, cols].copy(), (a,), backward)
-        return out
+        return Tensor._make(a.data[idx, cols].copy(), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -407,15 +396,14 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(out):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * data.ndim
                 sl[axis] = slice(start, stop)
                 t._accumulate(out.grad[tuple(sl)])
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    return out
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -423,11 +411,30 @@ def rows(table: Tensor, indices: np.ndarray) -> Tensor:
     np.add.at so repeated indices are handled correctly."""
     idx = np.asarray(indices, dtype=np.int64)
 
-    def backward():
+    def backward(out):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, out.grad)
 
-    out = Tensor._make(table.data[idx].copy(), (table,), backward)
-    return out
+    return Tensor._make(table.data[idx].copy(), (table,), backward)
+
+
+def scatter(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: Tensor) -> Tensor:
+    """A copy of the constant `base` with values[k] placed at every index pair
+    (rows[..., k], cols[..., k]); a leading axis on `rows` and `cols` places
+    each value at several pairs. The pairs must be distinct. The gradient of
+    values[k] is the sum of the output gradient over its pairs."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    data = np.array(base, dtype=np.float64)
+    data[rows, cols] = values.data
+    slot = np.broadcast_to(np.arange(values.data.shape[0]), rows.shape)
+
+    def backward(out):
+        if values.requires_grad:
+            if values.grad is None:
+                values.grad = np.zeros_like(values.data)
+            np.add.at(values.grad, slot, out.grad[rows, cols])
+
+    return Tensor._make(data, (values,), backward)

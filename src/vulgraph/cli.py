@@ -28,9 +28,7 @@ from .explain import (
     ExplainConfig,
     explanation_report,
     extract_subgraph,
-    hard_subset_score,
     learn_edge_mask,
-    method_features,
     subgraph_to_dot,
 )
 from .fagcn import (
@@ -251,15 +249,16 @@ def cmd_explain(args) -> int:
     else:
         chosen = usable
 
+    # the same batches as detect, so each score is bitwise detect's score
+    scores = dict(score_methods(model, [(e.id, e.pdg) for e in usable]))
     explain_cfg = cfg.explain_settings()
     results = []
     for entry in chosen:
-        feats = method_features(entry.pdg, model)
-        score = hard_subset_score(entry.pdg, model, range(len(entry.pdg.edges)), feats)
+        score = scores[entry.id]
         decision = "V" if score >= model.threshold else "NV"
         if not args.method and decision != "V":
             continue
-        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg, feats)
+        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg)
         sub = extract_subgraph(entry.pdg, mask, cfg.k)
         sub.method = entry.id
         report = explanation_report(entry.pdg, model, decision, sub)

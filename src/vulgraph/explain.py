@@ -4,11 +4,13 @@ the mask sparse, then report the top-K edges and a ranking of the statements
 they touch.
 
 The mask scales the symmetrized adjacency before degree normalization;
-statement features are computed once from the full method and held fixed, so
-the optimization sees the graph structure as the only free input. Parallel
-edges between one statement pair share an adjacency slot through a noisy-OR
-combination, which keeps the slot symmetric in the two mask values and equal
-to plain OR for hard 0/1 masks.
+statement features are computed once from the full method and held fixed, and
+the detector's parameters are read as constants, so the optimization sees the
+graph structure as the only free input. Parallel edges between one statement
+pair share an adjacency slot through a noisy-OR combination, which keeps the
+slot symmetric in the two mask values and equal to plain OR for hard 0/1
+masks. The slot values enter the adjacency through one scatter op, so an
+iteration's tape and memory grow with the edges, not with statements squared.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .autodiff import Adam, ParamStore, Tensor
+from .autodiff import Adam, ParamStore, Tensor, concat, rows, scatter
 from .encoders import encode_method
 from .errors import MaskMisaligned, TooManyEdges
-from .fagcn import DetectionModel, graph_logits, normalized_adjacency, sym_normalize
+from .fagcn import DetectionModel, frozen, graph_logits, normalized_adjacency, sym_normalize
 from .frontend import Pdg
 
 DEFAULT_TOP_EDGES = 5
@@ -72,28 +74,32 @@ def _undirected_slots(pdg: Pdg) -> list[tuple[tuple[int, int], list[int]]]:
 
 
 def method_features(pdg: Pdg, model: DetectionModel) -> Tensor:
-    """Statement vectors for the full method, detached from the encoder tape."""
-    enc = encode_method(pdg, model.vocab, model.store, model.encoder_config)
-    return Tensor(enc.data.copy())
+    """Statement vectors for the full method, as a constant."""
+    return encode_method(pdg, model.vocab, frozen(model).store, model.encoder_config)
 
 
 def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
     """Symmetric normalized adjacency with each undirected slot weighted by
-    the noisy-OR of its edges' gate values; self-loops stay at one."""
+    the noisy-OR of its edges' gate values; self-loops stay at one.
+
+    The op count is fixed by the most parallel edges in any one slot, not by
+    the edge count: one gather of each slot's first gate, one vectorised
+    noisy-OR round per further parallel edge (a slot with fewer edges reads a
+    zero gate, which leaves it unchanged), and one scatter onto the identity.
+    """
     n = len(pdg.nodes)
-    adj = Tensor(np.eye(n))
-    for (i, j), positions in _undirected_slots(pdg):
-        if i == j:
-            continue
-        g = gate[positions[0]]
-        for pos in positions[1:]:
-            nxt = gate[pos]
-            g = g + nxt - g * nxt
-        pattern = np.zeros((n, n))
-        pattern[i, j] = 1.0
-        pattern[j, i] = 1.0
-        adj = adj + g * Tensor(pattern)
-    return sym_normalize(adj)
+    slots = [(ends, positions) for ends, positions in _undirected_slots(pdg) if ends[0] != ends[1]]
+    width = max((len(positions) for _, positions in slots), default=1)
+    table = np.full((width, len(slots)), len(pdg.edges), dtype=np.int64)  # the zero gate
+    for slot, (_, positions) in enumerate(slots):
+        table[: len(positions), slot] = positions
+    padded = concat([gate, Tensor(np.zeros(1))])
+    g = rows(padded, table[0])
+    for extra in table[1:]:
+        nxt = rows(padded, extra)
+        g = g + nxt - g * nxt
+    ends = np.array([ends for ends, _ in slots], dtype=np.int64).reshape(-1, 2).T
+    return sym_normalize(scatter(np.eye(n), ends, ends[::-1], g))
 
 
 def masked_forward(
@@ -120,17 +126,15 @@ def learn_edge_mask(
     model: DetectionModel,
     y_pred: str,
     config: ExplainConfig | None = None,
-    feats: Tensor | None = None,
 ) -> EdgeMask:
     """Optimize edge-mask logits to keep P(y_pred) high on the masked graph
-    while driving the mask sparse and binary. `feats` defaults to the
-    method's own statement vectors."""
+    while driving the mask sparse and binary."""
     config = config or ExplainConfig()
     n_edges = len(pdg.edges)
     if n_edges == 0:
         return EdgeMask(logits=Tensor(np.zeros(0)))
-    if feats is None:
-        feats = method_features(pdg, model)
+    model = frozen(model)
+    feats = method_features(pdg, model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore()
     logits = store.add("mask", np.full(n_edges, config.init_logit))
@@ -180,7 +184,7 @@ def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = DEFAULT_TOP_EDGES) -> In
 
 def hard_subset_score(pdg: Pdg, model: DetectionModel, keep, feats: Tensor) -> float:
     """V-probability with only the `keep` edge positions present."""
-    probs = graph_logits(normalized_adjacency(pdg, keep), feats, model.store).softmax(axis=1)
+    probs = graph_logits(normalized_adjacency(pdg, keep), feats, frozen(model).store).softmax(axis=1)
     return float(probs.data[0, 1])
 
 

@@ -150,15 +150,21 @@ def _chunk_logits(model: DetectionModel, items: list) -> Tensor:
     )
 
 
+def frozen(model: DetectionModel) -> DetectionModel:
+    """The model with its parameters read as constant tensors: a forward pass
+    through it records no tape for them and leaves their gradients alone."""
+    return replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
+
+
 def score_methods(model: DetectionModel, items: list, chunk: int = 16) -> list:
     """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
-    # The parameters are read as constants, so scoring records no autodiff
-    # tape and each chunk's intermediates are freed as soon as it is scored.
-    frozen = replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
+    # Scoring records no autodiff tape, so each chunk's intermediates are
+    # freed as soon as it is scored.
+    const = frozen(model)
     out = []
     for lo in range(0, len(items), chunk):
         part = items[lo : lo + chunk]
-        probs = _chunk_logits(frozen, part).softmax(axis=1).data[:, 1]
+        probs = _chunk_logits(const, part).softmax(axis=1).data[:, 1]
         out.extend((mid, float(p)) for (mid, _), p in zip(part, probs))
     return out
 

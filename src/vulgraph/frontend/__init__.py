@@ -1,7 +1,7 @@
 """Mini-C frontend: tokenizer, parser, CFG, dependence analyses, PDG."""
 
 from .cfg import Cfg, build_cfg
-from .deps import control_dependences, data_dependences, postdominators, reaching_definitions
+from .deps import control_dependences, data_dependences, reaching_definitions
 from .lexer import Token, tokenize
 from .parser import MethodAst, StmtNode, parse_method, parse_source
 from .pdg import (
@@ -34,7 +34,6 @@ __all__ = [
     "pdg_to_dict",
     "pdg_to_dot",
     "pdg_to_json",
-    "postdominators",
     "reaching_definitions",
     "recover_decl_types",
     "tokenize",

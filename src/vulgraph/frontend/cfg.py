@@ -45,19 +45,23 @@ class Cfg:
         return pred
 
 
-def _reachable_from(succ: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
+def _extend_reach(seen: set[int], start: int, step: dict[int, list[int]]) -> set[int]:
+    """Add `start` and every node reachable from it along `step` to `seen`.
+    Nodes already in `seen` are taken as closed, so repeated calls cost
+    O(edges) in total."""
+    seen.add(start)
     stack = [start]
     while stack:
         v = stack.pop()
-        for w in succ[v]:
+        for w in step[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
 
 
-def build_cfg(method: MethodAst) -> Cfg:
+def _structural_edges(method: MethodAst) -> list[tuple[int, int, str]]:
+    """Edges of the statement structure, before any repair."""
     n = len(method.stmts)
     entry, exit_ = n, n + 1
     edges: list[tuple[int, int, str]] = []
@@ -123,18 +127,41 @@ def build_cfg(method: MethodAst) -> Cfg:
     tail = walk(method.body, [(entry, "seq")])
     connect(tail, exit_)
 
-    cfg = Cfg(n, edges)
+    return edges
 
-    # repair: EXIT reachable from every statement
+
+def _repair_edges(n: int, edges: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
+    """The synthetic seq edges that make EXIT reachable from every statement
+    and every statement reachable from ENTRY, in the order they are added.
+    Each search extends one reach set, so the repair is linear in the edges."""
+    entry, exit_ = n, n + 1
+    succ: dict[int, list[int]] = {v: [] for v in range(n + 2)}
+    pred: dict[int, list[int]] = {v: [] for v in range(n + 2)}
+    added: list[tuple[int, int, str]] = []
+
+    def repair(src: int, dst: int) -> None:
+        added.append((src, dst, "seq"))
+        succ[src].append(dst)
+        pred[dst].append(src)
+
+    for src, dst, _ in edges:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    # a repair edge to EXIT makes EXIT reachable from all that reach its source
+    reaches_exit = _extend_reach(set(), exit_, pred)
     for node in range(n):
-        succ = cfg.successors()
-        if exit_ not in _reachable_from(succ, node):
-            add(node, exit_, "seq")
-            cfg = Cfg(n, edges)
-    # repair: every statement reachable from ENTRY
+        if node not in reaches_exit:
+            repair(node, exit_)
+            _extend_reach(reaches_exit, node, pred)
+    reached = _extend_reach(set(), entry, succ)
     for node in range(n):
-        succ = cfg.successors()
-        if node not in _reachable_from(succ, entry):
-            add(entry, node, "seq")
-            cfg = Cfg(n, edges)
-    return cfg
+        if node not in reached:
+            repair(entry, node)
+            _extend_reach(reached, node, succ)
+    return added
+
+
+def build_cfg(method: MethodAst) -> Cfg:
+    edges = _structural_edges(method)
+    n = len(method.stmts)
+    return Cfg(n, edges + _repair_edges(n, edges))

@@ -1,9 +1,11 @@
 """Dependence analyses over the CFG.
 
 Control dependence uses the post-dominator criterion: (p, s) holds iff s
-post-dominates some successor of p but does not post-dominate p itself. A
-virtual ENTRY->EXIT edge is added during the computation so statements that
-always execute become dependent on ENTRY (the PDG later drops those edges).
+post-dominates some successor of p but does not post-dominate p itself. It is
+read off the post-dominator tree, built with the Cooper-Harvey-Kennedy
+algorithm, in time close to linear in the edges. A virtual ENTRY->EXIT edge
+is added during the computation so statements that always execute become
+dependent on ENTRY (the PDG later drops those edges).
 
 Data dependence uses reaching definitions: (d, u, v) holds iff the definition
 of v at d reaches the use of v at u along some CFG path with no intervening
@@ -18,52 +20,69 @@ from .cfg import Cfg
 from .parser import StmtNode
 
 
-def postdominators(cfg: Cfg, virtual_entry_exit: bool = False) -> dict[int, frozenset[int]]:
-    """Post-dominator sets per node; every node post-dominates itself."""
-    succ = cfg.successors()
-    if virtual_entry_exit and cfg.exit not in succ[cfg.entry]:
-        succ = {k: list(v) for k, v in succ.items()}
-        succ[cfg.entry].append(cfg.exit)
-    nodes = cfg.nodes
-    universe = set(nodes)
-    pdom: dict[int, set[int]] = {v: set(universe) for v in nodes}
-    pdom[cfg.exit] = {cfg.exit}
+def _immediate_postdominators(succ: dict[int, list[int]], exit_: int) -> dict[int, int]:
+    """Immediate post-dominator of every node that reaches `exit_` (EXIT
+    maps to itself): Cooper, Harvey & Kennedy's iterative dominator
+    algorithm run on the reverse graph, in reverse postorder from EXIT."""
+    pred: dict[int, list[int]] = {v: [] for v in succ}
+    for v, outs in succ.items():
+        for w in outs:
+            pred[w].append(v)
+    postorder: list[int] = []
+    seen = {exit_}
+    stack = [(exit_, iter(pred[exit_]))]
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(pred[w])))
+                break
+        else:
+            stack.pop()
+            postorder.append(v)
+    number = {v: i for i, v in enumerate(postorder)}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while number[a] < number[b]:
+                a = ipdom[a]
+            while number[b] < number[a]:
+                b = ipdom[b]
+        return a
+
+    ipdom = {exit_: exit_}
     changed = True
     while changed:
         changed = False
-        for v in nodes:
-            if v == cfg.exit:
-                continue
-            if succ[v]:
-                new = set(universe)
-                for s in succ[v]:
-                    new &= pdom[s]
-            else:  # unreachable-to-exit nodes are repaired upstream; be safe
-                new = set()
-            new.add(v)
-            if new != pdom[v]:
-                pdom[v] = new
+        for v in reversed(postorder[:-1]):
+            new = None
+            for s in succ[v]:
+                if s in ipdom:
+                    new = s if new is None else intersect(s, new)
+            if ipdom.get(v) != new:
+                ipdom[v] = new
                 changed = True
-    return {v: frozenset(s) for v, s in pdom.items()}
+    return ipdom
 
 
 def control_dependences(cfg: Cfg) -> list[tuple[int, int]]:
-    """Sorted (p, s) pairs; p may be cfg.entry."""
+    """Sorted (p, s) pairs; p may be cfg.entry. For each edge p -> u, the
+    nodes on the post-dominator tree path from u up to ipdom(p), exclusive,
+    depend on p (Ferrante, Ottenstein & Warren 1987); p itself is left out."""
     succ = cfg.successors()
-    succ = {k: list(v) for k, v in succ.items()}
     if cfg.exit not in succ[cfg.entry]:
         succ[cfg.entry].append(cfg.exit)
-    pdom = postdominators(cfg, virtual_entry_exit=True)
+    ipdom = _immediate_postdominators(succ, cfg.exit)
     deps: set[tuple[int, int]] = set()
-    for p in cfg.nodes:
-        if p == cfg.exit or len(succ[p]) < 2:
+    for p, outs in succ.items():
+        if p == cfg.exit or len(outs) < 2:
             continue
-        for u in succ[p]:
-            for s in pdom[u]:
-                if s == p or s == cfg.exit:
-                    continue
-                if s not in pdom[p]:
-                    deps.add((p, s))
+        for u in outs:
+            while u != ipdom[p]:
+                if u != p:
+                    deps.add((p, u))
+                u = ipdom[u]
     return sorted(deps)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, rows
+from .autodiff import Tensor, concat, rows, scatter
 
 TOLERANCE = 1e-4
 _EPS = 1e-6
@@ -56,6 +56,7 @@ def _cases(seed: int):
     w34 = gen.uniform(-1.0, 1.0, size=(3, 4))
     w32 = gen.uniform(-1.0, 1.0, size=(3, 2))
     w43 = gen.uniform(-1.0, 1.0, size=(4, 3))
+    w33 = gen.uniform(-1.0, 1.0, size=(3, 3))
     w3 = gen.uniform(-1.0, 1.0, size=(3,))
     w4 = gen.uniform(-1.0, 1.0, size=(4,))
     w64 = gen.uniform(-1.0, 1.0, size=(6, 4))
@@ -86,6 +87,7 @@ def _cases(seed: int):
         ("reshape", lambda a: s(a.reshape(12), w12), [r(3, 4)]),
         ("index_row", lambda a: s(a[1], w4), [r(3, 4)]),
         ("index_cell", lambda a: a[2, 1] * Tensor(np.array(1.7)), [r(3, 4)]),
+        ("index_repeated", lambda a: s(a[np.array([0, 2, 0])], w34), [r(3, 4)]),
         ("slice_rows", lambda a: s(a[0:2], w34[:2]), [r(3, 4)]),
         ("sum_all", lambda a: a.sum() * Tensor(np.array(0.9)), [r(3, 4)]),
         ("sum_axis0", lambda a: s(a.sum(axis=0), w4), [r(3, 4)]),
@@ -93,6 +95,11 @@ def _cases(seed: int):
         ("mean", lambda a: s(a.mean(axis=1), w3), [r(3, 4)]),
         ("amax_rows", lambda a: s(a.amax_rows(), w4), [r(3, 4)]),
         ("concat_rows", lambda a, b: s(concat([a, b], axis=0), w64), [r(2, 4), r(4, 4)]),
+        (
+            "scatter",
+            lambda a: s(scatter(np.eye(3), [[0, 1, 0], [1, 2, 2]], [[1, 2, 2], [0, 1, 0]], a), w33),
+            [r(3)],
+        ),
         ("gather_repeated_rows", lambda a: s(rows(a, np.array([0, 2, 2])), w34), [r(4, 4)]),
         (
             "composite_mlp",

@@ -64,6 +64,85 @@ def brute_control_deps(cfg) -> list[tuple[int, int]]:
     return sorted(deps)
 
 
+def set_postdominators(cfg, virtual_entry_exit: bool = False) -> dict[int, frozenset[int]]:
+    """Post-dominator sets per node by the iterative set-intersection
+    equations; every node post-dominates itself. Cubic-ish, but simple."""
+    succ = cfg.successors()
+    if virtual_entry_exit and cfg.exit not in succ[cfg.entry]:
+        succ = {k: list(v) for k, v in succ.items()}
+        succ[cfg.entry].append(cfg.exit)
+    nodes = cfg.nodes
+    universe = set(nodes)
+    pdom: dict[int, set[int]] = {v: set(universe) for v in nodes}
+    pdom[cfg.exit] = {cfg.exit}
+    changed = True
+    while changed:
+        changed = False
+        for v in nodes:
+            if v == cfg.exit:
+                continue
+            if succ[v]:
+                new = set(universe)
+                for s in succ[v]:
+                    new &= pdom[s]
+            else:
+                new = set()
+            new.add(v)
+            if new != pdom[v]:
+                pdom[v] = new
+                changed = True
+    return {v: frozenset(s) for v, s in pdom.items()}
+
+
+def set_control_deps(cfg) -> list[tuple[int, int]]:
+    """Control dependences from the post-dominator sets: (p, s) iff s
+    post-dominates a successor of p and does not post-dominate p."""
+    succ = {k: list(v) for k, v in cfg.successors().items()}
+    if cfg.exit not in succ[cfg.entry]:
+        succ[cfg.entry].append(cfg.exit)
+    pdom = set_postdominators(cfg, virtual_entry_exit=True)
+    deps: set[tuple[int, int]] = set()
+    for p in cfg.nodes:
+        if p == cfg.exit or len(succ[p]) < 2:
+            continue
+        for u in succ[p]:
+            for s in pdom[u]:
+                if s != p and s != cfg.exit and s not in pdom[p]:
+                    deps.add((p, s))
+    return sorted(deps)
+
+
+def per_node_repair_edges(n: int, edges) -> list[tuple[int, int, str]]:
+    """CFG repair edges by one fresh reachability search per statement: an
+    edge to EXIT for each statement that cannot reach it, then an edge from
+    ENTRY for each statement ENTRY cannot reach, each seeing the earlier ones."""
+    entry, exit_ = n, n + 1
+    work = list(edges)
+    added = []
+
+    def reach(start):
+        succ = {v: [] for v in range(n + 2)}
+        for src, dst, _ in work:
+            succ[src].append(dst)
+        seen, stack = {start}, [start]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    for node in range(n):
+        if exit_ not in reach(node):
+            added.append((node, exit_, "seq"))
+            work.append(added[-1])
+    for node in range(n):
+        if node not in reach(entry):
+            added.append((entry, node, "seq"))
+            work.append(added[-1])
+    return added
+
+
 def brute_data_deps(cfg, stmts) -> list[tuple[int, int, str]]:
     succ = cfg.successors()
     defs = {s.index: set(s.defs) for s in stmts}

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import Adam, Tensor, concat, rows
+from vulgraph.autodiff import Adam, Tensor, concat, rows, scatter
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
 from vulgraph.encoders import EncoderConfig
 from vulgraph.explain import (
@@ -65,6 +65,7 @@ def _grad_cases(seed: int):
     off = lambda *s: gen.uniform(0.1, 1.5, size=s) * gen.choice([-1.0, 1.0], size=s)  # noqa: E731
     w34, w32, w43 = r(3, 4), r(3, 2), r(4, 3)
     w3, w4, w64, w12 = r(3), r(4), r(6, 4), r(12)
+    w33 = r(3, 3)
 
     def s(t, w):
         return (t * Tensor(w)).sum()
@@ -105,6 +106,11 @@ def _grad_cases(seed: int):
             .log()
             * Tensor(np.array(-1.0)),
             [r(3, 4), r(4, 5), r(5, 2)],
+        ),
+        (lambda a: s(a[np.array([0, 2, 0])], w34), [r(3, 4)]),
+        (
+            lambda a: s(scatter(np.eye(3), [[0, 1, 0], [1, 2, 2]], [[1, 2, 2], [0, 1, 0]], a), w33),
+            [r(3)],
         ),
     ]
 

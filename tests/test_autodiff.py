@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from vulgraph.autodiff import (
     load_checkpoint,
     rows,
     save_checkpoint,
+    scatter,
 )
 from vulgraph.errors import CheckpointError, MissingGradient, ShapeMismatch
 from vulgraph.rng import Rng
@@ -132,6 +135,32 @@ def test_grad_composite_mlp():
 
 
 # --- semantics -----------------------------------------------------------------
+
+
+def test_grad_scatter_sums_each_value_over_its_pairs():
+    v = Tensor(np.array([0.3, 0.7]), requires_grad=True)
+    ends = np.array([[0, 1], [1, 2]])
+    out = scatter(np.eye(3), ends, ends[::-1], v)
+    assert out.data.tolist() == [[1.0, 0.3, 0.0], [0.3, 1.0, 0.7], [0.0, 0.7, 1.0]]
+    weight = np.arange(9.0).reshape(3, 3)
+    (out * Tensor(weight)).sum().backward()
+    assert v.grad.tolist() == [weight[0, 1] + weight[1, 0], weight[1, 2] + weight[2, 1]]
+
+
+def test_dead_tape_is_freed_without_the_cycle_collector():
+    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+    w = Tensor(np.full((4, 3), 0.5), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        h = concat([rows(x, np.array([0, 2, 2])), x], axis=0) @ w
+        adj = scatter(np.eye(3), [[0], [1]], [[1], [0]], h[np.array([0]), 1])
+        loss = (adj @ h[0:3].tanh()).sigmoid().amax_rows().softmax().log().mean()
+        loss.backward()
+        del h, adj, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shape_mismatch_rejected():

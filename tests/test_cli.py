@@ -4,7 +4,11 @@ import pathlib
 import pytest
 
 from vulgraph.cli import load_run_config, main
+from vulgraph.corpus import load_corpus
+from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import ConfigError
+from vulgraph.fagcn import new_model, save_model
+from vulgraph.features import build_vocabulary, extract_method_features
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -249,6 +253,33 @@ def test_explain_bytes_stable_across_runs(pipeline, tmp_path):
         == 0
     )
     assert (out / "explanations.json").read_bytes() == pipeline["explanations"].read_bytes()
+
+
+def test_explain_scores_are_the_detection_scores(tmp_path):
+    # An untrained model whose scores for some of these methods differ in
+    # the last bit between encoding the method alone and in a 16-method batch.
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--n", "48", "--seed", "3", "--out", str(corpus)]) == 0
+    entries = [e for e in load_corpus(corpus) if e.pdg is not None]
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    model = tmp_path / "model.json"
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12), seed=2))
+    detections = tmp_path / "det.json"
+    assert main(["detect", str(corpus), "--model", str(model), "--out", str(detections)]) == 0
+    quick = tmp_path / "quick.json"
+    quick.write_text(json.dumps({"explain_iterations": 1}), encoding="utf-8")
+    args = ["explain", str(corpus), "--model", str(model), "--config", str(quick)]
+    for e in entries:
+        args += ["--method", e.id]
+    assert main(args + ["--out", str(tmp_path / "expl")]) == 0
+    detected = {
+        row["method"]: (row["score"], row["decision"])
+        for row in json.loads(detections.read_text())["methods"]
+    }
+    rows = json.loads((tmp_path / "expl" / "explanations.json").read_text())
+    assert sorted(row["method"] for row in rows) == sorted(detected)
+    for row in rows:
+        assert (row["score"], row["decision"]) == detected[row["method"]]
 
 
 def test_explain_unknown_method_is_validation_error(pipeline, capsys):

@@ -231,6 +231,40 @@ def test_decision_flipping_edge_gets_highest_mask(demo, flip_fixture, flip_mask)
     assert vals.max() > 0.9 and vals.min() < 0.1
 
 
+def test_learn_edge_mask_leaves_detector_gradients_alone(demo, vocab):
+    model = new_model(vocab, CFG, seed=0)
+    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=3))
+    assert all(t.grad is None for _, t in model.store.items())
+
+
+def _tape_nodes(loss: Tensor) -> int:
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return len(seen)
+
+
+def test_explain_tape_does_not_grow_with_edges(monkeypatch, vocab):
+    chain = "int f(int v0) { " + " ".join(f"int v{i} = v{i - 1} + 1;" for i in range(1, 60)) + " return v59; }"
+    small, large = _five_edge_pdg(), pdg_from_source(chain)
+    assert len(small.edges) == 5 and len(large.edges) >= 50
+    counts = []
+    backward = Tensor.backward
+
+    def counting(self, params=None):
+        counts.append(_tape_nodes(self))
+        return backward(self, params)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    model = new_model(vocab, CFG, seed=0)
+    learn_edge_mask(small, model, "V", ExplainConfig(iterations=2))
+    learn_edge_mask(large, model, "V", ExplainConfig(iterations=2))
+    assert len(counts) == 4 and len(set(counts)) == 1
+
+
 def test_parallel_symmetric_edges_get_equal_masks(vocab):
     pdg = _parallel_edge_pdg()
     model = new_model(vocab, CFG, seed=3)

@@ -17,9 +17,16 @@ from vulgraph.frontend import (
     pdg_to_json,
     tokenize,
 )
+from vulgraph.frontend.cfg import _repair_edges, _structural_edges
 from vulgraph.rng import Rng
 
-from oracles import brute_control_deps, brute_data_deps, random_source
+from oracles import (
+    brute_control_deps,
+    brute_data_deps,
+    per_node_repair_edges,
+    random_source,
+    set_control_deps,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -224,6 +231,31 @@ def test_dependences_match_brute_force_on_random_programs():
         cfg = build_cfg(m)
         assert control_dependences(cfg) == brute_control_deps(cfg), src
         assert data_dependences(cfg, m.stmts) == brute_data_deps(cfg, m.stmts), src
+
+
+REPAIR_SOURCES = [
+    "int f(int a) { return a; a = 1; }",  # dead code
+    "int f(int a) { top: a = a + 1; goto top; }",  # never reaches EXIT
+    "int f(int a) { top: a = a + 1; if (a) goto top; goto top; a = 2; mid: a = a - 1;"
+    " goto mid; return a; a = 5; low: a = 3; goto low; }",
+    "int f(int a) { goto tail; a = 1; while (a) { a = a - 1; } tail: return a; }",
+]
+
+
+def test_dependences_and_repairs_match_set_reference_on_large_methods():
+    rng = Rng(4242)
+    sources = REPAIR_SOURCES + [random_source(rng.fork(str(i)), max_stmts=150) for i in range(25)]
+    repaired = 0
+    for src in sources:
+        m = parse_method(src)
+        structural = _structural_edges(m)
+        want = per_node_repair_edges(len(m.stmts), structural)
+        assert _repair_edges(len(m.stmts), structural) == want, src
+        cfg = build_cfg(m)
+        assert cfg.edges == structural + want, src
+        assert control_dependences(cfg) == set_control_deps(cfg), src
+        repaired += bool(want)
+    assert repaired >= 10 and max(len(parse_method(src).stmts) for src in sources) > 100
 
 
 # --- PDG ---------------------------------------------------------------------
