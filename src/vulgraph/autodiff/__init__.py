@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .params import Adam, ParamStore, glorot
-from .tensor import Tensor, concat, rows, scatter
+from .tensor import Tensor, concat, gru_sequence, rows, scatter, segment_max
 
 __all__ = [
     "Adam",
@@ -10,8 +10,10 @@ __all__ = [
     "Tensor",
     "concat",
     "glorot",
+    "gru_sequence",
     "load_checkpoint",
     "rows",
     "save_checkpoint",
     "scatter",
+    "segment_max",
 ]

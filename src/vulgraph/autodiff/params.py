@@ -52,9 +52,6 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
 
 class Adam:
     """Adam with bias correction; state is keyed by parameter name so it can

@@ -9,6 +9,11 @@ last tensor goes. Broadcasting is permitted over the
 leading dimension only (a (1, ...) or lower-rank operand against a (B, ...)
 one, plus true scalars); anything else raises ShapeMismatch. Tensors are
 treated as immutable once created.
+
+Besides the elementwise, reduction and shape ops, two fused ops keep the tape
+short: gru_sequence records a whole masked GRU recurrence as one node with a
+hand-written backward through time, and segment_max takes column maxima over
+several row ranges at once (the detector's pyramid pool).
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
 class Tensor:
@@ -224,10 +233,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        out_data = np.where(
-            a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-            np.exp(a.data) / (1.0 + np.exp(a.data)),
-        )
+        out_data = _sigmoid(a.data)
 
         def backward(out):
             if a.requires_grad:
@@ -371,23 +377,6 @@ class Tensor:
 
         return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
-    def amax_rows(self) -> "Tensor":
-        """Column-wise max over axis 0; ties send the gradient to the first
-        maximal row, which keeps pooling deterministic."""
-        a = self
-        if a.data.ndim != 2:
-            raise ShapeMismatch("amax_rows expects a matrix")
-        idx = np.argmax(a.data, axis=0)
-        cols = np.arange(a.data.shape[1])
-
-        def backward(out):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (idx, cols), out.grad)
-
-        return Tensor._make(a.data[idx, cols].copy(), (a,), backward)
-
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
@@ -438,3 +427,100 @@ def scatter(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: Tensor
             np.add.at(values.grad, slot, out.grad[rows, cols])
 
     return Tensor._make(data, (values,), backward)
+
+
+def segment_max(x: Tensor, bounds) -> Tensor:
+    """Column maxima of the matrix x over each row range [start, end) in
+    `bounds`, laid end to end: a vector of len(bounds) * cols values. Ranges
+    may overlap; a tie sends the gradient to the first maximal row of its
+    range."""
+    if x.data.ndim != 2:
+        raise ShapeMismatch("segment_max expects a matrix")
+    n, width = x.data.shape
+    if any(not 0 <= start < end <= n for start, end in bounds):
+        raise ShapeMismatch(f"segment_max: a range in {list(bounds)} is empty or outside {n} rows")
+    cols = np.arange(width)
+    idx = np.array([start + np.argmax(x.data[start:end], axis=0) for start, end in bounds])
+
+    def backward(out):
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            # One range at a time, in forward order, so that rows shared by
+            # overlapping ranges sum their gradients in a fixed order.
+            grad = out.grad.reshape(idx.shape)
+            for k in range(len(idx)):
+                x.grad[idx[k], cols] += grad[k]
+
+    return Tensor._make(x.data[idx, cols].reshape(-1), (x,), backward)
+
+
+def gru_sequence(x: Tensor, weights, steps: int, mask: np.ndarray | None = None) -> Tensor:
+    """Final hidden state [B, hidden] of a GRU (Cho et al., 2014) run from a
+    zero state over `steps` inputs stacked step-major in x ([steps * B,
+    in_dim]). `weights` are the tensors (wz, uz, bz, wr, ur, br, wh, uh, bh).
+    mask[t, b] == 0 leaves row b's state untouched at step t.
+
+    The whole recurrence is one tape node whose backward runs through time by
+    hand (Werbos, 1990). Each step's products are taken separately, so the
+    forward value is bitwise that of the same recurrence built from the
+    elementwise ops above. Per-step activations are kept only when an input
+    requires grad."""
+    if steps < 1 or x.data.ndim != 2 or x.data.shape[0] % steps:
+        raise ShapeMismatch(f"gru_sequence: {x.data.shape} does not split into {steps} steps")
+    batch = x.data.shape[0] // steps
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (w.data for w in weights)
+    hidden = bz.shape[0]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (steps, batch):
+            raise ShapeMismatch(f"gru_sequence: mask {mask.shape}, expected {(steps, batch)}")
+    parents = (x, *weights)
+    record = any(p.requires_grad for p in parents)
+    if record:  # each step's input state and gates, step-major like x
+        h_in, zs, rs, cands = (np.empty((steps * batch, hidden)) for _ in range(4))
+    h = np.zeros((batch, hidden))
+    for t in range(steps):
+        at = slice(t * batch, (t + 1) * batch)
+        xt = x.data[at]
+        z = _sigmoid(xt @ wz + h @ uz + bz)
+        r = _sigmoid(xt @ wr + h @ ur + br)
+        cand = np.tanh(xt @ wh + (r * h) @ uh + bh)
+        if record:
+            h_in[at], zs[at], rs[at], cands[at] = h, z, r, cand
+        nxt = z * cand + (1.0 - z) * h
+        if mask is None:
+            h = nxt
+        else:
+            keep = mask[t][:, None]
+            h = keep * nxt + (1.0 - keep) * h
+
+    def backward(out):
+        # Gradients of the z, r and candidate pre-activations, step-major.
+        d_z, d_r, d_c = (np.empty((steps * batch, hidden)) for _ in range(3))
+        dh = out.grad
+        for t in reversed(range(steps)):
+            at = slice(t * batch, (t + 1) * batch)
+            h_prev, z, r, cand = h_in[at], zs[at], rs[at], cands[at]
+            if mask is None:
+                d_next, carry = dh, 0.0
+            else:
+                keep = mask[t][:, None]
+                d_next, carry = dh * keep, dh * (1.0 - keep)
+            d_c[at] = d_next * z * (1.0 - cand * cand)
+            d_rh = d_c[at] @ uh.T
+            d_z[at] = (d_next * cand - d_next * h_prev) * z * (1.0 - z)
+            d_r[at] = d_rh * h_prev * r * (1.0 - r)
+            dh = carry + d_next * (1.0 - z) + d_rh * r + d_z[at] @ uz.T + d_r[at] @ ur.T
+        if x.requires_grad:
+            x._accumulate(d_z @ wz.T + d_r @ wr.T + d_c @ wh.T)
+        for k, (d_pre, h_side) in enumerate(((d_z, h_in), (d_r, h_in), (d_c, rs * h_in))):
+            w, u, b = weights[3 * k : 3 * k + 3]
+            if w.requires_grad:
+                w._accumulate(x.data.T @ d_pre)
+            if u.requires_grad:
+                u._accumulate(h_side.T @ d_pre)
+            if b.requires_grad:
+                b._accumulate(d_pre.sum(axis=0))
+
+    return Tensor._make(h, parents, backward)

@@ -19,7 +19,9 @@ projection.
 
 Everything here is batched: encode_method_batch processes all statements of
 many methods in one tensor program, and encode_method is that program on a
-single method.
+single method. Each GRU reads its whole input sequence from one gather (or,
+for the attention Bi-GRU, one concat) and runs as one autodiff op,
+gru_sequence, so its recurrence adds a single node to the tape.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, concat, glorot, rows
-from .errors import ConfigError, EmptyTree, ShapeMismatch
+from .autodiff import ParamStore, Tensor, concat, glorot, gru_sequence, rows
+from .errors import ConfigError, EmptyTree
 from .features import (
     StatementFeatureBundle,
     Vocabulary,
@@ -82,8 +84,8 @@ class Gru:
     """
 
     def __init__(self, store: ParamStore, prefix: str):
-        self.p = {g: store[f"{prefix}.{g}"] for g in _GRU_GATES}
-        self.hidden = self.p["bz"].data.shape[0]
+        self.weights = tuple(store[f"{prefix}.{g}"] for g in _GRU_GATES)
+        self.hidden = self.weights[2].data.shape[0]
 
     @staticmethod
     def init(store: ParamStore, rng: Rng, prefix: str, in_dim: int, hidden: int) -> None:
@@ -92,29 +94,12 @@ class Gru:
             store.add(f"{prefix}.u{gate}", glorot(rng, hidden, hidden))
             store.add(f"{prefix}.b{gate}", np.zeros(hidden))
 
-    def run(self, steps: list[Tensor], masks: list[np.ndarray] | None = None) -> Tensor:
-        """Run over `steps` (each [B, in_dim]); masks[t] is a 0/1 vector of
-        length B. Returns the final hidden state [B, hidden]."""
-        if masks is not None and len(masks) != len(steps):
-            raise ShapeMismatch("mask length differs from sequence length")
-        batch = steps[0].data.shape[0] if steps else 1
-        h = Tensor(np.zeros((batch, self.hidden)))
-        p = self.p
-        for t, x in enumerate(steps):
-            z = (x @ p["wz"] + h @ p["uz"] + p["bz"]).sigmoid()
-            r = (x @ p["wr"] + h @ p["ur"] + p["br"]).sigmoid()
-            cand = (x @ p["wh"] + (r * h) @ p["uh"] + p["bh"]).tanh()
-            nxt = z * cand + (Tensor(np.ones(())) - z) * h
-            if masks is None:
-                h = nxt
-            else:
-                keep = np.repeat(
-                    np.asarray(masks[t], dtype=np.float64).reshape(batch, 1),
-                    self.hidden,
-                    axis=1,
-                )
-                h = Tensor(keep) * nxt + Tensor(1.0 - keep) * h
-        return h
+    def run(self, x: Tensor, steps: int, mask: np.ndarray | None = None) -> Tensor:
+        """Run over `steps` inputs stacked step-major in x ([steps * B,
+        in_dim]); mask[t] is a 0/1 vector of length B. Returns the final
+        hidden state [B, hidden] as one tape node."""
+        return gru_sequence(x, self.weights, steps, mask)
+
 
 _TREE_GATES = ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")
 
@@ -233,8 +218,9 @@ def _attention_scores(features: list[Tensor], store: ParamStore) -> Tensor:
     A Bi-GRU reads the feature sequence into a shared context (final state of
     each direction); each feature is then scored additively against that
     context, so identical features always tie."""
-    fwd = Gru(store, "attn_fwd").run(features)
-    bwd = Gru(store, "attn_bwd").run(list(reversed(features)))
+    n = len(features)
+    fwd = Gru(store, "attn_fwd").run(concat(features), n)
+    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), n)
     ctx = concat([fwd, bwd], axis=1) @ store["attn.ctx_w"]
     cols = []
     for f in features:
@@ -258,9 +244,7 @@ def _token_matrix(
 def _run_token_gru(
     gru: Gru, embed: Tensor, ids: np.ndarray, mask: np.ndarray
 ) -> Tensor:
-    steps = [rows(embed, ids[:, t]) for t in range(ids.shape[1])]
-    masks = [mask[:, t] for t in range(ids.shape[1])]
-    return gru.run(steps, masks)
+    return gru.run(rows(embed, ids.T.reshape(-1)), ids.shape[1], mask.T)
 
 
 def _run_context_gru(gru: Gru, f1: Tensor, contexts: list[list[int]]) -> Tensor:
@@ -270,17 +254,12 @@ def _run_context_gru(gru: Gru, f1: Tensor, contexts: list[list[int]]) -> Tensor:
     max_len = max((len(c) for c in contexts), default=0)
     if max_len == 0:
         return Tensor(np.zeros((n, gru.hidden)))
-    steps, masks = [], []
-    for t in range(max_len):
-        idx = np.zeros(n, dtype=np.int64)
-        m = np.zeros(n, dtype=np.float64)
-        for b, ctx in enumerate(contexts):
-            if t < len(ctx):
-                idx[b] = ctx[t]
-                m[b] = 1.0
-        steps.append(rows(f1, idx))
-        masks.append(m)
-    return gru.run(steps, masks)
+    idx = np.zeros((max_len, n), dtype=np.int64)
+    mask = np.zeros((max_len, n), dtype=np.float64)
+    for b, ctx in enumerate(contexts):
+        idx[: len(ctx), b] = ctx
+        mask[: len(ctx), b] = 1.0
+    return gru.run(rows(f1, idx.reshape(-1)), max_len, mask)
 
 
 def _weight_features(features: list[Tensor], weights: Tensor) -> list[Tensor]:

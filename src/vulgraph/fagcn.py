@@ -22,10 +22,11 @@ from .autodiff import (
     glorot,
     load_checkpoint,
     save_checkpoint,
+    segment_max,
 )
 from .encoders import EncoderConfig, encode_method_batch, init_encoder_params
 from .errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
-from .features import Vocabulary
+from .features import Vocabulary, extract_method_features
 from .frontend import Pdg
 from .metrics import auc
 from .rng import Rng
@@ -117,15 +118,12 @@ def gcn_forward(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
 def pyramid_pool(h: Tensor) -> Tensor:
     """Fixed-width descriptor: per-column max over 1+2+4 contiguous row bins."""
     n = h.data.shape[0]
-    parts = []
+    bounds = []
     for level in POOL_LEVELS:
         for b in range(level):
             start = (b * n) // level
-            end = ((b + 1) * n) // level
-            if end == start:
-                end = start + 1
-            parts.append(h[start:end].amax_rows())
-    return concat(parts, axis=0)
+            bounds.append((start, max(((b + 1) * n) // level, start + 1)))
+    return segment_max(h, bounds)
 
 
 def _head_logits(pooled: Tensor, store: ParamStore) -> Tensor:
@@ -140,10 +138,14 @@ def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
     return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
 
 
-def _chunk_logits(model: DetectionModel, items: list) -> Tensor:
-    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch."""
+def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> Tensor:
+    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch;
+    `bundles` maps method ids to feature bundles already extracted."""
     pdgs = [p for _, p in items]
-    enc, spans = encode_method_batch(pdgs, model.vocab, model.store, model.encoder_config)
+    bundle_lists = None if bundles is None else [bundles[mid] for mid, _ in items]
+    enc, spans = encode_method_batch(
+        pdgs, model.vocab, model.store, model.encoder_config, bundle_lists
+    )
     return concat(
         [graph_logits(normalized_adjacency(p), enc[s:e], model.store) for p, (s, e) in zip(pdgs, spans)],
         axis=0,
@@ -156,7 +158,9 @@ def frozen(model: DetectionModel) -> DetectionModel:
     return replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
 
 
-def score_methods(model: DetectionModel, items: list, chunk: int = 16) -> list:
+def score_methods(
+    model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None
+) -> list:
     """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
     # Scoring records no autodiff tape, so each chunk's intermediates are
     # freed as soon as it is scored.
@@ -164,7 +168,7 @@ def score_methods(model: DetectionModel, items: list, chunk: int = 16) -> list:
     out = []
     for lo in range(0, len(items), chunk):
         part = items[lo : lo + chunk]
-        probs = _chunk_logits(const, part).softmax(axis=1).data[:, 1]
+        probs = _chunk_logits(const, part, bundles).softmax(axis=1).data[:, 1]
         out.extend((mid, float(p)) for (mid, _), p in zip(part, probs))
     return out
 
@@ -215,10 +219,12 @@ def best_threshold(scored: list, labels: dict) -> float:
     return best[1]
 
 
-def fit_threshold(model: DetectionModel, tune_items: list, labels: dict) -> float:
+def fit_threshold(
+    model: DetectionModel, tune_items: list, labels: dict, bundles: dict | None = None
+) -> float:
     if not tune_items:
         raise EmptySplit("tuning split is empty")
-    return best_threshold(score_methods(model, tune_items), labels)
+    return best_threshold(score_methods(model, tune_items, bundles=bundles), labels)
 
 
 def balanced_training_pairs(items: list, labels: dict) -> list:
@@ -230,8 +236,10 @@ def balanced_training_pairs(items: list, labels: dict) -> list:
     return pos[:m] + neg[:m]
 
 
-def _batch_loss(model: DetectionModel, batch: list, labels: dict) -> Tensor:
-    logits = _chunk_logits(model, batch)
+def _batch_loss(
+    model: DetectionModel, batch: list, labels: dict, bundles: dict | None = None
+) -> Tensor:
+    logits = _chunk_logits(model, batch, bundles)
     y = np.array([1 if labels[mid] == "V" else 0 for mid, _ in batch], dtype=np.int64)
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
     shifted = (logits.transpose() - shift.transpose()).transpose()
@@ -249,7 +257,8 @@ def train(
     config: TrainConfig | None = None,
 ) -> tuple[DetectionModel, list[dict]]:
     """Cross-entropy training with Adam over balanced batches; per-epoch loss
-    and tuning AUC are logged, early stopping restores the best-AUC epoch."""
+    and tuning AUC are logged, early stopping restores the best-AUC epoch.
+    Each method's feature bundles are extracted once per run."""
     config = config or TrainConfig()
     if not train_items:
         raise EmptySplit("training split is empty")
@@ -258,6 +267,10 @@ def train(
     balanced = balanced_training_pairs(train_items, labels)
     if not balanced:
         raise EmptySplit("training split lacks one of the classes")
+    bundles: dict = {}
+    for mid, pdg in balanced + list(tune_items):
+        if mid not in bundles:
+            bundles[mid] = extract_method_features(pdg)
     model = new_model(vocab, encoder_config, seed=config.seed)
     opt = Adam(model.store, lr=config.lr)
     order_rng = Rng(config.seed).fork("order")
@@ -272,11 +285,11 @@ def train(
         for lo in range(0, len(items), config.batch_size):
             batch = items[lo : lo + config.batch_size]
             model.store.zero_grad()
-            loss = _batch_loss(model, batch, labels)
+            loss = _batch_loss(model, batch, labels, bundles)
             loss.backward(params=model.store)
             opt.step()
             losses.append(float(loss.data))
-        scored = score_methods(model, tune_items)
+        scored = score_methods(model, tune_items, bundles=bundles)
         pos = [s for mid, s in scored if labels[mid] == "V"]
         neg = [s for mid, s in scored if labels[mid] == "NV"]
         tune_auc = auc(pos, neg) if pos and neg else 0.0
@@ -294,7 +307,7 @@ def train(
     if best_snapshot is not None:
         for name, t in model.store.items():
             t.data[...] = best_snapshot[name]
-    model.threshold = fit_threshold(model, tune_items, labels)
+    model.threshold = fit_threshold(model, tune_items, labels, bundles)
     return model, log
 
 

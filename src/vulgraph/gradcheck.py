@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, rows, scatter
+from .autodiff import Tensor, concat, gru_sequence, rows, scatter, segment_max
 
 TOLERANCE = 1e-4
 _EPS = 1e-6
@@ -39,6 +39,18 @@ def _max_rel_err(build, arrays) -> float:
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     return worst
+
+
+# segment_max: overlapping ranges and a one-row range over [a0, a1, a2, a0],
+# where rows 0 and 3 tie at the top of column 0.
+_REPEAT_ROW0 = np.array([0, 1, 2, 0])
+_TIE_COL0 = np.zeros((4, 4))
+_TIE_COL0[[0, 3], 0] = 10.0
+_RANGES = [(0, 4), (1, 3), (2, 3)]
+# gru_sequence: 4 steps of a batch of 3; row 0 skips step 1, row 1 is padded
+# at its last step, row 2 is masked at every step.
+_GRU_MASK = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=np.float64)
+_GRU_SHAPES = [(2, 2), (2, 2), (2,)] * 3
 
 
 def _cases(seed: int):
@@ -93,7 +105,11 @@ def _cases(seed: int):
         ("sum_axis0", lambda a: s(a.sum(axis=0), w4), [r(3, 4)]),
         ("sum_keepdims", lambda a: s(a.sum(axis=1, keepdims=True), w3.reshape(3, 1)), [r(3, 4)]),
         ("mean", lambda a: s(a.mean(axis=1), w3), [r(3, 4)]),
-        ("amax_rows", lambda a: s(a.amax_rows(), w4), [r(3, 4)]),
+        (
+            "segment_max",
+            lambda a: s(segment_max(rows(a, _REPEAT_ROW0) + Tensor(_TIE_COL0), _RANGES), w12),
+            [r(3, 4)],
+        ),
         ("concat_rows", lambda a, b: s(concat([a, b], axis=0), w64), [r(2, 4), r(4, 4)]),
         (
             "scatter",
@@ -108,6 +124,11 @@ def _cases(seed: int):
             .log()
             * Tensor(np.array(-1.0)),
             [r(3, 4), r(4, 5), r(5, 2)],
+        ),
+        (
+            "gru_sequence",
+            lambda x, *w: s(gru_sequence(x, w, 4, _GRU_MASK), w32),
+            [r(12, 2)] + [r(*shape) for shape in _GRU_SHAPES],
         ),
     ]
     return cases

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: exhaustive simple-path enumeration for
 dependences, literal formula transcriptions for ranking metrics, central
 finite differences for gradients, exhaustive subset search for explanation
-subgraphs. None of this code is shared with the implementation under test.
+subgraphs, one tape node per elementwise op for the fused autodiff ops. None
+of this code is shared with the implementation under test.
 """
 
 from __future__ import annotations
@@ -228,6 +229,69 @@ def rel_err(a, b, floor: float = 1e-8) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# --- per-step references for the fused autodiff ops ------------------------------
+
+
+def per_step_gru(p: dict, steps: list, masks: list | None = None):
+    """The GRU recurrence built step by step from elementwise tensor ops, one
+    tape node each: p maps gate names (wz, uz, bz, ...) to tensors, steps are
+    [B, in_dim] tensors and masks[t] is a 0/1 vector of length B."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    batch = steps[0].data.shape[0]
+    hidden = p["bz"].data.shape[0]
+    h = Tensor(np.zeros((batch, hidden)))
+    for t, x in enumerate(steps):
+        z = (x @ p["wz"] + h @ p["uz"] + p["bz"]).sigmoid()
+        r = (x @ p["wr"] + h @ p["ur"] + p["br"]).sigmoid()
+        cand = (x @ p["wh"] + (r * h) @ p["uh"] + p["bh"]).tanh()
+        nxt = z * cand + (Tensor(np.ones(())) - z) * h
+        if masks is None:
+            h = nxt
+        else:
+            keep = np.repeat(np.asarray(masks[t], dtype=np.float64).reshape(batch, 1), hidden, axis=1)
+            h = Tensor(keep) * nxt + Tensor(1.0 - keep) * h
+    return h
+
+
+def amax_rows(a):
+    """Column-wise max over axis 0 as its own tape node; ties send the
+    gradient to the first maximal row."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    idx = np.argmax(a.data, axis=0)
+    cols = np.arange(a.data.shape[1])
+
+    def backward(out):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, (idx, cols), out.grad)
+
+    return Tensor._make(a.data[idx, cols].copy(), (a,), backward)
+
+
+def sliced_pyramid_pool(h, levels=(1, 2, 4)):
+    """Per-column max over 1+2+4 contiguous row bins, one slice and one
+    amax_rows per bin, joined by concat."""
+    from vulgraph.autodiff import concat
+
+    n = h.data.shape[0]
+    parts = []
+    for level in levels:
+        for b in range(level):
+            start = (b * n) // level
+            end = ((b + 1) * n) // level
+            if end == start:
+                end = start + 1
+            parts.append(amax_rows(h[start:end]))
+    return concat(parts, axis=0)
 
 
 # --- random mini-C programs for dependence fuzzing ----------------------------

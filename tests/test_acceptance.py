@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import Adam, Tensor, concat, rows, scatter
+from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows, scatter, segment_max
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
 from vulgraph.encoders import EncoderConfig
 from vulgraph.explain import (
@@ -66,6 +66,13 @@ def _grad_cases(seed: int):
     w34, w32, w43 = r(3, 4), r(3, 2), r(4, 3)
     w3, w4, w64, w12 = r(3), r(4), r(6, 4), r(12)
     w33 = r(3, 3)
+    # overlapping ranges and a one-row range over rows [a0, a1, a2, a0],
+    # with rows 0 and 3 tied at the top of column 0
+    repeat_row0, ranges = np.array([0, 1, 2, 0]), [(0, 4), (1, 3), (2, 3)]
+    tie_col0 = np.zeros((4, 4))
+    tie_col0[[0, 3], 0] = 10.0
+    # row 0 skips step 1, row 1 is padded at its end, row 2 is always masked
+    gru_mask = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=np.float64)
 
     def s(t, w):
         return (t * Tensor(w)).sum()
@@ -97,7 +104,7 @@ def _grad_cases(seed: int):
         (lambda a: s(a.sum(axis=0), w4), [r(3, 4)]),
         (lambda a: s(a.sum(axis=1, keepdims=True), w3.reshape(3, 1)), [r(3, 4)]),
         (lambda a: s(a.mean(axis=1), w3), [r(3, 4)]),
-        (lambda a: s(a.amax_rows(), w4), [r(3, 4)]),
+        (lambda a: s(segment_max(rows(a, repeat_row0) + Tensor(tie_col0), ranges), w12), [r(3, 4)]),
         (lambda a, b: s(concat([a, b], axis=0), w64), [r(2, 4), r(4, 4)]),
         (lambda a: s(rows(a, np.array([0, 2, 2])), w34), [r(4, 4)]),
         (
@@ -111,6 +118,10 @@ def _grad_cases(seed: int):
         (
             lambda a: s(scatter(np.eye(3), [[0, 1, 0], [1, 2, 2]], [[1, 2, 2], [0, 1, 0]], a), w33),
             [r(3)],
+        ),
+        (
+            lambda x, *w: s(gru_sequence(x, w, 4, gru_mask), w32),
+            [r(12, 2)] + [r(*shape) for shape in [(2, 2), (2, 2), (2,)] * 3],
         ),
     ]
 

@@ -1,8 +1,11 @@
+import ast
 import gc
+import inspect
 
 import numpy as np
 import pytest
 
+from vulgraph import gradcheck
 from vulgraph.autodiff import (
     Adam,
     ParamStore,
@@ -13,7 +16,9 @@ from vulgraph.autodiff import (
     rows,
     save_checkpoint,
     scatter,
+    segment_max,
 )
+from vulgraph.autodiff import tensor as tensor_module
 from vulgraph.errors import CheckpointError, MissingGradient, ShapeMismatch
 from vulgraph.rng import Rng
 
@@ -117,7 +122,7 @@ def test_grad_concat_rows_amax_maximum():
     idx = np.array([0, 2, 2, 5])  # repeated row must accumulate
     check_grads(lambda t: (rows(t, idx) * rows(t, idx)).sum(), [table])
     m = _rand(rng, 5, 4)
-    check_grads(lambda x: x.amax_rows().sum(), [m])
+    check_grads(lambda x: segment_max(x, [(0, 5)]).sum(), [m])
     u, v = _rand(rng, 3, 3), _rand(rng, 3, 3) + 0.3
     check_grads(lambda x, y: x.maximum(y).sum(), [u, v])
 
@@ -132,6 +137,39 @@ def test_grad_composite_mlp():
         return -(p[:, 0] + 1e-9).log().mean()
 
     check_grads(loss, [x, w1, b1, w2])
+
+
+def _tape_ops() -> set[str]:
+    """Qualified names of the functions in tensor.py that record a tape node."""
+    tree = ast.parse(inspect.getsource(tensor_module))
+    ops = set()
+
+    def visit(scope, prefix):
+        for node in scope.body:
+            if isinstance(node, ast.ClassDef):
+                visit(node, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and ast.unparse(call.func) == "Tensor._make"
+                for call in ast.walk(node)
+            ):
+                ops.add(prefix + node.name)
+
+    visit(tree, "")
+    return ops
+
+
+def test_every_tape_op_has_a_gradcheck_case():
+    ops = _tape_ops()
+    assert {"Tensor.__add__", "concat", "gru_sequence", "segment_max"} <= ops
+    exercised = set()
+    for _, build, arrays in gradcheck._cases(0):
+        stack = [build(*[Tensor(a, requires_grad=True) for a in arrays])]
+        while stack:
+            node = stack.pop()
+            if node._backward_fn is not None:
+                exercised.add(node._backward_fn.__qualname__.split(".<locals>.")[0])
+            stack.extend(p for p in node._parents if p.requires_grad)
+    assert ops - exercised == set()
 
 
 # --- semantics -----------------------------------------------------------------
@@ -155,7 +193,7 @@ def test_dead_tape_is_freed_without_the_cycle_collector():
     try:
         h = concat([rows(x, np.array([0, 2, 2])), x], axis=0) @ w
         adj = scatter(np.eye(3), [[0], [1]], [[1], [0]], h[np.array([0]), 1])
-        loss = (adj @ h[0:3].tanh()).sigmoid().amax_rows().softmax().log().mean()
+        loss = segment_max((adj @ h[0:3].tanh()).sigmoid(), [(0, 3)]).softmax().log().mean()
         loss.backward()
         del h, adj, loss
         assert gc.collect() == 0

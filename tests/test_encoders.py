@@ -17,7 +17,7 @@ from vulgraph.features import Vocabulary, build_vocabulary, extract_method_featu
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, rel_err
+from oracles import finite_diff, per_step_gru, rel_err
 
 CFG = EncoderConfig(embed_dim=6, gru_hidden=5, tree_hidden=5, stmt_dim=7)
 
@@ -65,7 +65,7 @@ def test_gru_matches_reference_recurrence():
     Gru.init(store, rng, "g", 4, 3)
     gru = Gru(store, "g")
     xs = [np.array([[rng.gauss(0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
-    out = gru.run([Tensor(x) for x in xs])
+    out = gru.run(Tensor(np.concatenate(xs)), len(xs))
     np_params = {k: store[f"g.{k}"].data for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
     expect = ref_gru(np_params, xs, np.zeros((2, 3)))
     assert rel_err(out.data, expect) < 1e-12
@@ -78,8 +78,8 @@ def test_gru_masked_steps_and_padding():
 
     def run(ids, mask):
         # row 0: the sequence under its mask; row 1: a fully unmasked copy
-        steps = [rows(embed, np.array([i, i])) for i in ids]
-        return gru.run(steps, [np.array([m, 1.0]) for m in mask]).data
+        steps = rows(embed, np.repeat(ids, 2))
+        return gru.run(steps, len(ids), np.array([[m, 1.0] for m in mask])).data
 
     ids = [vocab.id("total"), vocab.id("n"), vocab.id("i")]
     base = run(ids, [1, 1, 1])
@@ -98,8 +98,41 @@ def test_gru_zero_weights_close_all_gates():
         store.add(f"g.w{g}", np.zeros((3, 4)))
         store.add(f"g.u{g}", np.zeros((4, 4)))
         store.add(f"g.b{g}", np.zeros(4))
-    out = Gru(store, "g").run([Tensor(np.ones((1, 3)))])
+    out = Gru(store, "g").run(Tensor(np.ones((1, 3))), 1)
     assert np.array_equal(out.data, np.zeros((1, 4)))
+
+
+def test_fused_gru_is_bitwise_the_per_step_recurrence():
+    gen = np.random.default_rng(7)
+    for trial in range(12):
+        steps, batch = int(gen.integers(1, 7)), int(gen.integers(1, 6))
+        in_dim, hidden = int(gen.integers(1, 5)), int(gen.integers(1, 5))
+        store = ParamStore()
+        Gru.init(store, Rng(trial), "g", in_dim, hidden)
+        for t in store.tensors():  # nonzero biases too
+            t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
+        gru = Gru(store, "g")
+        xs = [Tensor(gen.normal(0.0, 2.0, (batch, in_dim)), requires_grad=True) for _ in range(steps)]
+        mask = (gen.random((steps, batch)) < 0.6).astype(np.float64)
+        mask[:, 0] = 0.0  # a row masked at every step
+        for m in (mask, None):
+            store.zero_grad()
+            ref = per_step_gru(dict(zip("wz uz bz wr ur br wh uh bh".split(), store.tensors())), xs, m)
+            x = Tensor(np.concatenate([t.data for t in xs]), requires_grad=True)
+            out = gru.run(x, steps, m)
+            assert np.array_equal(out.data, ref.data)
+            # the gradients agree up to the order of their sums
+            weight = Tensor(gen.normal(0.0, 1.0, out.data.shape))
+            (ref * weight).sum().backward()
+            expect = {name: t.grad.copy() for name, t in store.items()}
+            expect_x = np.concatenate([t.grad for t in xs])
+            for t in xs:
+                t.grad = None
+            store.zero_grad()
+            (out * weight).sum().backward(params=store)
+            assert rel_err(x.grad, expect_x) < 1e-12
+            for name, t in store.items():
+                assert rel_err(t.grad, expect[name]) < 1e-12, name
 
 
 # --- Tree-LSTM --------------------------------------------------------------------

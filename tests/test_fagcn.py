@@ -30,11 +30,12 @@ from vulgraph.fagcn import (
     score_methods,
     train,
 )
+from vulgraph.corpus import generate_planted_corpus
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, StmtNode, pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, rel_err
+from oracles import finite_diff, rel_err, sliced_pyramid_pool
 
 
 def _chain_pdg(n, edges=None):
@@ -108,6 +109,24 @@ def test_pyramid_pool_bins():
     for n in (1, 2, 3, 5, 17, 200):
         h = np.zeros((n, 4))
         assert pyramid_pool(Tensor(h)).data.shape == (7 * 4,)
+
+
+def test_pyramid_pool_is_bitwise_the_sliced_reference():
+    gen = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 8, 17):
+        h = gen.normal(0.0, 1.0, (n, 6))
+        h[:, 1] = 0.25  # a tied column
+        h[n // 2 :, 2] = h[: n - n // 2, 2].max()  # ties at the column max
+        weight = Tensor(gen.normal(0.0, 1.0, 7 * 6))
+        results = []
+        for pool in (pyramid_pool, sliced_pyramid_pool):
+            x = Tensor(h.copy(), requires_grad=True)
+            out = pool(x)
+            (out * weight).sum().backward()
+            results.append((out.data, x.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
 
 
 def test_head_gradients_match_finite_differences():
@@ -239,6 +258,47 @@ def test_train_one_epoch_improves_loss_most_seeds():
         if after <= before:
             improved += 1
     assert improved >= 9
+
+
+def _tape_nodes(root: Tensor) -> int:
+    """Tensors reachable from root through the tape, root included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_batch_loss_tape_is_small():
+    entries = generate_planted_corpus(40, seed=1)
+    items = [(e.id, e.pdg) for e in entries if e.pdg is not None][:8]
+    labels = {e.id: e.label for e in entries}
+    vocab = _toy_vocab(items)
+    loss = _batch_loss(new_model(vocab, seed=0), items, labels)
+    # one GRU step used to record about 24 nodes, and this batch 1,102
+    assert _tape_nodes(loss) <= 551
+
+
+def test_train_extracts_features_once_per_method(monkeypatch):
+    import vulgraph.encoders
+    import vulgraph.fagcn
+
+    items, labels = _toy_corpus()
+    vocab = _toy_vocab(items)
+    seen = []
+    for module in (vulgraph.fagcn, vulgraph.encoders):
+        extract = module.extract_method_features
+
+        def counting(pdg, extract=extract):
+            seen.append(id(pdg))
+            return extract(pdg)
+
+        monkeypatch.setattr(module, "extract_method_features", counting)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=5)
+    train(items, items[:6], labels, vocab, cfg, TrainConfig(epochs=3, batch_size=4, patience=5))
+    assert sorted(seen) == sorted(id(p) for _, p in items)
 
 
 def test_train_is_deterministic_and_logs():
