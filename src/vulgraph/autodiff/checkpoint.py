@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic "IVDCKPT1", little-endian u64 manifest length, canonical
 JSON manifest, then one contiguous little-endian fp64 blob. The manifest
-records parameter names/shapes/offsets (in elements), optional Adam slots,
-and an arbitrary JSON metadata object (vocabulary, model config, decision
-threshold). Offsets follow manifest order, so files are byte-reproducible.
+records parameter names/shapes/offsets (in elements) and an arbitrary JSON
+metadata object (vocabulary, model config, decision threshold). Offsets
+follow manifest order, so files are byte-reproducible. Optimizer state is not
+stored: the CLI never resumes training.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..util import dump_json
-from .params import Adam, ParamStore
+from .params import ParamStore
 
 MAGIC = b"IVDCKPT1"
 
 
-def save_checkpoint(
-    path: str | Path,
-    store: ParamStore,
-    meta: dict | None = None,
-    optimizer: Adam | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, store: ParamStore, meta: dict | None = None) -> None:
     arrays: list[np.ndarray] = []
     offset = 0
     params_manifest = []
@@ -37,23 +33,7 @@ def save_checkpoint(
             {"name": name, "shape": list(tensor.data.shape), "offset": offset}
         )
         offset += tensor.data.size
-    opt_manifest = None
-    if optimizer is not None:
-        slots = []
-        for name, _ in store.items():
-            slots.append({"name": name, "m_offset": offset})
-            arrays.append(optimizer.m[name])
-            offset += optimizer.m[name].size
-            slots[-1]["v_offset"] = offset
-            arrays.append(optimizer.v[name])
-            offset += optimizer.v[name].size
-        opt_manifest = {"kind": "adam", "t": optimizer.t, "slots": slots}
-    manifest = {
-        "version": 1,
-        "params": params_manifest,
-        "optimizer": opt_manifest,
-        "meta": meta or {},
-    }
+    manifest = {"version": 1, "params": params_manifest, "meta": meta or {}}
     manifest_bytes = dump_json(manifest).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     with open(path, "wb") as fh:
@@ -63,10 +43,8 @@ def save_checkpoint(
         fh.write(blob)
 
 
-def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, dict | None]:
-    """Returns (store, meta, optimizer_state). optimizer_state is None when
-    the checkpoint was saved without one; otherwise a dict consumable by
-    Adam.load_state."""
+def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
+    """Returns (store, meta)."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
@@ -78,6 +56,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, dict | None]:
         manifest = json.loads(raw[16:manifest_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
     blob = np.frombuffer(raw[manifest_end:], dtype="<f8")
@@ -89,20 +69,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict, dict | None]:
         return np.array(blob[offset : offset + size], dtype=np.float64).reshape(shape)
 
     store = ParamStore()
-    shapes = {}
-    for entry in manifest["params"]:
-        arr = read(entry["offset"], entry["shape"])
-        store.add(entry["name"], arr)
-        shapes[entry["name"]] = entry["shape"]
-    opt_state = None
-    if manifest.get("optimizer"):
-        om = manifest["optimizer"]
-        if om.get("kind") != "adam":
-            raise CheckpointError(f"{path}: unknown optimizer {om.get('kind')!r}")
-        m = {}
-        v = {}
-        for slot in om["slots"]:
-            m[slot["name"]] = read(slot["m_offset"], shapes[slot["name"]])
-            v[slot["name"]] = read(slot["v_offset"], shapes[slot["name"]])
-        opt_state = {"t": om["t"], "m": m, "v": v}
-    return store, manifest.get("meta", {}), opt_state
+    try:
+        for entry in manifest["params"]:
+            store.add(entry["name"], read(entry["offset"], entry["shape"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed parameter list: {exc!r}") from exc
+    return store, manifest.get("meta", {})

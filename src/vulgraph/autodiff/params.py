@@ -11,13 +11,11 @@ from ..rng import Rng
 from .tensor import Tensor
 
 
-def glorot(rng: Rng, fan_in: int, fan_out: int, shape: tuple | None = None) -> np.ndarray:
+def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform Glorot initialization driven by the package RNG."""
-    if shape is None:
-        shape = (fan_in, fan_out)
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    flat = np.array([rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))])
-    return flat.reshape(shape)
+    flat = np.array([rng.uniform(-bound, bound) for _ in range(fan_in * fan_out)])
+    return flat.reshape(fan_in, fan_out)
 
 
 class ParamStore:
@@ -39,9 +37,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
@@ -54,8 +49,7 @@ class ParamStore:
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name so it can
-    be checkpointed and restored exactly."""
+    """Adam with bias correction; state is keyed by parameter name."""
 
     def __init__(
         self,
@@ -89,12 +83,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for name in self.m:
-            self.m[name] = np.asarray(state["m"][name], dtype=np.float64)
-            self.v[name] = np.asarray(state["v"][name], dtype=np.float64)

@@ -41,7 +41,6 @@ from .fagcn import (
     score_methods,
     train,
 )
-from .features import build_vocabulary, extract_method_features
 from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
 from .gradcheck import all_passed, run_gradcheck
 from .metrics import evaluation_report
@@ -205,9 +204,8 @@ def cmd_train(args) -> int:
         f"training on {len(train_items)} methods, tuning on {len(tune_items)}, "
         f"seed {cfg.seed}"
     )
-    vocab = build_vocabulary([extract_method_features(e.pdg) for e in parts["train"]])
     model, log_rows = train(
-        train_items, tune_items, labels, vocab, cfg.encoder_config(), cfg.train_config()
+        train_items, tune_items, labels, cfg.encoder_config(), cfg.train_config()
     )
     save_model(args.out, model)
     log_path = args.log or args.out + ".log.json"
@@ -261,7 +259,7 @@ def cmd_explain(args) -> int:
         mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg)
         sub = extract_subgraph(entry.pdg, mask, cfg.k)
         sub.method = entry.id
-        report = explanation_report(entry.pdg, model, decision, sub)
+        report = explanation_report(decision, sub)
         report["score"] = score
         graph = abstract_subgraph(sub, entry.pdg)
         report["abstract"] = {

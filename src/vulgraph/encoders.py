@@ -18,10 +18,9 @@ the scores, and sums the weighted per-statement concatenations through a final
 projection.
 
 Everything here is batched: encode_method_batch processes all statements of
-many methods in one tensor program, and encode_method is that program on a
-single method. Each GRU reads its whole input sequence from one gather (or,
-for the attention Bi-GRU, one concat) and runs as one autodiff op,
-gru_sequence, so its recurrence adds a single node to the tape.
+many methods in one tensor program. Each GRU reads its whole input sequence
+from one gather (or, for the attention Bi-GRU, one concat) and runs as one
+autodiff op, gru_sequence, so its recurrence adds a single node to the tape.
 """
 
 from __future__ import annotations
@@ -297,10 +296,9 @@ def _statement_features(
 
     data_ctx, ctrl_ctx = [], []
     for (s, _), bundles in zip(spans, bundle_lists):
-        local = {b.index: i for i, b in enumerate(bundles)}
         for b in bundles:
-            data_ctx.append([s + local[j] for j in b.data_ctx if j in local])
-            ctrl_ctx.append([s + local[j] for j in b.ctrl_ctx if j in local])
+            data_ctx.append([s + j for j in b.data_ctx])
+            ctrl_ctx.append([s + j for j in b.ctrl_ctx])
     f5 = _run_context_gru(Gru(store, "data_gru"), f1, data_ctx)
     f6 = _run_context_gru(Gru(store, "ctrl_gru"), f1, ctrl_ctx)
     return [f1, f2, f3, f4, f5, f6]
@@ -337,14 +335,11 @@ def encode_method_batch(
     scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
 
     adj = np.zeros((total, total))
-    for (s, _), (pdg, bundles) in zip(spans, zip(pdgs, bundle_lists)):
-        local = {b.index: i for i, b in enumerate(bundles)}
-        for b in bundles:
-            row = s + local[b.index]
-            adj[row, row] = 1.0
-            for j in pdg.neighbors(b.index):
-                if j in local:
-                    adj[row, s + local[j]] = 1.0
+    for (s, _), pdg in zip(spans, pdgs):
+        for i in range(len(pdg.nodes)):
+            adj[s + i, s + i] = 1.0
+            for j in pdg.neighbors(i):
+                adj[s + i, s + j] = 1.0
     shift = float(scores.data.max())
     exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
     numer = Tensor(adj) * exp_row
@@ -353,17 +348,3 @@ def encode_method_batch(
     fused = w_fuse @ g
     out = fused @ store["fuse.out_w"] + store["fuse.out_b"]
     return out, spans
-
-
-def encode_method(
-    pdg: Pdg,
-    vocab: Vocabulary,
-    store: ParamStore,
-    cfg: EncoderConfig,
-    bundles: list[StatementFeatureBundle] | None = None,
-) -> Tensor:
-    """Statement-vector matrix [n_statements, stmt_dim] for one method."""
-    out, spans = encode_method_batch(
-        [pdg], vocab, store, cfg, None if bundles is None else [bundles]
-    )
-    return out

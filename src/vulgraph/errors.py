@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error carries enough position/context information to be actionable
-from the command line; the CLI maps these to exit code 2 (usage/data errors)
-versus 1 (internal failures).
+from the command line; the CLI maps these to exit code 1 (usage/data errors)
+versus 2 (internal failures).
 """
 
 
@@ -72,10 +72,6 @@ class SingleClassTuningSet(VulgraphError):
 
 class MaskMisaligned(VulgraphError):
     """Edge mask length does not match the graph's edge count."""
-
-
-class TooManyEdges(VulgraphError):
-    """Exhaustive subgraph search requested beyond its size bound."""
 
 
 class KOutOfRange(VulgraphError):

@@ -16,18 +16,18 @@ iteration's tape and memory grow with the edges, not with statements squared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .autodiff import Adam, ParamStore, Tensor, concat, rows, scatter
-from .encoders import encode_method
-from .errors import MaskMisaligned, TooManyEdges
-from .fagcn import DetectionModel, frozen, graph_logits, normalized_adjacency, sym_normalize
+from .encoders import encode_method_batch
+from .errors import MaskMisaligned
+from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize
 from .frontend import Pdg
 
 DEFAULT_TOP_EDGES = 5
-ORACLE_EDGE_LIMIT = 16
+INIT_LOGIT = 1.0
+LOGIT_CLAMP = 30.0
 
 
 @dataclass
@@ -47,8 +47,6 @@ class ExplainConfig:
     lr: float = 0.05
     sparsity_weight: float = 0.005
     entropy_weight: float = 0.1
-    init_logit: float = 1.0
-    logit_clamp: float = 30.0
 
 
 @dataclass
@@ -75,7 +73,8 @@ def _undirected_slots(pdg: Pdg) -> list[tuple[tuple[int, int], list[int]]]:
 
 def method_features(pdg: Pdg, model: DetectionModel) -> Tensor:
     """Statement vectors for the full method, as a constant."""
-    return encode_method(pdg, model.vocab, frozen(model).store, model.encoder_config)
+    out, _ = encode_method_batch([pdg], model.vocab, frozen(model).store, model.encoder_config)
+    return out
 
 
 def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
@@ -137,7 +136,7 @@ def learn_edge_mask(
     feats = method_features(pdg, model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore()
-    logits = store.add("mask", np.full(n_edges, config.init_logit))
+    logits = store.add("mask", np.full(n_edges, INIT_LOGIT))
     opt = Adam(store, lr=config.lr)
     trace = []
     for _ in range(config.iterations):
@@ -151,7 +150,7 @@ def learn_edge_mask(
         )
         loss.backward(params=store)
         opt.step()
-        np.clip(logits.data, -config.logit_clamp, config.logit_clamp, out=logits.data)
+        np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
     return EdgeMask(logits=Tensor(logits.data.copy()), loss_trace=trace)
 
@@ -182,35 +181,7 @@ def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = DEFAULT_TOP_EDGES) -> In
     )
 
 
-def hard_subset_score(pdg: Pdg, model: DetectionModel, keep, feats: Tensor) -> float:
-    """V-probability with only the `keep` edge positions present."""
-    probs = graph_logits(normalized_adjacency(pdg, keep), feats, frozen(model).store).softmax(axis=1)
-    return float(probs.data[0, 1])
-
-
-def brute_force_minimal_subgraph(
-    pdg: Pdg, model: DetectionModel, k: int
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustive search over k-edge subsets for the hard mask whose score is
-    closest to the full graph's; a test-scale oracle."""
-    n_edges = len(pdg.edges)
-    if n_edges > ORACLE_EDGE_LIMIT:
-        raise TooManyEdges(f"{n_edges} edges exceeds the {ORACLE_EDGE_LIMIT}-edge bound")
-    feats = method_features(pdg, model)
-    full = hard_subset_score(pdg, model, range(n_edges), feats)
-    if n_edges == 0:
-        return (), 0.0
-    best = None
-    for subset in combinations(range(n_edges), min(k, n_edges)):
-        diff = abs(full - hard_subset_score(pdg, model, subset, feats))
-        if best is None or diff < best[1]:
-            best = (subset, diff)
-    return best
-
-
-def explanation_report(
-    pdg: Pdg, model: DetectionModel, decision: str, sub: InterpretationSubgraph
-) -> dict:
+def explanation_report(decision: str, sub: InterpretationSubgraph) -> dict:
     return {
         "method": sub.method,
         "decision": decision,

@@ -25,8 +25,8 @@ from .autodiff import (
     segment_max,
 )
 from .encoders import EncoderConfig, encode_method_batch, init_encoder_params
-from .errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
-from .features import Vocabulary, extract_method_features
+from .errors import CheckpointError, EmptySplit, ShapeMismatch, SingleClassTuningSet
+from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
 from .metrics import auc
 from .rng import Rng
@@ -96,12 +96,10 @@ def sym_normalize(adj: Tensor) -> Tensor:
     return (d @ d.transpose()) * adj
 
 
-def normalized_adjacency(pdg: Pdg, keep=None) -> Tensor:
-    """Normalized (A + I) over the symmetrized edge set, or over only the
-    `keep` edge positions when given."""
+def normalized_adjacency(pdg: Pdg) -> Tensor:
+    """Normalized (A + I) over the symmetrized edge set."""
     a = np.eye(len(pdg.nodes))
-    for pos in range(len(pdg.edges)) if keep is None else keep:
-        e = pdg.edges[pos]
+    for e in pdg.edges:
         a[e.src, e.dst] = 1.0
         a[e.dst, e.src] = 1.0
     return sym_normalize(Tensor(a))
@@ -171,12 +169,6 @@ def score_methods(
         probs = _chunk_logits(const, part, bundles).softmax(axis=1).data[:, 1]
         out.extend((mid, float(p)) for (mid, _), p in zip(part, probs))
     return out
-
-
-def classify(pdg: Pdg, model: DetectionModel) -> tuple[float, str]:
-    """V-class probability and thresholded decision for one method."""
-    (_, score), = score_methods(model, [("m", pdg)])
-    return score, ("V" if score >= model.threshold else "NV")
 
 
 def rank_methods(scored: list, threshold: float = 0.5) -> list[RankedDetection]:
@@ -252,13 +244,13 @@ def train(
     train_items: list,
     tune_items: list,
     labels: dict,
-    vocab: Vocabulary,
     encoder_config: EncoderConfig | None = None,
     config: TrainConfig | None = None,
 ) -> tuple[DetectionModel, list[dict]]:
     """Cross-entropy training with Adam over balanced batches; per-epoch loss
     and tuning AUC are logged, early stopping restores the best-AUC epoch.
-    Each method's feature bundles are extracted once per run."""
+    The vocabulary is built from the training split. Each method's feature
+    bundles are extracted once per run."""
     config = config or TrainConfig()
     if not train_items:
         raise EmptySplit("training split is empty")
@@ -268,9 +260,10 @@ def train(
     if not balanced:
         raise EmptySplit("training split lacks one of the classes")
     bundles: dict = {}
-    for mid, pdg in balanced + list(tune_items):
+    for mid, pdg in list(train_items) + list(tune_items):
         if mid not in bundles:
             bundles[mid] = extract_method_features(pdg)
+    vocab = build_vocabulary([bundles[mid] for mid, _ in train_items])
     model = new_model(vocab, encoder_config, seed=config.seed)
     opt = Adam(model.store, lr=config.lr)
     order_rng = Rng(config.seed).fork("order")
@@ -321,10 +314,19 @@ def save_model(path, model: DetectionModel) -> None:
 
 
 def load_model(path) -> DetectionModel:
-    store, meta, _ = load_checkpoint(path)
-    return DetectionModel(
-        store=store,
-        vocab=Vocabulary.from_dict(meta["vocab"]),
-        encoder_config=EncoderConfig(**meta["encoder_config"]),
-        threshold=float(meta["threshold"]),
-    )
+    store, meta = load_checkpoint(path)
+    try:
+        for what, got, want in (
+            ("metadata", meta, ("encoder_config", "threshold", "vocab")),
+            ("encoder_config", meta["encoder_config"], EncoderConfig().to_dict()),
+        ):
+            if sorted(got) != sorted(want):
+                raise CheckpointError(f"{path}: {what} keys {sorted(got)}, expected {sorted(want)}")
+        return DetectionModel(
+            store=store,
+            vocab=Vocabulary.from_dict(meta["vocab"]),
+            encoder_config=EncoderConfig(**meta["encoder_config"]),
+            threshold=float(meta["threshold"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed model metadata: {exc!r}") from exc

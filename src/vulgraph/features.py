@@ -112,11 +112,8 @@ def _capped_context(neighbors: list[int], center: int) -> list[int]:
     return sorted(nearest)
 
 
-def extract_method_features(
-    pdg: Pdg, decl_types: dict[str, str] | None = None
-) -> list[StatementFeatureBundle]:
-    if decl_types is None:
-        decl_types = pdg.decl_types or recover_decl_types(pdg.nodes)
+def extract_method_features(pdg: Pdg) -> list[StatementFeatureBundle]:
+    decl_types = pdg.decl_types or recover_decl_types(pdg.nodes)
     bundles = []
     for node in pdg.nodes:
         variables = sorted(set(node.defs) | set(node.uses))

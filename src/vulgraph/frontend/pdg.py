@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import SchemaError
 from ..util import dump_json
 from .cfg import build_cfg
 from .deps import control_dependences, data_dependences
 from .parser import MethodAst, StmtNode, parse_method
 
 PRED_KINDS = frozenset({"if-pred", "while-pred", "for-pred"})
+EDGE_KINDS = ("data", "control")
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,9 @@ def pdg_to_json(pdg: Pdg) -> str:
 
 
 def pdg_from_dict(data: dict) -> Pdg:
+    """Rebuild a serialized PDG. Node indices must be exactly 0..n-1, so a
+    statement's index is its position, and every edge must join two of those
+    nodes with kind data or control."""
     nodes = [
         StmtNode(
             index=n["index"],
@@ -120,6 +125,18 @@ def pdg_from_dict(data: dict) -> Pdg:
         (PdgEdge(e["src"], e["dst"], e["kind"], e.get("var")) for e in data["edges"]),
         key=PdgEdge.sort_key,
     )
+    n = len(nodes)
+
+    def is_node(v) -> bool:
+        return type(v) is int and 0 <= v < n
+
+    if not all(is_node(s.index) and s.index == i for i, s in enumerate(nodes)):
+        raise SchemaError(f"pdg node indices must be 0..{n - 1}")
+    for e in edges:
+        if e.kind not in EDGE_KINDS or not (is_node(e.src) and is_node(e.dst)):
+            raise SchemaError(
+                f"pdg edge {e.src}->{e.dst} ({e.kind}) is not a data or control edge of its nodes"
+            )
     pdg = Pdg(data["method"], nodes, edges)
     pdg.decl_types = recover_decl_types(nodes)
     return pdg

@@ -93,12 +93,6 @@ def _canonical_form(labels: dict, edges) -> tuple[str, list, list]:
     return code, ordered_labels, canon_edges
 
 
-def canonical_code(graph: AbstractGraph) -> str:
-    labels = dict(graph.nodes)
-    involved = {n for s, d, _ in graph.edges for n in (s, d)}
-    return _canonical_form({v: labels[v] for v in involved} or labels, list(graph.edges))[0]
-
-
 def _connected(edges) -> bool:
     nodes = {n for s, d, _ in edges for n in (s, d)}
     if not nodes:

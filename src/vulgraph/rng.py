@@ -8,8 +8,6 @@ built from the top 53 bits of the raw stream, the portable construction.
 
 from __future__ import annotations
 
-import math
-
 _MASK = (1 << 64) - 1
 
 
@@ -72,18 +70,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
-
-    def sample(self, seq, k: int) -> list:
-        """k distinct elements, order randomized."""
-        if k > len(seq):
-            raise ValueError("sample larger than population")
-        pool = list(seq)
-        self.shuffle(pool)
-        return pool[:k]
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Normal draw via Box-Muller (rejection-free form)."""
-        u1 = 1.0 - self.random()  # avoid log(0)
-        u2 = self.random()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z

@@ -3,8 +3,11 @@
 Everything here is deliberately naive: exhaustive simple-path enumeration for
 dependences, literal formula transcriptions for ranking metrics, central
 finite differences for gradients, exhaustive subset search for explanation
-subgraphs, one tape node per elementwise op for the fused autodiff ops. None
-of this code is shared with the implementation under test.
+subgraphs, one tape node per elementwise op for the fused autodiff ops. Two
+helpers wrap package code instead: the explanation search scores each subset
+with the detector itself, and canonical_code applies the miner's canonical
+form to a whole graph. No other code here is shared with the implementation
+under test.
 """
 
 from __future__ import annotations
@@ -294,6 +297,64 @@ def sliced_pyramid_pool(h, levels=(1, 2, 4)):
     return concat(parts, axis=0)
 
 
+# --- exhaustive explanation search -----------------------------------------------
+
+ORACLE_EDGE_LIMIT = 16
+
+
+class TooManyEdges(Exception):
+    """Exhaustive subgraph search requested beyond ORACLE_EDGE_LIMIT edges."""
+
+
+def hard_subset_score(pdg, model, keep, feats) -> float:
+    """V-probability with only the `keep` edge positions present: the
+    explainer's masked adjacency under a 0/1 gate."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+    from vulgraph.explain import masked_adjacency
+    from vulgraph.fagcn import frozen, graph_logits
+
+    gate = np.zeros(len(pdg.edges))
+    gate[list(keep)] = 1.0
+    adj = masked_adjacency(pdg, Tensor(gate))
+    probs = graph_logits(adj, feats, frozen(model).store).softmax(axis=1)
+    return float(probs.data[0, 1])
+
+
+def brute_force_minimal_subgraph(pdg, model, k: int) -> tuple[tuple[int, ...], float]:
+    """Exhaustive search over k-edge subsets for the hard mask whose score is
+    closest to the full graph's."""
+    from itertools import combinations
+
+    from vulgraph.explain import method_features
+
+    n_edges = len(pdg.edges)
+    if n_edges > ORACLE_EDGE_LIMIT:
+        raise TooManyEdges(f"{n_edges} edges exceeds the {ORACLE_EDGE_LIMIT}-edge bound")
+    feats = method_features(pdg, model)
+    full = hard_subset_score(pdg, model, range(n_edges), feats)
+    if n_edges == 0:
+        return (), 0.0
+    best = None
+    for subset in combinations(range(n_edges), min(k, n_edges)):
+        diff = abs(full - hard_subset_score(pdg, model, subset, feats))
+        if best is None or diff < best[1]:
+            best = (subset, diff)
+    return best
+
+
+# --- random draws ---------------------------------------------------------------
+
+
+def gauss(rng, mu: float = 0.0, sigma: float = 1.0) -> float:
+    """Normal draw from a package Rng via Box-Muller (rejection-free form)."""
+    u1 = 1.0 - rng.random()  # avoid log(0)
+    u2 = rng.random()
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return mu + sigma * z
+
+
 # --- random mini-C programs for dependence fuzzing ----------------------------
 
 
@@ -360,6 +421,16 @@ def random_source(rng, max_stmts: int = 8) -> str:
         lines.append(f"return {rng.choice(names)};")
     body = "\n    ".join(lines)
     return f"int probe(int alpha, int beta, int gamma, int delta, int omega) {{\n    {body}\n}}\n"
+
+
+def canonical_code(graph) -> str:
+    """The miner's canonical form of a whole abstract graph; its isolated
+    nodes are dropped unless the graph has no edges."""
+    from vulgraph.patterns import _canonical_form
+
+    labels = dict(graph.nodes)
+    involved = {n for s, d, _ in graph.edges for n in (s, d)}
+    return _canonical_form({v: labels[v] for v in involved} or labels, list(graph.edges))[0]
 
 
 def find_embedding(pattern_nodes, pattern_edges, target_nodes, target_edges):

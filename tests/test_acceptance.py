@@ -14,17 +14,10 @@ import pytest
 from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows, scatter, segment_max
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
 from vulgraph.encoders import EncoderConfig
-from vulgraph.explain import (
-    brute_force_minimal_subgraph,
-    extract_subgraph,
-    hard_subset_score,
-    learn_edge_mask,
-    method_features,
-)
+from vulgraph.explain import extract_subgraph, learn_edge_mask, method_features
 from vulgraph.fagcn import (
     TrainConfig,
     _batch_loss,
-    classify,
     detection_report,
     new_model,
     rank_methods,
@@ -42,9 +35,11 @@ from vulgraph.util import dump_json
 from oracles import (
     brute_control_deps,
     brute_data_deps,
+    brute_force_minimal_subgraph,
     find_embedding,
     finite_diff,
     graphs_isomorphic,
+    hard_subset_score,
     literal_ndcg,
     random_source,
     rel_err,
@@ -296,7 +291,8 @@ def _fidelity_result(run: int):
             loss.backward(params=model.store)
             opt.step()
         for pdg in pdgs:
-            _, decision = classify(pdg, model)
+            (ranked,) = rank_methods(score_methods(model, [("m", pdg)]), model.threshold)
+            decision = ranked.decision
             mask = learn_edge_mask(pdg, model, decision)
             feats = method_features(pdg, model)
             full = hard_subset_score(pdg, model, tuple(range(len(pdg.edges))), feats)
@@ -335,12 +331,10 @@ def _end_to_end_result(run: int):
     parts = split(entries, SplitSpec(fractions=(0.8, 0.1, 0.1), seed=11, real_ratio=1.0))
     labels = {e.id: e.label for e in entries}
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
-    vocab = build_vocabulary([extract_method_features(e.pdg) for e in parts["train"]])
     model, _log = train(
         [(e.id, e.pdg) for e in parts["train"]],
         [(e.id, e.pdg) for e in parts["tune"]],
         labels,
-        vocab,
         cfg,
         TrainConfig(epochs=50, lr=1e-3, batch_size=8, patience=5, seed=11),
     )

@@ -320,25 +320,15 @@ def test_checkpoint_roundtrip(tmp_path):
     store = ParamStore()
     store.add("enc.w", _rand(rng, 3, 4))
     store.add("enc.b", _rand(rng, 4))
-    opt = Adam(store, lr=0.01)
-    store.zero_grad()
-    (store["enc.w"].sum() + store["enc.b"].sum()).backward(params=store)
-    opt.step()
     meta = {"threshold": 0.625, "vocab": {"tokens": {"aa": 2}}}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, meta=meta, optimizer=opt)
+    save_checkpoint(path, store, meta=meta)
 
-    loaded, meta2, opt_state = load_checkpoint(path)
+    loaded, meta2 = load_checkpoint(path)
     assert meta2 == meta
-    assert loaded.names() == store.names()
+    assert [name for name, _ in loaded.items()] == [name for name, _ in store.items()]
     for name, t in store.items():
         assert np.array_equal(loaded[name].data, t.data)
-    opt2 = Adam(loaded, lr=0.01)
-    opt2.load_state(opt_state)
-    assert opt2.t == 1
-    for name in store.names():
-        assert np.array_equal(opt2.m[name], opt.m[name])
-        assert np.array_equal(opt2.v[name], opt.v[name])
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):
@@ -364,3 +354,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "trunc.ckpt").write_bytes(data[:-16])
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "trunc.ckpt")
+    for manifest in (
+        b"[]",
+        b'{"version":1}',
+        b'{"version":1,"params":[{"name":"w","shape":[2],"offset":-5}]}',
+        b'{"version":1,"params":[{"name":"w","shape":[1],"offset":0},{"name":"w","shape":[1],"offset":1}]}',
+    ):
+        odd = tmp_path / "odd.ckpt"
+        odd.write_bytes(b"IVDCKPT1" + len(manifest).to_bytes(8, "little") + manifest + bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(odd)

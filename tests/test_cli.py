@@ -1,5 +1,7 @@
+import collections
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -7,8 +9,10 @@ from vulgraph.cli import load_run_config, main
 from vulgraph.corpus import load_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import ConfigError
+from vulgraph.autodiff import save_checkpoint
 from vulgraph.fagcn import new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
+from vulgraph.frontend import pdg_to_dict
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -153,6 +157,28 @@ def test_train_writes_checkpoint_log_and_splits(pipeline):
         assert (root / f"splits.{name}.jsonl").exists()
 
 
+def test_train_extracts_features_once_per_method(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--n", "24", "--seed", "3", "--out", str(corpus)]) == 0
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    calls = collections.Counter()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vulgraph") and hasattr(module, "extract_method_features"):
+            extract = module.extract_method_features
+
+            def counting(pdg, extract=extract):
+                calls[pdg.method] += 1
+                return extract(pdg)
+
+            monkeypatch.setattr(module, "extract_method_features", counting)
+    model = tmp_path / "model.json"
+    assert main(["train", str(corpus), "--out", str(model), "--config", str(cfg)]) == 0
+    splits = json.loads((tmp_path / "model.json.log.json").read_text())["splits"]
+    names = {e.id: e.pdg.method for e in load_corpus(corpus)}
+    assert calls == collections.Counter(names[mid] for mid in splits["train"] + splits["tune"])
+
+
 def test_detect_report_is_ranked(pipeline):
     report = json.loads(pipeline["detections"].read_text())
     rows = report["methods"]
@@ -237,6 +263,46 @@ def test_detect_bytes_stable_across_runs(pipeline, tmp_path):
         == 0
     )
     assert out.read_bytes() == pipeline["detections"].read_bytes()
+
+
+def _break_node_order(pdg: dict) -> None:
+    for node in pdg["nodes"]:
+        node["index"] += 1
+    for edge in pdg["edges"]:
+        edge["src"] += 1
+        edge["dst"] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda pdg: pdg["edges"].append({"src": 0, "dst": 99, "kind": "data", "var": "x"}),
+        _break_node_order,
+        lambda pdg: pdg["edges"].append({"src": 0, "dst": 1, "kind": "alias", "var": None}),
+    ],
+    ids=["edge_out_of_range", "indices_from_one", "unknown_edge_kind"],
+)
+def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
+    generated = tmp_path / "generated.jsonl"
+    assert main(["gen-corpus", "--n", "20", "--seed", "5", "--out", str(generated)]) == 0
+    entries = load_corpus(generated)
+    lines = []
+    for e in entries:
+        row = {"id": e.id, "source": None, "pdg": pdg_to_dict(e.pdg), "label": e.label, "fix": None}
+        if e is entries[7]:
+            corrupt(row["pdg"])
+        lines.append(json.dumps(row))
+    corpus = tmp_path / "pdgs.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    model = tmp_path / "model.json"
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)))
+    out = tmp_path / "det.json"
+    capsys.readouterr()
+    assert main(["detect", str(corpus), "--model", str(model), "--out", str(out)]) == 0
+    assert f"skipping {entries[7].id}: SchemaError" in capsys.readouterr().err
+    ranked = [row["method"] for row in json.loads(out.read_text())["methods"]]
+    assert sorted(ranked) == sorted(e.id for e in entries if e is not entries[7])
 
 
 def test_explain_bytes_stable_across_runs(pipeline, tmp_path):
@@ -389,3 +455,27 @@ def test_corrupt_checkpoint_is_validation_error(pipeline, tmp_path, capsys):
     code = main(["detect", str(pipeline["test_corpus"]), "--model", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda meta: meta["encoder_config"].update(dropout=0.5),
+        lambda meta: meta.pop("threshold"),
+        lambda meta: meta["encoder_config"].pop("stmt_dim"),
+        lambda meta: meta.update(optimizer="adam"),
+    ],
+    ids=["extra_encoder_key", "no_threshold", "no_encoder_key", "extra_metadata_key"],
+)
+def test_malformed_checkpoint_metadata_is_validation_error(pipeline, tmp_path, capsys, damage):
+    entries = load_corpus(pipeline["test_corpus"])
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    meta = {"threshold": 0.5, "vocab": vocab.to_dict(), "encoder_config": cfg.to_dict()}
+    damage(meta)
+    bad = tmp_path / "model.json"
+    save_checkpoint(bad, new_model(vocab, cfg).store, meta=meta)
+    capsys.readouterr()
+    assert main(["detect", str(pipeline["test_corpus"]), "--model", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.json" in err

@@ -8,7 +8,6 @@ from vulgraph.encoders import (
     TreeLstm,
     _attention_scores,
     _statement_features,
-    encode_method,
     encode_method_batch,
     init_encoder_params,
 )
@@ -17,7 +16,7 @@ from vulgraph.features import Vocabulary, build_vocabulary, extract_method_featu
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, per_step_gru, rel_err
+from oracles import finite_diff, gauss, per_step_gru, rel_err
 
 CFG = EncoderConfig(embed_dim=6, gru_hidden=5, tree_hidden=5, stmt_dim=7)
 
@@ -34,6 +33,12 @@ int scan(int num) {
     return total;
 }
 """
+
+
+def encode_one(pdg, vocab, store, bundles):
+    """Statement vectors of one method, encoded as a batch of one."""
+    out, _ = encode_method_batch([pdg], vocab, store, CFG, [bundles])
+    return out
 
 
 def make_setup(seed=3, cfg=CFG, src=SRC):
@@ -64,7 +69,7 @@ def test_gru_matches_reference_recurrence():
     store = ParamStore()
     Gru.init(store, rng, "g", 4, 3)
     gru = Gru(store, "g")
-    xs = [np.array([[rng.gauss(0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
+    xs = [np.array([[gauss(rng, 0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
     out = gru.run(Tensor(np.concatenate(xs)), len(xs))
     np_params = {k: store[f"g.{k}"].data for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
     expect = ref_gru(np_params, xs, np.zeros((2, 3)))
@@ -199,7 +204,7 @@ def _attention_weights(features, store):
 def test_attention_weights_normalize_and_symmetry():
     _, _, _, store = make_setup()
     rng = Rng(9)
-    same = Tensor(np.array([[rng.gauss(0, 1) for _ in range(CFG.gru_hidden)]]))
+    same = Tensor(np.array([[gauss(rng, 0, 1) for _ in range(CFG.gru_hidden)]]))
     ws = _attention_weights([same] * 6, store)
     assert abs(ws.sum() - 1.0) < 1e-12
     assert ws.max() - ws.min() < 1e-12  # identical inputs, uniform weights
@@ -211,7 +216,7 @@ def test_attention_weights_sum_to_one_randomized():
     _, _, _, store = make_setup()
     rng = Rng(17)
     feats = [
-        Tensor(np.array([[rng.gauss(0, 2) for _ in range(CFG.gru_hidden)] for _ in range(100)]))
+        Tensor(np.array([[gauss(rng, 0, 2) for _ in range(CFG.gru_hidden)] for _ in range(100)]))
         for _ in range(6)
     ]
     ws = _attention_weights(feats, store)
@@ -275,8 +280,8 @@ def test_fuse_matches_manual_arithmetic_two_statements():
 
 def test_encode_method_shapes_and_determinism():
     pdg, bundles, vocab, store = make_setup()
-    out1 = encode_method(pdg, vocab, store, CFG, bundles)
-    out2 = encode_method(pdg, vocab, store, CFG, bundles)
+    out1 = encode_one(pdg, vocab, store, bundles)
+    out2 = encode_one(pdg, vocab, store, bundles)
     assert out1.data.shape == (len(pdg.nodes), CFG.stmt_dim)
     assert np.array_equal(out1.data, out2.data)
     assert np.all(np.isfinite(out1.data))
@@ -288,15 +293,15 @@ def test_batch_encoding_agrees_with_single():
     ob = extract_method_features(other)
     big, spans = encode_method_batch([pdg, other], vocab, store, CFG, [bundles, ob])
     assert spans == [(0, len(bundles)), (len(bundles), len(bundles) + len(ob))]
-    solo1 = encode_method(pdg, vocab, store, CFG, bundles)
-    solo2 = encode_method(other, vocab, store, CFG, ob)
+    solo1 = encode_one(pdg, vocab, store, bundles)
+    solo2 = encode_one(other, vocab, store, ob)
     assert rel_err(big.data[spans[0][0] : spans[0][1]], solo1.data) < 1e-9
     assert rel_err(big.data[spans[1][0] : spans[1][1]], solo2.data) < 1e-9
 
 
 def test_every_parameter_gets_gradient():
     pdg, bundles, vocab, store = make_setup()
-    out = encode_method(pdg, vocab, store, CFG, bundles)
+    out = encode_one(pdg, vocab, store, bundles)
     (out * out).sum().backward(params=store)
     dead = [n for n, t in store.items() if not np.any(t.grad)]
     assert dead == [], f"zero gradients for {dead}"
@@ -305,11 +310,11 @@ def test_every_parameter_gets_gradient():
 def test_end_to_end_gradients_match_finite_differences():
     pdg, bundles, vocab, store = make_setup(seed=8)
     probe = np.array(
-        [[Rng(77).gauss(0, 1) for _ in range(CFG.stmt_dim)] for _ in range(len(pdg.nodes))]
+        [[gauss(Rng(77), 0, 1) for _ in range(CFG.stmt_dim)] for _ in range(len(pdg.nodes))]
     )
 
     def loss_value():
-        out = encode_method(pdg, vocab, store, CFG, bundles)
+        out = encode_one(pdg, vocab, store, bundles)
         return (out * Tensor(probe)).sum()
 
     loss = loss_value()

@@ -3,25 +3,23 @@ import pytest
 
 from vulgraph.autodiff import Adam, Tensor
 from vulgraph.encoders import EncoderConfig
-from vulgraph.errors import MaskMisaligned, TooManyEdges
+from vulgraph.errors import MaskMisaligned
 from vulgraph.explain import (
     DEFAULT_TOP_EDGES,
     EdgeMask,
     ExplainConfig,
-    brute_force_minimal_subgraph,
     explanation_report,
     extract_subgraph,
-    hard_subset_score,
     learn_edge_mask,
     masked_adjacency,
     masked_forward,
     method_features,
 )
-from vulgraph.fagcn import DetectionModel, _batch_loss, classify, new_model, normalized_adjacency
+from vulgraph.fagcn import DetectionModel, _batch_loss, new_model, normalized_adjacency, score_methods
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 
-from oracles import rel_err
+from oracles import TooManyEdges, brute_force_minimal_subgraph, hard_subset_score, rel_err
 
 CFG = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
 
@@ -192,7 +190,7 @@ def test_full_edge_set_score_is_the_detector_score(corpus, fitted_model):
     items, _ = corpus
     for _, pdg in items:
         feats = method_features(pdg, fitted_model)
-        score, _ = classify(pdg, fitted_model)
+        (_, score), = score_methods(fitted_model, [("m", pdg)])
         assert hard_subset_score(pdg, fitted_model, range(len(pdg.edges)), feats) == score
 
 
@@ -393,7 +391,7 @@ def test_learning_is_deterministic(demo, flip_fixture, flip_mask):
 def test_explanation_report_shape(demo, flip_mask):
     sub = extract_subgraph(demo, flip_mask)  # default K
     assert len(sub.edges) == min(DEFAULT_TOP_EDGES, len(demo.edges))
-    report = explanation_report(demo, None, "NV", sub)
+    report = explanation_report("NV", sub)
     assert report["method"] == demo.method
     assert report["decision"] == "NV"
     assert report["k"] == len(sub.edges)

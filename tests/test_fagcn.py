@@ -14,7 +14,6 @@ from vulgraph.fagcn import (
     _chunk_logits,
     balanced_training_pairs,
     best_threshold,
-    classify,
     detection_report,
     fit_threshold,
     gcn_forward,
@@ -31,11 +30,12 @@ from vulgraph.fagcn import (
     train,
 )
 from vulgraph.corpus import generate_planted_corpus
+from vulgraph.explain import masked_adjacency
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, StmtNode, pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, rel_err, sliced_pyramid_pool
+from oracles import finite_diff, gauss, rel_err, sliced_pyramid_pool
 
 
 def _chain_pdg(n, edges=None):
@@ -60,20 +60,35 @@ def test_normalized_adjacency_examples():
     assert np.all(path.data >= 0)
 
 
+def _hard_adjacency(pdg, keep):
+    """The explainer's masked adjacency under a 0/1 gate over `keep`."""
+    gate = np.zeros(len(pdg.edges))
+    gate[list(keep)] = 1.0
+    return masked_adjacency(pdg, Tensor(gate)).data
+
+
 def test_normalized_adjacency_keeps_listed_edges_only():
+    # A hard edge subset is scored through the 0/1-gate masked adjacency,
+    # which must be bitwise the detector's adjacency of the kept edges alone.
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
-    assert np.array_equal(normalized_adjacency(pdg, keep=[0, 1]).data, normalized_adjacency(pdg).data)
-    assert np.array_equal(normalized_adjacency(pdg, keep=[]).data, np.eye(3))
-    only_first = normalized_adjacency(pdg, keep=[0]).data
-    assert np.array_equal(only_first, normalized_adjacency(_chain_pdg(3, [(0, 1)])).data)
+    assert np.array_equal(_hard_adjacency(pdg, [0, 1]), normalized_adjacency(pdg).data)
+    assert np.array_equal(_hard_adjacency(pdg, []), np.eye(3))
+    assert np.array_equal(_hard_adjacency(pdg, [0]), normalized_adjacency(_chain_pdg(3, [(0, 1)])).data)
+    rng = Rng(13)
+    for entry in generate_planted_corpus(20, seed=4):
+        full = entry.pdg
+        for _ in range(6):
+            keep = [pos for pos in range(len(full.edges)) if rng.random() < 0.5]
+            kept = Pdg(method=full.method, nodes=full.nodes, edges=[full.edges[pos] for pos in keep])
+            assert np.array_equal(_hard_adjacency(full, keep), normalized_adjacency(kept).data)
 
 
 def test_gcn_forward_reductions():
     rng = Rng(2)
     store = ParamStore()
-    store.add("gcn.w1", np.array([[rng.gauss() for _ in range(3)] for _ in range(4)]))
-    store.add("gcn.w2", np.array([[rng.gauss() for _ in range(3)] for _ in range(3)]))
-    feats = np.array([[rng.gauss() for _ in range(4)] for _ in range(2)])
+    store.add("gcn.w1", np.array([[gauss(rng) for _ in range(3)] for _ in range(4)]))
+    store.add("gcn.w2", np.array([[gauss(rng) for _ in range(3)] for _ in range(3)]))
+    feats = np.array([[gauss(rng) for _ in range(4)] for _ in range(2)])
     # no edges: adjacency is I, so the conv is a per-row MLP
     eye = normalized_adjacency(_chain_pdg(2))
     out = gcn_forward(eye, Tensor(feats), store)
@@ -91,17 +106,17 @@ def test_gcn_forward_reductions():
 
 def test_pyramid_pool_bins():
     rng = Rng(3)
-    row = np.array([[rng.gauss() for _ in range(5)]])
+    row = np.array([[gauss(rng) for _ in range(5)]])
     pooled = pyramid_pool(Tensor(row))
     assert pooled.data.shape == (7 * 5,)
     assert rel_err(pooled.data, np.tile(row[0], 7)) < 1e-15  # n=1: every bin is the row
 
-    h4 = np.array([[rng.gauss() for _ in range(3)] for _ in range(4)])
+    h4 = np.array([[gauss(rng) for _ in range(3)] for _ in range(4)])
     p4 = pyramid_pool(Tensor(h4)).data
     level4 = p4[3 * 3 :].reshape(4, 3)
     assert np.array_equal(level4, h4)  # level-4 bins at n=4 are single rows
 
-    h8 = np.array([[rng.gauss() for _ in range(3)] for _ in range(8)])
+    h8 = np.array([[gauss(rng) for _ in range(3)] for _ in range(8)])
     swapped = h8.copy()
     swapped[[0, 1]] = swapped[[1, 0]]  # rows 0,1 share every bin at n=8
     assert np.array_equal(pyramid_pool(Tensor(h8)).data, pyramid_pool(Tensor(swapped)).data)
@@ -136,7 +151,7 @@ def test_head_gradients_match_finite_differences():
     cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=5)
     init_model_params(store, rng, vocab_size=11, cfg=cfg, d2=6)
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
-    feats = np.array([[rng.gauss() for _ in range(5)] for _ in range(3)])
+    feats = np.array([[gauss(rng) for _ in range(5)] for _ in range(3)])
     adj = normalized_adjacency(pdg)
 
     def loss_value():
@@ -230,6 +245,12 @@ def _toy_vocab(items):
     return build_vocabulary([extract_method_features(p) for _, p in items])
 
 
+def _decision(model, pdg) -> str:
+    """The thresholded decision detect reports for one method."""
+    (ranked,) = rank_methods(score_methods(model, [("m", pdg)]), model.threshold)
+    return ranked.decision
+
+
 def test_balanced_pairs_drop_remainder():
     items, labels = _toy_corpus()
     extra = [items[1], items[3], items[5]]  # add three more NV entries
@@ -251,7 +272,7 @@ def test_train_one_epoch_improves_loss_most_seeds():
         model = new_model(vocab, cfg, seed=seed)
         before = float(_batch_loss(model, items, labels).data)
         trained, log = train(
-            items, items, labels, vocab, cfg,
+            items, items, labels, cfg,
             TrainConfig(epochs=1, batch_size=4, seed=seed),
         )
         after = float(_batch_loss(trained, items, labels).data)
@@ -297,8 +318,10 @@ def test_train_extracts_features_once_per_method(monkeypatch):
 
         monkeypatch.setattr(module, "extract_method_features", counting)
     cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=5)
-    train(items, items[:6], labels, vocab, cfg, TrainConfig(epochs=3, batch_size=4, patience=5))
+    model, _ = train(items, items[:6], labels, cfg, TrainConfig(epochs=3, batch_size=4, patience=5))
     assert sorted(seen) == sorted(id(p) for _, p in items)
+    # the vocabulary comes from those same bundles
+    assert model.vocab.token_to_id == vocab.token_to_id
 
 
 def test_train_is_deterministic_and_logs():
@@ -306,26 +329,28 @@ def test_train_is_deterministic_and_logs():
     vocab = _toy_vocab(items)
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
     tc = TrainConfig(epochs=3, batch_size=4, seed=5)
-    m1, log1 = train(items, items, labels, vocab, cfg, tc)
-    m2, log2 = train(items, items, labels, vocab, cfg, tc)
+    m1, log1 = train(items, items, labels, cfg, tc)
+    m2, log2 = train(items, items, labels, cfg, tc)
     assert log1 == log2  # identical floats, bit for bit
     assert [e["epoch"] for e in log1] == [1, 2, 3]
     assert m1.threshold == m2.threshold
     for name, t in m1.store.items():
         assert np.array_equal(t.data, m2.store[name].data)
     with pytest.raises(EmptySplit):
-        train([], items, labels, vocab, cfg, tc)
+        train([], items, labels, cfg, tc)
 
 
 def test_classify_boundary_and_roundtrip(tmp_path):
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
-    model, _ = train(items, items, labels, vocab, cfg, TrainConfig(epochs=2, batch_size=4, seed=1))
-    score, decision = classify(items[0][1], model)
+    model, _ = train(items, items, labels, cfg, TrainConfig(epochs=2, batch_size=4, seed=1))
+    (_, score), = score_methods(model, [("m", items[0][1])])
     assert 0.0 < score < 1.0
     model.threshold = score
-    assert classify(items[0][1], model)[1] == "V"  # boundary is inclusive
+    assert _decision(model, items[0][1]) == "V"  # boundary is inclusive
+    model.threshold = math.nextafter(score, 1.0)
+    assert _decision(model, items[0][1]) == "NV"
 
     path = tmp_path / "model.ckpt"
     save_model(path, model)

@@ -5,7 +5,6 @@ from vulgraph.frontend import pdg_from_source
 from vulgraph.patterns import (
     AbstractGraph,
     abstract_subgraph,
-    canonical_code,
     mine_patterns,
     pattern_count_table,
     pattern_to_dict,
@@ -13,7 +12,7 @@ from vulgraph.patterns import (
 )
 from vulgraph.rng import Rng
 
-from oracles import brute_pattern_classes, find_embedding, graphs_isomorphic
+from oracles import brute_pattern_classes, canonical_code, find_embedding, graphs_isomorphic
 
 
 ABSTRACTION_SRC = """
