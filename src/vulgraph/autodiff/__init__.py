@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .params import Adam, ParamStore, glorot
-from .tensor import Tensor, concat, gru_sequence, rows, scatter, segment_max
+from .tensor import Tensor, concat, gru_sequence, rows
 
 __all__ = [
     "Adam",
@@ -14,6 +14,4 @@ __all__ = [
     "load_checkpoint",
     "rows",
     "save_checkpoint",
-    "scatter",
-    "segment_max",
 ]

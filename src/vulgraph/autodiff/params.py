@@ -14,8 +14,7 @@ from .tensor import Tensor
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform Glorot initialization driven by the package RNG."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    flat = np.array([rng.uniform(-bound, bound) for _ in range(fan_in * fan_out)])
-    return flat.reshape(fan_in, fan_out)
+    return rng.uniforms(-bound, bound, fan_in * fan_out).reshape(fan_in, fan_out)
 
 
 class ParamStore:

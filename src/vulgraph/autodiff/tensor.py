@@ -10,10 +10,11 @@ leading dimension only (a (1, ...) or lower-rank operand against a (B, ...)
 one, plus true scalars); anything else raises ShapeMismatch. Tensors are
 treated as immutable once created.
 
-Besides the elementwise, reduction and shape ops, two fused ops keep the tape
-short: gru_sequence records a whole masked GRU recurrence as one node with a
-hand-written backward through time, and segment_max takes column maxima over
-several row ranges at once (the detector's pyramid pool).
+Besides the elementwise, reduction and shape ops, gru_sequence records a whole
+masked GRU recurrence as one node with a hand-written backward through time.
+Other modules record their own fused nodes through Tensor._make the same way:
+the detector (fagcn.graph_logits), and the explainer's masked adjacency and
+loss (explain.masked_adjacency, explain.mask_loss).
 """
 
 from __future__ import annotations
@@ -407,52 +408,6 @@ def rows(table: Tensor, indices: np.ndarray) -> Tensor:
             np.add.at(table.grad, idx, out.grad)
 
     return Tensor._make(table.data[idx].copy(), (table,), backward)
-
-
-def scatter(base: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: Tensor) -> Tensor:
-    """A copy of the constant `base` with values[k] placed at every index pair
-    (rows[..., k], cols[..., k]); a leading axis on `rows` and `cols` places
-    each value at several pairs. The pairs must be distinct. The gradient of
-    values[k] is the sum of the output gradient over its pairs."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    data = np.array(base, dtype=np.float64)
-    data[rows, cols] = values.data
-    slot = np.broadcast_to(np.arange(values.data.shape[0]), rows.shape)
-
-    def backward(out):
-        if values.requires_grad:
-            if values.grad is None:
-                values.grad = np.zeros_like(values.data)
-            np.add.at(values.grad, slot, out.grad[rows, cols])
-
-    return Tensor._make(data, (values,), backward)
-
-
-def segment_max(x: Tensor, bounds) -> Tensor:
-    """Column maxima of the matrix x over each row range [start, end) in
-    `bounds`, laid end to end: a vector of len(bounds) * cols values. Ranges
-    may overlap; a tie sends the gradient to the first maximal row of its
-    range."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch("segment_max expects a matrix")
-    n, width = x.data.shape
-    if any(not 0 <= start < end <= n for start, end in bounds):
-        raise ShapeMismatch(f"segment_max: a range in {list(bounds)} is empty or outside {n} rows")
-    cols = np.arange(width)
-    idx = np.array([start + np.argmax(x.data[start:end], axis=0) for start, end in bounds])
-
-    def backward(out):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            # One range at a time, in forward order, so that rows shared by
-            # overlapping ranges sum their gradients in a fixed order.
-            grad = out.grad.reshape(idx.shape)
-            for k in range(len(idx)):
-                x.grad[idx[k], cols] += grad[k]
-
-    return Tensor._make(x.data[idx, cols].reshape(-1), (x,), backward)
 
 
 def gru_sequence(x: Tensor, weights, steps: int, mask: np.ndarray | None = None) -> Tensor:

@@ -9,8 +9,14 @@ the detector's parameters are read as constants, so the optimization sees the
 graph structure as the only free input. Parallel edges between one statement
 pair share an adjacency slot through a noisy-OR combination, which keeps the
 slot symmetric in the two mask values and equal to plain OR for hard 0/1
-masks. The slot values enter the adjacency through one scatter op, so an
-iteration's tape and memory grow with the edges, not with statements squared.
+masks.
+
+An iteration records five tape nodes: two sigmoids of the mask logits, the
+masked adjacency, the detector (fagcn.graph_logits) and the loss. Each of the
+last three has a hand-written backward that repeats the numpy steps of the
+equivalent one-node-per-op tape in its order, so masks are bitwise those of
+that tape, and an iteration's memory grows with the edges besides the n x n
+adjacency the detector reads.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, ParamStore, Tensor, concat, rows, scatter
+from .autodiff import Adam, ParamStore, Tensor
 from .encoders import encode_method_batch
 from .errors import MaskMisaligned
-from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize
+from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize, sym_normalize_grad
 from .frontend import Pdg
 
 DEFAULT_TOP_EDGES = 5
@@ -71,6 +77,19 @@ def _undirected_slots(pdg: Pdg) -> list[tuple[tuple[int, int], list[int]]]:
     return [(key, slots[key]) for key in order]
 
 
+def _slot_table(pdg: Pdg) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency slots off the diagonal: table[r, slot] is the position of
+    the slot's r-th parallel edge, or len(pdg.edges) (a zero gate) past its
+    last one, and ends[:, slot] are the slot's two statements."""
+    slots = [(ends, positions) for ends, positions in _undirected_slots(pdg) if ends[0] != ends[1]]
+    width = max((len(positions) for _, positions in slots), default=1)
+    table = np.full((width, len(slots)), len(pdg.edges), dtype=np.int64)
+    for slot, (_, positions) in enumerate(slots):
+        table[: len(positions), slot] = positions
+    ends = np.array([ends for ends, _ in slots], dtype=np.int64).reshape(-1, 2).T
+    return table, ends
+
+
 def method_features(pdg: Pdg, model: DetectionModel) -> Tensor:
     """Statement vectors for the full method, as a constant."""
     out, _ = encode_method_batch([pdg], model.vocab, frozen(model).store, model.encoder_config)
@@ -81,43 +100,73 @@ def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
     """Symmetric normalized adjacency with each undirected slot weighted by
     the noisy-OR of its edges' gate values; self-loops stay at one.
 
-    The op count is fixed by the most parallel edges in any one slot, not by
-    the edge count: one gather of each slot's first gate, one vectorised
-    noisy-OR round per further parallel edge (a slot with fewer edges reads a
-    zero gate, which leaves it unchanged), and one scatter onto the identity.
+    One tape node. A slot's value is folded one parallel edge at a time,
+    g + next - g * next, from the gate of its first edge (a slot with fewer
+    edges reads a zero gate, which leaves it unchanged), placed at both of
+    the slot's cells of the identity, and normalized. The backward repeats
+    the per-op tape's numpy steps in its order, so its values are bitwise
+    that tape's; besides a few n x n matrices it keeps O(edges) values.
     """
-    n = len(pdg.nodes)
-    slots = [(ends, positions) for ends, positions in _undirected_slots(pdg) if ends[0] != ends[1]]
-    width = max((len(positions) for _, positions in slots), default=1)
-    table = np.full((width, len(slots)), len(pdg.edges), dtype=np.int64)  # the zero gate
-    for slot, (_, positions) in enumerate(slots):
-        table[: len(positions), slot] = positions
-    padded = concat([gate, Tensor(np.zeros(1))])
-    g = rows(padded, table[0])
+    if gate.data.shape != (len(pdg.edges),):
+        raise MaskMisaligned(f"{gate.data.shape} gate values for {len(pdg.edges)} edges")
+    table, ends = _slot_table(pdg)
+    padded = np.concatenate([gate.data, np.zeros(1)])
+    folds = [padded[table[0]]]
     for extra in table[1:]:
-        nxt = rows(padded, extra)
-        g = g + nxt - g * nxt
-    ends = np.array([ends for ends, _ in slots], dtype=np.int64).reshape(-1, 2).T
-    return sym_normalize(scatter(np.eye(n), ends, ends[::-1], g))
+        g, nxt = folds[-1], padded[extra]
+        folds.append(g + nxt - g * nxt)
+    cells = (ends, ends[::-1])
+    a = np.eye(len(pdg.nodes))
+    a[cells] = folds[-1]
+    adj, saved = sym_normalize(a)
+
+    def backward(out):
+        picked = sym_normalize_grad(out.grad, a, saved)[cells]
+        d_fold = picked[0] + picked[1]
+        grad = np.zeros(len(padded))
+        for r in range(len(table) - 1, 0, -1):
+            g, nxt = folds[r - 1], padded[table[r]]
+            grad[table[r]] = d_fold + -d_fold * g
+            d_fold = d_fold + -d_fold * nxt
+        grad[table[0]] = d_fold
+        gate._accumulate(grad[:-1])
+
+    return Tensor._make(adj, (gate,), backward)
 
 
-def masked_forward(
-    pdg: Pdg, model: DetectionModel, mask: EdgeMask, feats: Tensor | None = None
-) -> Tensor:
-    """Class distribution [1, 2] under the masked graph."""
-    if mask.logits.data.shape != (len(pdg.edges),):
-        raise MaskMisaligned(
-            f"{mask.logits.data.shape} logits for {len(pdg.edges)} edges"
-        )
-    if feats is None:
-        feats = method_features(pdg, model)
-    adj = masked_adjacency(pdg, mask.logits.sigmoid())
-    return graph_logits(adj, feats, model.store).softmax(axis=1)
+def mask_loss(head: Tensor, sig: Tensor, target: int, config: ExplainConfig) -> Tensor:
+    """-log softmax(head)[target] + sparsity * sum(sig) + entropy * sum(H(sig)),
+    H the binary entropy, as one tape node. Its backward takes the per-op
+    tape's numpy steps (negations aside, which are exact), and it adds the
+    five terms of d/d sig in that tape's order: sparsity, s log s, log s, the
+    left (1 - s) factor, then the (1 - s) inside the log. Float addition is
+    not associative, so another order moves the masks' last bits."""
+    z, s = head.data, sig.data
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    p = probs[0, target]
+    log_s = np.log(s)
+    rest = 1.0 - s
+    log_rest = np.log(rest)
+    entropy = -(s * log_s + rest * log_rest)
+    loss = -np.log(p) + s.sum() * config.sparsity_weight + entropy.sum() * config.entropy_weight
 
+    def backward(out):
+        g = out.grad
+        if head.requires_grad:
+            d_probs = np.zeros_like(probs)
+            d_probs[0, target] = -g / p
+            head._accumulate(probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True)))
+        if sig.requires_grad:
+            d_ent = -np.broadcast_to(g * config.entropy_weight, s.shape)
+            grad = np.broadcast_to(g * config.sparsity_weight, s.shape).copy()
+            grad += d_ent * log_s
+            grad += d_ent * s / s  # not d_ent: (d * s) / s rounds
+            grad += -(d_ent * log_rest)
+            grad += -(d_ent * rest / rest)
+            sig._accumulate(grad)
 
-def _binary_entropy(sig: Tensor) -> Tensor:
-    one = Tensor(np.ones(()))
-    return (sig * sig.log() + (one - sig) * (one - sig).log()) * Tensor(np.array(-1.0))
+    return Tensor._make(np.asarray(loss), (head, sig), backward)
 
 
 def learn_edge_mask(
@@ -141,13 +190,10 @@ def learn_edge_mask(
     trace = []
     for _ in range(config.iterations):
         store.zero_grad()
-        probs = masked_forward(pdg, model, EdgeMask(logits=logits), feats=feats)
-        sig = logits.sigmoid()
-        loss = (
-            probs[0, target].log() * Tensor(np.array(-1.0))
-            + sig.sum() * Tensor(np.array(config.sparsity_weight))
-            + _binary_entropy(sig).sum() * Tensor(np.array(config.entropy_weight))
-        )
+        # Two sigmoid nodes, as on the per-op tape: one product
+        # (g_adj + g_penalty) * s * (1 - s) would round differently.
+        head = graph_logits(masked_adjacency(pdg, logits.sigmoid()), feats, model.store)
+        loss = mask_loss(head, logits.sigmoid(), target, config)
         loss.backward(params=store)
         opt.step()
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)

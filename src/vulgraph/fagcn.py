@@ -3,7 +3,9 @@
 A method's statement vectors form its feature matrix; two graph-convolution
 layers over the symmetric-normalized dependence adjacency produce statement
 representations, a three-level pyramid max-pool flattens them to a fixed
-width, and a small fully-connected head emits a two-class softmax. The
+width, and a small fully-connected head emits a two-class softmax. All of it
+after the encoder is graph_logits, one autodiff node with a hand-written
+backward, which training, scoring and the explainer share. The
 vulnerability score is the V-class probability; the decision threshold is fit
 on a tuning split by F1 search and persisted with the checkpoint.
 """
@@ -22,7 +24,6 @@ from .autodiff import (
     glorot,
     load_checkpoint,
     save_checkpoint,
-    segment_max,
 )
 from .encoders import EncoderConfig, encode_method_batch, init_encoder_params
 from .errors import CheckpointError, EmptySplit, ShapeMismatch, SingleClassTuningSet
@@ -35,6 +36,8 @@ POOL_LEVELS = (1, 2, 4)
 GCN_HIDDEN = 64
 FC_HIDDEN = (64, 32)
 N_CLASSES = 2
+# the detector's parameters after the encoder, in graph_logits' order
+HEAD_PARAMS = ("gcn.w1", "gcn.w2", "fc.w1", "fc.b1", "fc.w2", "fc.b2", "fc.w3", "fc.b3")
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,30 @@ def new_model(vocab: Vocabulary, cfg: EncoderConfig | None = None, seed: int = 0
     return DetectionModel(store=store, vocab=vocab, encoder_config=cfg)
 
 
-def sym_normalize(adj: Tensor) -> Tensor:
-    """D^{-1/2} A D^{-1/2} (Kipf & Welling, ICLR 2017), D the row sums of A."""
+def sym_normalize(a: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """D^{-1/2} A D^{-1/2} (Kipf & Welling, ICLR 2017), D the row sums of A,
+    and the intermediates that sym_normalize_grad reads."""
     # 1 / D^{1/2}, not D^{-1/2}: the two differ in the last bit, and this
     # form keeps the detector's scores and reports byte-stable.
-    d = Tensor(np.ones(())) / adj.sum(axis=1, keepdims=True).pow_scalar(0.5)
-    return (d @ d.transpose()) * adj
+    degree = a.sum(axis=1, keepdims=True)
+    root = np.power(degree, 0.5)
+    d = 1.0 / root
+    d_row = d.T.copy()
+    scale = d @ d_row
+    return scale * a, (degree, root, d, d_row, scale)
+
+
+def sym_normalize_grad(grad: np.ndarray, a: np.ndarray, saved: tuple) -> np.ndarray:
+    """The gradient with respect to A of sym_normalize(A), given the output's
+    gradient: the per-op chain rule, step by step in the same order, so it is
+    bitwise that of the elementwise tensor ops."""
+    degree, root, d, d_row, scale = saved
+    d_scale = grad * a
+    d_d = d_scale @ d_row.T
+    d_d = d_d + (d.T @ d_scale).T
+    d_root = -d_d / (root * root)
+    d_degree = d_root * 0.5 * np.power(degree, -0.5)
+    return grad * scale + np.broadcast_to(d_degree, a.shape)
 
 
 def normalized_adjacency(pdg: Pdg) -> Tensor:
@@ -102,38 +123,92 @@ def normalized_adjacency(pdg: Pdg) -> Tensor:
     for e in pdg.edges:
         a[e.src, e.dst] = 1.0
         a[e.dst, e.src] = 1.0
-    return sym_normalize(Tensor(a))
+    return Tensor(sym_normalize(a)[0])
 
 
-def gcn_forward(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
-    """Two relu graph-convolution layers; rows stay aligned with statements."""
-    if adj.data.shape[0] != feats.data.shape[0]:
-        raise ShapeMismatch("adjacency and feature matrix disagree on n")
-    h1 = (adj @ (feats @ store["gcn.w1"])).relu()
-    return (adj @ (h1 @ store["gcn.w2"])).relu()
-
-
-def pyramid_pool(h: Tensor) -> Tensor:
-    """Fixed-width descriptor: per-column max over 1+2+4 contiguous row bins."""
-    n = h.data.shape[0]
+def _pool_rows(n: int) -> list[tuple[int, int]]:
+    """The row ranges [start, end) of the pyramid pool's 1+2+4 contiguous
+    bins over n statements; a bin is never empty."""
     bounds = []
     for level in POOL_LEVELS:
         for b in range(level):
             start = (b * n) // level
             bounds.append((start, max(((b + 1) * n) // level, start + 1)))
-    return segment_max(h, bounds)
-
-
-def _head_logits(pooled: Tensor, store: ParamStore) -> Tensor:
-    z = pooled.reshape(1, pooled.data.shape[0])
-    z = (z @ store["fc.w1"] + store["fc.b1"]).relu()
-    z = (z @ store["fc.w2"] + store["fc.b2"]).relu()
-    return z @ store["fc.w3"] + store["fc.b3"]
+    return bounds
 
 
 def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
-    """Full model head over an (optionally masked) adjacency: [1, 2] logits."""
-    return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
+    """[1, 2] class logits of one method: two relu graph convolutions over the
+    (optionally masked) adjacency, the pyramid pool, and the three-layer relu
+    head.
+
+    The whole detector is one tape node whose backward sends gradients to
+    whichever of adj, feats and the eight parameters require grad. Forward
+    and backward take the same numpy steps, in the same order, as the model
+    built from one tape node per op, so values and gradients are bitwise
+    theirs. Intermediates are kept only when an input requires grad."""
+    a, x = adj.data, feats.data
+    if a.shape[0] != x.shape[0]:
+        raise ShapeMismatch("adjacency and feature matrix disagree on n")
+    params = tuple(store[name] for name in HEAD_PARAMS)
+    w1, w2, f1, b1, f2, b2, f3, b3 = (p.data for p in params)
+    p_w1, p_w2, p_f1, p_b1, p_f2, p_b2, p_f3, p_b3 = params
+    t1 = x @ w1
+    t2 = a @ t1
+    keep1 = t2 > 0
+    h1 = t2 * keep1
+    t3 = h1 @ w2
+    t4 = a @ t3
+    keep2 = t4 > 0
+    h = t4 * keep2
+    cols = np.arange(h.shape[1])
+    idx = np.array([start + np.argmax(h[start:end], axis=0) for start, end in _pool_rows(len(h))])
+    z = h[idx, cols].reshape(1, -1)
+    a1 = z @ f1 + b1
+    keep3 = a1 > 0
+    r1 = a1 * keep3
+    a2 = r1 @ f2 + b2
+    keep4 = a2 > 0
+    r2 = a2 * keep4
+    logits = r2 @ f3 + b3
+
+    def backward(out):
+        g = out.grad
+        if p_f3.requires_grad:
+            p_f3._accumulate(r2.T @ g)
+        if p_b3.requires_grad:
+            p_b3._accumulate(g.sum(axis=0))
+        g = (g @ f3.T) * keep4
+        if p_f2.requires_grad:
+            p_f2._accumulate(r1.T @ g)
+        if p_b2.requires_grad:
+            p_b2._accumulate(g.sum(axis=0))
+        g = (g @ f2.T) * keep3
+        if p_f1.requires_grad:
+            p_f1._accumulate(z.T @ g)
+        if p_b1.requires_grad:
+            p_b1._accumulate(g.sum(axis=0))
+        pooled = (g @ f1.T).reshape(idx.shape)
+        g = np.zeros_like(h)
+        for k in range(len(idx)):  # bin by bin, so shared rows sum in a fixed order
+            g[idx[k], cols] += pooled[k]
+        g = g * keep2
+        if adj.requires_grad:
+            adj._accumulate(g @ t3.T)
+        g = a.T @ g
+        if p_w2.requires_grad:
+            p_w2._accumulate(h1.T @ g)
+        g = (g @ w2.T) * keep1
+        if adj.requires_grad:
+            adj._accumulate(g @ t1.T)
+        if feats.requires_grad or p_w1.requires_grad:
+            g = a.T @ g
+            if feats.requires_grad:
+                feats._accumulate(g @ w1.T)
+            if p_w1.requires_grad:
+                p_w1._accumulate(x.T @ g)
+
+    return Tensor._make(logits, (adj, feats, *params), backward)
 
 
 def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> Tensor:

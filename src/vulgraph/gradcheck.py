@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gru_sequence, rows, scatter, segment_max
+from .autodiff import Tensor, concat, gru_sequence, rows
+from .explain import ExplainConfig, mask_loss, masked_adjacency
+from .fagcn import HEAD_PARAMS, graph_logits
+from .frontend import PdgEdge, pdg_from_source
 
 TOLERANCE = 1e-4
 _EPS = 1e-6
@@ -41,16 +44,13 @@ def _max_rel_err(build, arrays) -> float:
     return worst
 
 
-# segment_max: overlapping ranges and a one-row range over [a0, a1, a2, a0],
-# where rows 0 and 3 tie at the top of column 0.
-_REPEAT_ROW0 = np.array([0, 1, 2, 0])
-_TIE_COL0 = np.zeros((4, 4))
-_TIE_COL0[[0, 3], 0] = 10.0
-_RANGES = [(0, 4), (1, 3), (2, 3)]
 # gru_sequence: 4 steps of a batch of 3; row 0 skips step 1, row 1 is padded
 # at its last step, row 2 is masked at every step.
 _GRU_MASK = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=np.float64)
 _GRU_SHAPES = [(2, 2), (2, 2), (2,)] * 3
+# graph_logits: 2 statement features, 4 hidden units, head widths 3 and 2;
+# positive head weights keep every head unit active
+_HEAD_SHAPES = [(2, 4), (4, 4), (7 * 4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
 
 
 def _cases(seed: int):
@@ -76,6 +76,10 @@ def _cases(seed: int):
 
     def s(t, w):
         return (t * Tensor(w)).sum()
+
+    # masked_adjacency: two parallel edges share the (0, 1) slot
+    parallel = pdg_from_source("int f(int a) { int b = a; int c = b; return c; }")
+    parallel.edges = [PdgEdge(0, 1, "data", "x"), PdgEdge(0, 1, "data", "y"), PdgEdge(1, 2, "data", "z")]
 
     cases = [
         ("add", lambda a, b: s(a + b, w34), [r(3, 4), r(3, 4)]),
@@ -105,17 +109,7 @@ def _cases(seed: int):
         ("sum_axis0", lambda a: s(a.sum(axis=0), w4), [r(3, 4)]),
         ("sum_keepdims", lambda a: s(a.sum(axis=1, keepdims=True), w3.reshape(3, 1)), [r(3, 4)]),
         ("mean", lambda a: s(a.mean(axis=1), w3), [r(3, 4)]),
-        (
-            "segment_max",
-            lambda a: s(segment_max(rows(a, _REPEAT_ROW0) + Tensor(_TIE_COL0), _RANGES), w12),
-            [r(3, 4)],
-        ),
         ("concat_rows", lambda a, b: s(concat([a, b], axis=0), w64), [r(2, 4), r(4, 4)]),
-        (
-            "scatter",
-            lambda a: s(scatter(np.eye(3), [[0, 1, 0], [1, 2, 2]], [[1, 2, 2], [0, 1, 0]], a), w33),
-            [r(3)],
-        ),
         ("gather_repeated_rows", lambda a: s(rows(a, np.array([0, 2, 2])), w34), [r(4, 4)]),
         (
             "composite_mlp",
@@ -129,6 +123,22 @@ def _cases(seed: int):
             "gru_sequence",
             lambda x, *w: s(gru_sequence(x, w, 4, _GRU_MASK), w32),
             [r(12, 2)] + [r(*shape) for shape in _GRU_SHAPES],
+        ),
+        (
+            "graph_logits",
+            lambda adj, x, *w: s(graph_logits(adj, x, dict(zip(HEAD_PARAMS, w))), w32[:1]),
+            [positive(3, 3), r(3, 2)] + [r(*shape) for shape in _HEAD_SHAPES[:2]]
+            + [positive(*shape) for shape in _HEAD_SHAPES[2:]],
+        ),
+        (
+            "masked_adjacency",
+            lambda a: s(masked_adjacency(parallel, a.sigmoid()), w33),
+            [r(3)],
+        ),
+        (
+            "mask_loss",
+            lambda head, a: mask_loss(head, a.sigmoid(), 1, ExplainConfig()),
+            [r(1, 2), r(4)],
         ),
     ]
     return cases

@@ -8,14 +8,19 @@ built from the top 53 bits of the raw stream, the portable construction.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    state = (state + _GAMMA) & _MASK
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return state, z ^ (z >> 31)
 
 
@@ -47,6 +52,18 @@ class Rng:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
+
+    def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
+        """n draws of `uniform(low, high)` at once: bitwise the same floats,
+        and the same state afterwards. The state is a Weyl sequence, so draw
+        k's state is the current one plus k * gamma, mod 2**64; uint64 numpy
+        arithmetic wraps the same way."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z = z ^ (z >> np.uint64(31))
+        self._state = (self._state + n * _GAMMA) & _MASK
+        return low + (high - low) * ((z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive, via rejection sampling."""

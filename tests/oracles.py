@@ -3,11 +3,14 @@
 Everything here is deliberately naive: exhaustive simple-path enumeration for
 dependences, literal formula transcriptions for ranking metrics, central
 finite differences for gradients, exhaustive subset search for explanation
-subgraphs, one tape node per elementwise op for the fused autodiff ops. Two
-helpers wrap package code instead: the explanation search scores each subset
-with the detector itself, and canonical_code applies the miner's canonical
-form to a whole graph. No other code here is shared with the implementation
-under test.
+subgraphs, one tape node per elementwise op for the fused autodiff ops (the
+GRU recurrence, the detector head, the masked adjacency and the explainer's
+loss). Some helpers wrap package code instead: the explanation search scores
+each subset with the detector itself, canonical_code applies the miner's
+canonical form to a whole graph, and the per-op explainer reuses the
+package's slot table, statement encoder and Adam step, which the fused
+explainer shares with it. No other code here is shared with the
+implementation under test.
 """
 
 from __future__ import annotations
@@ -295,6 +298,173 @@ def sliced_pyramid_pool(h, levels=(1, 2, 4)):
                 end = start + 1
             parts.append(amax_rows(h[start:end]))
     return concat(parts, axis=0)
+
+
+# --- per-op references for the detector head and the explainer --------------------
+# The package records each of these as one tape node with a hand-written
+# backward (fagcn.graph_logits, explain.masked_adjacency and the explainer's
+# loss); here they are built from one node per elementwise op, so the fused ops
+# can be required to match them bit for bit.
+
+
+def scatter(base, rows, cols, values):
+    """A copy of the constant `base` with values[k] placed at every index pair
+    (rows[..., k], cols[..., k]); a leading axis on `rows` and `cols` places
+    each value at several pairs. The pairs must be distinct. The gradient of
+    values[k] is the sum of the output gradient over its pairs."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    data = np.array(base, dtype=np.float64)
+    data[rows, cols] = values.data
+    slot = np.broadcast_to(np.arange(values.data.shape[0]), rows.shape)
+
+    def backward(out):
+        if values.requires_grad:
+            if values.grad is None:
+                values.grad = np.zeros_like(values.data)
+            np.add.at(values.grad, slot, out.grad[rows, cols])
+
+    return Tensor._make(data, (values,), backward)
+
+
+def segment_max(x, bounds):
+    """Column maxima of the matrix x over each row range [start, end) in
+    `bounds`, laid end to end: a vector of len(bounds) * cols values. Ranges
+    may overlap; a tie sends the gradient to the first maximal row of its
+    range."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    n, width = x.data.shape
+    assert all(0 <= start < end <= n for start, end in bounds), bounds
+    cols = np.arange(width)
+    idx = np.array([start + np.argmax(x.data[start:end], axis=0) for start, end in bounds])
+
+    def backward(out):
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            # One range at a time, in forward order, so that rows shared by
+            # overlapping ranges sum their gradients in a fixed order.
+            grad = out.grad.reshape(idx.shape)
+            for k in range(len(idx)):
+                x.grad[idx[k], cols] += grad[k]
+
+    return Tensor._make(x.data[idx, cols].reshape(-1), (x,), backward)
+
+
+def sym_normalize(adj):
+    """D^{-1/2} A D^{-1/2} of a tensor A, D its row sums, as 1 / D^{1/2}."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    d = Tensor(np.ones(())) / adj.sum(axis=1, keepdims=True).pow_scalar(0.5)
+    return (d @ d.transpose()) * adj
+
+
+def masked_adjacency(pdg, gate):
+    """Normalized adjacency with each undirected slot weighted by the
+    noisy-OR of its edges' gates: a gather of each slot's first gate, one
+    noisy-OR round per further parallel edge, and a scatter onto the
+    identity."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, concat, rows
+    from vulgraph.explain import _slot_table
+
+    table, ends = _slot_table(pdg)
+    padded = concat([gate, Tensor(np.zeros(1))])
+    g = rows(padded, table[0])
+    for extra in table[1:]:
+        nxt = rows(padded, extra)
+        g = g + nxt - g * nxt
+    return sym_normalize(scatter(np.eye(len(pdg.nodes)), ends, ends[::-1], g))
+
+
+def gcn_forward(adj, feats, store):
+    """Two relu graph-convolution layers; rows stay aligned with statements."""
+    h1 = (adj @ (feats @ store["gcn.w1"])).relu()
+    return (adj @ (h1 @ store["gcn.w2"])).relu()
+
+
+def pyramid_pool(h):
+    """Fixed-width descriptor: per-column max over 1+2+4 contiguous row bins."""
+    n = h.data.shape[0]
+    bounds = []
+    for level in (1, 2, 4):
+        for b in range(level):
+            start = (b * n) // level
+            bounds.append((start, max(((b + 1) * n) // level, start + 1)))
+    return segment_max(h, bounds)
+
+
+def _head_logits(pooled, store):
+    z = pooled.reshape(1, pooled.data.shape[0])
+    z = (z @ store["fc.w1"] + store["fc.b1"]).relu()
+    z = (z @ store["fc.w2"] + store["fc.b2"]).relu()
+    return z @ store["fc.w3"] + store["fc.b3"]
+
+
+def graph_logits(adj, feats, store):
+    """[1, 2] logits of the detector over an (optionally masked) adjacency."""
+    return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
+
+
+def masked_forward(pdg, model, logits, feats):
+    """Class distribution [1, 2] under the graph masked by sigmoid(logits)."""
+    adj = masked_adjacency(pdg, logits.sigmoid())
+    return graph_logits(adj, feats, model.store).softmax(axis=1)
+
+
+def _binary_entropy(sig):
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    one = Tensor(np.ones(()))
+    return (sig * sig.log() + (one - sig) * (one - sig).log()) * Tensor(np.array(-1.0))
+
+
+def learn_edge_mask(pdg, model, y_pred, config=None):
+    """The explainer's optimization loop on the per-op tape: the same Adam
+    steps, clamp and loss trace as explain.learn_edge_mask."""
+    import numpy as np
+
+    from vulgraph.autodiff import Adam, ParamStore, Tensor
+    from vulgraph.explain import INIT_LOGIT, LOGIT_CLAMP, EdgeMask, ExplainConfig, method_features
+    from vulgraph.fagcn import frozen
+
+    config = config or ExplainConfig()
+    n_edges = len(pdg.edges)
+    if n_edges == 0:
+        return EdgeMask(logits=Tensor(np.zeros(0)))
+    model = frozen(model)
+    feats = method_features(pdg, model)
+    target = 1 if y_pred == "V" else 0
+    store = ParamStore()
+    logits = store.add("mask", np.full(n_edges, INIT_LOGIT))
+    opt = Adam(store, lr=config.lr)
+    trace = []
+    for _ in range(config.iterations):
+        store.zero_grad()
+        probs = masked_forward(pdg, model, logits, feats)
+        sig = logits.sigmoid()
+        loss = (
+            probs[0, target].log() * Tensor(np.array(-1.0))
+            + sig.sum() * Tensor(np.array(config.sparsity_weight))
+            + _binary_entropy(sig).sum() * Tensor(np.array(config.entropy_weight))
+        )
+        loss.backward(params=store)
+        opt.step()
+        np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
+        trace.append(float(loss.data))
+    return EdgeMask(logits=Tensor(logits.data.copy()), loss_trace=trace)
 
 
 # --- exhaustive explanation search -----------------------------------------------

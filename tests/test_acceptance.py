@@ -9,9 +9,8 @@ import time
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
-from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows, scatter, segment_max
+from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
 from vulgraph.encoders import EncoderConfig
 from vulgraph.explain import extract_subgraph, learn_edge_mask, method_features
@@ -43,6 +42,8 @@ from oracles import (
     literal_ndcg,
     random_source,
     rel_err,
+    scatter,
+    segment_max,
 )
 
 import pathlib

@@ -1,4 +1,5 @@
-"""Every definition in the package is reached by name from the package itself.
+"""Every definition in the package is reached by name from the package itself,
+and every name a test module imports is used there.
 
 Test-only references belong in tests/oracles.py, so a function, class or
 method that nothing under src/vulgraph uses is dead code. Dunders, the CLI's
@@ -8,7 +9,8 @@ method that nothing under src/vulgraph uses is dead code. Dunders, the CLI's
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vulgraph"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "vulgraph"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -43,3 +45,19 @@ def test_every_definition_is_referenced_in_the_package():
         for site in sites
     )
     assert not dead, "unreferenced: " + ", ".join(dead)
+
+
+def test_every_name_a_test_module_imports_is_used():
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno}:{bound}")
+    assert not unused, "imported but unused: " + ", ".join(unused)

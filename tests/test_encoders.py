@@ -12,7 +12,7 @@ from vulgraph.encoders import (
     init_encoder_params,
 )
 from vulgraph.errors import ConfigError, EmptyTree
-from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features
+from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 

@@ -1,7 +1,11 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from vulgraph.autodiff import Adam, Tensor
+from vulgraph.corpus import generate_planted_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import MaskMisaligned
 from vulgraph.explain import (
@@ -12,13 +16,23 @@ from vulgraph.explain import (
     extract_subgraph,
     learn_edge_mask,
     masked_adjacency,
-    masked_forward,
     method_features,
 )
-from vulgraph.fagcn import DetectionModel, _batch_loss, new_model, normalized_adjacency, score_methods
+from vulgraph.fagcn import (
+    DetectionModel,
+    TrainConfig,
+    _batch_loss,
+    frozen,
+    graph_logits,
+    new_model,
+    normalized_adjacency,
+    score_methods,
+    train,
+)
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 
+import oracles
 from oracles import TooManyEdges, brute_force_minimal_subgraph, hard_subset_score, rel_err
 
 CFG = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
@@ -53,6 +67,13 @@ int demo(int src) {
 """
 
 CHAIN_SRC = "int f(int alpha) { int beta = alpha + 1; int gamma = beta + 2; return gamma; }"
+
+
+def _masked_probs(pdg, model, logits, feats):
+    """Class distribution [1, 2] of the detector under the graph masked by
+    sigmoid(logits), as one explainer iteration computes it."""
+    adj = masked_adjacency(pdg, Tensor(logits).sigmoid())
+    return graph_logits(adj, feats, frozen(model).store).softmax(axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -130,24 +151,20 @@ def test_open_mask_matches_unmasked_prediction(demo, vocab):
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
         feats = method_features(demo, model)
-        from vulgraph.fagcn import graph_logits
-
         full = graph_logits(normalized_adjacency(demo), feats, model.store).softmax(axis=1).data
         edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
         assert np.abs(full - edgeless).max() > 1e-6  # prediction does depend on edges
-        opened = masked_forward(demo, model, EdgeMask(logits=Tensor(np.full(n_edges, 20.0))), feats=feats)
+        opened = _masked_probs(demo, model, np.full(n_edges, 20.0), feats)
         assert np.abs(opened.data - full).max() <= 1e-6
 
 
 def test_closed_mask_matches_edgeless_prediction(demo, vocab):
-    from vulgraph.fagcn import graph_logits
-
     n_edges = len(demo.edges)
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
         feats = method_features(demo, model)
         edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
-        closed = masked_forward(demo, model, EdgeMask(logits=Tensor(np.full(n_edges, -20.0))), feats=feats)
+        closed = _masked_probs(demo, model, np.full(n_edges, -20.0), feats)
         assert np.abs(closed.data - edgeless).max() <= 1e-6
 
 
@@ -198,7 +215,7 @@ def test_misaligned_mask_rejected(demo, vocab):
     model = new_model(vocab, CFG, seed=0)
     bad = EdgeMask(logits=Tensor(np.zeros(len(demo.edges) + 1)))
     with pytest.raises(MaskMisaligned):
-        masked_forward(demo, model, bad)
+        _masked_probs(demo, model, bad.logits.data, method_features(demo, model))
     with pytest.raises(MaskMisaligned):
         extract_subgraph(demo, bad, k=2)
 
@@ -212,9 +229,7 @@ def test_single_free_edge_monotone_response():
     feats = method_features(chain, model)
     scores = []
     for m in range(-4, 5):
-        probs = masked_forward(
-            chain, model, EdgeMask(logits=Tensor(np.array([float(m), 20.0]))), feats=feats
-        )
+        probs = _masked_probs(chain, model, np.array([float(m), 20.0]), feats)
         scores.append(float(probs.data[0, 1]))
     diffs = np.diff(scores)
     assert np.all(diffs > 0)
@@ -400,3 +415,38 @@ def test_explanation_report_shape(demo, flip_mask):
     assert [e["mask"] for e in report["edges"]] == sorted(
         (e["mask"] for e in report["edges"]), reverse=True
     )
+
+
+def _large_methods():
+    """Size-sweep methods of perfbench/largegen.py, 50 to 420 statements."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "largegen.py"
+    spec = importlib.util.spec_from_file_location("largegen", path)
+    largegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(largegen)
+    return [pdg_from_source(largegen.large_method(i, 64 + i, f"big_{i}", size))
+            for i, size in enumerate((50, 100, 200, 420))]
+
+
+def test_learned_masks_are_bitwise_the_per_op_tape():
+    # The explainer's three fused nodes against the one-node-per-op tape, on
+    # planted methods under a briefly trained detector and on large methods,
+    # for both decisions: same logits and loss trace, bit for bit. Adding the
+    # entropy terms of d/d sigmoid in another order already breaks this.
+    entries = [e for e in generate_planted_corpus(48, seed=5) if e.pdg is not None]
+    labels = {e.id: e.label for e in entries}
+    items = [(e.id, e.pdg) for e in entries]
+    model, _ = train(items[:32], items[32:40], labels, CFG, TrainConfig(epochs=2, seed=5))
+    cases = [(pdg, 60) for _, pdg in items[40:]] + [(pdg, 4) for pdg in _large_methods()]
+    for pdg, iterations in cases:
+        config = ExplainConfig(iterations=iterations)
+        for decision in ("V", "NV"):
+            got = learn_edge_mask(pdg, model, decision, config)
+            want = oracles.learn_edge_mask(pdg, model, decision, config)
+            assert np.array_equal(got.logits.data, want.logits.data), (pdg.method, decision)
+            assert got.loss_trace == want.loss_trace, (pdg.method, decision)
+        feats = method_features(pdg, model)
+        logits = np.linspace(-3.0, 3.0, len(pdg.edges))
+        assert np.array_equal(
+            _masked_probs(pdg, model, logits, feats).data,
+            oracles.masked_forward(pdg, frozen(model), Tensor(logits), feats).data,
+        )

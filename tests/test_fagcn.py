@@ -6,9 +6,8 @@ import pytest
 from vulgraph.autodiff import ParamStore, Tensor
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
+from vulgraph import fagcn
 from vulgraph.fagcn import (
-    GCN_HIDDEN,
-    DetectionModel,
     TrainConfig,
     _batch_loss,
     _chunk_logits,
@@ -16,14 +15,11 @@ from vulgraph.fagcn import (
     best_threshold,
     detection_report,
     fit_threshold,
-    gcn_forward,
     graph_logits,
     init_model_params,
     load_model,
     new_model,
     normalized_adjacency,
-    pool_width,
-    pyramid_pool,
     rank_methods,
     save_model,
     score_methods,
@@ -35,7 +31,8 @@ from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, StmtNode, pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, gauss, rel_err, sliced_pyramid_pool
+import oracles
+from oracles import finite_diff, gauss, gcn_forward, pyramid_pool, rel_err, sliced_pyramid_pool
 
 
 def _chain_pdg(n, edges=None):
@@ -100,8 +97,14 @@ def test_gcn_forward_reductions():
     assert np.array_equal(out2.data[0], out2.data[1])
     store["gcn.w2"].data[:] = 0.0
     assert not np.any(gcn_forward(eye, Tensor(feats), store).data)
+
+
+def test_graph_logits_rejects_mismatched_adjacency():
+    rng = Rng(2)
+    store = ParamStore()
+    init_model_params(store, rng, vocab_size=5, cfg=EncoderConfig(stmt_dim=4), d2=3)
     with pytest.raises(ShapeMismatch):
-        gcn_forward(Tensor(np.eye(3)), Tensor(feats), store)
+        graph_logits(Tensor(np.eye(3)), Tensor(np.ones((2, 4))), store)
 
 
 def test_pyramid_pool_bins():
@@ -142,6 +145,44 @@ def test_pyramid_pool_is_bitwise_the_sliced_reference():
         (value, grad), (ref_value, ref_grad) = results
         assert np.array_equal(value, ref_value)
         assert np.array_equal(grad, ref_grad)
+
+
+def test_graph_logits_is_bitwise_the_per_op_detector():
+    # forward values and every gradient, into the adjacency, the features and
+    # the eight parameters, equal the one-node-per-op tape's bit for bit
+    gen = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8, 17, 60):
+        store = ParamStore()
+        init_model_params(store, Rng(n), vocab_size=7, cfg=EncoderConfig(stmt_dim=6), d2=5)
+        adj = gen.uniform(0.0, 1.0, (n, n))
+        feats = gen.normal(0.0, 1.0, (n, 6))
+        weight = gen.normal(0.0, 1.0, (1, 2))
+        results = []
+        for logits_of in (graph_logits, oracles.graph_logits):
+            store.zero_grad()
+            a, x = Tensor(adj, requires_grad=True), Tensor(feats, requires_grad=True)
+            out = logits_of(a, x, store)
+            (out * Tensor(weight)).sum().backward(params=store)
+            results.append([out.data, a.grad, x.grad] + [t.grad for _, t in store.items()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+
+def test_training_batch_gradients_are_bitwise_the_per_op_tape(monkeypatch):
+    entries = generate_planted_corpus(40, seed=2)
+    items = [(e.id, e.pdg) for e in entries if e.pdg is not None][:8]
+    labels = {e.id: e.label for e in entries}
+    model = new_model(_toy_vocab(items), seed=3)
+    grads = []
+    for logits_of in (fagcn.graph_logits, oracles.graph_logits):
+        monkeypatch.setattr(fagcn, "graph_logits", logits_of)
+        model.store.zero_grad()
+        loss = _batch_loss(model, items, labels)
+        loss.backward(params=model.store)
+        grads.append((float(loss.data), {name: t.grad for name, t in model.store.items()}))
+    (loss, fused), (ref_loss, ref) = grads
+    assert loss == ref_loss
+    assert all(np.array_equal(fused[name], ref[name]) for name in ref)
 
 
 def test_head_gradients_match_finite_differences():

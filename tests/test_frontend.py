@@ -6,7 +6,6 @@ import pytest
 from vulgraph.errors import EmptyMethod, IllegalCharacter, ParseError, UnterminatedString
 from vulgraph.frontend import (
     build_cfg,
-    build_pdg,
     control_dependences,
     data_dependences,
     parse_method,

@@ -1,3 +1,13 @@
+import math
+
+import numpy as np
+
+import vulgraph.encoders
+import vulgraph.fagcn
+from vulgraph.encoders import EncoderConfig
+from vulgraph.fagcn import new_model, save_model
+from vulgraph.features import build_vocabulary, extract_method_features
+from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 
 
@@ -39,3 +49,32 @@ def test_bounds_and_coverage():
     assert set(vals) == {0, 1, 2, 3}
     assert all(0.0 <= r.random() < 1.0 for _ in range(200))
     assert all(-1.5 <= r.uniform(-1.5, 2.5) <= 2.5 for _ in range(200))
+
+
+def test_uniforms_are_the_scalar_draws_at_once():
+    for seed in (0, 7, (1 << 64) - 1):
+        for n in (0, 1, 7, 4096):
+            batched, scalar = Rng(seed), Rng(seed)
+            got = batched.uniforms(-0.75, 1.25, n)
+            want = [scalar.uniform(-0.75, 1.25) for _ in range(n)]
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tolist() == want  # identical bits, not merely close
+            assert batched._state == scalar._state
+            assert batched.random() == scalar.random()
+
+
+def test_weight_init_checkpoints_are_the_scalar_draws(monkeypatch, tmp_path):
+    # glorot draws its whole matrix at once; a model initialised from one
+    # scalar draw per weight must save to the same bytes.
+    def scalar_glorot(rng, fan_in, fan_out):
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        flat = np.array([rng.uniform(-bound, bound) for _ in range(fan_in * fan_out)])
+        return flat.reshape(fan_in, fan_out)
+
+    vocab = build_vocabulary([extract_method_features(pdg_from_source("int f(int a) { return a; }"))])
+    cfg = EncoderConfig()  # the default widths, e.g. fc.w1 is 448 x 64
+    save_model(tmp_path / "batched.json", new_model(vocab, cfg, seed=3))
+    for module in (vulgraph.encoders, vulgraph.fagcn):
+        monkeypatch.setattr(module, "glorot", scalar_glorot)
+    save_model(tmp_path / "scalar.json", new_model(vocab, cfg, seed=3))
+    assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
