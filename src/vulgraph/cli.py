@@ -26,6 +26,7 @@ from .encoders import EncoderConfig
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
 from .explain import (
     ExplainConfig,
+    InterpretationSubgraph,
     explanation_report,
     extract_subgraph,
     learn_edge_mask,
@@ -35,6 +36,7 @@ from .fagcn import (
     RankedDetection,
     TrainConfig,
     detection_report,
+    forward_methods,
     load_model,
     rank_methods,
     save_model,
@@ -62,7 +64,6 @@ class RunConfig:
     seed: int = 0
     embed_dim: int = 32
     gru_hidden: int = 32
-    tree_hidden: int = 32
     stmt_dim: int = 64
     epochs: int = 50
     lr: float = 1e-3
@@ -81,7 +82,6 @@ class RunConfig:
         return EncoderConfig(
             embed_dim=self.embed_dim,
             gru_hidden=self.gru_hidden,
-            tree_hidden=self.tree_hidden,
             stmt_dim=self.stmt_dim,
         )
 
@@ -239,24 +239,23 @@ def cmd_explain(args) -> int:
     cfg = _config_from_args(args)
     model = load_model(args.model)
     _, usable = _usable_entries(args.corpus)
+    chosen = {e.id for e in usable}
     if args.method:
-        chosen = [e for e in usable if e.id in set(args.method)]
-        missing = set(args.method) - {e.id for e in chosen}
+        missing = set(args.method) - chosen
         if missing:
             raise CorpusError(f"method ids not in corpus: {sorted(missing)}")
-    else:
-        chosen = usable
+        chosen = set(args.method)
 
-    # the same batches as detect, so each score is bitwise detect's score
-    scores = dict(score_methods(model, [(e.id, e.pdg) for e in usable]))
+    # The same batches as detect, so each score is bitwise detect's score,
+    # and each mask is learned on the statement matrix that score came from.
     explain_cfg = cfg.explain_settings()
     results = []
-    for entry in chosen:
-        score = scores[entry.id]
+    passes = forward_methods(model, [(e.id, e.pdg) for e in usable])
+    for entry, (_, score, feats) in zip(usable, passes):
         decision = "V" if score >= model.threshold else "NV"
-        if not args.method and decision != "V":
+        if entry.id not in chosen or (not args.method and decision != "V"):
             continue
-        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg)
+        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg, feats=feats)
         sub = extract_subgraph(entry.pdg, mask, cfg.k)
         sub.method = entry.id
         report = explanation_report(decision, sub)
@@ -297,38 +296,33 @@ def cmd_evaluate(args) -> int:
     entries = load_corpus(args.corpus)
     labels = {e.id: e.label for e in entries}
 
-    rows = detections.get("methods") if isinstance(detections, dict) else detections
+    rows = detections.get("methods") if isinstance(detections, dict) else None
     if not isinstance(rows, list):
-        raise SchemaError("detections file must hold a methods list")
-    unknown = [row["method"] for row in rows if row["method"] not in labels]
+        raise SchemaError("detections file must hold an object with a methods list")
+    try:
+        ranked = [RankedDetection(row["method"], row["score"], row["decision"], row["rank"]) for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed detections row: {exc!r}") from exc
+    unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
-    ranked = [
-        RankedDetection(
-            method=row["method"], score=row["score"],
-            decision=row["decision"], rank=row["rank"],
-        )
-        for row in rows
-    ]
 
     truths = {}
     for entry in entries:
         if entry.interpretable and entry.pdg is not None:
             truths[entry.id] = fix_truth(entry)
 
-    class _Explanation:
-        def __init__(self, method, ranking):
-            self.method = method
-            self.statement_ranking = ranking
-
     subgraphs = []
     skipped = 0
-    for row in explanation_rows:
-        if row["method"] not in truths or labels.get(row["method"]) != "V":
-            skipped += 1
-            continue
-        ranking = [(s["index"], s["importance"]) for s in row["statements"]]
-        subgraphs.append(_Explanation(row["method"], ranking))
+    try:
+        for row in explanation_rows:
+            if row["method"] not in truths or labels.get(row["method"]) != "V":
+                skipped += 1
+                continue
+            ranking = [(s["index"], s["importance"]) for s in row["statements"]]
+            subgraphs.append(InterpretationSubgraph(row["method"], [], (), ranking))
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed explanations row: {exc!r}") from exc
 
     report = evaluation_report(
         ranked,
@@ -349,20 +343,19 @@ def cmd_evaluate(args) -> int:
 def cmd_mine(args) -> int:
     cfg = _config_from_args(args)
     rows = _load_json(args.explanations, "explanations")
-    if isinstance(rows, dict):
-        rows = rows.get("explanations", [])
+    if not isinstance(rows, list):
+        raise SchemaError("explanations file must hold a list of explanations")
     graphs = []
-    for row in rows:
-        if "abstract" not in row:
-            raise SchemaError(
-                f"explanation for {row.get('method', '?')!r} lacks an abstract graph"
+    try:
+        for row in rows:
+            graphs.append(
+                AbstractGraph(
+                    nodes=[(int(i), str(label)) for i, label in row["abstract"]["nodes"]],
+                    edges=[(int(s), int(d), str(k)) for s, d, k in row["abstract"]["edges"]],
+                )
             )
-        graphs.append(
-            AbstractGraph(
-                nodes=[(int(i), str(label)) for i, label in row["abstract"]["nodes"]],
-                edges=[(int(s), int(d), str(k)) for s, d, k in row["abstract"]["edges"]],
-            )
-        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed explanations row: {exc!r}") from exc
     lo, hi = args.sizes
     patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))
     table = pattern_count_table(graphs, supports=list(TABLE_GRID), sizes=list(TABLE_GRID))

@@ -48,16 +48,13 @@ WIDEN_DIM = 8  # per-feature width after the shared summarizing layer
 @dataclass(frozen=True)
 class EncoderConfig:
     embed_dim: int = 32
-    gru_hidden: int = 32
-    tree_hidden: int = 32
+    gru_hidden: int = 32  # also the Tree-LSTM's width, so attention reads equal widths
     stmt_dim: int = 64
 
     def __post_init__(self):
-        for field in ("embed_dim", "gru_hidden", "tree_hidden", "stmt_dim"):
+        for field in ("embed_dim", "gru_hidden", "stmt_dim"):
             if getattr(self, field) < 2:
                 raise ConfigError(f"{field} must be >= 2")
-        if self.tree_hidden != self.gru_hidden:
-            raise ConfigError("tree_hidden must equal gru_hidden")
 
     @property
     def concat_dim(self) -> int:
@@ -67,7 +64,6 @@ class EncoderConfig:
         return {
             "embed_dim": self.embed_dim,
             "gru_hidden": self.gru_hidden,
-            "tree_hidden": self.tree_hidden,
             "stmt_dim": self.stmt_dim,
         }
 
@@ -189,7 +185,7 @@ def init_encoder_params(
     e, h = cfg.embed_dim, cfg.gru_hidden
     store.add("embed.table", glorot(rng, vocab_size, e))
     Gru.init(store, rng, "sub_gru", e, h)
-    TreeLstm.init(store, rng, "tree", e, cfg.tree_hidden)
+    TreeLstm.init(store, rng, "tree", e, h)
     Gru.init(store, rng, "name_gru", e, h)
     Gru.init(store, rng, "type_gru", e, h)
     Gru.init(store, rng, "data_gru", h, h)
@@ -304,6 +300,15 @@ def _statement_features(
     return [f1, f2, f3, f4, f5, f6]
 
 
+def dependence_adjacency(pdg: Pdg) -> np.ndarray:
+    """The method's 0/1 (A + I) over its dependence edges, either direction."""
+    a = np.eye(len(pdg.nodes))
+    for e in pdg.edges:
+        a[e.src, e.dst] = 1.0
+        a[e.dst, e.src] = 1.0
+    return a
+
+
 def encode_method_batch(
     pdgs: list[Pdg],
     vocab: Vocabulary,
@@ -335,11 +340,8 @@ def encode_method_batch(
     scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
 
     adj = np.zeros((total, total))
-    for (s, _), pdg in zip(spans, pdgs):
-        for i in range(len(pdg.nodes)):
-            adj[s + i, s + i] = 1.0
-            for j in pdg.neighbors(i):
-                adj[s + i, s + j] = 1.0
+    for (s, e), pdg in zip(spans, pdgs):
+        adj[s:e, s:e] = dependence_adjacency(pdg)
     shift = float(scores.data.max())
     exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
     numer = Tensor(adj) * exp_row

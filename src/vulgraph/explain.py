@@ -3,13 +3,13 @@ method's dependence edges that preserves the model's prediction while pushing
 the mask sparse, then report the top-K edges and a ranking of the statements
 they touch.
 
-The mask scales the symmetrized adjacency before degree normalization;
-statement features are computed once from the full method and held fixed, and
-the detector's parameters are read as constants, so the optimization sees the
-graph structure as the only free input. Parallel edges between one statement
-pair share an adjacency slot through a noisy-OR combination, which keeps the
-slot symmetric in the two mask values and equal to plain OR for hard 0/1
-masks.
+The mask scales the symmetrized adjacency before degree normalization. The
+statement matrix is the one the detector scored the method on, in its
+scoring chunk, held fixed; the detector's parameters are read as constants,
+so the optimization sees the graph structure as the only free input. Parallel
+edges between one statement pair share an adjacency slot through a noisy-OR
+combination, which keeps the slot symmetric in the two mask values and equal
+to plain OR for hard 0/1 masks.
 
 An iteration records five tape nodes: two sigmoids of the mask logits, the
 masked adjacency, the detector (fagcn.graph_logits) and the loss. Each of the
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, ParamStore, Tensor
-from .encoders import encode_method_batch
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize, sym_normalize_grad
 from .frontend import Pdg
@@ -42,9 +41,7 @@ class EdgeMask:
     loss_trace: list = field(default_factory=list)
 
     def values(self) -> np.ndarray:
-        x = self.logits.data
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        return self.logits.sigmoid().data
 
 
 @dataclass(frozen=True)
@@ -88,12 +85,6 @@ def _slot_table(pdg: Pdg) -> tuple[np.ndarray, np.ndarray]:
         table[: len(positions), slot] = positions
     ends = np.array([ends for ends, _ in slots], dtype=np.int64).reshape(-1, 2).T
     return table, ends
-
-
-def method_features(pdg: Pdg, model: DetectionModel) -> Tensor:
-    """Statement vectors for the full method, as a constant."""
-    out, _ = encode_method_batch([pdg], model.vocab, frozen(model).store, model.encoder_config)
-    return out
 
 
 def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
@@ -174,15 +165,18 @@ def learn_edge_mask(
     model: DetectionModel,
     y_pred: str,
     config: ExplainConfig | None = None,
+    *,
+    feats: Tensor,
 ) -> EdgeMask:
     """Optimize edge-mask logits to keep P(y_pred) high on the masked graph
-    while driving the mask sparse and binary."""
+    while driving the mask sparse and binary; `feats` is the method's
+    statement matrix from the forward pass being explained
+    (fagcn.forward_methods)."""
     config = config or ExplainConfig()
     n_edges = len(pdg.edges)
     if n_edges == 0:
         return EdgeMask(logits=Tensor(np.zeros(0)))
     model = frozen(model)
-    feats = method_features(pdg, model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore()
     logits = store.add("mask", np.full(n_edges, INIT_LOGIT))

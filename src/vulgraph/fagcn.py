@@ -25,8 +25,8 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .encoders import EncoderConfig, encode_method_batch, init_encoder_params
-from .errors import CheckpointError, EmptySplit, ShapeMismatch, SingleClassTuningSet
+from .encoders import EncoderConfig, dependence_adjacency, encode_method_batch, init_encoder_params
+from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
 from .metrics import auc
@@ -119,11 +119,7 @@ def sym_normalize_grad(grad: np.ndarray, a: np.ndarray, saved: tuple) -> np.ndar
 
 def normalized_adjacency(pdg: Pdg) -> Tensor:
     """Normalized (A + I) over the symmetrized edge set."""
-    a = np.eye(len(pdg.nodes))
-    for e in pdg.edges:
-        a[e.src, e.dst] = 1.0
-        a[e.dst, e.src] = 1.0
-    return Tensor(sym_normalize(a)[0])
+    return Tensor(sym_normalize(dependence_adjacency(pdg))[0])
 
 
 def _pool_rows(n: int) -> list[tuple[int, int]]:
@@ -211,18 +207,18 @@ def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
     return Tensor._make(logits, (adj, feats, *params), backward)
 
 
-def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> Tensor:
-    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch;
-    `bundles` maps method ids to feature bundles already extracted."""
+def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> tuple[Tensor, list]:
+    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch, and
+    each method's statement matrix; `bundles` maps method ids to feature
+    bundles already extracted."""
     pdgs = [p for _, p in items]
     bundle_lists = None if bundles is None else [bundles[mid] for mid, _ in items]
     enc, spans = encode_method_batch(
         pdgs, model.vocab, model.store, model.encoder_config, bundle_lists
     )
-    return concat(
-        [graph_logits(normalized_adjacency(p), enc[s:e], model.store) for p, (s, e) in zip(pdgs, spans)],
-        axis=0,
-    )
+    feats = [enc[s:e] for s, e in spans]
+    logits = [graph_logits(normalized_adjacency(p), f, model.store) for p, f in zip(pdgs, feats)]
+    return concat(logits, axis=0), feats
 
 
 def frozen(model: DetectionModel) -> DetectionModel:
@@ -231,19 +227,26 @@ def frozen(model: DetectionModel) -> DetectionModel:
     return replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
 
 
+def forward_methods(model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None):
+    """Yield (id, V-class probability, statement matrix) for [(id, pdg)]
+    pairs, encoded per chunk: the one forward pass that detect, explain and
+    training's tuning scores share."""
+    # The pass records no autodiff tape, so a chunk's intermediates are
+    # freed once the caller has moved on to the next chunk.
+    const = frozen(model)
+    for lo in range(0, len(items), chunk):
+        part = items[lo : lo + chunk]
+        logits, feats = _chunk_logits(const, part, bundles)
+        probs = logits.softmax(axis=1).data[:, 1]
+        for (mid, _), p, f in zip(part, probs, feats):
+            yield mid, float(p), f
+
+
 def score_methods(
     model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None
 ) -> list:
     """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
-    # Scoring records no autodiff tape, so each chunk's intermediates are
-    # freed as soon as it is scored.
-    const = frozen(model)
-    out = []
-    for lo in range(0, len(items), chunk):
-        part = items[lo : lo + chunk]
-        probs = _chunk_logits(const, part, bundles).softmax(axis=1).data[:, 1]
-        out.extend((mid, float(p)) for (mid, _), p in zip(part, probs))
-    return out
+    return [(mid, p) for mid, p, _ in forward_methods(model, items, chunk, bundles)]
 
 
 def rank_methods(scored: list, threshold: float = 0.5) -> list[RankedDetection]:
@@ -286,14 +289,6 @@ def best_threshold(scored: list, labels: dict) -> float:
     return best[1]
 
 
-def fit_threshold(
-    model: DetectionModel, tune_items: list, labels: dict, bundles: dict | None = None
-) -> float:
-    if not tune_items:
-        raise EmptySplit("tuning split is empty")
-    return best_threshold(score_methods(model, tune_items, bundles=bundles), labels)
-
-
 def balanced_training_pairs(items: list, labels: dict) -> list:
     """Equal V/NV counts; the surplus of the larger class is dropped
     deterministically in method-id order."""
@@ -306,7 +301,7 @@ def balanced_training_pairs(items: list, labels: dict) -> list:
 def _batch_loss(
     model: DetectionModel, batch: list, labels: dict, bundles: dict | None = None
 ) -> Tensor:
-    logits = _chunk_logits(model, batch, bundles)
+    logits, _ = _chunk_logits(model, batch, bundles)
     y = np.array([1 if labels[mid] == "V" else 0 for mid, _ in batch], dtype=np.int64)
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
     shifted = (logits.transpose() - shift.transpose()).transpose()
@@ -323,10 +318,13 @@ def train(
     config: TrainConfig | None = None,
 ) -> tuple[DetectionModel, list[dict]]:
     """Cross-entropy training with Adam over balanced batches; per-epoch loss
-    and tuning AUC are logged, early stopping restores the best-AUC epoch.
-    The vocabulary is built from the training split. Each method's feature
-    bundles are extracted once per run."""
+    and tuning AUC are logged, early stopping restores the best-AUC epoch, and
+    the threshold is fit on that epoch's tuning scores. The vocabulary is
+    built from the training split. Each method's feature bundles are
+    extracted once per run."""
     config = config or TrainConfig()
+    if config.epochs < 1:  # the threshold is fit on an epoch's tuning scores
+        raise ConfigError("epochs must be at least 1")
     if not train_items:
         raise EmptySplit("training split is empty")
     if not tune_items:
@@ -344,7 +342,6 @@ def train(
     order_rng = Rng(config.seed).fork("order")
     log: list[dict] = []
     best_auc = -1.0
-    best_snapshot = None
     bad_epochs = 0
     for epoch in range(1, config.epochs + 1):
         items = list(balanced)
@@ -367,15 +364,15 @@ def train(
         if tune_auc > best_auc + 1e-12:
             best_auc = tune_auc
             best_snapshot = {name: t.data.copy() for name, t in model.store.items()}
+            best_scored = scored
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
-    if best_snapshot is not None:
-        for name, t in model.store.items():
-            t.data[...] = best_snapshot[name]
-    model.threshold = fit_threshold(model, tune_items, labels, bundles)
+    for name, t in model.store.items():
+        t.data[...] = best_snapshot[name]
+    model.threshold = best_threshold(best_scored, labels)
     return model, log
 
 

@@ -8,9 +8,9 @@ GRU recurrence, the detector head, the masked adjacency and the explainer's
 loss). Some helpers wrap package code instead: the explanation search scores
 each subset with the detector itself, canonical_code applies the miner's
 canonical form to a whole graph, and the per-op explainer reuses the
-package's slot table, statement encoder and Adam step, which the fused
-explainer shares with it. No other code here is shared with the
-implementation under test.
+package's slot table and Adam step, which the fused explainer shares with
+it, and learns on the statement matrix of the package's forward pass. No
+other code here is shared with the implementation under test.
 """
 
 from __future__ import annotations
@@ -416,6 +416,15 @@ def graph_logits(adj, feats, store):
     return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
 
 
+def statement_matrix(pdg, model):
+    """The statement matrix the package's forward pass scores `pdg` on, as
+    a chunk of its own."""
+    from vulgraph.fagcn import forward_methods
+
+    ((_, _, feats),) = forward_methods(model, [(pdg.method, pdg)])
+    return feats
+
+
 def masked_forward(pdg, model, logits, feats):
     """Class distribution [1, 2] under the graph masked by sigmoid(logits)."""
     adj = masked_adjacency(pdg, logits.sigmoid())
@@ -431,13 +440,14 @@ def _binary_entropy(sig):
     return (sig * sig.log() + (one - sig) * (one - sig).log()) * Tensor(np.array(-1.0))
 
 
-def learn_edge_mask(pdg, model, y_pred, config=None):
+def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
     """The explainer's optimization loop on the per-op tape: the same Adam
-    steps, clamp and loss trace as explain.learn_edge_mask."""
+    steps, clamp and loss trace as explain.learn_edge_mask, on the same
+    statement matrix."""
     import numpy as np
 
     from vulgraph.autodiff import Adam, ParamStore, Tensor
-    from vulgraph.explain import INIT_LOGIT, LOGIT_CLAMP, EdgeMask, ExplainConfig, method_features
+    from vulgraph.explain import INIT_LOGIT, LOGIT_CLAMP, EdgeMask, ExplainConfig
     from vulgraph.fagcn import frozen
 
     config = config or ExplainConfig()
@@ -445,7 +455,6 @@ def learn_edge_mask(pdg, model, y_pred, config=None):
     if n_edges == 0:
         return EdgeMask(logits=Tensor(np.zeros(0)))
     model = frozen(model)
-    feats = method_features(pdg, model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore()
     logits = store.add("mask", np.full(n_edges, INIT_LOGIT))
@@ -497,12 +506,10 @@ def brute_force_minimal_subgraph(pdg, model, k: int) -> tuple[tuple[int, ...], f
     closest to the full graph's."""
     from itertools import combinations
 
-    from vulgraph.explain import method_features
-
     n_edges = len(pdg.edges)
     if n_edges > ORACLE_EDGE_LIMIT:
         raise TooManyEdges(f"{n_edges} edges exceeds the {ORACLE_EDGE_LIMIT}-edge bound")
-    feats = method_features(pdg, model)
+    feats = statement_matrix(pdg, model)
     full = hard_subset_score(pdg, model, range(n_edges), feats)
     if n_edges == 0:
         return (), 0.0

@@ -13,11 +13,12 @@ import numpy as np
 from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
 from vulgraph.encoders import EncoderConfig
-from vulgraph.explain import extract_subgraph, learn_edge_mask, method_features
+from vulgraph.explain import extract_subgraph, learn_edge_mask
 from vulgraph.fagcn import (
     TrainConfig,
     _batch_loss,
     detection_report,
+    forward_methods,
     new_model,
     rank_methods,
     score_methods,
@@ -44,6 +45,7 @@ from oracles import (
     rel_err,
     scatter,
     segment_max,
+    statement_matrix,
 )
 
 import pathlib
@@ -152,7 +154,7 @@ def test_gradient_end_to_end_detection_loss():
     batch = [(mid, pdg_from_source(src)) for mid, src, _ in sources]
     labels = {mid: lab for mid, _, lab in sources}
     vocab = build_vocabulary([extract_method_features(p) for _, p in batch])
-    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=6)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=6)
     for seed in (0, 1):
         model = new_model(vocab, cfg, seed=seed)
         model.store.zero_grad()
@@ -273,7 +275,7 @@ _FIDELITY_TRAIN = [
 
 @lru_cache(maxsize=None)
 def _fidelity_result(run: int):
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     pdgs = [pdg_from_source(s) for s in _FIDELITY_SOURCES]
     assert all(len(p.edges) <= 6 for p in pdgs)
     train_pdgs = [(mid, pdg_from_source(src)) for mid, src, _ in _FIDELITY_TRAIN]
@@ -294,8 +296,8 @@ def _fidelity_result(run: int):
         for pdg in pdgs:
             (ranked,) = rank_methods(score_methods(model, [("m", pdg)]), model.threshold)
             decision = ranked.decision
-            mask = learn_edge_mask(pdg, model, decision)
-            feats = method_features(pdg, model)
+            feats = statement_matrix(pdg, model)
+            mask = learn_edge_mask(pdg, model, decision, feats=feats)
             full = hard_subset_score(pdg, model, tuple(range(len(pdg.edges))), feats)
             vals = mask.values()
             order = sorted(range(len(pdg.edges)), key=lambda pos: (-vals[pos], pos))
@@ -331,7 +333,7 @@ def _end_to_end_result(run: int):
     entries = generate_planted_corpus(500, seed=11)
     parts = split(entries, SplitSpec(fractions=(0.8, 0.1, 0.1), seed=11, real_ratio=1.0))
     labels = {e.id: e.label for e in entries}
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     model, _log = train(
         [(e.id, e.pdg) for e in parts["train"]],
         [(e.id, e.pdg) for e in parts["tune"]],
@@ -339,7 +341,8 @@ def _end_to_end_result(run: int):
         cfg,
         TrainConfig(epochs=50, lr=1e-3, batch_size=8, patience=5, seed=11),
     )
-    scored = score_methods(model, [(e.id, e.pdg) for e in parts["test"]])
+    passes = list(forward_methods(model, [(e.id, e.pdg) for e in parts["test"]]))
+    scored = [(m, s) for m, s, _ in passes]
     pos = [s for m, s in scored if labels[m] == "V"]
     neg = [s for m, s in scored if labels[m] == "NV"]
     test_auc = auc(pos, neg)
@@ -347,9 +350,10 @@ def _end_to_end_result(run: int):
     by_id = {e.id: e for e in entries}
     detected = [m for m, s in scored if labels[m] == "V" and s >= model.threshold]
     subgraphs, truths = [], {}
+    feats = {m: f for m, _, f in passes}
     for mid in detected:
         entry = by_id[mid]
-        mask = learn_edge_mask(entry.pdg, model, "V")
+        mask = learn_edge_mask(entry.pdg, model, "V", feats=feats[mid])
         sub = extract_subgraph(entry.pdg, mask, 5)
         sub.method = mid
         subgraphs.append(sub)

@@ -1,6 +1,7 @@
 import ast
 import gc
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
@@ -171,6 +172,24 @@ def test_every_tape_op_has_a_gradcheck_case():
                 exercised.add(node._backward_fn.__qualname__.split(".<locals>.")[0])
             stack.extend(p for p in node._parents if p.requires_grad)
     assert ops - exercised == set()
+
+
+def test_gradcheck_case_inputs_depend_only_on_seed_and_name():
+    # Each case draws from a generator of its own, seeded from the seed and
+    # the case's name, so its inputs are the same whichever cases come before
+    # it, and adding or removing a case moves no other row of the table.
+    cases = gradcheck._cases(3)
+    (first, _, first_inputs), (last, _, last_inputs) = cases[0], cases[-1]
+    assert (first, last) == ("add", "mask_loss")
+    for name, inputs, shapes in (
+        ("add", first_inputs, [(3, 4), (3, 4)]),
+        ("mask_loss", last_inputs, [(1, 2), (4,)]),
+    ):
+        gen = np.random.default_rng([3, zlib.crc32(name.encode())])
+        assert all(np.array_equal(a, gen.uniform(-1.5, 1.5, size=shape)) for a, shape in zip(inputs, shapes))
+    # "sub" draws the same shapes as "add", but not the same values
+    sub = next(inputs for name, _, inputs in cases if name == "sub")
+    assert not np.array_equal(sub[0], first_inputs[0])
 
 
 # --- semantics -----------------------------------------------------------------

@@ -3,14 +3,17 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
+from vulgraph import explain
+from vulgraph.autodiff import Tensor
 from vulgraph.cli import load_run_config, main
 from vulgraph.corpus import load_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import ConfigError
 from vulgraph.autodiff import save_checkpoint
-from vulgraph.fagcn import new_model, save_model
+from vulgraph.fagcn import _chunk_logits, forward_methods, frozen, graph_logits, load_model, new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_to_dict
 
@@ -20,7 +23,6 @@ FAST_CONFIG = {
     "epochs": 2,
     "embed_dim": 8,
     "gru_hidden": 8,
-    "tree_hidden": 8,
     "stmt_dim": 12,
     "explain_iterations": 40,
     "real_ratio": 1.0,
@@ -56,6 +58,10 @@ def test_config_rejects_unknown_keys_and_bad_json(tmp_path):
     removed = tmp_path / "jobs.json"
     removed.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
     with pytest.raises(ConfigError, match="jobs"):
+        load_run_config(str(removed), {})
+
+    removed.write_text(json.dumps({"tree_hidden": 32}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="tree_hidden"):
         load_run_config(str(removed), {})
 
 
@@ -296,7 +302,7 @@ def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
     corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
     vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
     model = tmp_path / "model.json"
-    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)))
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)))
     out = tmp_path / "det.json"
     capsys.readouterr()
     assert main(["detect", str(corpus), "--model", str(model), "--out", str(out)]) == 0
@@ -321,22 +327,31 @@ def test_explain_bytes_stable_across_runs(pipeline, tmp_path):
     assert (out / "explanations.json").read_bytes() == pipeline["explanations"].read_bytes()
 
 
-def test_explain_scores_are_the_detection_scores(tmp_path):
-    # An untrained model whose scores for some of these methods differ in
-    # the last bit between encoding the method alone and in a 16-method batch.
-    corpus = tmp_path / "corpus.jsonl"
+@pytest.fixture(scope="module")
+def untrained(tmp_path_factory):
+    """A 48-method corpus and an untrained model whose statement matrices for
+    some methods differ in the last bits between a 16-method chunk and a
+    chunk of one."""
+    root = tmp_path_factory.mktemp("untrained")
+    corpus = root / "corpus.jsonl"
     assert main(["gen-corpus", "--n", "48", "--seed", "3", "--out", str(corpus)]) == 0
     entries = [e for e in load_corpus(corpus) if e.pdg is not None]
+    assert all(e.pdg.edges for e in entries)
     vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
-    model = tmp_path / "model.json"
-    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12), seed=2))
-    detections = tmp_path / "det.json"
-    assert main(["detect", str(corpus), "--model", str(model), "--out", str(detections)]) == 0
-    quick = tmp_path / "quick.json"
+    model = root / "model.json"
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12), seed=2))
+    quick = root / "quick.json"
     quick.write_text(json.dumps({"explain_iterations": 1}), encoding="utf-8")
     args = ["explain", str(corpus), "--model", str(model), "--config", str(quick)]
     for e in entries:
         args += ["--method", e.id]
+    return entries, model, args
+
+
+def test_explain_scores_are_the_detection_scores(untrained, tmp_path):
+    entries, model, args = untrained
+    detections = tmp_path / "det.json"
+    assert main(["detect", args[1], "--model", str(model), "--out", str(detections)]) == 0
     assert main(args + ["--out", str(tmp_path / "expl")]) == 0
     detected = {
         row["method"]: (row["score"], row["decision"])
@@ -346,6 +361,49 @@ def test_explain_scores_are_the_detection_scores(tmp_path):
     assert sorted(row["method"] for row in rows) == sorted(detected)
     for row in rows:
         assert (row["score"], row["decision"]) == detected[row["method"]]
+
+
+def test_explain_masks_the_forward_pass_detect_scored(untrained, monkeypatch, tmp_path):
+    entries, model_path, args = untrained
+    seen = []  # the statement matrix of each explainer iteration, one per method here
+    explain_logits = explain.graph_logits
+
+    def recording(adj, feats, store):
+        seen.append(feats.data.copy())
+        return explain_logits(adj, feats, store)
+
+    monkeypatch.setattr(explain, "graph_logits", recording)
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(seen) == len(entries) >= 32
+
+    model = frozen(load_model(model_path))
+    items = [(e.id, e.pdg) for e in entries]
+    moved = 0
+    for lo in range(0, len(items), 16):
+        detect_logits, _ = _chunk_logits(model, items[lo : lo + 16])
+        for i, (_, pdg) in enumerate(items[lo : lo + 16]):
+            open_gate = explain.masked_adjacency(pdg, Tensor(np.ones(len(pdg.edges))))
+            got = graph_logits(open_gate, Tensor(seen[lo + i]), model.store).data
+            assert np.array_equal(got, detect_logits.data[i : i + 1]), pdg.method
+            ((_, _, alone),) = forward_methods(model, [("m", pdg)])
+            moved += not np.array_equal(alone.data, seen[lo + i])
+    assert moved  # the chunk's matrices are not those of encoding a method alone
+
+
+def test_explain_encodes_each_method_once(untrained, monkeypatch, tmp_path):
+    entries, _, args = untrained
+    calls = collections.Counter()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vulgraph") and hasattr(module, "encode_method_batch"):
+            encode = module.encode_method_batch
+
+            def counting(pdgs, *rest, encode=encode, **kw):
+                calls.update(p.method for p in pdgs)
+                return encode(pdgs, *rest, **kw)
+
+            monkeypatch.setattr(module, "encode_method_batch", counting)
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert calls == collections.Counter(e.pdg.method for e in entries)
 
 
 def test_explain_unknown_method_is_validation_error(pipeline, capsys):
@@ -411,6 +469,59 @@ def test_mine_requires_abstract_graphs(tmp_path, capsys):
     assert "abstract" in capsys.readouterr().err
 
 
+def _drop(key):
+    def damage(rows):
+        del rows[0][key]
+        return rows
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [
+        ("evaluate-detections", lambda report: {"methods": _drop("method")(report["methods"])}),
+        ("evaluate-detections", lambda report: report["methods"]),  # a bare list is not a report
+        ("evaluate-explanations", _drop("statements")),
+        ("evaluate-explanations", lambda rows: {"explanations": rows}),
+        ("mine", lambda rows: [dict(rows[0], abstract={"nodes": 5, "edges": []})]),
+        ("mine", lambda rows: {"explanations": rows}),  # only the list explain writes
+        ("mine", lambda rows: [7]),
+    ],
+    ids=[
+        "row_without_method", "bare_detection_list", "row_without_statements",
+        "wrapped_explanations", "abstract_nodes_not_a_list", "wrapped_for_mine", "row_not_an_object",
+    ],
+)
+def test_malformed_report_files_are_validation_errors(pipeline, tmp_path, capsys, command, damage):
+    which = "detections" if command == "evaluate-detections" else "explanations"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(damage(json.loads(pipeline[which].read_text()))), encoding="utf-8")
+    if command == "mine":
+        args = ["mine", str(bad)]
+    else:
+        files = {"detections": pipeline["detections"], "explanations": pipeline["explanations"], which: bad}
+        args = [
+            "evaluate", "--corpus", str(pipeline["test_corpus"]),
+            "--detections", str(files["detections"]), "--explanations", str(files["explanations"]),
+        ]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_train_rejects_zero_epochs(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--n", "24", "--seed", "3", "--out", str(corpus)]) == 0
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(dict(FAST_CONFIG, epochs=0)), encoding="utf-8")
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(["train", str(corpus), "--out", str(model), "--config", str(cfg)]) == 1
+    assert "epochs" in capsys.readouterr().err
+    assert not model.exists()
+
+
 # --- developer utilities ----------------------------------------------------
 
 
@@ -470,7 +581,7 @@ def test_corrupt_checkpoint_is_validation_error(pipeline, tmp_path, capsys):
 def test_malformed_checkpoint_metadata_is_validation_error(pipeline, tmp_path, capsys, damage):
     entries = load_corpus(pipeline["test_corpus"])
     vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     meta = {"threshold": 0.5, "vocab": vocab.to_dict(), "encoder_config": cfg.to_dict()}
     damage(meta)
     bad = tmp_path / "model.json"

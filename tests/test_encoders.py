@@ -18,7 +18,7 @@ from vulgraph.rng import Rng
 
 from oracles import finite_diff, gauss, per_step_gru, rel_err
 
-CFG = EncoderConfig(embed_dim=6, gru_hidden=5, tree_hidden=5, stmt_dim=7)
+CFG = EncoderConfig(embed_dim=6, gru_hidden=5, stmt_dim=7)
 
 SRC = """
 int scan(int num) {
@@ -170,7 +170,7 @@ def test_tree_lstm_matches_recursive_reference():
     p = {k: store[f"tree.{k}"].data for k in ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")}
     embed = store["embed.table"].data
     got = TreeLstm(store).encode_forest([b.ast for b in bundles], vocab, store["embed.table"])
-    assert got.data.shape == (len(bundles), CFG.tree_hidden)
+    assert got.data.shape == (len(bundles), CFG.gru_hidden)
     for row, b in enumerate(bundles):
         expect, _ = ref_tree(p, embed, vocab, b.ast)
         assert rel_err(got.data[row], expect) < 1e-10, f"stmt {b.index}"
@@ -337,6 +337,6 @@ def test_end_to_end_gradients_match_finite_differences():
 def test_config_validation():
     with pytest.raises(ConfigError):
         EncoderConfig(embed_dim=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # the tree width is gru_hidden, not a knob
         EncoderConfig(gru_hidden=8, tree_hidden=16)
     assert EncoderConfig().concat_dim == 48

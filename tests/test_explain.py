@@ -16,7 +16,6 @@ from vulgraph.explain import (
     extract_subgraph,
     learn_edge_mask,
     masked_adjacency,
-    method_features,
 )
 from vulgraph.fagcn import (
     DetectionModel,
@@ -33,9 +32,9 @@ from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 
 import oracles
-from oracles import TooManyEdges, brute_force_minimal_subgraph, hard_subset_score, rel_err
+from oracles import TooManyEdges, brute_force_minimal_subgraph, hard_subset_score, rel_err, statement_matrix
 
-CFG = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+CFG = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
 
 GUARDED_TMPL = """
 int reader_{i}(int src) {{
@@ -119,7 +118,7 @@ def fitted_model(corpus, vocab):
 def flip_fixture(demo, fitted_model):
     """Threshold placed between the two largest leave-one-out scores, so
     removing exactly one edge flips the decision of the full graph."""
-    feats = method_features(demo, fitted_model)
+    feats = statement_matrix(demo, fitted_model)
     n = len(demo.edges)
     full = hard_subset_score(demo, fitted_model, range(n), feats)
     loo = np.array(
@@ -143,14 +142,14 @@ def flip_fixture(demo, fitted_model):
 @pytest.fixture(scope="module")
 def flip_mask(demo, flip_fixture):
     pinned, _, _, _ = flip_fixture
-    return learn_edge_mask(demo, pinned, "NV")
+    return learn_edge_mask(demo, pinned, "NV", feats=statement_matrix(demo, pinned))
 
 
 def test_open_mask_matches_unmasked_prediction(demo, vocab):
     n_edges = len(demo.edges)
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
-        feats = method_features(demo, model)
+        feats = statement_matrix(demo, model)
         full = graph_logits(normalized_adjacency(demo), feats, model.store).softmax(axis=1).data
         edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
         assert np.abs(full - edgeless).max() > 1e-6  # prediction does depend on edges
@@ -162,7 +161,7 @@ def test_closed_mask_matches_edgeless_prediction(demo, vocab):
     n_edges = len(demo.edges)
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
-        feats = method_features(demo, model)
+        feats = statement_matrix(demo, model)
         edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
         closed = _masked_probs(demo, model, np.full(n_edges, -20.0), feats)
         assert np.abs(closed.data - edgeless).max() <= 1e-6
@@ -206,7 +205,7 @@ def test_open_gate_adjacency_is_the_detector_adjacency(demo):
 def test_full_edge_set_score_is_the_detector_score(corpus, fitted_model):
     items, _ = corpus
     for _, pdg in items:
-        feats = method_features(pdg, fitted_model)
+        feats = statement_matrix(pdg, fitted_model)
         (_, score), = score_methods(fitted_model, [("m", pdg)])
         assert hard_subset_score(pdg, fitted_model, range(len(pdg.edges)), feats) == score
 
@@ -215,7 +214,7 @@ def test_misaligned_mask_rejected(demo, vocab):
     model = new_model(vocab, CFG, seed=0)
     bad = EdgeMask(logits=Tensor(np.zeros(len(demo.edges) + 1)))
     with pytest.raises(MaskMisaligned):
-        _masked_probs(demo, model, bad.logits.data, method_features(demo, model))
+        _masked_probs(demo, model, bad.logits.data, statement_matrix(demo, model))
     with pytest.raises(MaskMisaligned):
         extract_subgraph(demo, bad, k=2)
 
@@ -226,7 +225,7 @@ def test_single_free_edge_monotone_response():
     chain = pdg_from_source(CHAIN_SRC)
     cvocab = build_vocabulary([extract_method_features(chain)])
     model = new_model(cvocab, CFG, seed=3)
-    feats = method_features(chain, model)
+    feats = statement_matrix(chain, model)
     scores = []
     for m in range(-4, 5):
         probs = _masked_probs(chain, model, np.array([float(m), 20.0]), feats)
@@ -246,7 +245,7 @@ def test_decision_flipping_edge_gets_highest_mask(demo, flip_fixture, flip_mask)
 
 def test_learn_edge_mask_leaves_detector_gradients_alone(demo, vocab):
     model = new_model(vocab, CFG, seed=0)
-    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=3))
+    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=3), feats=statement_matrix(demo, model))
     assert all(t.grad is None for _, t in model.store.items())
 
 
@@ -273,15 +272,15 @@ def test_explain_tape_does_not_grow_with_edges(monkeypatch, vocab):
 
     monkeypatch.setattr(Tensor, "backward", counting)
     model = new_model(vocab, CFG, seed=0)
-    learn_edge_mask(small, model, "V", ExplainConfig(iterations=2))
-    learn_edge_mask(large, model, "V", ExplainConfig(iterations=2))
+    for pdg in (small, large):
+        learn_edge_mask(pdg, model, "V", ExplainConfig(iterations=2), feats=statement_matrix(pdg, model))
     assert len(counts) == 4 and len(set(counts)) == 1
 
 
 def test_parallel_symmetric_edges_get_equal_masks(vocab):
     pdg = _parallel_edge_pdg()
     model = new_model(vocab, CFG, seed=3)
-    mask = learn_edge_mask(pdg, model, "V", ExplainConfig(iterations=80))
+    mask = learn_edge_mask(pdg, model, "V", ExplainConfig(iterations=80), feats=statement_matrix(pdg, model))
     vals = mask.values()
     assert abs(vals[0] - vals[1]) <= 1e-6
     assert abs(mask.logits.data[0] - 1.0) > 0.5  # the pair moved, not a frozen no-op
@@ -292,7 +291,7 @@ def test_edge_insensitive_prediction_keeps_mask_at_init(demo, vocab):
     model = new_model(vocab, CFG, seed=2)
     model.store["gcn.w1"].data[:] = 0.0  # conv output constant in the adjacency
     cfg = ExplainConfig(iterations=40, sparsity_weight=0.0, entropy_weight=0.0)
-    mask = learn_edge_mask(demo, model, "V", cfg)
+    mask = learn_edge_mask(demo, model, "V", cfg, feats=statement_matrix(demo, model))
     assert np.array_equal(mask.logits.data, np.ones(len(demo.edges)))
     assert len(set(mask.loss_trace)) == 1
 
@@ -305,7 +304,7 @@ def test_mask_range_and_loss_trace_statistics(demo, vocab):
     for seed in range(5):
         model = new_model(vocab, CFG, seed=seed)
         for pdg in (demo, chain):
-            mask = learn_edge_mask(pdg, model, "V", short)
+            mask = learn_edge_mask(pdg, model, "V", short, feats=statement_matrix(pdg, model))
             vals = mask.values()
             assert np.all(vals > 0.0) and np.all(vals < 1.0)
             assert np.all(np.abs(mask.logits.data) <= 30.0)
@@ -398,7 +397,7 @@ def test_learned_mask_close_to_exhaustive_optimum(demo, flip_fixture, flip_mask)
 
 def test_learning_is_deterministic(demo, flip_fixture, flip_mask):
     pinned, _, _, _ = flip_fixture
-    again = learn_edge_mask(demo, pinned, "NV")
+    again = learn_edge_mask(demo, pinned, "NV", feats=statement_matrix(demo, pinned))
     assert np.array_equal(flip_mask.logits.data, again.logits.data)
     assert flip_mask.loss_trace == again.loss_trace
 
@@ -439,12 +438,12 @@ def test_learned_masks_are_bitwise_the_per_op_tape():
     cases = [(pdg, 60) for _, pdg in items[40:]] + [(pdg, 4) for pdg in _large_methods()]
     for pdg, iterations in cases:
         config = ExplainConfig(iterations=iterations)
+        feats = statement_matrix(pdg, model)
         for decision in ("V", "NV"):
-            got = learn_edge_mask(pdg, model, decision, config)
-            want = oracles.learn_edge_mask(pdg, model, decision, config)
+            got = learn_edge_mask(pdg, model, decision, config, feats=feats)
+            want = oracles.learn_edge_mask(pdg, model, decision, config, feats=feats)
             assert np.array_equal(got.logits.data, want.logits.data), (pdg.method, decision)
             assert got.loss_trace == want.loss_trace, (pdg.method, decision)
-        feats = method_features(pdg, model)
         logits = np.linspace(-3.0, 3.0, len(pdg.edges))
         assert np.array_equal(
             _masked_probs(pdg, model, logits, feats).data,

@@ -14,7 +14,6 @@ from vulgraph.fagcn import (
     balanced_training_pairs,
     best_threshold,
     detection_report,
-    fit_threshold,
     graph_logits,
     init_model_params,
     load_model,
@@ -189,7 +188,7 @@ def test_head_gradients_match_finite_differences():
     # 3-statement method, end-to-end from feature matrix through the class head
     rng = Rng(7)
     store = ParamStore()
-    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=5)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=5)
     init_model_params(store, rng, vocab_size=11, cfg=cfg, d2=6)
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
     feats = np.array([[gauss(rng) for _ in range(5)] for _ in range(3)])
@@ -307,7 +306,7 @@ def test_balanced_pairs_drop_remainder():
 def test_train_one_epoch_improves_loss_most_seeds():
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     improved = 0
     for seed in range(10):
         model = new_model(vocab, cfg, seed=seed)
@@ -358,7 +357,7 @@ def test_train_extracts_features_once_per_method(monkeypatch):
             return extract(pdg)
 
         monkeypatch.setattr(module, "extract_method_features", counting)
-    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, tree_hidden=4, stmt_dim=5)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=5)
     model, _ = train(items, items[:6], labels, cfg, TrainConfig(epochs=3, batch_size=4, patience=5))
     assert sorted(seen) == sorted(id(p) for _, p in items)
     # the vocabulary comes from those same bundles
@@ -368,13 +367,15 @@ def test_train_extracts_features_once_per_method(monkeypatch):
 def test_train_is_deterministic_and_logs():
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     tc = TrainConfig(epochs=3, batch_size=4, seed=5)
     m1, log1 = train(items, items, labels, cfg, tc)
     m2, log2 = train(items, items, labels, cfg, tc)
     assert log1 == log2  # identical floats, bit for bit
     assert [e["epoch"] for e in log1] == [1, 2, 3]
     assert m1.threshold == m2.threshold
+    # fit on the restored epoch's tuning scores
+    assert m1.threshold == best_threshold(score_methods(m1, items), labels)
     for name, t in m1.store.items():
         assert np.array_equal(t.data, m2.store[name].data)
     with pytest.raises(EmptySplit):
@@ -384,7 +385,7 @@ def test_train_is_deterministic_and_logs():
 def test_classify_boundary_and_roundtrip(tmp_path):
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
-    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12)
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     model, _ = train(items, items, labels, cfg, TrainConfig(epochs=2, batch_size=4, seed=1))
     (_, score), = score_methods(model, [("m", items[0][1])])
     assert 0.0 < score < 1.0
@@ -406,8 +407,8 @@ def test_classify_boundary_and_roundtrip(tmp_path):
 def test_scores_are_the_softmax_of_the_training_logits():
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
-    model = new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12), seed=4)
-    logits = _chunk_logits(model, items)
+    model = new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12), seed=4)
+    logits, _ = _chunk_logits(model, items)
     probs = logits.softmax(axis=1).data
     assert score_methods(model, items) == [(mid, float(p)) for (mid, _), p in zip(items, probs[:, 1])]
     # the training loss is the cross-entropy of those same logits
@@ -423,7 +424,5 @@ def test_scores_are_the_softmax_of_the_training_logits():
 
 def test_fit_threshold_requires_data():
     items, labels = _toy_corpus()
-    vocab = _toy_vocab(items)
-    model = new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, tree_hidden=8, stmt_dim=12))
     with pytest.raises(EmptySplit):
-        fit_threshold(model, [], labels)
+        train(items, [], labels, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12))
