@@ -24,18 +24,16 @@ MAGIC = b"IVDCKPT1"
 
 
 def save_checkpoint(path: str | Path, store: ParamStore, meta: dict | None = None) -> None:
-    arrays: list[np.ndarray] = []
     offset = 0
     params_manifest = []
     for name, tensor in store.items():
-        arrays.append(tensor.data)
         params_manifest.append(
             {"name": name, "shape": list(tensor.data.shape), "offset": offset}
         )
         offset += tensor.data.size
     manifest = {"version": 1, "params": params_manifest, "meta": meta or {}}
     manifest_bytes = dump_json(manifest).encode("utf-8")
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    blob = store.values.astype("<f8", copy=False).tobytes()  # manifest order
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(manifest_bytes)))
@@ -60,16 +58,17 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
-    blob = np.frombuffer(raw[manifest_end:], dtype="<f8")
+    blob = np.frombuffer(memoryview(raw)[manifest_end:], dtype="<f8")
 
     def read(offset: int, shape: list[int]) -> np.ndarray:
         size = int(np.prod(shape)) if shape else 1
         if offset + size > blob.size:
             raise CheckpointError(f"{path}: blob shorter than manifest claims")
-        return np.array(blob[offset : offset + size], dtype=np.float64).reshape(shape)
+        return blob[offset : offset + size].reshape(shape)  # ParamStore.add copies it
 
     store = ParamStore()
     try:
+        store.reserve(sum(int(np.prod(entry["shape"])) for entry in manifest["params"]))
         for entry in manifest["params"]:
             store.add(entry["name"], read(entry["offset"], entry["shape"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,8 +13,13 @@ treated as immutable once created.
 Besides the elementwise, reduction and shape ops, gru_sequence records a whole
 masked GRU recurrence as one node with a hand-written backward through time.
 Other modules record their own fused nodes through Tensor._make the same way:
-the detector (fagcn.graph_logits), and the explainer's masked adjacency and
-loss (explain.masked_adjacency, explain.mask_loss).
+the Tree-LSTM forest (encoders.TreeLstm.encode_forest), the attention and
+fusion block (encoders.attend_and_fuse), the detector (fagcn.graph_logits),
+the training loss (fagcn.cross_entropy), and the explainer's masked adjacency
+and loss (explain.masked_adjacency, explain.mask_loss).
+
+A parameter (params.Parameter) accumulates its gradient into its slot of the
+ParamStore's flat gradient buffer rather than into an array of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +56,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    # One exp of a non-positive argument, so it never overflows; each branch
+    # is bitwise the textbook form for its sign.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Tensor:
@@ -73,9 +82,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
+    def _new_grad(self) -> np.ndarray:
+        """The zero array this tensor's gradient accumulates into."""
+        return np.zeros(self.data.shape)
+
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = self._new_grad()
         self.grad += grad
 
     @staticmethod
@@ -114,7 +127,7 @@ class Tensor:
         if params is not None:
             for tensor in params.tensors():
                 if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
+                    tensor.grad = tensor._new_grad()
 
     # --- elementwise arithmetic --------------------------------------------
 
@@ -345,7 +358,7 @@ class Tensor:
         def backward(out):
             if a.requires_grad:
                 if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
+                    a.grad = a._new_grad()
                 if fancy:
                     np.add.at(a.grad, key, out.grad)
                 else:
@@ -404,7 +417,7 @@ def rows(table: Tensor, indices: np.ndarray) -> Tensor:
     def backward(out):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                table.grad = table._new_grad()
             np.add.at(table.grad, idx, out.grad)
 
     return Tensor._make(table.data[idx].copy(), (table,), backward)

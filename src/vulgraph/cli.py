@@ -303,6 +303,9 @@ def cmd_evaluate(args) -> int:
         ranked = [RankedDetection(row["method"], row["score"], row["decision"], row["rank"]) for row in rows]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed detections row: {exc!r}") from exc
+    for r in ranked:
+        if isinstance(r.score, bool) or not isinstance(r.score, (int, float)):
+            raise SchemaError(f"malformed detections row: score {r.score!r} of {r.method!r} is not a number")
     unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
@@ -356,8 +359,16 @@ def cmd_mine(args) -> int:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed explanations row: {exc!r}") from exc
+    for graph in graphs:
+        ids = {i for i, _ in graph.nodes}
+        unknown = sorted({v for s, d, _ in graph.edges for v in (s, d)} - ids)
+        if unknown:
+            raise SchemaError(f"malformed explanations row: abstract edges name unknown nodes {unknown}")
     lo, hi = args.sizes
-    patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))
+    try:
+        patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))
+    except ValueError as exc:  # the miner's own checks of --min-support and --sizes
+        raise ConfigError(str(exc)) from exc
     table = pattern_count_table(graphs, supports=list(TABLE_GRID), sizes=list(TABLE_GRID))
     report = {
         "min_support": cfg.min_support,
@@ -380,7 +391,9 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck(seed=args.seed if args.seed is not None else 0)
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    results = run_gradcheck(seed=args.seed)
     sys.stdout.write(dump_json(results, indent=2))
     ok = all_passed(results)
     _log(f"gradcheck: {sum(r['pass'] for r in results)}/{len(results)} ops pass")

@@ -21,6 +21,12 @@ Everything here is batched: encode_method_batch processes all statements of
 many methods in one tensor program. Each GRU reads its whole input sequence
 from one gather (or, for the attention Bi-GRU, one concat) and runs as one
 autodiff op, gru_sequence, so its recurrence adds a single node to the tape.
+The Tree-LSTM over the whole forest (TreeLstm.encode_forest) and everything
+from the six feature matrices and the two attention states to the statement
+matrix (attend_and_fuse) are one node each as well, with hand-written
+backwards that repeat the numpy steps of the one-node-per-op tape in its
+order, so their values and gradients are bitwise that tape's. A training
+batch of eight methods records about 35 nodes.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, concat, glorot, gru_sequence, rows
+from .autodiff.tensor import _sigmoid
 from .errors import ConfigError, EmptyTree
 from .features import (
     StatementFeatureBundle,
@@ -100,7 +107,8 @@ _TREE_GATES = ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu",
 
 
 class TreeLstm:
-    """Child-sum Tree-LSTM batched by node height across a forest."""
+    """Child-sum Tree-LSTM (Tai et al., ACL 2015) batched by node height
+    across a forest."""
 
     def __init__(self, store: ParamStore, prefix: str = "tree"):
         self.p = {g: store[f"{prefix}.{g}"] for g in _TREE_GATES}
@@ -114,68 +122,133 @@ class TreeLstm:
             store.add(f"{prefix}.b{gate}", np.zeros(hidden))
 
     def encode_forest(self, trees: list, vocab: Vocabulary, embed: Tensor) -> Tensor:
-        """Encode every tree bottom-up; returns root hidden states [n, hidden]."""
+        """Encode every tree bottom-up; returns root hidden states [n, hidden].
+
+        One tape node, whose backward runs the levels top-down and sends
+        gradients to the embedding table and the twelve gate parameters.
+        Each level takes the numpy steps of the per-op tape, and every
+        gradient, the table's row by row, adds up in that tape's order, so
+        values and gradients are bitwise its. Per-level intermediates are
+        kept only when an input requires grad."""
         if not trees or any(not t for t in trees):
             raise EmptyTree("cannot encode an empty syntax tree")
-        labels: list[int] = []  # vocab id per flattened node
-        children: list[list[int]] = []
-        roots: list[int] = []
+        labels: list[int] = []  # vocab id per node, children before parents
+        heights: list[int] = []
+        edges: list[tuple[int, int]] = []  # (parent, child), parent by parent
+        label_ids: dict[str, int] = {}
 
         def flatten(node) -> int:
-            child_rows = [flatten(c) for c in node[1]]
-            labels.append(vocab.id(normalize_ast_label(node[0])))
-            children.append(child_rows)
-            return len(labels) - 1
+            kids = [flatten(c) for c in node[1]]
+            if node[0] not in label_ids:
+                label_ids[node[0]] = vocab.id(normalize_ast_label(node[0]))
+            j = len(labels)
+            labels.append(label_ids[node[0]])
+            heights.append(1 + max([heights[k] for k in kids], default=-1))
+            edges.extend((j, k) for k in kids)
+            return j
 
-        for tree in trees:
-            roots.append(flatten(tree))
+        roots = [flatten(tree) for tree in trees]
+        node_label = np.array(labels, dtype=np.int64)
+        height = np.array(heights, dtype=np.int64)
+        parent, child = np.array(edges, dtype=np.int64).reshape(-1, 2).T
 
-        height = [0] * len(labels)
-        for j, kids in enumerate(children):  # children are flattened first
-            height[j] = 1 + max((height[k] for k in kids), default=-1)
-        order: dict[int, list[int]] = {}
-        for j, lvl in enumerate(height):
-            order.setdefault(lvl, []).append(j)
-
-        p = self.p
-        hid = self.hidden
-        h_rows = np.zeros((len(labels),), dtype=np.int64)  # node -> row in h_all
-        h_all: Tensor | None = None
-        c_all: Tensor | None = None
+        params = tuple(self.p[g] for g in _TREE_GATES)
+        wi, ui, bi, wf, uf, bf, wo, uo, bo, wu, uu, bu = (t.data for t in params)
+        p_wi, p_ui, p_bi, p_wf, p_uf, p_bf, p_wo, p_uo, p_bo, p_wu, p_uu, p_bu = params
+        table = embed.data
+        record = any(t.requires_grad for t in (embed, *params))
+        # every node's h and c, one height after another (a node's children
+        # are lower, so they are filled before it)
+        h_all = np.empty((len(labels), self.hidden))
+        c_all = np.empty((len(labels), self.hidden))
+        row_of = np.empty(len(labels), dtype=np.int64)
+        slot = np.empty(len(labels), dtype=np.int64)  # a node's place in its level
+        levels = []
         done = 0
-        for lvl in sorted(order):
-            nodes = order[lvl]
+        for lvl in range(int(height.max()) + 1):  # no level is empty
+            nodes = np.flatnonzero(height == lvl)
             m = len(nodes)
-            x = rows(embed, np.array([labels[j] for j in nodes], dtype=np.int64))
-            pairs = [(pi, j, k) for pi, j in enumerate(nodes) for k in children[j]]
-            if pairs:
-                child_idx = np.array([h_rows[k] for _, _, k in pairs], dtype=np.int64)
-                h_kids = rows(h_all, child_idx)
-                c_kids = rows(c_all, child_idx)
-                x_kids = rows(
-                    embed, np.array([labels[j] for _, j, _ in pairs], dtype=np.int64)
-                )
-                f = (x_kids @ p["wf"] + h_kids @ p["uf"] + p["bf"]).sigmoid()
-                gather = np.zeros((m, len(pairs)))
-                for col, (pi, _, _) in enumerate(pairs):
-                    gather[pi, col] = 1.0
-                sel = Tensor(gather)
+            at = slice(done, done + m)
+            row_of[nodes] = np.arange(done, done + m)
+            slot[nodes] = np.arange(m)
+            ids = node_label[nodes]
+            x = table[ids]
+            if lvl:
+                here = height[parent] == lvl
+                kid_rows, kid_ids = row_of[child[here]], node_label[parent[here]]
+                h_kids, c_kids, x_kids = h_all[kid_rows], c_all[kid_rows], table[kid_ids]
+                f = _sigmoid(x_kids @ wf + h_kids @ uf + bf)
+                sel = np.zeros((m, len(kid_rows)))  # sums each node's children
+                sel[slot[parent[here]], np.arange(len(kid_rows))] = 1.0
                 h_sum = sel @ h_kids
                 fc_sum = sel @ (f * c_kids)
-            else:
-                h_sum = Tensor(np.zeros((m, hid)))
-                fc_sum = Tensor(np.zeros((m, hid)))
-            i = (x @ p["wi"] + h_sum @ p["ui"] + p["bi"]).sigmoid()
-            o = (x @ p["wo"] + h_sum @ p["uo"] + p["bo"]).sigmoid()
-            u = (x @ p["wu"] + h_sum @ p["uu"] + p["bu"]).tanh()
+                kids = (kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel)
+            else:  # the leaves
+                h_sum = np.zeros((m, self.hidden))
+                fc_sum = np.zeros((m, self.hidden))
+                kids = None
+            i = _sigmoid(x @ wi + h_sum @ ui + bi)
+            o = _sigmoid(x @ wo + h_sum @ uo + bo)
+            u = np.tanh(x @ wu + h_sum @ uu + bu)
             c = i * u + fc_sum
-            h = o * c.tanh()
-            for pi, j in enumerate(nodes):
-                h_rows[j] = done + pi
-            h_all = h if h_all is None else concat([h_all, h], axis=0)
-            c_all = c if c_all is None else concat([c_all, c], axis=0)
+            tanh_c = np.tanh(c)
+            h_all[at], c_all[at] = o * tanh_c, c
+            if record:
+                levels.append((at, ids, x, h_sum, i, o, u, tanh_c, kids))
             done += m
-        return rows(h_all, np.array([h_rows[r] for r in roots], dtype=np.int64))
+        root_rows = row_of[roots]
+
+        def add_rows(t: Tensor, idx: np.ndarray, grad: np.ndarray) -> None:
+            # as rows() does: repeated indices add one after another
+            if t.grad is None:
+                t.grad = t._new_grad()
+            np.add.at(t.grad, idx, grad)
+
+        def backward(out):
+            d_h = np.zeros_like(h_all)
+            d_c = np.zeros_like(c_all)
+            d_h[root_rows] = out.grad
+            for at, ids, x, h_sum, i, o, u, tanh_c, kids in reversed(levels):
+                d_o = d_h[at] * tanh_c
+                dc = d_h[at] * o * (1.0 - tanh_c * tanh_c) + d_c[at]
+                d_i, d_u = dc * u, dc * i
+                d_ai = d_i * i * (1.0 - i)
+                d_ao = d_o * o * (1.0 - o)
+                d_au = d_u * (1.0 - u * u)
+                for (p_w, p_u, p_b), d_pre in (
+                    ((p_wo, p_uo, p_bo), d_ao), ((p_wi, p_ui, p_bi), d_ai), ((p_wu, p_uu, p_bu), d_au)
+                ):
+                    if p_b.requires_grad:
+                        p_b._accumulate(d_pre.sum(axis=0))
+                    if p_w.requires_grad:
+                        p_w._accumulate(x.T @ d_pre)
+                    if p_u.requires_grad:
+                        p_u._accumulate(h_sum.T @ d_pre)
+                if embed.requires_grad:
+                    d_x = d_ao @ wo.T
+                    d_x += d_ai @ wi.T
+                    d_x += d_au @ wu.T
+                    add_rows(embed, ids, d_x)
+                if kids is None:
+                    continue
+                kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel = kids
+                d_sum = d_ao @ uo.T
+                d_sum += d_ai @ ui.T
+                d_sum += d_au @ uu.T
+                d_fc = sel.T @ dc
+                d_af = d_fc * c_kids * f * (1.0 - f)
+                if p_bf.requires_grad:
+                    p_bf._accumulate(d_af.sum(axis=0))
+                if p_wf.requires_grad:
+                    p_wf._accumulate(x_kids.T @ d_af)
+                if p_uf.requires_grad:
+                    p_uf._accumulate(h_kids.T @ d_af)
+                if embed.requires_grad:
+                    add_rows(embed, kid_ids, d_af @ wf.T)
+                d_h[kid_rows] += sel.T @ d_sum + d_af @ uf.T
+                d_c[kid_rows] += d_fc * f
+
+        return Tensor._make(h_all[root_rows], (embed, *params), backward)
 
 
 def init_encoder_params(
@@ -205,23 +278,6 @@ def init_encoder_params(
 
 
 # --- batched method encoding ------------------------------------------------------
-
-
-def _attention_scores(features: list[Tensor], store: ParamStore) -> Tensor:
-    """Per-feature attention scores [batch, n_features].
-
-    A Bi-GRU reads the feature sequence into a shared context (final state of
-    each direction); each feature is then scored additively against that
-    context, so identical features always tie."""
-    n = len(features)
-    fwd = Gru(store, "attn_fwd").run(concat(features), n)
-    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), n)
-    ctx = concat([fwd, bwd], axis=1) @ store["attn.ctx_w"]
-    cols = []
-    for f in features:
-        e = (f @ store["attn.q_w"] + ctx + store["attn.bias"]).tanh() @ store["attn.v"]
-        cols.append(e)
-    return concat(cols, axis=1)
 
 
 def _token_matrix(
@@ -255,15 +311,6 @@ def _run_context_gru(gru: Gru, f1: Tensor, contexts: list[list[int]]) -> Tensor:
         idx[: len(ctx), b] = ctx
         mask[: len(ctx), b] = 1.0
     return gru.run(rows(f1, idx.reshape(-1)), max_len, mask)
-
-
-def _weight_features(features: list[Tensor], weights: Tensor) -> list[Tensor]:
-    """Scale feature j of every statement by attention weight column j."""
-    out = []
-    for j, f in enumerate(features):
-        w_col = weights[:, j : j + 1]
-        out.append((f.transpose() * w_col.transpose()).transpose())
-    return out
 
 
 def _statement_features(
@@ -300,6 +347,112 @@ def _statement_features(
     return [f1, f2, f3, f4, f5, f6]
 
 
+# the attention and fusion parameters, in attend_and_fuse's order
+FUSE_PARAMS = (
+    "attn.q_w", "attn.ctx_w", "attn.bias", "attn.v",
+    "fuse.h_w", "fuse.h_b", "fuse.score_w", "fuse.score_b", "fuse.out_w", "fuse.out_b",
+)
+
+
+def attend_and_fuse(
+    features: list[Tensor], fwd: Tensor, bwd: Tensor, adj: np.ndarray, store: ParamStore
+) -> Tensor:
+    """The statement matrix [n, stmt_dim] from the per-statement feature
+    matrices, weighted by attention and fused over dependence neighbours.
+
+    Attention: the final states of the two Bi-GRU directions (fwd, bwd) form
+    a shared context, each feature is scored additively against it, and a
+    softmax over the features weights them. Fusion: each weighted feature is
+    widened to WIDEN_DIM by a shared layer, the concatenated rows g are
+    scored, and each statement takes the softmax of those scores over its
+    neighbours in `adj` (the 0/1 block-diagonal A + I of the chunk) as
+    weights for a sum of rows of g, then a final projection.
+
+    One tape node. Forward and backward take the numpy steps of the tape
+    built from one node per op, in its order and on arrays of its memory
+    layout, so values and gradients are bitwise that tape's. Intermediates
+    are kept only when an input requires grad."""
+    params = tuple(store[name] for name in FUSE_PARAMS)
+    q_w, ctx_w, bias, v, h_w, h_b, score_w, score_b, out_w, out_b = (p.data for p in params)
+    p_q_w, p_ctx_w, p_bias, p_v, p_h_w, p_h_b, p_score_w, p_score_b, p_out_w, p_out_b = params
+    feats = [f.data for f in features]
+    width = fwd.data.shape[1]
+    both = np.concatenate([fwd.data, bwd.data], axis=1)
+    ctx = both @ ctx_w
+    acts = [np.tanh(f @ q_w + ctx + bias) for f in feats]
+    scores = np.concatenate([act @ v for act in acts], axis=1)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn = e / e.sum(axis=1, keepdims=True)
+    weighted = [f * attn[:, j : j + 1] for j, f in enumerate(feats)]
+    g = np.concatenate([w @ h_w + h_b for w in weighted], axis=1)
+    fuse_scores = g @ score_w + score_b
+    exp_col = np.exp(fuse_scores - float(fuse_scores.max()))
+    numer = adj * exp_col.T
+    denom = numer.sum(axis=1, keepdims=True)
+    w_fuse = numer / denom
+    fused = w_fuse @ g
+    out = fused @ out_w + out_b
+
+    def backward(out_node):
+        d_out = out_node.grad
+        if p_out_b.requires_grad:
+            p_out_b._accumulate(d_out.sum(axis=0))
+        d_fused = d_out @ out_w.T
+        if p_out_w.requires_grad:
+            p_out_w._accumulate(fused.T @ d_out)
+        # w_fuse = (numer.T / denom.T).T on the per-op tape. A sum over an
+        # axis rounds according to memory layout, so each summed array is in
+        # C order, as on that tape (a product is when one factor is).
+        d_q = np.ascontiguousarray((d_fused @ g.T).T)
+        d_g = w_fuse.T @ d_fused
+        denom_row = denom.T
+        d_numer = (d_q / denom_row).T
+        d_denom_row = (-d_q * numer.T / (denom_row * denom_row)).sum(axis=0, keepdims=True)
+        d_numer += np.broadcast_to(d_denom_row.T, numer.shape)
+        d_exp_col = (d_numer * adj).sum(axis=0, keepdims=True).T
+        d_scores = d_exp_col * exp_col
+        if p_score_b.requires_grad:
+            p_score_b._accumulate(d_scores.sum(axis=0))
+        d_g += d_scores @ score_w.T
+        if p_score_w.requires_grad:
+            p_score_w._accumulate(g.T @ d_scores)
+        # weighted[j] = (f.T * attn[:, j].T).T on the per-op tape
+        d_attn = np.zeros_like(attn)
+        for j, (f, w) in enumerate(zip(features, weighted)):
+            d_wide = np.ascontiguousarray(d_g[:, j * WIDEN_DIM : (j + 1) * WIDEN_DIM])
+            if p_h_b.requires_grad:
+                p_h_b._accumulate(d_wide.sum(axis=0))
+            d_p = np.ascontiguousarray((d_wide @ h_w.T).T)
+            if p_h_w.requires_grad:
+                p_h_w._accumulate(w.T @ d_wide)
+            if f.requires_grad:
+                f._accumulate((d_p * attn[:, j : j + 1].T).T)
+            d_attn[:, j : j + 1] += (d_p * f.data.T).sum(axis=0, keepdims=True).T
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
+        d_ctx = np.zeros_like(ctx)
+        for j, (f, act) in enumerate(zip(features, acts)):
+            d_e = np.ascontiguousarray(d_scores[:, j : j + 1])
+            d_pre = (d_e @ v.T) * (1.0 - act * act)
+            if p_v.requires_grad:
+                p_v._accumulate(act.T @ d_e)
+            if p_bias.requires_grad:
+                p_bias._accumulate(d_pre.sum(axis=0))
+            d_ctx += d_pre
+            if f.requires_grad:
+                f._accumulate(d_pre @ q_w.T)
+            if p_q_w.requires_grad:
+                p_q_w._accumulate(f.data.T @ d_pre)
+        d_both = d_ctx @ ctx_w.T
+        if p_ctx_w.requires_grad:
+            p_ctx_w._accumulate(both.T @ d_ctx)
+        if fwd.requires_grad:
+            fwd._accumulate(d_both[:, :width])
+        if bwd.requires_grad:
+            bwd._accumulate(d_both[:, width:])
+
+    return Tensor._make(out, (*features, fwd, bwd, *params), backward)
+
+
 def dependence_adjacency(pdg: Pdg) -> np.ndarray:
     """The method's 0/1 (A + I) over its dependence edges, either direction."""
     a = np.eye(len(pdg.nodes))
@@ -332,21 +485,9 @@ def encode_method_batch(
     total = start
 
     features = _statement_features(bundle_lists, spans, vocab, store)
-    attn = _attention_scores(features, store).softmax(axis=1)
-    weighted = _weight_features(features, attn)
-
-    widened = [f @ store["fuse.h_w"] + store["fuse.h_b"] for f in weighted]
-    g = concat(widened, axis=1)
-    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
-
+    fwd = Gru(store, "attn_fwd").run(concat(features), N_FEATURES)
+    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), N_FEATURES)
     adj = np.zeros((total, total))
     for (s, e), pdg in zip(spans, pdgs):
         adj[s:e, s:e] = dependence_adjacency(pdg)
-    shift = float(scores.data.max())
-    exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
-    numer = Tensor(adj) * exp_row
-    denom = numer.sum(axis=1, keepdims=True)
-    w_fuse = (numer.transpose() / denom.transpose()).transpose()
-    fused = w_fuse @ g
-    out = fused @ store["fuse.out_w"] + store["fuse.out_b"]
-    return out, spans
+    return attend_and_fuse(features, fwd, bwd, adj, store), spans

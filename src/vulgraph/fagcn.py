@@ -114,7 +114,7 @@ def sym_normalize_grad(grad: np.ndarray, a: np.ndarray, saved: tuple) -> np.ndar
     d_d = d_d + (d.T @ d_scale).T
     d_root = -d_d / (root * root)
     d_degree = d_root * 0.5 * np.power(degree, -0.5)
-    return grad * scale + np.broadcast_to(d_degree, a.shape)
+    return grad * scale + d_degree
 
 
 def normalized_adjacency(pdg: Pdg) -> Tensor:
@@ -158,7 +158,7 @@ def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
     keep2 = t4 > 0
     h = t4 * keep2
     cols = np.arange(h.shape[1])
-    idx = np.array([start + np.argmax(h[start:end], axis=0) for start, end in _pool_rows(len(h))])
+    idx = np.array([start + h[start:end].argmax(axis=0) for start, end in _pool_rows(len(h))])
     z = h[idx, cols].reshape(1, -1)
     a1 = z @ f1 + b1
     keep3 = a1 > 0
@@ -185,7 +185,7 @@ def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
         if p_b1.requires_grad:
             p_b1._accumulate(g.sum(axis=0))
         pooled = (g @ f1.T).reshape(idx.shape)
-        g = np.zeros_like(h)
+        g = np.zeros(h.shape)
         for k in range(len(idx)):  # bin by bin, so shared rows sum in a fixed order
             g[idx[k], cols] += pooled[k]
         g = g * keep2
@@ -298,16 +298,34 @@ def balanced_training_pairs(items: list, labels: dict) -> list:
     return pos[:m] + neg[:m]
 
 
+def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Mean over the rows of -log softmax(logits)[row, y[row]], the
+    log-sum-exp taken about each row's max, as one tape node. Forward and
+    backward take the numpy steps of the tape built from one node per op, in
+    its order, so the loss and its gradient are bitwise that tape's."""
+    z = logits.data
+    picked = (np.arange(len(y)), y)
+    shift = z.max(axis=1, keepdims=True)
+    e = np.exp(z - shift)
+    total = e.sum(axis=1, keepdims=True)
+    losses = (np.log(total) + shift).reshape(len(y)) - z[picked]
+
+    def backward(out):
+        d = np.broadcast_to(out.grad, losses.shape) / losses.size
+        d_total = d.reshape(total.shape) / total
+        grad = np.broadcast_to(d_total, e.shape) * e
+        grad[picked] += -d
+        logits._accumulate(grad)
+
+    return Tensor._make(np.asarray(losses.mean()), (logits,), backward)
+
+
 def _batch_loss(
     model: DetectionModel, batch: list, labels: dict, bundles: dict | None = None
 ) -> Tensor:
     logits, _ = _chunk_logits(model, batch, bundles)
     y = np.array([1 if labels[mid] == "V" else 0 for mid, _ in batch], dtype=np.int64)
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    shifted = (logits.transpose() - shift.transpose()).transpose()
-    lse = shifted.exp().sum(axis=1, keepdims=True).log() + shift
-    picked = logits[np.arange(len(batch)), y]
-    return (lse.reshape(len(batch)) - picked).mean()
+    return cross_entropy(logits, y)
 
 
 def train(
@@ -363,15 +381,14 @@ def train(
         )
         if tune_auc > best_auc + 1e-12:
             best_auc = tune_auc
-            best_snapshot = {name: t.data.copy() for name, t in model.store.items()}
+            best_snapshot = model.store.values.copy()
             best_scored = scored
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
-    for name, t in model.store.items():
-        t.data[...] = best_snapshot[name]
+    model.store.values[...] = best_snapshot
     model.threshold = best_threshold(best_scored, labels)
     return model, log
 

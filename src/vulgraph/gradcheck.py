@@ -12,8 +12,10 @@ import zlib
 import numpy as np
 
 from .autodiff import Tensor, concat, gru_sequence, rows
+from .encoders import _TREE_GATES, FUSE_PARAMS, WIDEN_DIM, TreeLstm, attend_and_fuse
 from .explain import ExplainConfig, mask_loss, masked_adjacency
-from .fagcn import HEAD_PARAMS, graph_logits
+from .fagcn import HEAD_PARAMS, cross_entropy, graph_logits
+from .features import Vocabulary
 from .frontend import PdgEdge, pdg_from_source
 
 TOLERANCE = 1e-4
@@ -53,6 +55,17 @@ _GRU_SHAPES = [(2, 2), (2, 2), (2,)] * 3
 # graph_logits: 2 statement features, 4 hidden units, head widths 3 and 2;
 # positive head weights keep every head unit active
 _HEAD_SHAPES = [(2, 4), (4, 4), (7 * 4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
+# encode_forest: three trees over a 5-label table, one of them a lone leaf
+_FOREST = [["a", [["b", []], ["c", [["a", []], ["b", []]]]]], ["b", []], ["c", [["c", []]]]]
+_FOREST_VOCAB = Vocabulary({"a": 2, "b": 3, "c": 4})
+_TREE_SHAPES = [(2, 2), (2, 2), (2,)] * 4
+# attend_and_fuse: three features of three statements, width 2; statements
+# 0 and 1 are neighbours
+_FUSE_ADJ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_FUSE_SHAPES = [
+    (2, 2), (4, 2), (2,), (2, 1),
+    (2, WIDEN_DIM), (WIDEN_DIM,), (3 * WIDEN_DIM, 1), (1,), (3 * WIDEN_DIM, 2), (2,),
+]
 
 
 def _cases(seed: int):
@@ -138,6 +151,22 @@ def _cases(seed: int):
             lambda a: s(masked_adjacency(parallel, a.sigmoid()), w33),
             lambda: [r(3)],
         ),
+        (
+            "encode_forest",
+            lambda table, *w: s(
+                TreeLstm({f"tree.{g}": t for g, t in zip(_TREE_GATES, w)}).encode_forest(_FOREST, _FOREST_VOCAB, table),
+                w32,
+            ),
+            lambda: [r(5, 2)] + [r(*shape) for shape in _TREE_SHAPES],
+        ),
+        (
+            "attend_and_fuse",
+            lambda f1, f2, f3, fwd, bwd, *w: s(
+                attend_and_fuse([f1, f2, f3], fwd, bwd, _FUSE_ADJ, dict(zip(FUSE_PARAMS, w))), w32
+            ),
+            lambda: [r(3, 2) for _ in range(5)] + [r(*shape) for shape in _FUSE_SHAPES],
+        ),
+        ("cross_entropy", lambda z: cross_entropy(z, np.array([1, 0, 1])), lambda: [r(3, 2)]),
         (
             "mask_loss",
             lambda head, a: mask_loss(head, a.sigmoid(), 1, ExplainConfig()),

@@ -4,8 +4,9 @@ Everything here is deliberately naive: exhaustive simple-path enumeration for
 dependences, literal formula transcriptions for ranking metrics, central
 finite differences for gradients, exhaustive subset search for explanation
 subgraphs, one tape node per elementwise op for the fused autodiff ops (the
-GRU recurrence, the detector head, the masked adjacency and the explainer's
-loss). Some helpers wrap package code instead: the explanation search scores
+GRU recurrence, the Tree-LSTM forest, the attention and fusion block, the
+detector head, the training loss, the masked adjacency and the explainer's
+loss), and Adam one parameter tensor at a time. Some helpers wrap package code instead: the explanation search scores
 each subset with the detector itself, canonical_code applies the miner's
 canonical form to a whole graph, and the per-op explainer reuses the
 package's slot table and Adam step, which the fused explainer shares with
@@ -474,6 +475,172 @@ def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
     return EdgeMask(logits=Tensor(logits.data.copy()), loss_trace=trace)
+
+
+# --- per-op references for the encoder, the training loss and Adam -----------------
+# The package records the Tree-LSTM forest, the attention and fusion block,
+# and the training cross-entropy as one tape node each, and updates all
+# parameters with one elementwise Adam step over a flat buffer; these are
+# the one-node-per-op and tensor-by-tensor forms they are held to bit for bit.
+
+
+def sigmoid_two_branch(x):
+    """The logistic function with one exp per branch, both evaluated."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def encode_forest(tree_lstm, trees, vocab, embed):
+    """TreeLstm.encode_forest level by level on the per-op tape: every node
+    of one height is one batch, its children's states are gathered, and the
+    levels' states are concatenated."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, concat, rows
+    from vulgraph.features import normalize_ast_label
+
+    labels, children, roots = [], [], []
+
+    def flatten(node):
+        child_rows = [flatten(c) for c in node[1]]
+        labels.append(vocab.id(normalize_ast_label(node[0])))
+        children.append(child_rows)
+        return len(labels) - 1
+
+    for tree in trees:
+        roots.append(flatten(tree))
+    height = [0] * len(labels)
+    for j, kids in enumerate(children):
+        height[j] = 1 + max((height[k] for k in kids), default=-1)
+    order = {}
+    for j, lvl in enumerate(height):
+        order.setdefault(lvl, []).append(j)
+
+    p = tree_lstm.p
+    hid = tree_lstm.hidden
+    h_rows = np.zeros((len(labels),), dtype=np.int64)
+    h_all = c_all = None
+    done = 0
+    for lvl in sorted(order):
+        nodes = order[lvl]
+        m = len(nodes)
+        x = rows(embed, np.array([labels[j] for j in nodes], dtype=np.int64))
+        pairs = [(pi, j, k) for pi, j in enumerate(nodes) for k in children[j]]
+        if pairs:
+            child_idx = np.array([h_rows[k] for _, _, k in pairs], dtype=np.int64)
+            h_kids = rows(h_all, child_idx)
+            c_kids = rows(c_all, child_idx)
+            x_kids = rows(embed, np.array([labels[j] for _, j, _ in pairs], dtype=np.int64))
+            f = (x_kids @ p["wf"] + h_kids @ p["uf"] + p["bf"]).sigmoid()
+            gather = np.zeros((m, len(pairs)))
+            for col, (pi, _, _) in enumerate(pairs):
+                gather[pi, col] = 1.0
+            sel = Tensor(gather)
+            h_sum = sel @ h_kids
+            fc_sum = sel @ (f * c_kids)
+        else:
+            h_sum = Tensor(np.zeros((m, hid)))
+            fc_sum = Tensor(np.zeros((m, hid)))
+        i = (x @ p["wi"] + h_sum @ p["ui"] + p["bi"]).sigmoid()
+        o = (x @ p["wo"] + h_sum @ p["uo"] + p["bo"]).sigmoid()
+        u = (x @ p["wu"] + h_sum @ p["uu"] + p["bu"]).tanh()
+        c = i * u + fc_sum
+        h = o * c.tanh()
+        for pi, j in enumerate(nodes):
+            h_rows[j] = done + pi
+        h_all = h if h_all is None else concat([h_all, h], axis=0)
+        c_all = c if c_all is None else concat([c_all, c], axis=0)
+        done += m
+    return rows(h_all, np.array([h_rows[r] for r in roots], dtype=np.int64))
+
+
+def attention_scores(features, store):
+    """Per-feature attention scores [n, len(features)]: a Bi-GRU reads the
+    feature sequence into a shared context, and each feature is scored
+    additively against it."""
+    from vulgraph.autodiff import concat
+    from vulgraph.encoders import Gru
+
+    n = len(features)
+    fwd = Gru(store, "attn_fwd").run(concat(features), n)
+    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), n)
+    return _scores_against(features, fwd, bwd, store)
+
+
+def _scores_against(features, fwd, bwd, store):
+    from vulgraph.autodiff import concat
+
+    ctx = concat([fwd, bwd], axis=1) @ store["attn.ctx_w"]
+    cols = []
+    for f in features:
+        cols.append((f @ store["attn.q_w"] + ctx + store["attn.bias"]).tanh() @ store["attn.v"])
+    return concat(cols, axis=1)
+
+
+def attend_and_fuse(features, fwd, bwd, adj, store):
+    """encoders.attend_and_fuse on the per-op tape: attention weights scale
+    each feature (column scaling by transposes), a shared layer widens it,
+    and a neighbour softmax over adj fuses the concatenated rows."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, concat
+
+    attn = _scores_against(features, fwd, bwd, store).softmax(axis=1)
+    weighted = []
+    for j, f in enumerate(features):
+        w_col = attn[:, j : j + 1]
+        weighted.append((f.transpose() * w_col.transpose()).transpose())
+    widened = [f @ store["fuse.h_w"] + store["fuse.h_b"] for f in weighted]
+    g = concat(widened, axis=1)
+    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
+    shift = float(scores.data.max())
+    exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
+    numer = Tensor(adj) * exp_row
+    denom = numer.sum(axis=1, keepdims=True)
+    w_fuse = (numer.transpose() / denom.transpose()).transpose()
+    fused = w_fuse @ g
+    return fused @ store["fuse.out_w"] + store["fuse.out_b"]
+
+
+def cross_entropy(logits, y):
+    """fagcn.cross_entropy on the per-op tape."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    shift = Tensor(logits.data.max(axis=1, keepdims=True))
+    shifted = (logits.transpose() - shift.transpose()).transpose()
+    lse = shifted.exp().sum(axis=1, keepdims=True).log() + shift
+    picked = logits[np.arange(len(y)), y]
+    return (lse.reshape(len(y)) - picked).mean()
+
+
+class PerTensorAdam:
+    """Adam with bias correction, one parameter tensor at a time."""
+
+    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        import numpy as np
+
+        self.store, self.lr, self.beta1, self.beta2, self.eps = store, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in store.items()}
+
+    def step(self):
+        import numpy as np
+
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for name, p in self.store.items():
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 # --- exhaustive explanation search -----------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import gc
 import pathlib
+import warnings
 import zlib
 
 import numpy as np
@@ -17,9 +18,11 @@ from vulgraph.autodiff import (
     rows,
     save_checkpoint,
 )
+from vulgraph.autodiff.tensor import _sigmoid
 from vulgraph.errors import CheckpointError, MissingGradient, ShapeMismatch
 from vulgraph.rng import Rng
 
+import oracles
 from oracles import finite_diff, rel_err, scatter, segment_max
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vulgraph"
@@ -161,7 +164,10 @@ def _tape_ops() -> set[str]:
 
 def test_every_tape_op_has_a_gradcheck_case():
     ops = _tape_ops()
-    fused = {"gru_sequence", "graph_logits", "masked_adjacency", "mask_loss"}
+    fused = {
+        "gru_sequence", "graph_logits", "masked_adjacency", "mask_loss",
+        "TreeLstm.encode_forest", "attend_and_fuse", "cross_entropy",
+    }
     assert {"Tensor.__add__", "concat"} | fused <= ops
     exercised = set()
     for _, build, arrays in gradcheck._cases(0):
@@ -310,6 +316,58 @@ def test_adam_matches_reference_updates():
         opt.step()
     expected = ref_adam(w0, grads, lr=0.01)
     assert rel_err(w.data, expected) < 1e-12
+
+
+def test_flat_adam_is_bitwise_the_per_tensor_loop():
+    gen = np.random.default_rng(4)
+    shapes = [(3, 4), (4,), (), (2, 5), (1,)]
+    inputs = [gen.normal(0.0, 1.0, shape) for shape in shapes]
+    stores = []
+    for _ in range(2):
+        store = ParamStore()
+        for k, data in enumerate(inputs):
+            store.add(f"p{k}", data)
+        stores.append(store)
+    flat, ref = stores
+    opts = (Adam(flat, lr=0.03), oracles.PerTensorAdam(ref, lr=0.03))
+    for step in range(5):
+        for store, opt in zip(stores, opts):
+            store.zero_grad()
+            loss = sum(((t * t).sum() * Tensor(np.array(0.5 + k + step))).exp().log() for k, t in enumerate(store.tensors()))
+            loss.backward(params=store)
+            opt.step()
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(flat.tensors(), ref.tensors()))
+    assert np.array_equal(flat.values, np.concatenate([t.data.reshape(-1) for t in ref.tensors()]))
+
+
+def test_param_store_tensors_are_views_of_one_buffer():
+    store = ParamStore()
+    tensors = [store.add(f"p{k}", np.full((k + 1, 3), float(k))) for k in range(6)]  # grows twice
+    assert [t.data.tolist() for t in tensors] == [np.full((k + 1, 3), float(k)).tolist() for k in range(6)]
+    snapshot = store.values.copy()
+    store.values[...] = -1.0
+    assert all(np.all(t.data == -1.0) for t in tensors)
+    store.values[...] = snapshot
+    assert tensors[4].data.tolist() == np.full((5, 3), 4.0).tolist()
+    (tensors[2] * tensors[2]).sum().backward(params=store)
+    assert np.array_equal(store.grads()[9:18], np.full(9, 4.0))
+    store.zero_grad()
+    assert all(t.grad is None for t in tensors)
+    with pytest.raises(MissingGradient, match="'p0'"):
+        store.grads()
+
+
+def test_sigmoid_is_bitwise_the_two_branch_form_without_overflow():
+    gen = np.random.default_rng(9)
+    x = np.concatenate([
+        gen.normal(0.0, 4.0, 200_000), gen.uniform(-760.0, 760.0, 200_000),
+        [0.0, -0.0, 745.0, -745.0, 709.8, -709.8, 36.0, -36.0],
+    ])
+    got = _sigmoid(x)
+    assert np.array_equal(got.view(np.int64), oracles.sigmoid_two_branch(x).view(np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sigmoid(np.array([800.0, -800.0])).tolist() == [1.0, 0.0]
 
 
 def test_training_bitwise_deterministic():

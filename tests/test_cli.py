@@ -510,6 +510,42 @@ def test_malformed_report_files_are_validation_errors(pipeline, tmp_path, capsys
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _first_score(value):
+    def damage(report):
+        report["methods"][0]["score"] = value
+        return report
+
+    return damage
+
+
+def _edge_to_unknown_node(rows):
+    rows[0]["abstract"]["edges"].append([0, 99, "data"])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "args, damage",
+    [
+        (["mine", "{explanations}", "--min-support", "1"], None),
+        (["mine", "{explanations}", "--sizes", "0,3"], None),
+        (["gradcheck", "--seed", "-1"], None),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _first_score("high"))),
+        (["mine", "{bad}"], ("explanations", _edge_to_unknown_node)),
+    ],
+    ids=["min_support_below_two", "sizes_from_zero", "negative_seed", "score_not_a_number", "edge_to_unknown_node"],
+)
+def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, capsys, args, damage):
+    paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}
+    if damage is not None:
+        which, fn = damage
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fn(json.loads(pipeline[which].read_text()))), encoding="utf-8")
+        paths["bad"] = str(bad)
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in args]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_train_rejects_zero_epochs(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     assert main(["gen-corpus", "--n", "24", "--seed", "3", "--out", str(corpus)]) == 0

@@ -3,20 +3,22 @@ import pytest
 
 from vulgraph.autodiff import ParamStore, Tensor, rows
 from vulgraph.encoders import (
+    FUSE_PARAMS,
     EncoderConfig,
     Gru,
     TreeLstm,
-    _attention_scores,
+    attend_and_fuse,
     _statement_features,
     encode_method_batch,
     init_encoder_params,
 )
 from vulgraph.errors import ConfigError, EmptyTree
-from vulgraph.features import build_vocabulary, extract_method_features
+from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 
-from oracles import finite_diff, gauss, per_step_gru, rel_err
+import oracles
+from oracles import attention_scores, finite_diff, gauss, per_step_gru, rel_err
 
 CFG = EncoderConfig(embed_dim=6, gru_hidden=5, stmt_dim=7)
 
@@ -193,12 +195,71 @@ def test_tree_lstm_rejects_empty():
             tree.encode_forest(forest, vocab, store["embed.table"])
 
 
+def _random_tree(gen, labels, depth):
+    kids = [_random_tree(gen, labels, int(gen.integers(0, depth))) for _ in range(int(gen.integers(1, 4)))] if depth else []
+    return [str(gen.choice(labels)), kids]
+
+
+def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
+    # forests of depth 0-6 whose nodes have children on several lower levels:
+    # the root states and every gradient, the embedding table's included
+    gen = np.random.default_rng(21)
+    labels = ["id:a", "id:b", "int:3", "call:f", "assign:=", "op:+", "if"]
+    vocab = Vocabulary({label: k + 2 for k, label in enumerate(labels[:5])})  # two labels map to UNK
+    for trial in range(40):
+        depth = int(gen.integers(0, 7))
+        forest = [_random_tree(gen, labels, int(gen.integers(0, depth + 1))) for _ in range(int(gen.integers(1, 6)))]
+        store = ParamStore()
+        store.add("embed.table", gen.normal(0.0, 1.0, (len(vocab), 5)))
+        TreeLstm.init(store, Rng(trial), "tree", 5, 4)
+        for t in store.tensors():  # nonzero biases too
+            t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
+        weight = Tensor(gen.normal(0.0, 1.0, (len(forest), 4)))
+        results = []
+        for encode in (TreeLstm.encode_forest, oracles.encode_forest):
+            store.zero_grad()
+            out = encode(TreeLstm(store), forest, vocab, store["embed.table"])
+            (out * weight).sum().backward(params=store)
+            results.append([out.data] + [t.grad.copy() for t in store.tensors()])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want), trial
+
+
+def test_attend_and_fuse_is_bitwise_the_per_op_tape():
+    # the statement matrix and the gradients of the features, both attention
+    # states and the ten parameters, over chunks of one to three methods
+    gen = np.random.default_rng(8)
+    _, _, vocab, store = make_setup()
+    for t in store.tensors():
+        t.data[...] = gen.normal(0.0, 0.5, t.data.shape)
+    for sizes in ((1,), (5,), (3, 9), (20, 1, 40)):
+        n = sum(sizes)
+        adj = np.zeros((n, n))
+        start = 0
+        for size in sizes:  # a random symmetric A + I per method
+            block = (gen.random((size, size)) < 0.3).astype(np.float64)
+            adj[start : start + size, start : start + size] = np.maximum(np.maximum(block, block.T), np.eye(size))
+            start += size
+        inputs = [gen.normal(0.0, 1.0, (n, CFG.gru_hidden)) for _ in range(8)]
+        weight = Tensor(gen.normal(0.0, 1.0, (n, CFG.stmt_dim)))
+        results = []
+        for fuse in (attend_and_fuse, oracles.attend_and_fuse):
+            store.zero_grad()
+            ts = [Tensor(a, requires_grad=True) for a in inputs]
+            out = fuse(ts[:6], ts[6], ts[7], adj, store)
+            (out * weight).sum().backward(params=store)
+            results.append([out.data] + [t.grad for t in ts] + [store[name].grad.copy() for name in FUSE_PARAMS])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want), sizes
+
+
 # --- attention --------------------------------------------------------------------
 
 
 def _attention_weights(features, store):
-    """The per-statement softmax over the six features, as encode_method_batch takes it."""
-    return _attention_scores(features, store).softmax(axis=1).data
+    """The per-statement softmax over the six features, as attend_and_fuse
+    takes it (on the per-op tape, which attend_and_fuse matches bit for bit)."""
+    return attention_scores(features, store).softmax(axis=1).data
 
 
 def test_attention_weights_normalize_and_symmetry():

@@ -6,13 +6,14 @@ import pytest
 from vulgraph.autodiff import ParamStore, Tensor
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
-from vulgraph import fagcn
+from vulgraph import encoders, fagcn
 from vulgraph.fagcn import (
     TrainConfig,
     _batch_loss,
     _chunk_logits,
     balanced_training_pairs,
     best_threshold,
+    cross_entropy,
     detection_report,
     graph_logits,
     init_model_params,
@@ -162,26 +163,48 @@ def test_graph_logits_is_bitwise_the_per_op_detector():
             a, x = Tensor(adj, requires_grad=True), Tensor(feats, requires_grad=True)
             out = logits_of(a, x, store)
             (out * Tensor(weight)).sum().backward(params=store)
-            results.append([out.data, a.grad, x.grad] + [t.grad for _, t in store.items()])
+            results.append([out.data, a.grad, x.grad] + [t.grad.copy() for _, t in store.items()])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
 
 
 def test_training_batch_gradients_are_bitwise_the_per_op_tape(monkeypatch):
+    # the fused Tree-LSTM, attention/fusion block, detector and loss against
+    # their one-node-per-op forms: the loss and every parameter gradient
     entries = generate_planted_corpus(40, seed=2)
     items = [(e.id, e.pdg) for e in entries if e.pdg is not None][:8]
     labels = {e.id: e.label for e in entries}
     model = new_model(_toy_vocab(items), seed=3)
     grads = []
-    for logits_of in (fagcn.graph_logits, oracles.graph_logits):
-        monkeypatch.setattr(fagcn, "graph_logits", logits_of)
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(fagcn, "graph_logits", oracles.graph_logits)
+            monkeypatch.setattr(fagcn, "cross_entropy", oracles.cross_entropy)
+            monkeypatch.setattr(encoders, "attend_and_fuse", oracles.attend_and_fuse)
+            monkeypatch.setattr(encoders.TreeLstm, "encode_forest", oracles.encode_forest)
         model.store.zero_grad()
         loss = _batch_loss(model, items, labels)
         loss.backward(params=model.store)
-        grads.append((float(loss.data), {name: t.grad for name, t in model.store.items()}))
+        grads.append((float(loss.data), {name: t.grad.copy() for name, t in model.store.items()}))
     (loss, fused), (ref_loss, ref) = grads
     assert loss == ref_loss
-    assert all(np.array_equal(fused[name], ref[name]) for name in ref)
+    assert [name for name in ref if not np.array_equal(fused[name], ref[name])] == []
+
+
+def test_cross_entropy_is_bitwise_the_per_op_tape():
+    gen = np.random.default_rng(5)
+    for rows in (1, 2, 7, 16):
+        z = gen.normal(0.0, 3.0, (rows, 2))
+        y = gen.integers(0, 2, rows)
+        results = []
+        for loss_of in (cross_entropy, oracles.cross_entropy):
+            logits = Tensor(z, requires_grad=True)
+            loss = loss_of(logits, y)
+            loss.backward()
+            results.append((loss.data, logits.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
 
 
 def test_head_gradients_match_finite_differences():
@@ -321,15 +344,19 @@ def test_train_one_epoch_improves_loss_most_seeds():
     assert improved >= 9
 
 
-def _tape_nodes(root: Tensor) -> int:
-    """Tensors reachable from root through the tape, root included."""
+def _tape_ops(root: Tensor) -> int:
+    """Recorded ops reachable from root through the tape, root included;
+    parameters and other leaves are not counted."""
     seen, stack = {id(root)}, [root]
+    ops = 0
     while stack:
-        for parent in stack.pop()._parents:
+        node = stack.pop()
+        ops += node._backward_fn is not None
+        for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return len(seen)
+    return ops
 
 
 def test_batch_loss_tape_is_small():
@@ -338,8 +365,9 @@ def test_batch_loss_tape_is_small():
     labels = {e.id: e.label for e in entries}
     vocab = _toy_vocab(items)
     loss = _batch_loss(new_model(vocab, seed=0), items, labels)
-    # one GRU step used to record about 24 nodes, and this batch 1,102
-    assert _tape_nodes(loss) <= 551
+    # one GRU step used to record about 24 nodes, and this batch 1,102 ops;
+    # with a node per Tree-LSTM level op and per attention/fusion op, 219
+    assert _tape_ops(loss) <= 40
 
 
 def test_train_extracts_features_once_per_method(monkeypatch):
