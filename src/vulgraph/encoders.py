@@ -39,11 +39,12 @@ from .autodiff import ParamStore, Tensor, concat, glorot, gru_sequence, rows
 from .autodiff.tensor import _sigmoid
 from .errors import ConfigError, EmptyTree
 from .features import (
+    PAD_ID,
+    UNK_ID,
     StatementFeatureBundle,
     Vocabulary,
     extract_method_features,
     normalize_ast_label,
-    vectorize,
 )
 from .frontend import Pdg
 from .rng import Rng
@@ -134,23 +135,32 @@ class TreeLstm:
             raise EmptyTree("cannot encode an empty syntax tree")
         labels: list[int] = []  # vocab id per node, children before parents
         heights: list[int] = []
-        edges: list[tuple[int, int]] = []  # (parent, child), parent by parent
+        parents: list[int] = []  # (parent, child) pairs, parent by parent
+        children: list[int] = []
         label_ids: dict[str, int] = {}
 
         def flatten(node) -> int:
-            kids = [flatten(c) for c in node[1]]
-            if node[0] not in label_ids:
-                label_ids[node[0]] = vocab.id(normalize_ast_label(node[0]))
-            j = len(labels)
-            labels.append(label_ids[node[0]])
-            heights.append(1 + max([heights[k] for k in kids], default=-1))
-            edges.extend((j, k) for k in kids)
+            label, kids = node[0], node[1]
+            if kids:
+                kids = [flatten(c) for c in kids]
+                j = len(labels)
+                heights.append(1 + max([heights[k] for k in kids]))
+                parents.extend([j] * len(kids))
+                children.extend(kids)
+            else:
+                j = len(labels)
+                heights.append(0)
+            label_id = label_ids.get(label)
+            if label_id is None:
+                label_id = label_ids[label] = vocab.id(normalize_ast_label(label))
+            labels.append(label_id)
             return j
 
         roots = [flatten(tree) for tree in trees]
         node_label = np.array(labels, dtype=np.int64)
         height = np.array(heights, dtype=np.int64)
-        parent, child = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        parent = np.array(parents, dtype=np.int64)
+        child = np.array(children, dtype=np.int64)
 
         params = tuple(self.p[g] for g in _TREE_GATES)
         wi, ui, bi, wf, uf, bf, wo, uo, bo, wu, uu, bu = (t.data for t in params)
@@ -283,12 +293,18 @@ def init_encoder_params(
 def _token_matrix(
     seqs: list[list[str]], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray]:
-    max_len = max((len(s) for s in seqs), default=0)
-    max_len = max(max_len, 1)
-    ids = np.zeros((len(seqs), max_len), dtype=np.int64)
+    """Vocabulary ids [len(seqs), longest] of each token sequence, padded with
+    PAD_ID, and the 0/1 mask of its real tokens; both filled by one
+    assignment over every token's (row, column)."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    max_len = max(int(lengths.max(initial=0)), 1)
+    ids = np.full((len(seqs), max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), max_len), dtype=np.float64)
-    for b, seq in enumerate(seqs):
-        ids[b], mask[b] = vectorize(seq, vocab, max_len)
+    row = np.repeat(np.arange(len(seqs)), lengths)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    token_id = vocab.token_to_id.get
+    ids[row, col] = [token_id(t, UNK_ID) for seq in seqs for t in seq]
+    mask[row, col] = 1.0
     return ids, mask
 
 

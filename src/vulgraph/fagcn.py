@@ -36,6 +36,7 @@ POOL_LEVELS = (1, 2, 4)
 GCN_HIDDEN = 64
 FC_HIDDEN = (64, 32)
 N_CLASSES = 2
+CHUNK_STMTS = 512  # statements of a scoring chunk, unless one method alone has more
 # the detector's parameters after the encoder, in graph_logits' order
 HEAD_PARAMS = ("gcn.w1", "gcn.w2", "fc.w1", "fc.b1", "fc.w2", "fc.b2", "fc.w3", "fc.b3")
 
@@ -227,15 +228,32 @@ def frozen(model: DetectionModel) -> DetectionModel:
     return replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
 
 
+def _chunks(items: list, size: int):
+    """Consecutive runs of items that close at `size` methods or before
+    CHUNK_STMTS statements would be passed; a method larger than the budget
+    is a chunk of its own. A chunk's fusion adjacency and its Tree-LSTM
+    child sums are dense in its statements, so the budget bounds its
+    memory."""
+    part, stmts = [], 0
+    for item in items:
+        n = len(item[1].nodes)
+        if part and (len(part) == size or stmts + n > CHUNK_STMTS):
+            yield part
+            part, stmts = [], 0
+        part.append(item)
+        stmts += n
+    if part:
+        yield part
+
+
 def forward_methods(model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None):
     """Yield (id, V-class probability, statement matrix) for [(id, pdg)]
-    pairs, encoded per chunk: the one forward pass that detect, explain and
-    training's tuning scores share."""
+    pairs, encoded per chunk (see _chunks): the one forward pass that
+    detect, explain and training's tuning scores share."""
     # The pass records no autodiff tape, so a chunk's intermediates are
     # freed once the caller has moved on to the next chunk.
     const = frozen(model)
-    for lo in range(0, len(items), chunk):
-        part = items[lo : lo + chunk]
+    for part in _chunks(items, chunk):
         logits, feats = _chunk_logits(const, part, bundles)
         probs = logits.softmax(axis=1).data[:, 1]
         for (mid, _), p, f in zip(part, probs, feats):

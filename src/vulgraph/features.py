@@ -14,14 +14,13 @@ underscores, lowercased, with single-character pieces dropped.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import VocabularyError
 from .frontend.lexer import KEYWORDS
-from .frontend.pdg import Pdg, recover_decl_types
+from .frontend.pdg import EDGE_KINDS, Pdg, recover_decl_types
 
 PAD_ID = 0
 UNK_ID = 1
@@ -30,16 +29,22 @@ CONTEXT_CAP = 8  # nearest-by-index statements kept per dependence direction pai
 _CAMEL = re.compile(
     r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+"
 )
+_NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 
 
 def split_identifier(name: str) -> list[str]:
     """Sub-token split: case/digit/underscore boundaries, lowercased,
     single-character pieces dropped."""
+    return list(_split(name))
+
+
+@functools.lru_cache(maxsize=1 << 14)  # identifiers repeat across methods
+def _split(name: str) -> tuple[str, ...]:
     pieces: list[str] = []
-    for chunk in re.split(r"[^0-9A-Za-z]+", name):
+    for chunk in _NON_ALNUM.split(name):
         if chunk:
             pieces.extend(_CAMEL.findall(chunk))
-    return [p.lower() for p in pieces if len(p) > 1]
+    return tuple(p.lower() for p in pieces if len(p) > 1)
 
 
 @dataclass
@@ -107,13 +112,24 @@ def ast_vocab_labels(ast) -> list[str]:
     return out
 
 
-def _capped_context(neighbors: list[int], center: int) -> list[int]:
+def _capped_context(neighbors: set[int], center: int) -> list[int]:
+    if len(neighbors) <= CONTEXT_CAP:
+        return sorted(neighbors)
     nearest = sorted(neighbors, key=lambda j: (abs(j - center), j))[:CONTEXT_CAP]
     return sorted(nearest)
 
 
 def extract_method_features(pdg: Pdg) -> list[StatementFeatureBundle]:
     decl_types = pdg.decl_types or recover_decl_types(pdg.nodes)
+    # each statement's data and control neighbours, either direction, from
+    # one pass over the edges (Pdg.neighbors for every statement at once)
+    context = {kind: [set() for _ in pdg.nodes] for kind in EDGE_KINDS}
+    for e in pdg.edges:
+        if e.src != e.dst:
+            near = context[e.kind]
+            near[e.src].add(e.dst)
+            near[e.dst].add(e.src)
+    data, ctrl = context["data"], context["control"]
     bundles = []
     for node in pdg.nodes:
         variables = sorted(set(node.defs) | set(node.uses))
@@ -121,16 +137,17 @@ def extract_method_features(pdg: Pdg) -> list[StatementFeatureBundle]:
         var_types = [_type_words(decl_types.get(v, "UNK")) for v in variables]
         subtokens = []
         for ident in statement_identifiers(node.kind, node.ast):
-            subtokens.extend(split_identifier(ident))
+            subtokens.extend(_split(ident))
+        i = node.index
         bundles.append(
             StatementFeatureBundle(
-                index=node.index,
+                index=i,
                 subtokens=subtokens,
                 ast=node.ast,
                 var_names=var_names,
                 var_types=var_types,
-                data_ctx=_capped_context(pdg.neighbors(node.index, "data"), node.index),
-                ctrl_ctx=_capped_context(pdg.neighbors(node.index, "control"), node.index),
+                data_ctx=_capped_context(data[i], i),
+                ctrl_ctx=_capped_context(ctrl[i], i),
             )
         )
     return bundles
@@ -183,16 +200,3 @@ def build_vocabulary(bundle_lists: list[list[StatementFeatureBundle]]) -> Vocabu
                 counts[token] = counts.get(token, 0) + 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary({tok: i + 2 for i, (tok, _) in enumerate(ordered)})
-
-
-def vectorize(tokens: list[str], vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-length id row plus 0/1 mask; the token prefix is kept when the
-    sequence is longer than max_len."""
-    if max_len < 1:
-        raise VocabularyError("max_len must be >= 1")
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.float64)
-    for i, token in enumerate(tokens[:max_len]):
-        ids[i] = vocab.id(token)
-        mask[i] = 1.0
-    return ids, mask

@@ -2,11 +2,15 @@
 
 Produces a flat token stream with 1-based line/column positions. Comments
 (// and /* */) are discarded. See docs/grammar.md for the accepted language.
+
+One compiled pattern scans the source a token at a time; a line and column
+are read off the newlines of the spans it skips.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import IllegalCharacter, ParseError, UnterminatedString
 
@@ -35,11 +39,27 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", ".",
 ]
 
-_PUNCT = "(){}[];,:"
+# Alternatives in the order the grammar tries them. `\w` is a character for
+# which str.isalnum() holds, or "_", so an identifier continues exactly as
+# docs/grammar.md says; an identifier that starts outside ASCII is matched
+# apart (`uid`), because `[^\W\d]` also admits numeric characters such as
+# "²" that are not letters. Literal digits are ASCII only.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<id>[A-Za-z_]\w*)"
+    r"|(?P<uid>[^\W\d]\w*)"
+    r"|(?P<int>0[xX][0-9a-fA-F]+[uUlL]*|(?!0[xX])[0-9]+[uUlL]*)"
+    r"|(?P<bare_hex>0[xX])"
+    r'|(?P<str>"(?:[^"\\\n]|\\[\s\S])*")'
+    r"|(?P<char>'(?:[^'\\\n]|\\[\s\S])*')"
+    r"|(?P<punct>[(){}\[\];,:])"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in _OPERATORS) + ")"
+    r"|(?P<bad>[\s\S])"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # id | kw | int | str | char | punct | op
     text: str
     line: int
@@ -51,106 +71,39 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int):
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    line_start = 0  # index of the current line's first character
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "skip":  # whitespace and comments
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise ParseError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            start_line, start_col = line, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        if c.isdigit():
-            start = i
-            start_line, start_col = line, col
-            if source.startswith(("0x", "0X"), i):
-                advance(2)
-                while i < n and (source[i].isdigit() or source[i] in "abcdefABCDEF"):
-                    advance(1)
-            else:
-                while i < n and source[i].isdigit():
-                    advance(1)
-            while i < n and source[i] in "uUlL":  # integer suffixes
-                advance(1)
-            tokens.append(Token("int", source[start:i], start_line, start_col))
-            continue
-        if c == '"':
-            start = i
-            start_line, start_col = line, col
-            advance(1)
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise UnterminatedString(start_line, start_col)
-                if source[i] == "\\" and i + 1 < n:
-                    advance(2)
-                else:
-                    advance(1)
-            if i >= n:
-                raise UnterminatedString(start_line, start_col)
-            advance(1)
-            tokens.append(Token("str", source[start:i], start_line, start_col))
-            continue
-        if c == "'":
-            start = i
-            start_line, start_col = line, col
-            advance(1)
-            while i < n and source[i] != "'":
-                if source[i] == "\n":
-                    raise UnterminatedString(start_line, start_col)
-                if source[i] == "\\" and i + 1 < n:
-                    advance(2)
-                else:
-                    advance(1)
-            if i >= n:
-                raise UnterminatedString(start_line, start_col)
-            advance(1)
-            tokens.append(Token("char", source[start:i], start_line, start_col))
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, line, col))
-            advance(1)
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                advance(len(op))
-                matched = True
-                break
-        if matched:
-            continue
-        raise IllegalCharacter(c, line, col)
+        col = m.start() - line_start + 1
+        if kind == "id":
+            append(Token("kw" if text in KEYWORDS else "id", text, line, col))
+        elif kind == "op" or kind == "punct" or kind == "int":
+            append(Token(kind, text, line, col))
+        elif kind == "str" or kind == "char":
+            append(Token(kind, text, line, col))
+            breaks = text.count("\n")  # escaped newlines
+            if breaks:
+                line += breaks
+                line_start = m.start() + text.rindex("\n") + 1
+        elif kind == "uid":  # no keyword starts outside ASCII
+            if not text[0].isalpha():
+                raise IllegalCharacter(text[0], line, col)
+            append(Token("id", text, line, col))
+        elif kind == "bare_hex":
+            raise ParseError(f"hex literal {text!r} has no digits", line, col)
+        elif kind == "open_comment":
+            raise ParseError("unterminated block comment", line, col)
+        elif text in "\"'":  # an opening quote whose literal never closes
+            raise UnterminatedString(line, col)
+        else:
+            raise IllegalCharacter(text, line, col)
     return tokens

@@ -1,5 +1,9 @@
 """Recursive-descent parser for the mini-C subset.
 
+Binary expressions are parsed by precedence climbing (Pratt, "Top Down
+Operator Precedence", POPL 1973): one loop over an operator-to-level table,
+so an operand costs one call whatever the number of levels.
+
 parse_method turns one function definition into a MethodAst: a flat,
 index-ordered list of statement nodes plus the structured body tree the CFG
 builder walks. Statement kinds:
@@ -26,18 +30,15 @@ from .render import render_statement
 
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
-_BINARY_LEVELS = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+# binary operators by ascending precedence, all left-associative
+_BINARY_LEVEL = {
+    op: level
+    for level, ops in enumerate(
+        [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="],
+         ["<<", ">>"], ["+", "-"], ["*", "/", "%"]]
+    )
+    for op in ops
+}
 
 _UNARY_OPS = frozenset({"+", "-", "!", "~", "*", "&", "++", "--"})
 
@@ -99,77 +100,77 @@ class MethodAst:
     goto_targets: dict[int, int] = field(default_factory=dict)  # goto stmt -> label stmt
 
 
+# The end of a token stream. The parser peeks at most three tokens ahead, so
+# four copies end every stream and no read needs a bounds check. Its text is
+# what an error message names there, and its position is the 0:0 that
+# errors at the end of input report.
+_END = Token("end", "end of input", 0, 0)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END, _END, _END, _END]
         self.pos = 0
+        last = tokens[-1] if tokens else Token("punct", "", 1, 1)
+        self.end_at = (last.line, last.col)  # where running out of tokens is reported
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        tok = self.tokens[self.pos]
+        if tok is _END:
+            raise ParseError("unexpected end of input", *self.end_at)
         self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        tok = self.tokens[self.pos + ahead]
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            got = tok.text if tok else "end of input"
-            line, col = (tok.line, tok.col) if tok else (0, 0)
-            raise ParseError(f"expected {want!r}, found {got!r}", line, col)
-        return self.next()
+            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+        self.pos += 1
+        return tok
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        line, col = (tok.line, tok.col) if tok else (0, 0)
-        return ParseError(message, line, col)
+        tok = self.tokens[self.pos]
+        return ParseError(message, tok.line, tok.col)
 
     # --- types and declarators ------------------------------------------
 
     def at_type(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
-        if tok.kind == "kw" and tok.text in TYPE_KEYWORDS:
-            return True
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok.kind == "kw":
+            return tok.text in TYPE_KEYWORDS
         # identifier-typed declaration heuristic: IDENT IDENT / IDENT '*' IDENT
         if tok.kind == "id":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == "id":
+            nxt = tokens[pos + 1]
+            if nxt.kind == "id":
                 return True
-            if nxt is not None and nxt.kind == "op" and nxt.text == "*":
-                after = self.peek(2)
-                if after is not None and after.kind in ("id",) and not self.at("punct", "(", 3):
-                    # IDENT * IDENT not followed by '(' reads as a declaration
-                    return True
+            if nxt.kind == "op" and nxt.text == "*" and tokens[pos + 2].kind == "id":
+                # IDENT * IDENT not followed by '(' reads as a declaration
+                return not self.at("punct", "(", 3)
         return False
 
     def parse_type_words(self) -> str:
         words = []
         while True:
-            tok = self.peek()
-            if tok is None:
-                break
+            tok = self.tokens[self.pos]
             if tok.kind == "kw" and tok.text in TYPE_KEYWORDS:
-                self.next()
+                self.pos += 1
                 words.append(tok.text)
                 if tok.text in ("struct", "union", "enum"):
                     words.append(self.expect("id").text)
                 continue
             if tok.kind == "id" and not words:
-                self.next()
+                self.pos += 1
                 words.append(tok.text)
                 continue
             break
@@ -181,14 +182,14 @@ class _Parser:
         """Return (declarator ast, declared name)."""
         stars = 0
         while self.at("op", "*"):
-            self.next()
+            self.pos += 1
             stars += 1
         name_tok = self.expect("id")
         node: list = [f"id:{name_tok.text}", []]
         while self.at("punct", "["):
-            self.next()
+            self.pos += 1
             if self.at("punct", "]"):
-                self.next()
+                self.pos += 1
                 node = ["arr", [node]]
             else:
                 size = self.parse_expr()
@@ -200,29 +201,32 @@ class _Parser:
 
     # --- expressions ------------------------------------------------------
 
-    def parse_expr(self, level: int = 0) -> list:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        node = self.parse_expr(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self.at("op") and self.peek().text in ops:
-            op = self.next().text
-            rhs = self.parse_expr(level + 1)
-            node = [f"bin:{op}", [node, rhs]]
-        return node
+    def parse_expr(self, min_level: int = 0) -> list:
+        """A binary expression whose operators bind at min_level or tighter,
+        by precedence climbing: each operator's right operand takes only
+        tighter operators, so equal levels group to the left."""
+        node = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            level = _BINARY_LEVEL.get(tok.text, -1) if tok.kind == "op" else -1
+            if level < min_level:
+                return node
+            self.pos += 1
+            node = [f"bin:{tok.text}", [node, self.parse_expr(level + 1)]]
 
     def parse_unary(self) -> list:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text in _UNARY_OPS:
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.text in _UNARY_OPS:
+            self.pos += 1
             return [f"un:{tok.text}", [self.parse_unary()]]
-        if tok is not None and tok.kind == "kw" and tok.text == "sizeof":
-            self.next()
+        if tok.kind == "kw" and tok.text == "sizeof":
+            self.pos += 1
             self.expect("punct", "(")
-            if self.at_type() or (self.at("kw") and self.peek().text in TYPE_KEYWORDS):
+            if self.at_type():
                 inner: list = [f"type:{self.parse_type_words()}", []]
                 while self.at("op", "*"):
-                    self.next()
+                    self.pos += 1
                     inner[0] += " *"
             else:
                 inner = self.parse_expr()
@@ -232,50 +236,50 @@ class _Parser:
 
     def parse_primary(self) -> list:
         tok = self.next()
-        if tok.kind == "id":
-            return [f"id:{tok.text}", []]
-        if tok.kind == "int":
-            return [f"int:{tok.text}", []]
-        if tok.kind == "str":
-            return [f"str:{tok.text}", []]
-        if tok.kind == "char":
-            return [f"char:{tok.text}", []]
-        if tok.kind == "punct" and tok.text == "(":
+        kind = tok.kind
+        if kind == "id" or kind == "int" or kind == "str" or kind == "char":
+            return [f"{kind}:{tok.text}", []]
+        if kind == "punct" and tok.text == "(":
             node = self.parse_expr()
             self.expect("punct", ")")
             return node
         raise ParseError(f"unexpected token {tok.text!r} in expression", tok.line, tok.col)
 
     def parse_postfix(self, node: list) -> list:
+        tokens = self.tokens
         while True:
-            if self.at("punct", "("):
-                if not node[0].startswith("id:"):
-                    raise self.error("only simple names can be called")
-                self.next()
-                args = []
-                if not self.at("punct", ")"):
-                    args.append(self.parse_expr())
-                    while self.at("punct", ","):
-                        self.next()
+            tok = tokens[self.pos]
+            text = tok.text
+            if tok.kind == "punct":
+                if text == "(":
+                    if not node[0].startswith("id:"):
+                        raise self.error("only simple names can be called")
+                    self.pos += 1
+                    args = []
+                    if not self.at("punct", ")"):
                         args.append(self.parse_expr())
-                self.expect("punct", ")")
-                node = [f"call:{node[0][3:]}", args]
-            elif self.at("punct", "["):
-                self.next()
-                sub = self.parse_expr()
-                self.expect("punct", "]")
-                node = ["index", [node, sub]]
-            elif self.at("op", "->"):
-                self.next()
-                fld = self.expect("id").text
-                node = [f"arrow:{fld}", [node]]
-            elif self.at("op", "."):
-                self.next()
-                fld = self.expect("id").text
-                node = [f"dot:{fld}", [node]]
-            elif self.at("op", "++") or self.at("op", "--"):
-                op = self.next().text
-                node = [f"post:{op}", [node]]
+                        while self.at("punct", ","):
+                            self.pos += 1
+                            args.append(self.parse_expr())
+                    self.expect("punct", ")")
+                    node = [f"call:{node[0][3:]}", args]
+                elif text == "[":
+                    self.pos += 1
+                    sub = self.parse_expr()
+                    self.expect("punct", "]")
+                    node = ["index", [node, sub]]
+                else:
+                    return node
+            elif tok.kind == "op":
+                if text == "->" or text == ".":
+                    self.pos += 1
+                    fld = self.expect("id").text
+                    node = [f"{'arrow' if text == '->' else 'dot'}:{fld}", [node]]
+                elif text == "++" or text == "--":
+                    self.pos += 1
+                    node = [f"post:{text}", [node]]
+                else:
+                    return node
             else:
                 return node
 
@@ -290,7 +294,7 @@ class _Parser:
         self.expect("punct", "{")
         items: list = []
         while not self.at("punct", "}"):
-            if self.peek() is None:
+            if self.peek() is _END:
                 raise self.error("unterminated block")
             items.extend(self.parse_statement(method))
         self.expect("punct", "}")
@@ -303,7 +307,7 @@ class _Parser:
 
     def parse_statement(self, method: "_MethodBuilder") -> list:
         tok = self.peek()
-        if tok is None:
+        if tok is _END:
             raise self.error("unexpected end of input")
         if tok.kind == "punct" and tok.text == ";":
             self.next()
@@ -612,7 +616,7 @@ def parse_source(source: str) -> list[MethodAst]:
     """Parse every function definition in a source string."""
     parser = _Parser(tokenize(source))
     methods = []
-    while parser.peek() is not None:
+    while parser.peek() is not _END:
         methods.append(_parse_one(parser))
     return methods
 

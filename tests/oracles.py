@@ -6,12 +6,19 @@ finite differences for gradients, exhaustive subset search for explanation
 subgraphs, one tape node per elementwise op for the fused autodiff ops (the
 GRU recurrence, the Tree-LSTM forest, the attention and fusion block, the
 detector head, the training loss, the masked adjacency and the explainer's
-loss), and Adam one parameter tensor at a time. Some helpers wrap package code instead: the explanation search scores
+loss), Adam one parameter tensor at a time, a lexer that steps one
+character at a time, binary expressions parsed one precedence level per
+recursion, token vectors one row at a time, and statement contexts read
+from Pdg.neighbors. Some helpers wrap package code instead: the explanation search scores
 each subset with the detector itself, canonical_code applies the miner's
 canonical form to a whole graph, and the per-op explainer reuses the
 package's slot table and Adam step, which the fused explainer shares with
-it, and learns on the statement matrix of the package's forward pass. No
-other code here is shared with the implementation under test.
+it, and learns on the statement matrix of the package's forward pass; the
+per-level parser subclasses the package's parser and replaces only its
+expression rule, and the character-loop lexer builds the package's Token
+records; the feature reference reuses the per-statement helpers of
+vulgraph.features. No other code here is shared with the implementation
+under test.
 """
 
 from __future__ import annotations
@@ -926,3 +933,229 @@ def logistic_baseline_auc(sources, labels, seed=0):
         return 0.5
     wins = sum((pos > n).sum() + 0.5 * (pos == n).sum() for n in neg)
     return float(wins) / (len(pos) * len(neg))
+
+
+# --- the character-loop lexer and the per-level expression parser -------------
+# The package lexes with one compiled pattern and parses binary expressions by
+# precedence climbing; these are the forms it replaced, one character and one
+# precedence level at a time. The lexer builds the package's Token records, so
+# the parser can read either stream.
+
+_OPERATORS = [
+    "<<=", ">>=",
+    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", ".",
+]
+
+
+def tokenize_chars(source: str):
+    """Tokens of `source`, each character stepped over by `advance`. Literal
+    digits are any str.isdigit character and `0x` needs no hex digit, where
+    the package takes ASCII digits and at least one hex digit."""
+    from vulgraph.errors import IllegalCharacter, ParseError, UnterminatedString
+    from vulgraph.frontend.lexer import KEYWORDS, Token
+
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def advance(count: int):
+        nonlocal i, line, col
+        for _ in range(count):
+            if source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    def quoted(quote: str, kind: str):
+        start = i
+        start_line, start_col = line, col
+        advance(1)
+        while i < n and source[i] != quote:
+            if source[i] == "\n":
+                raise UnterminatedString(start_line, start_col)
+            if source[i] == "\\" and i + 1 < n:
+                advance(2)
+            else:
+                advance(1)
+        if i >= n:
+            raise UnterminatedString(start_line, start_col)
+        advance(1)
+        tokens.append(Token(kind, source[start:i], start_line, start_col))
+
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                advance(1)
+            continue
+        if source.startswith("/*", i):
+            start_line, start_col = line, col
+            advance(2)
+            while i < n and not source.startswith("*/", i):
+                advance(1)
+            if i >= n:
+                raise ParseError("unterminated block comment", start_line, start_col)
+            advance(2)
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            start_line, start_col = line, col
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                advance(1)
+            text = source[start:i]
+            tokens.append(Token("kw" if text in KEYWORDS else "id", text, start_line, start_col))
+            continue
+        if c.isdigit():
+            start = i
+            start_line, start_col = line, col
+            if source.startswith(("0x", "0X"), i):
+                advance(2)
+                while i < n and (source[i].isdigit() or source[i] in "abcdefABCDEF"):
+                    advance(1)
+            else:
+                while i < n and source[i].isdigit():
+                    advance(1)
+            while i < n and source[i] in "uUlL":  # integer suffixes
+                advance(1)
+            tokens.append(Token("int", source[start:i], start_line, start_col))
+            continue
+        if c == '"':
+            quoted('"', "str")
+            continue
+        if c == "'":
+            quoted("'", "char")
+            continue
+        if c in "(){}[];,:":
+            tokens.append(Token("punct", c, line, col))
+            advance(1)
+            continue
+        for op in _OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(Token("op", op, line, col))
+                advance(len(op))
+                break
+        else:
+            raise IllegalCharacter(c, line, col)
+    return tokens
+
+
+_BINARY_LEVELS = [
+    ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="],
+    ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
+]
+
+
+def parse_source_per_level(source: str, tokenize=tokenize_chars):
+    """parse_source with binary expressions parsed one precedence level per
+    recursion, from the character-loop tokens by default."""
+    from vulgraph.frontend import parser as package
+
+    class PerLevelParser(package._Parser):
+        def parse_expr(self, level: int = 0) -> list:
+            if level >= len(_BINARY_LEVELS):
+                return self.parse_unary()
+            node = self.parse_expr(level + 1)
+            ops = _BINARY_LEVELS[level]
+            while self.at("op") and self.peek().text in ops:
+                op = self.next().text
+                rhs = self.parse_expr(level + 1)
+                node = [f"bin:{op}", [node, rhs]]
+            return node
+
+    parser = PerLevelParser(tokenize(source))
+    methods = []
+    while not parser.at("end"):
+        methods.append(package._parse_one(parser))
+    return methods
+
+
+# --- per-row token vectors ------------------------------------------------------
+
+
+def vectorize(tokens, vocab, max_len: int):
+    """Fixed-length id row plus 0/1 mask; the token prefix is kept when the
+    sequence is longer than max_len."""
+    import numpy as np
+
+    from vulgraph.errors import VocabularyError
+    from vulgraph.features import PAD_ID
+
+    if max_len < 1:
+        raise VocabularyError("max_len must be >= 1")
+    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    mask = np.zeros(max_len, dtype=np.float64)
+    for i, token in enumerate(tokens[:max_len]):
+        ids[i] = vocab.id(token)
+        mask[i] = 1.0
+    return ids, mask
+
+
+def token_matrix_per_row(seqs, vocab):
+    """The token-id matrix and mask of encoders._token_matrix, one vectorize
+    call per sequence."""
+    import numpy as np
+
+    max_len = max(max((len(s) for s in seqs), default=0), 1)
+    ids = np.zeros((len(seqs), max_len), dtype=np.int64)
+    mask = np.zeros((len(seqs), max_len), dtype=np.float64)
+    for b, seq in enumerate(seqs):
+        ids[b], mask[b] = vectorize(seq, vocab, max_len)
+    return ids, mask
+
+
+# --- statement features from Pdg.neighbors -----------------------------------------
+
+
+def split_identifier(name: str) -> list[str]:
+    """features.split_identifier without its cache."""
+    import re
+
+    pieces = []
+    for chunk in re.split(r"[^0-9A-Za-z]+", name):
+        if chunk:
+            pieces.extend(re.findall(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+", chunk))
+    return [p.lower() for p in pieces if len(p) > 1]
+
+
+def method_features(pdg):
+    """features.extract_method_features with each statement's dependence
+    context read from Pdg.neighbors, which scans every edge per call."""
+    from vulgraph.features import (
+        CONTEXT_CAP,
+        StatementFeatureBundle,
+        _type_words,
+        statement_identifiers,
+    )
+    from vulgraph.frontend.pdg import recover_decl_types
+
+    def capped(neighbors, center):
+        return sorted(sorted(neighbors, key=lambda j: (abs(j - center), j))[:CONTEXT_CAP])
+
+    decl_types = pdg.decl_types or recover_decl_types(pdg.nodes)
+    bundles = []
+    for node in pdg.nodes:
+        variables = sorted(set(node.defs) | set(node.uses))
+        subtokens = []
+        for ident in statement_identifiers(node.kind, node.ast):
+            subtokens.extend(split_identifier(ident))
+        bundles.append(
+            StatementFeatureBundle(
+                index=node.index,
+                subtokens=subtokens,
+                ast=node.ast,
+                var_names=[split_identifier(v) for v in variables],
+                var_types=[_type_words(decl_types.get(v, "UNK")) for v in variables],
+                data_ctx=capped(pdg.neighbors(node.index, "data"), node.index),
+                ctrl_ctx=capped(pdg.neighbors(node.index, "control"), node.index),
+            )
+        )
+    return bundles

@@ -91,6 +91,17 @@ def test_parse_missing_file_is_validation_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, where",
+    [("int b = \u00b2;", "2:13"), ("int x;\n    x = \u0663;", "3:9"), ("int c = 0x;", "2:13")],
+)
+def test_parse_rejects_literals_outside_the_grammar(tmp_path, capsys, body, where):
+    source = tmp_path / "literal.c"
+    source.write_text(f"int f(void) {{\n    {body}\n}}\n", encoding="utf-8")
+    assert main(["parse", str(source)]) == 1
+    assert f"at {where}" in capsys.readouterr().err
+
+
 # --- pipeline ---------------------------------------------------------------
 
 

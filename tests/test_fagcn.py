@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
 from vulgraph import encoders, fagcn
 from vulgraph.fagcn import (
+    CHUNK_STMTS,
     TrainConfig,
     _batch_loss,
     _chunk_logits,
+    _chunks,
     balanced_training_pairs,
     best_threshold,
     cross_entropy,
@@ -448,6 +452,45 @@ def test_scores_are_the_softmax_of_the_training_logits():
         scored = score_methods(model, items, chunk=chunk)
         assert [mid for mid, _ in scored] == [mid for mid, _ in items]
         assert max(abs(p - q) for (_, p), q in zip(scored, probs[:, 1])) < 1e-12
+
+
+def test_chunks_close_at_sixteen_methods_or_the_statement_budget():
+    def sized(*counts):
+        return [(f"m{i}", SimpleNamespace(nodes=[None] * n)) for i, n in enumerate(counts)]
+
+    def shape(items, size=16):
+        return [[len(p.nodes) for _, p in part] for part in _chunks(items, size)]
+
+    assert shape(sized(*[8] * 40)) == [[8] * 16, [8] * 16, [8] * 8]
+    half = CHUNK_STMTS // 2
+    assert shape(sized(half, half, 1, half + 1, 2 * CHUNK_STMTS, 3)) == [
+        [half, half], [1, half + 1], [2 * CHUNK_STMTS], [3]
+    ]
+    assert shape(sized(5, 5, 5), size=2) == [[5, 5], [5]]
+    assert shape([]) == []
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_peak_memory_grows_with_the_chunk_budget_not_the_methods():
+    # a chunk's fusion adjacency and the Tree-LSTM's child sums are dense
+    # in its statements; 8 methods of 420 statements in one chunk peaked at
+    # about 39 times the memory of one
+    body = ["int v0 = n;"] + [f"int v{i} = v{i - 1} + n;" for i in range(1, 419)]
+    pdg = pdg_from_source("int big(int n) { " + " ".join(body) + " return v418; }")
+    assert len(pdg.nodes) == 420
+    model = new_model(_toy_vocab([("big", pdg)]), seed=1)
+    one = _peak_bytes(lambda: score_methods(model, [("m0", pdg)]))
+    eight = _peak_bytes(lambda: score_methods(model, [(f"m{i}", pdg) for i in range(8)]))
+    assert eight <= 3 * one, (eight, one)
 
 
 def test_fit_threshold_requires_data():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulgraph.errors import VocabularyError
@@ -11,9 +11,13 @@ from vulgraph.features import (
     build_vocabulary,
     extract_method_features,
     split_identifier,
-    vectorize,
 )
-from vulgraph.frontend import pdg_from_source
+from vulgraph.corpus import generate_planted_corpus
+from vulgraph.encoders import _token_matrix
+from vulgraph.frontend import pdg_from_dict, pdg_from_source, pdg_to_dict
+from vulgraph.rng import Rng
+
+from oracles import method_features, random_source, token_matrix_per_row, vectorize
 
 
 def _is_subsequence(needle, haystack):
@@ -143,3 +147,39 @@ def test_vocabulary_deterministic_across_orderings():
     v2 = build_vocabulary([list(reversed(bundles))])
     # counts identical regardless of bundle order -> identical table
     assert v1.token_to_id == v2.token_to_id
+
+
+def test_split_identifier_returns_a_fresh_list():
+    first = split_identifier("copy_to_user")
+    first.append("extra")
+    assert split_identifier("copy_to_user") == ["copy", "to", "user"]
+
+
+def test_features_match_the_neighbors_reference():
+    rng = Rng(8)
+    sources = [e.source for seed in (1, 2, 3) for e in generate_planted_corpus(60, seed)]
+    sources += [random_source(rng.fork(str(i)), max_stmts=60) for i in range(60)]
+    hubs = ["int hub = seed;"] + [f"int v{i:02d} = hub + v{i - 1:02d};" for i in range(1, 20)]
+    sources.append("int g(int seed) { int v00 = 0; " + " ".join(hubs) + " return hub; }")
+    capped = 0
+    for source in sources:
+        pdg = pdg_from_source(source)
+        for graph in (pdg, pdg_from_dict(pdg_to_dict(pdg))):
+            bundles = extract_method_features(graph)
+            assert bundles == method_features(graph), source
+            capped += sum(len(b.data_ctx) == 8 for b in bundles)
+    assert capped > 0  # the cap on context length was exercised
+
+
+_TOKENS = st.sampled_from(["aa", "bb", "cc", "zz", "intlit", "", "id:x"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seqs=st.lists(st.lists(_TOKENS, max_size=9), min_size=1, max_size=12))
+def test_token_matrix_is_bitwise_the_per_row_vectorize(seqs):
+    vocab = Vocabulary({"aa": 2, "bb": 3, "cc": 4, "intlit": 5, "": 6})
+    ids, mask = _token_matrix(seqs, vocab)
+    want_ids, want_mask = token_matrix_per_row(seqs, vocab)
+    for got, want in ((ids, want_ids), (mask, want_mask)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

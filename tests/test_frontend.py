@@ -1,14 +1,20 @@
+import functools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vulgraph.errors import EmptyMethod, IllegalCharacter, ParseError, UnterminatedString
+from vulgraph.corpus import generate_planted_corpus
+from vulgraph.errors import EmptyMethod, IllegalCharacter, ParseError, SourceError, UnterminatedString
 from vulgraph.frontend import (
     build_cfg,
+    build_pdg,
     control_dependences,
     data_dependences,
     parse_method,
+    parse_source,
     pdg_from_dict,
     pdg_from_source,
     pdg_to_dict,
@@ -22,9 +28,11 @@ from vulgraph.rng import Rng
 from oracles import (
     brute_control_deps,
     brute_data_deps,
+    parse_source_per_level,
     per_node_repair_edges,
     random_source,
     set_control_deps,
+    tokenize_chars,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -58,6 +66,159 @@ def test_illegal_character_position():
     with pytest.raises(IllegalCharacter) as exc:
         tokenize("a = 1;\nb = $;")
     assert exc.value.line == 2 and exc.value.col == 5
+
+
+@pytest.mark.parametrize(
+    "source, error, line, col",
+    [
+        ("int b = \u00b2;", IllegalCharacter, 1, 9),  # superscript two
+        ("x = \u0663;", IllegalCharacter, 1, 5),  # Arabic-Indic three
+        ("x = 1\u0663;", IllegalCharacter, 1, 6),
+        ("x = 0x1\u0663;", IllegalCharacter, 1, 8),
+        ("int c = 0x;", ParseError, 1, 9),
+        ("\n  c = 0XuL;", ParseError, 2, 7),
+        ("c = 0xg;", ParseError, 1, 5),
+        ("c = 0x\u0663;", ParseError, 1, 5),
+    ],
+)
+def test_integer_literal_digits_are_ascii(source, error, line, col):
+    with pytest.raises(error) as exc:
+        tokenize(source)
+    assert (type(exc.value), exc.value.line, exc.value.col) == (error, line, col)
+
+
+def test_identifiers_start_with_a_letter_and_continue_alphanumeric():
+    toks = tokenize("caf\u00e9 = x\u00b2 + _\u0663 + \u00aa1;")
+    assert [(t.kind, t.text) for t in toks] == [
+        ("id", "caf\u00e9"), ("op", "="), ("id", "x\u00b2"), ("op", "+"),
+        ("id", "_\u0663"), ("op", "+"), ("id", "\u00aa1"), ("punct", ";"),
+    ]
+    # numeric characters that are not letters cannot start one
+    for char in ("\u00bd", "\u2160", "\u00b2"):
+        with pytest.raises(IllegalCharacter) as exc:
+            tokenize(f"a = {char}b;")
+        assert (exc.value.line, exc.value.col) == (1, 5)
+
+
+def test_token_repr_and_fields():
+    (tok,) = tokenize("\n  ab")
+    assert repr(tok) == "Token(id,'ab',2:3)"
+    assert (tok.kind, tok.text, tok.line, tok.col) == ("id", "ab", 2, 3)
+
+
+def test_positions_after_multiline_comments_and_escaped_newlines():
+    toks = tokenize('a /* x\n y\n */ b "s\\\nt" c\r\n\td')
+    assert [(t.text, t.line, t.col) for t in toks] == [
+        ("a", 1, 1), ("b", 3, 5), ('"s\\\nt"', 3, 7), ("c", 4, 4), ("d", 5, 2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("x = /* open", "unterminated block comment at 1:5"),
+        ("x = 'a\n';", "unterminated string literal at 1:5"),
+        ('x = "a\\', "unterminated string literal at 1:5"),
+        ("x = a # b;", "illegal character '#' at 1:7"),
+    ],
+)
+def test_lexer_errors_keep_type_message_and_position(source, message):
+    with pytest.raises(SourceError) as exc:
+        tokenize(source)
+    assert str(exc.value) == message
+    with pytest.raises(type(exc.value)) as ref:
+        tokenize_chars(source)
+    assert str(ref.value) == message
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_sources() -> tuple[str, ...]:
+    """The gen-corpus sources of seeds 1-3, then random dependence-fuzzing
+    programs."""
+    sources = [e.source for seed in (1, 2, 3) for e in generate_planted_corpus(200, seed)]
+    rng = Rng(31)
+    sources += [random_source(rng.fork(str(i)), max_stmts=40) for i in range(100)]
+    return tuple(sources)
+
+
+def _outcome(run, source):
+    """What `run` gives for `source`: its result, or its error's type,
+    message and position."""
+    try:
+        return run(source)
+    except SourceError as exc:
+        return (type(exc), str(exc), exc.line, exc.col)
+
+
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
+def _expected_tokens(source):
+    """The character loop's outcome, except for integer literals: one that
+    holds a non-ASCII digit is an IllegalCharacter at that digit, and a 0x
+    with no hex digit after it is a ParseError at the literal."""
+    try:
+        tokens, error = tokenize_chars(source), None
+    except SourceError as exc:
+        error = (type(exc), str(exc), exc.line, exc.col)
+        lines = source.split("\n")
+        offset = sum(len(text) + 1 for text in lines[: exc.line - 1]) + exc.col - 1
+        tokens = tokenize_chars(source[:offset])  # the tokens before the error
+    for t in tokens:
+        if t.kind != "int":
+            continue
+        if t.text[:2] in ("0x", "0X") and t.text[2:3] not in _HEX:
+            message = f"hex literal {t.text[:2]!r} has no digits at {t.line}:{t.col}"
+            return (ParseError, message, t.line, t.col)
+        if not t.text.isascii():
+            k = next(i for i, c in enumerate(t.text) if not c.isascii())
+            message = f"illegal character {t.text[k]!r} at {t.line}:{t.col + k}"
+            return (IllegalCharacter, message, t.line, t.col + k)
+    return tokens if error is None else error
+
+
+# insertions that reach every rule of the lexer and many of the parser
+_PIECES = [
+    '"', "'", "\\", "\n", "/", "*", "/*", "*/", "//", "0x", "0X", "0", "7", "x", "ab",
+    "\u00e9", "\u00b2", "\u0663", "\u00bd", "\u2160", "$", "\t", "\r", "\f",
+    "(", ")", "{", "}", "[", "]", ";", ",", ":", "->", ".", "++", "--", "<<=", "=", "+",
+    "-", "&", "|", "!", "~", "<", ">", "if", "else", "while", "for", "return", "goto",
+    "sizeof", "int", "struct", "break", " ", "a b", "T *p", "u", "L",
+]
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(_PIECES) | st.text(max_size=3),
+        st.integers(min_value=1, max_value=6),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(source: str, edits) -> str:
+    for op, where, piece, width in edits:
+        at = int(where * len(source))
+        if op == "insert":
+            source = source[:at] + piece + source[at:]
+        elif op == "delete":
+            source = source[:at] + source[at + width:]
+        else:
+            source = source[:at] + piece + source[at + min(width, 3):]
+    return source
+
+
+def test_lexer_matches_the_character_loop_on_corpus_sources():
+    for source in _corpus_sources():
+        assert tokenize(source) == tokenize_chars(source), source
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(index=st.integers(min_value=0, max_value=699), edits=_EDITS)
+def test_lexer_matches_the_character_loop_on_mutated_sources(index, edits):
+    source = _mutate(_corpus_sources()[index], edits)
+    assert _outcome(tokenize, source) == _expected_tokens(source), source
 
 
 # --- parser ------------------------------------------------------------------
@@ -143,6 +304,42 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_method("int f(void) {\n  int = 3;\n}")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("int", "expected 'id', found 'end of input' at 0:0"),
+        ("int f(", "expected type specifier at 0:0"),
+        ("int f(int a) {", "unterminated block at 0:0"),
+        ("int f(int a) { a = ", "unexpected end of input at 1:18"),
+        ("int f(void) { x = sizeof(", "unexpected end of input at 1:25"),
+        ("int f(void) { T *", "unexpected end of input at 1:17"),
+        ("int f(void) { x = (a", "expected ')', found 'end of input' at 0:0"),
+        ("int f(void) { x = a + b * c - ; }", "unexpected token ';' in expression at 1:31"),
+    ],
+)
+def test_parse_errors_at_the_end_of_input(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    assert str(exc.value) == message
+
+
+def _pdg_dicts(parse):
+    return lambda source: [pdg_to_dict(build_pdg(m)) for m in parse(source)]
+
+
+def test_parser_matches_the_per_level_reference_on_corpus_sources():
+    for source in _corpus_sources():
+        assert _pdg_dicts(parse_source)(source) == _pdg_dicts(parse_source_per_level)(source)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(index=st.integers(min_value=0, max_value=699), edits=_EDITS)
+def test_parser_matches_the_per_level_reference_on_mutated_sources(index, edits):
+    source = _mutate(_corpus_sources()[index], edits)
+    reference = functools.partial(parse_source_per_level, tokenize=tokenize)
+    assert _outcome(_pdg_dicts(parse_source), source) == _outcome(_pdg_dicts(reference), source)
 
 
 # --- CFG ---------------------------------------------------------------------
