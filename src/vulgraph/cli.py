@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .corpus import (
@@ -132,9 +132,35 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         cfg = RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_values(cfg)
+    return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_values(cfg: RunConfig) -> None:
+    """Every value has its default's type: an integer where the default is
+    one, a number where it is a real, a list of numbers for the split
+    fractions. k must be positive and the split settings must pass
+    SplitSpec's checks; train checks its own epochs and batch size."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, tuple):
+            ok, want = isinstance(value, tuple) and all(_is_number(v) for v in value), "a list of numbers"
+        elif isinstance(f.default, int):
+            ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        else:
+            ok, want = _is_number(value), "a number"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {want}, not {value!r}")
     if cfg.k < 1:
         raise ConfigError("k must be at least 1")
-    return cfg
+    try:
+        cfg.split_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_from_args(args) -> RunConfig:

@@ -141,6 +141,8 @@ def load_corpus(path) -> list[CorpusEntry]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise _schema_error(lineno, f"invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:  # the decoder's own nesting limit
+                raise _schema_error(lineno, "JSON nested too deeply to decode") from exc
             entry = _entry_from_obj(obj, lineno)
             if entry.id in seen:
                 raise DuplicateId(f"line {lineno}: duplicate method id {entry.id!r}")

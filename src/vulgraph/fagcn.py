@@ -361,6 +361,8 @@ def train(
     config = config or TrainConfig()
     if config.epochs < 1:  # the threshold is fit on an epoch's tuning scores
         raise ConfigError("epochs must be at least 1")
+    if config.batch_size < 1:
+        raise ConfigError("batch_size must be at least 1")
     if not train_items:
         raise EmptySplit("training split is empty")
     if not tune_items:

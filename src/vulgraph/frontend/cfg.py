@@ -25,24 +25,25 @@ class Cfg:
     def __post_init__(self):
         self.entry = self.n_stmts
         self.exit = self.n_stmts + 1
+        # each node's distinct successors and predecessors, in edge order
+        self._succ: dict[int, list[int]] = {v: [] for v in self.nodes}
+        self._pred: dict[int, list[int]] = {v: [] for v in self.nodes}
+        for src, dst, _ in self.edges:
+            if dst not in self._succ[src]:
+                self._succ[src].append(dst)
+                self._pred[dst].append(src)
 
     @property
     def nodes(self) -> list[int]:
-        return list(range(self.n_stmts)) + [self.entry, self.exit]
+        return list(range(self.n_stmts + 2))
 
     def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for src, dst, _ in self.edges:
-            if dst not in succ[src]:
-                succ[src].append(dst)
-        return succ
+        """Distinct successors per node; shared, so callers copy to edit."""
+        return self._succ
 
     def predecessors(self) -> dict[int, list[int]]:
-        pred: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for src, dst, _ in self.edges:
-            if src not in pred[dst]:
-                pred[dst].append(src)
-        return pred
+        """Distinct predecessors per node; shared, so callers copy to edit."""
+        return self._pred
 
 
 def _extend_reach(seen: set[int], start: int, step: dict[int, list[int]]) -> set[int]:
@@ -133,31 +134,23 @@ def _structural_edges(method: MethodAst) -> list[tuple[int, int, str]]:
 def _repair_edges(n: int, edges: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
     """The synthetic seq edges that make EXIT reachable from every statement
     and every statement reachable from ENTRY, in the order they are added.
-    Each search extends one reach set, so the repair is linear in the edges."""
-    entry, exit_ = n, n + 1
-    succ: dict[int, list[int]] = {v: [] for v in range(n + 2)}
-    pred: dict[int, list[int]] = {v: [] for v in range(n + 2)}
+    Each search extends one reach set, so the repair is linear in the edges.
+    No search passes through ENTRY or EXIT, so the added edges never change
+    what a later search reaches."""
+    graph = Cfg(n, edges)
+    entry, exit_ = graph.entry, graph.exit
     added: list[tuple[int, int, str]] = []
-
-    def repair(src: int, dst: int) -> None:
-        added.append((src, dst, "seq"))
-        succ[src].append(dst)
-        pred[dst].append(src)
-
-    for src, dst, _ in edges:
-        succ[src].append(dst)
-        pred[dst].append(src)
     # a repair edge to EXIT makes EXIT reachable from all that reach its source
-    reaches_exit = _extend_reach(set(), exit_, pred)
+    reaches_exit = _extend_reach(set(), exit_, graph.predecessors())
     for node in range(n):
         if node not in reaches_exit:
-            repair(node, exit_)
-            _extend_reach(reaches_exit, node, pred)
-    reached = _extend_reach(set(), entry, succ)
+            added.append((node, exit_, "seq"))
+            _extend_reach(reaches_exit, node, graph.predecessors())
+    reached = _extend_reach(set(), entry, graph.successors())
     for node in range(n):
         if node not in reached:
-            repair(entry, node)
-            _extend_reach(reached, node, succ)
+            added.append((entry, node, "seq"))
+            _extend_reach(reached, node, graph.successors())
     return added
 
 

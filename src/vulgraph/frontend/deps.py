@@ -20,14 +20,12 @@ from .cfg import Cfg
 from .parser import StmtNode
 
 
-def _immediate_postdominators(succ: dict[int, list[int]], exit_: int) -> dict[int, int]:
+def _immediate_postdominators(
+    succ: dict[int, list[int]], pred: dict[int, list[int]], exit_: int
+) -> dict[int, int]:
     """Immediate post-dominator of every node that reaches `exit_` (EXIT
     maps to itself): Cooper, Harvey & Kennedy's iterative dominator
     algorithm run on the reverse graph, in reverse postorder from EXIT."""
-    pred: dict[int, list[int]] = {v: [] for v in succ}
-    for v, outs in succ.items():
-        for w in outs:
-            pred[w].append(v)
     postorder: list[int] = []
     seen = {exit_}
     stack = [(exit_, iter(pred[exit_]))]
@@ -70,13 +68,15 @@ def control_dependences(cfg: Cfg) -> list[tuple[int, int]]:
     """Sorted (p, s) pairs; p may be cfg.entry. For each edge p -> u, the
     nodes on the post-dominator tree path from u up to ipdom(p), exclusive,
     depend on p (Ferrante, Ottenstein & Warren 1987); p itself is left out."""
-    succ = cfg.successors()
-    if cfg.exit not in succ[cfg.entry]:
-        succ[cfg.entry].append(cfg.exit)
-    ipdom = _immediate_postdominators(succ, cfg.exit)
+    succ, pred = cfg.successors(), cfg.predecessors()
+    entry, exit_ = cfg.entry, cfg.exit
+    if exit_ not in succ[entry]:  # the virtual ENTRY->EXIT edge, on copies
+        succ = {**succ, entry: [*succ[entry], exit_]}
+        pred = {**pred, exit_: [*pred[exit_], entry]}
+    ipdom = _immediate_postdominators(succ, pred, exit_)
     deps: set[tuple[int, int]] = set()
     for p, outs in succ.items():
-        if p == cfg.exit or len(outs) < 2:
+        if p == exit_ or len(outs) < 2:
             continue
         for u in outs:
             while u != ipdom[p]:

@@ -14,15 +14,6 @@ from typing import NamedTuple
 
 from ..errors import IllegalCharacter, ParseError, UnterminatedString
 
-KEYWORDS = frozenset(
-    {
-        "int", "char", "long", "short", "unsigned", "signed", "void",
-        "float", "double", "struct", "union", "enum", "const", "static",
-        "if", "else", "while", "for", "return", "goto", "sizeof",
-        "break", "continue", "do", "switch", "case", "default",
-    }
-)
-
 # declaration-leading keywords (type specifiers and storage classes)
 TYPE_KEYWORDS = frozenset(
     {
@@ -30,6 +21,11 @@ TYPE_KEYWORDS = frozenset(
         "float", "double", "struct", "union", "enum", "const", "static",
     }
 )
+
+KEYWORDS = TYPE_KEYWORDS | {
+    "if", "else", "while", "for", "return", "goto", "sizeof",
+    "break", "continue", "do", "switch", "case", "default",
+}
 
 # longest match first
 _OPERATORS = [

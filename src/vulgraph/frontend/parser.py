@@ -1,8 +1,9 @@
 """Recursive-descent parser for the mini-C subset.
 
 Binary expressions are parsed by precedence climbing (Pratt, "Top Down
-Operator Precedence", POPL 1973): one loop over an operator-to-level table,
-so an operand costs one call whatever the number of levels.
+Operator Precedence", POPL 1973): one loop over the operator-to-level table
+the renderer also reads (render.BINARY_LEVEL), so an operand costs one call
+whatever the number of levels.
 
 parse_method turns one function definition into a MethodAst: a flat,
 index-ordered list of statement nodes plus the structured body tree the CFG
@@ -12,7 +13,8 @@ builder walks. Statement kinds:
 
 Conditions of if/while/for become *-pred nodes whose ast is the condition
 expression. A for header is desugared: the init clause precedes the pred and
-the step clause becomes the last statement of the loop body.
+the step clause becomes the last statement of the loop body. Statements are
+numbered as they are made, so the step is numbered after the body.
 
 def/use extraction is performed here, per statement, with the shallow alias
 model: a field access base->f (or base.f) defines/uses the base identifier
@@ -26,21 +28,19 @@ from dataclasses import dataclass, field
 
 from ..errors import EmptyMethod, ParseError
 from .lexer import TYPE_KEYWORDS, Token, tokenize
-from .render import render_statement
+from .render import BINARY_LEVEL, render_statement
 
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
 
-# binary operators by ascending precedence, all left-associative
-_BINARY_LEVEL = {
-    op: level
-    for level, ops in enumerate(
-        [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="],
-         ["<<", ">>"], ["+", "-"], ["*", "/", "%"]]
-    )
-    for op in ops
-}
-
 _UNARY_OPS = frozenset({"+", "-", "!", "~", "*", "&", "++", "--"})
+
+# How deep a method may nest. Statement bodies and expressions (operands,
+# arguments, subscripts, parenthesized expressions) open one level each, and
+# no statement's tree may be more than this many nodes high. Every later
+# walk over a statement tree or the statement nesting recurses once or twice
+# per level, so this keeps each inside Python's default recursion limit.
+NESTING_BOUND = 100
+_STEP_LABELS = frozenset({"post:++", "post:--", "un:++", "un:--"})
 
 
 @dataclass
@@ -92,27 +92,31 @@ class BlockItem:
 @dataclass
 class MethodAst:
     name: str
-    params: list[tuple[str, str]]  # (type text, name)
     stmts: list[StmtNode]
     body: list = field(repr=False, default_factory=list)
     decl_types: dict[str, str] = field(default_factory=dict)
-    labels: dict[str, int] = field(default_factory=dict)
     goto_targets: dict[int, int] = field(default_factory=dict)  # goto stmt -> label stmt
-
-
-# The end of a token stream. The parser peeks at most three tokens ahead, so
-# four copies end every stream and no read needs a bounds check. Its text is
-# what an error message names there, and its position is the 0:0 that
-# errors at the end of input report.
-_END = Token("end", "end of input", 0, 0)
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = [*tokens, _END, _END, _END, _END]
-        self.pos = 0
+        # The parser peeks at most three tokens ahead, so four end tokens
+        # close the stream and no read needs a bounds check. An error at the
+        # end of input names the end token's text and the last token's position.
         last = tokens[-1] if tokens else Token("punct", "", 1, 1)
-        self.end_at = (last.line, last.col)  # where running out of tokens is reported
+        end = Token("end", "end of input", last.line, last.col)
+        self.tokens = [*tokens, end, end, end, end]
+        self.pos = 0
+        self.depth = 0  # open statement bodies and expressions
+        self.height = 0  # height of the tree the last parse step returned
+
+    def begin_method(self) -> None:
+        """Clear the state of one method: statements in index order, labels
+        by name, gotos to resolve, and declared types."""
+        self.stmts: list[StmtNode] = []
+        self.labels: dict[str, StmtNode] = {}
+        self.gotos: list[tuple[StmtNode, str, int, int]] = []
+        self.decl_types: dict[str, str] = {}
 
     # --- token plumbing -------------------------------------------------
 
@@ -121,8 +125,8 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok is _END:
-            raise ParseError("unexpected end of input", *self.end_at)
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -141,6 +145,15 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         tok = self.tokens[self.pos]
         return ParseError(message, tok.line, tok.col)
+
+    def too_deep(self, tok: Token) -> ParseError:
+        return ParseError(f"nesting deeper than {NESTING_BOUND} levels", tok.line, tok.col)
+
+    def enter(self) -> None:
+        """Open one nesting level at the current token."""
+        self.depth += 1
+        if self.depth > NESTING_BOUND:
+            raise self.too_deep(self.tokens[self.pos])
 
     # --- types and declarators ------------------------------------------
 
@@ -178,14 +191,15 @@ class _Parser:
             raise self.error("expected type specifier")
         return " ".join(words)
 
-    def parse_declarator(self) -> tuple[list, str]:
-        """Return (declarator ast, declared name)."""
+    def parse_declarator(self) -> tuple[list, str, int]:
+        """Return (declarator ast, declared name, pointer depth)."""
         stars = 0
         while self.at("op", "*"):
             self.pos += 1
             stars += 1
         name_tok = self.expect("id")
         node: list = [f"id:{name_tok.text}", []]
+        height = 1
         while self.at("punct", "["):
             self.pos += 1
             if self.at("punct", "]"):
@@ -195,9 +209,14 @@ class _Parser:
                 size = self.parse_expr()
                 self.expect("punct", "]")
                 node = ["arr", [node, size]]
+                height = max(height, self.height)
+            height += 1
         for _ in range(stars):
             node = ["ptr", [node]]
-        return node, name_tok.text
+        self.height = height + stars
+        if self.height > NESTING_BOUND:
+            raise self.too_deep(name_tok)
+        return node, name_tok.text, stars
 
     # --- expressions ------------------------------------------------------
 
@@ -205,22 +224,31 @@ class _Parser:
         """A binary expression whose operators bind at min_level or tighter,
         by precedence climbing: each operator's right operand takes only
         tighter operators, so equal levels group to the left."""
+        self.enter()
         node = self.parse_unary()
+        height = self.height
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
-            level = _BINARY_LEVEL.get(tok.text, -1) if tok.kind == "op" else -1
+            level = BINARY_LEVEL.get(tok.text, -1) if tok.kind == "op" else -1
             if level < min_level:
+                self.depth -= 1
+                self.height = height
                 return node
             self.pos += 1
             node = [f"bin:{tok.text}", [node, self.parse_expr(level + 1)]]
+            height = max(height, self.height) + 1
+            if height > NESTING_BOUND:
+                raise self.too_deep(tok)
 
     def parse_unary(self) -> list:
         tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.text in _UNARY_OPS:
             self.pos += 1
-            return [f"un:{tok.text}", [self.parse_unary()]]
-        if tok.kind == "kw" and tok.text == "sizeof":
+            self.enter()
+            node = [f"un:{tok.text}", [self.parse_unary()]]
+            self.depth -= 1
+        elif tok.kind == "kw" and tok.text == "sizeof":
             self.pos += 1
             self.expect("punct", "(")
             if self.at_type():
@@ -228,16 +256,23 @@ class _Parser:
                 while self.at("op", "*"):
                     self.pos += 1
                     inner[0] += " *"
+                self.height = 1
             else:
                 inner = self.parse_expr()
             self.expect("punct", ")")
-            return ["un:sizeof", [inner]]
-        return self.parse_postfix(self.parse_primary())
+            node = ["un:sizeof", [inner]]
+        else:
+            return self.parse_postfix(self.parse_primary())
+        self.height += 1
+        if self.height > NESTING_BOUND:
+            raise self.too_deep(tok)
+        return node
 
     def parse_primary(self) -> list:
         tok = self.next()
         kind = tok.kind
         if kind == "id" or kind == "int" or kind == "str" or kind == "char":
+            self.height = 1
             return [f"{kind}:{tok.text}", []]
         if kind == "punct" and tok.text == "(":
             node = self.parse_expr()
@@ -247,6 +282,7 @@ class _Parser:
 
     def parse_postfix(self, node: list) -> list:
         tokens = self.tokens
+        height = self.height
         while True:
             tok = tokens[self.pos]
             text = tok.text
@@ -256,11 +292,14 @@ class _Parser:
                         raise self.error("only simple names can be called")
                     self.pos += 1
                     args = []
+                    height = 0  # the callee's name is part of the call node
                     if not self.at("punct", ")"):
                         args.append(self.parse_expr())
+                        height = self.height
                         while self.at("punct", ","):
                             self.pos += 1
                             args.append(self.parse_expr())
+                            height = max(height, self.height)
                     self.expect("punct", ")")
                     node = [f"call:{node[0][3:]}", args]
                 elif text == "[":
@@ -268,8 +307,9 @@ class _Parser:
                     sub = self.parse_expr()
                     self.expect("punct", "]")
                     node = ["index", [node, sub]]
+                    height = max(height, self.height)
                 else:
-                    return node
+                    break
             elif tok.kind == "op":
                 if text == "->" or text == ".":
                     self.pos += 1
@@ -279,50 +319,60 @@ class _Parser:
                     self.pos += 1
                     node = [f"post:{text}", [node]]
                 else:
-                    return node
+                    break
             else:
-                return node
+                break
+            height += 1
+            if height > NESTING_BOUND:
+                raise self.too_deep(tok)
+        self.height = height
+        return node
 
     # --- statements -------------------------------------------------------
 
     def make_stmt(self, kind: str, ast: list, line: int) -> StmtNode:
+        """A statement of the method, numbered in the order it is made."""
         defs, uses = analyze_def_use(kind, ast)
         text = render_statement(kind, ast, abstract=False)
-        return StmtNode(-1, kind, text, defs, uses, ast, line)
+        stmt = StmtNode(len(self.stmts), kind, text, defs, uses, ast, line)
+        self.stmts.append(stmt)
+        return stmt
 
-    def parse_block_body(self, method: "_MethodBuilder") -> list:
+    def parse_block_body(self) -> list:
         self.expect("punct", "{")
         items: list = []
         while not self.at("punct", "}"):
-            if self.peek() is _END:
+            if self.at("end"):
                 raise self.error("unterminated block")
-            items.extend(self.parse_statement(method))
+            items.extend(self.parse_statement())
         self.expect("punct", "}")
         return items
 
-    def parse_body_or_single(self, method: "_MethodBuilder") -> list:
-        if self.at("punct", "{"):
-            return self.parse_block_body(method)
-        return self.parse_statement(method)
+    def parse_body_or_single(self) -> list:
+        """A nested body, one level deeper: a block or a single statement."""
+        self.enter()
+        items = self.parse_block_body() if self.at("punct", "{") else self.parse_statement()
+        self.depth -= 1
+        return items
 
-    def parse_statement(self, method: "_MethodBuilder") -> list:
+    def parse_statement(self) -> list:
         tok = self.peek()
-        if tok is _END:
+        if tok.kind == "end":
             raise self.error("unexpected end of input")
         if tok.kind == "punct" and tok.text == ";":
             self.next()
             return []
         if tok.kind == "punct" and tok.text == "{":
             marker = self.make_stmt("block-enter", ["block", []], tok.line)
-            body = self.parse_block_body(method)
+            body = self.parse_body_or_single()
             return [BlockItem(marker, body)]
         if tok.kind == "kw":
             if tok.text == "if":
-                return [self.parse_if(method)]
+                return [self.parse_if()]
             if tok.text == "while":
-                return [self.parse_while(method)]
+                return [self.parse_while()]
             if tok.text == "for":
-                return [self.parse_for(method)]
+                return [self.parse_for()]
             if tok.text == "return":
                 self.next()
                 if self.at("punct", ";"):
@@ -330,13 +380,15 @@ class _Parser:
                     return [Leaf(self.make_stmt("return", ["return", []], tok.line))]
                 expr = self.parse_expr()
                 self.expect("punct", ";")
+                if self.height >= NESTING_BOUND:
+                    raise self.too_deep(tok)
                 return [Leaf(self.make_stmt("return", ["return", [expr]], tok.line))]
             if tok.text == "goto":
                 self.next()
                 target = self.expect("id").text
                 self.expect("punct", ";")
                 stmt = self.make_stmt("goto", [f"goto:{target}", []], tok.line)
-                method.gotos.append((stmt, target, tok.line, tok.col))
+                self.gotos.append((stmt, target, tok.line, tok.col))
                 return [Leaf(stmt)]
             if tok.text in ("break", "continue", "do", "switch", "case", "default", "else"):
                 raise ParseError(f"unsupported construct {tok.text!r}", tok.line, tok.col)
@@ -345,26 +397,30 @@ class _Parser:
             self.next()
             self.next()
             stmt = self.make_stmt("label", [f"label:{tok.text}", []], tok.line)
-            if tok.text in method.labels:
+            if tok.text in self.labels:
                 raise ParseError(f"duplicate label {tok.text!r}", tok.line, tok.col)
-            method.labels[tok.text] = stmt
+            self.labels[tok.text] = stmt
             return [Leaf(stmt)]
         if self.at_type():
-            return [Leaf(s) for s in self.parse_declaration(method)]
-        return [Leaf(self.parse_expr_statement())]
+            return [Leaf(s) for s in self.parse_declaration()]
+        return [Leaf(self.parse_simple_statement("expression statement", ";"))]
 
-    def parse_declaration(self, method: "_MethodBuilder") -> list[StmtNode]:
+    def parse_declaration(self) -> list[StmtNode]:
         tok = self.peek()
         type_text = self.parse_type_words()
         stmts = []
         while True:
-            dtor, name = self.parse_declarator()
+            dtor, name, _ = self.parse_declarator()
             children = [[f"type:{type_text}", []], dtor]
+            height = self.height
             if self.at("op", "="):
                 self.next()
                 children.append(self.parse_expr())
+                height = max(height, self.height)
+            if height >= NESTING_BOUND:
+                raise self.too_deep(tok)
             stmts.append(self.make_stmt("decl", ["decl", children], tok.line))
-            method.decl_types.setdefault(name, type_text)
+            self.decl_types.setdefault(name, type_text)
             if self.at("punct", ","):
                 self.next()
                 continue
@@ -372,66 +428,64 @@ class _Parser:
         self.expect("punct", ";")
         return stmts
 
-    def parse_expr_statement(self) -> StmtNode:
+    def parse_simple_statement(self, what: str, end: str) -> StmtNode:
+        """An assignment, a call, or an increment, then the `end` token: what
+        an expression statement and a for clause may hold. `what` names it
+        in the error."""
         tok = self.peek()
-        expr = self.parse_unary_lvalue_or_expr()
-        if self.at("op") and self.peek().text in ASSIGN_OPS:
-            op = self.next().text
-            rhs = self.parse_expr()
-            self.expect("punct", ";")
-            return self.make_stmt("assign", [f"assign:{op}", [expr, rhs]], tok.line)
-        self.expect("punct", ";")
-        if expr[0].startswith("call:"):
-            return self.make_stmt("call", expr, tok.line)
-        if expr[0].startswith("post:") or (
-            expr[0].startswith("un:") and expr[0][3:] in ("++", "--")
-        ):
-            return self.make_stmt("assign", expr, tok.line)
-        raise ParseError(
-            "expression statement must be an assignment, call, or increment",
-            tok.line,
-            tok.col,
-        )
+        expr = self.parse_expr()
+        op = self.peek()
+        kind = None
+        if op.kind == "op" and op.text in ASSIGN_OPS:
+            self.pos += 1
+            height = self.height
+            expr = [f"assign:{op.text}", [expr, self.parse_expr()]]
+            if max(height, self.height) >= NESTING_BOUND:
+                raise self.too_deep(op)
+            kind = "assign"
+        elif expr[0].startswith("call:"):
+            kind = "call"
+        elif expr[0] in _STEP_LABELS:
+            kind = "assign"
+        self.expect("punct", end)
+        if kind is None:
+            raise ParseError(f"{what} must be an assignment, call, or increment", tok.line, tok.col)
+        return self.make_stmt(kind, expr, tok.line)
 
-    def parse_unary_lvalue_or_expr(self) -> list:
-        # an expression statement can start with * or ++/-- (lvalue forms)
-        return self.parse_expr()
-
-    def parse_if(self, method: "_MethodBuilder") -> IfItem:
+    def parse_if(self) -> IfItem:
         tok = self.expect("kw", "if")
         self.expect("punct", "(")
         cond = self.parse_expr()
         self.expect("punct", ")")
         pred = self.make_stmt("if-pred", cond, tok.line)
-        then = self.parse_body_or_single(method)
+        then = self.parse_body_or_single()
         orelse: list = []
         if self.at("kw", "else"):
             self.next()
-            orelse = self.parse_body_or_single(method)
+            orelse = self.parse_body_or_single()
         return IfItem(pred, then, orelse)
 
-    def parse_while(self, method: "_MethodBuilder") -> WhileItem:
+    def parse_while(self) -> WhileItem:
         tok = self.expect("kw", "while")
         self.expect("punct", "(")
         cond = self.parse_expr()
         self.expect("punct", ")")
         pred = self.make_stmt("while-pred", cond, tok.line)
-        body = self.parse_body_or_single(method)
+        body = self.parse_body_or_single()
         return WhileItem(pred, body)
 
-    def parse_for(self, method: "_MethodBuilder") -> ForItem:
+    def parse_for(self) -> ForItem:
         tok = self.expect("kw", "for")
         self.expect("punct", "(")
         init: StmtNode | None = None
         if not self.at("punct", ";"):
             if self.at_type():
-                decls = self.parse_declaration(method)  # consumes ';'
+                decls = self.parse_declaration()  # consumes ';'
                 if len(decls) != 1:
                     raise ParseError("for-init must declare one variable", tok.line, tok.col)
                 init = decls[0]
             else:
-                init = self.parse_simple_for_clause()
-                self.expect("punct", ";")
+                init = self.parse_simple_statement("for clause", ";")
         else:
             self.next()
         if self.at("punct", ";"):
@@ -442,33 +496,16 @@ class _Parser:
             self.expect("punct", ";")
         pred = self.make_stmt("for-pred", cond, tok.line)
         step: StmtNode | None = None
-        if not self.at("punct", ")"):
-            step = self.parse_simple_for_clause()
-        self.expect("punct", ")")
-        body = self.parse_body_or_single(method)
+        if self.at("punct", ")"):
+            self.next()
+        else:
+            step = self.parse_simple_statement("for clause", ")")
+            self.stmts.pop()  # the step runs after the body and is numbered after it
+        body = self.parse_body_or_single()
+        if step is not None:
+            step.index = len(self.stmts)
+            self.stmts.append(step)
         return ForItem(init, pred, step, body)
-
-    def parse_simple_for_clause(self) -> StmtNode:
-        tok = self.peek()
-        expr = self.parse_expr()
-        if self.at("op") and self.peek().text in ASSIGN_OPS:
-            op = self.next().text
-            rhs = self.parse_expr()
-            return self.make_stmt("assign", [f"assign:{op}", [expr, rhs]], tok.line)
-        if expr[0].startswith("call:"):
-            return self.make_stmt("call", expr, tok.line)
-        if expr[0].startswith("post:") or (
-            expr[0].startswith("un:") and expr[0][3:] in ("++", "--")
-        ):
-            return self.make_stmt("assign", expr, tok.line)
-        raise ParseError("for clause must be an assignment, call, or increment", tok.line, tok.col)
-
-
-class _MethodBuilder:
-    def __init__(self):
-        self.labels: dict[str, StmtNode] = {}
-        self.gotos: list[tuple[StmtNode, str, int, int]] = []
-        self.decl_types: dict[str, str] = {}
 
 
 # --- def/use extraction ----------------------------------------------------
@@ -584,39 +621,14 @@ def analyze_def_use(kind: str, ast) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(sorted(defs)), tuple(sorted(uses))
 
 
-# --- flattening and entry points --------------------------------------------
-
-
-def _flatten(items: list, out: list[StmtNode]) -> None:
-    for item in items:
-        if isinstance(item, Leaf):
-            out.append(item.stmt)
-        elif isinstance(item, IfItem):
-            out.append(item.pred)
-            _flatten(item.then, out)
-            _flatten(item.orelse, out)
-        elif isinstance(item, WhileItem):
-            out.append(item.pred)
-            _flatten(item.body, out)
-        elif isinstance(item, ForItem):
-            if item.init is not None:
-                out.append(item.init)
-            out.append(item.pred)
-            _flatten(item.body, out)
-            if item.step is not None:
-                out.append(item.step)
-        elif isinstance(item, BlockItem):
-            out.append(item.marker)
-            _flatten(item.body, out)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown body item {item!r}")
+# --- entry points ------------------------------------------------------------
 
 
 def parse_source(source: str) -> list[MethodAst]:
     """Parse every function definition in a source string."""
     parser = _Parser(tokenize(source))
     methods = []
-    while parser.peek() is not _END:
+    while not parser.at("end"):
         methods.append(_parse_one(parser))
     return methods
 
@@ -632,59 +644,38 @@ def parse_method(source: str) -> MethodAst:
 
 
 def _parse_one(parser: _Parser) -> MethodAst:
-    ret_type = parser.parse_type_words()
+    parser.begin_method()
+    parser.parse_type_words()  # the return type is not kept
     while parser.at("op", "*"):
         parser.next()
-        ret_type += " *"
     name = parser.expect("id").text
     parser.expect("punct", "(")
-    builder = _MethodBuilder()
-    params: list[tuple[str, str]] = []
     if not parser.at("punct", ")"):
         if parser.at("kw", "void") and parser.at("punct", ")", 1):
             parser.next()
         else:
             while True:
                 ptype = parser.parse_type_words()
-                stars = 0
-                while parser.at("op", "*"):
-                    parser.next()
-                    stars += 1
-                pname = parser.expect("id").text
-                while parser.at("punct", "["):
-                    parser.next()
-                    if not parser.at("punct", "]"):
-                        parser.parse_expr()
-                    parser.expect("punct", "]")
-                full_type = ptype + (" " + "*" * stars if stars else "")
-                params.append((full_type, pname))
-                builder.decl_types.setdefault(pname, full_type)
-                if parser.at("punct", ","):
-                    parser.next()
-                    continue
-                break
+                _, pname, stars = parser.parse_declarator()
+                parser.decl_types.setdefault(pname, ptype + (" " + "*" * stars if stars else ""))
+                if not parser.at("punct", ","):
+                    break
+                parser.next()
     parser.expect("punct", ")")
-    body = parser.parse_block_body(builder)
-
-    stmts: list[StmtNode] = []
-    _flatten(body, stmts)
-    if not stmts:
+    body = parser.parse_block_body()
+    if not parser.stmts:
         raise EmptyMethod(f"method {name!r} has no statements")
-    for i, stmt in enumerate(stmts):
-        stmt.index = i
 
     goto_targets: dict[int, int] = {}
-    for stmt, target, line, col in builder.gotos:
-        if target not in builder.labels:
+    for stmt, target, line, col in parser.gotos:
+        if target not in parser.labels:
             raise ParseError(f"undefined label {target!r}", line, col)
-        goto_targets[stmt.index] = builder.labels[target].index
+        goto_targets[stmt.index] = parser.labels[target].index
 
     return MethodAst(
         name=name,
-        params=params,
-        stmts=stmts,
+        stmts=parser.stmts,
         body=body,
-        decl_types=dict(sorted(builder.decl_types.items())),
-        labels={k: v.index for k, v in sorted(builder.labels.items())},
+        decl_types=dict(sorted(parser.decl_types.items())),
         goto_targets=goto_targets,
     )

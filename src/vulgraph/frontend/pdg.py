@@ -14,9 +14,10 @@ from ..errors import SchemaError
 from ..util import dump_json
 from .cfg import build_cfg
 from .deps import control_dependences, data_dependences
-from .parser import MethodAst, StmtNode, parse_method
+from .parser import NESTING_BOUND, MethodAst, StmtNode, _declared_name, parse_method
 
 PRED_KINDS = frozenset({"if-pred", "while-pred", "for-pred"})
+STMT_KINDS = PRED_KINDS | {"decl", "assign", "call", "return", "goto", "label", "block-enter"}
 EDGE_KINDS = ("data", "control")
 
 
@@ -105,10 +106,26 @@ def pdg_to_json(pdg: Pdg) -> str:
     return dump_json(pdg_to_dict(pdg), indent=2)
 
 
+def _is_tree(ast) -> bool:
+    """Whether `ast` is a [label, [children...]] tree at most NESTING_BOUND
+    nodes high, checked without recursion."""
+    stack = [(ast, 1)]
+    while stack:
+        node, height = stack.pop()
+        if not (
+            type(node) is list and len(node) == 2 and type(node[0]) is str
+            and type(node[1]) is list and height <= NESTING_BOUND
+        ):
+            return False
+        stack.extend((child, height + 1) for child in node[1])
+    return True
+
+
 def pdg_from_dict(data: dict) -> Pdg:
     """Rebuild a serialized PDG. Node indices must be exactly 0..n-1, so a
-    statement's index is its position, and every edge must join two of those
-    nodes with kind data or control."""
+    statement's index is its position; each node must be a known statement
+    kind whose ast is a [label, [children...]] tree within the nesting bound;
+    and every edge must join two of those nodes with kind data or control."""
     nodes = [
         StmtNode(
             index=n["index"],
@@ -132,6 +149,12 @@ def pdg_from_dict(data: dict) -> Pdg:
 
     if not all(is_node(s.index) and s.index == i for i, s in enumerate(nodes)):
         raise SchemaError(f"pdg node indices must be 0..{n - 1}")
+    for s in nodes:
+        if s.kind not in STMT_KINDS or not _is_tree(s.ast):
+            raise SchemaError(
+                f"pdg node {s.index} ({s.kind}) is not a statement kind with an ast tree"
+                f" of [label, [children...]] at most {NESTING_BOUND} high"
+            )
     for e in edges:
         if e.kind not in EDGE_KINDS or not (is_node(e.src) and is_node(e.dst)):
             raise SchemaError(
@@ -149,11 +172,7 @@ def recover_decl_types(nodes: list[StmtNode]) -> dict[str, str]:
     for node in nodes:
         if node.kind != "decl":
             continue
-        type_text = node.ast[1][0][0][5:]
-        dtor = node.ast[1][1]
-        while not dtor[0].startswith("id:"):
-            dtor = dtor[1][0]
-        types.setdefault(dtor[0][3:], type_text)
+        types.setdefault(_declared_name(node.ast[1][1]), node.ast[1][0][0][5:])
     return types
 
 

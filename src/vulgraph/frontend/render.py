@@ -9,16 +9,26 @@ preserved.
 
 from __future__ import annotations
 
-_PREC = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
+import re
+
+# Binary operators by ascending precedence, all left-associative. The parser
+# groups operands by this table and the renderer parenthesizes by it, so the
+# two cannot disagree.
+BINARY_LEVEL = {
+    op: level
+    for level, ops in enumerate(
+        [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="],
+         ["<<", ">>"], ["+", "-"], ["*", "/", "%"]]
+    )
+    for op in ops
 }
-_UNARY_PREC = 11
-_POSTFIX_PREC = 12
+_UNARY_PREC = max(BINARY_LEVEL.values()) + 1
+_POSTFIX_PREC = _UNARY_PREC + 1
+
+# An operand of sizeof that the parser's declaration heuristic would read as
+# a type, IDENT * IDENT not followed by a call: "sizeof((a * b))" keeps it
+# an expression.
+_READS_AS_TYPE = re.compile(r"[^\W\d]\w* \* [^\W\d]\w*(?![\w(])")
 
 
 def _abstract_name(_name: str) -> str:
@@ -46,7 +56,7 @@ def _render(ast, abstract: bool) -> tuple[str, int]:
         return (label[5:], _POSTFIX_PREC)
     if label.startswith("bin:"):
         op = label[4:]
-        prec = _PREC[op]
+        prec = BINARY_LEVEL[op]
         lt, lp = _render(children[0], abstract)
         rt, rp = _render(children[1], abstract)
         if lp < prec:
@@ -58,10 +68,14 @@ def _render(ast, abstract: bool) -> tuple[str, int]:
         op = label[3:]
         if op == "sizeof":
             inner, _ = _render(children[0], abstract)
-            return (f"sizeof({inner})", _POSTFIX_PREC)
+            if _READS_AS_TYPE.match(inner):
+                inner = f"({inner})"
+            return (f"sizeof({inner})", _UNARY_PREC)  # "(sizeof(a))++", not "sizeof(a)++"
         it, ip = _render(children[0], abstract)
         if ip < _UNARY_PREC:
             it = f"({it})"
+        elif op in ("+", "-", "&") and it[0] == op:  # "- -a": "--a" lexes as "--"
+            it = f" {it}"
         return (f"{op}{it}", _UNARY_PREC)
     if label.startswith("post:"):
         it, ip = _render(children[0], abstract)

@@ -15,7 +15,8 @@ from vulgraph.errors import ConfigError
 from vulgraph.autodiff import save_checkpoint
 from vulgraph.fagcn import _chunk_logits, forward_methods, frozen, graph_logits, load_model, new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
-from vulgraph.frontend import pdg_to_dict
+from vulgraph.frontend import pdg_from_source, pdg_to_dict
+from vulgraph.frontend.parser import NESTING_BOUND
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -93,7 +94,17 @@ def test_parse_missing_file_is_validation_error(capsys):
 
 @pytest.mark.parametrize(
     "body, where",
-    [("int b = \u00b2;", "2:13"), ("int x;\n    x = \u0663;", "3:9"), ("int c = 0x;", "2:13")],
+    [
+        ("int b = \u00b2;", "2:13"),
+        ("int x;\n    x = \u0663;", "3:9"),
+        ("int c = 0x;", "2:13"),
+        # nesting past NESTING_BOUND (100): the first token one level deeper
+        pytest.param("x = " + "(" * 400 + "a" + ")" * 400 + ";", "2:109", id="400_parentheses"),
+        pytest.param("x = " + "- " * 600 + "a;", "2:209", id="600_unary_minuses"),
+        pytest.param("if (x) " * 2000 + "x = 1;", "2:709", id="2000_nested_ifs"),
+        pytest.param("{" * 2000 + "x = 1;" + "}" * 2000, "2:105", id="2000_nested_blocks"),
+        pytest.param("x = a" + " + a" * 2000 + ";", "2:407", id="2000_term_sum"),
+    ],
 )
 def test_parse_rejects_literals_outside_the_grammar(tmp_path, capsys, body, where):
     source = tmp_path / "literal.c"
@@ -282,6 +293,13 @@ def test_detect_bytes_stable_across_runs(pipeline, tmp_path):
     assert out.read_bytes() == pipeline["detections"].read_bytes()
 
 
+def _nested_list(height: int) -> list:
+    tree: list = ["id:x", []]
+    for _ in range(height - 1):
+        tree = ["un:-", [tree]]
+    return tree
+
+
 def _break_node_order(pdg: dict) -> None:
     for node in pdg["nodes"]:
         node["index"] += 1
@@ -296,8 +314,14 @@ def _break_node_order(pdg: dict) -> None:
         lambda pdg: pdg["edges"].append({"src": 0, "dst": 99, "kind": "data", "var": "x"}),
         _break_node_order,
         lambda pdg: pdg["edges"].append({"src": 0, "dst": 1, "kind": "alias", "var": None}),
+        lambda pdg: pdg["nodes"][0].update(kind="alias"),
+        lambda pdg: pdg["nodes"][0].update(ast="x"),
+        lambda pdg: pdg["nodes"][0].update(ast=["id:x", "y"]),
+        lambda pdg: pdg["nodes"][0].update(ast=["id:x"]),
+        lambda pdg: pdg["nodes"][0].update(ast=_nested_list(NESTING_BOUND + 1)),
     ],
-    ids=["edge_out_of_range", "indices_from_one", "unknown_edge_kind"],
+    ids=["edge_out_of_range", "indices_from_one", "unknown_edge_kind", "unknown_statement_kind",
+         "ast_not_a_list", "ast_children_not_a_list", "ast_without_children", "ast_past_the_nesting_bound"],
 )
 def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
     generated = tmp_path / "generated.jsonl"
@@ -320,6 +344,63 @@ def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
     assert f"skipping {entries[7].id}: SchemaError" in capsys.readouterr().err
     ranked = [row["method"] for row in json.loads(out.read_text())["methods"]]
     assert sorted(ranked) == sorted(e.id for e in entries if e is not entries[7])
+
+
+def _deep_method(levels: int) -> str:
+    """A method nested `levels` deep three ways: if bodies with a sum inside,
+    parentheses, and calls."""
+    innermost = "a = a" + " + a" * (levels - 2) + ";"
+    return (
+        "int deep(int a) {\n"
+        + "if (a) { " * (levels - 2) + innermost + " }" * (levels - 2) + "\n"
+        + "a = " + "(" * (levels - 1) + "a" + ")" * (levels - 1) + ";\n"
+        + "a = " + "g(" * (levels - 2) + "a" + ")" * (levels - 2) + ";\n"
+        + "return a;\n}\n"
+    )
+
+
+def _corpus_with(tmp_path, source: str):
+    """The 20-method generated corpus with entry 7's source replaced, and an
+    untrained model over its vocabulary."""
+    generated = tmp_path / "generated.jsonl"
+    assert main(["gen-corpus", "--n", "20", "--seed", "5", "--out", str(generated)]) == 0
+    entries = load_corpus(generated)
+    rows = [{"id": e.id, "source": e.source, "pdg": None, "label": e.label, "fix": None} for e in entries]
+    rows[7]["source"] = source
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    model = tmp_path / "model.json"
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)))
+    return corpus, model, [row["id"] for row in rows]
+
+
+def test_detect_skips_a_method_nested_past_the_bound(tmp_path, capsys):
+    corpus, model, ids = _corpus_with(tmp_path, _deep_method(NESTING_BOUND + 1))
+    out = tmp_path / "det.json"
+    capsys.readouterr()
+    assert main(["detect", str(corpus), "--model", str(model), "--out", str(out)]) == 0
+    assert f"skipping {ids[7]}: ParseError: nesting deeper than {NESTING_BOUND} levels" in capsys.readouterr().err
+    ranked = [row["method"] for row in json.loads(out.read_text())["methods"]]
+    assert sorted(ranked) == sorted(ids[:7] + ids[8:])
+
+
+def test_method_at_the_nesting_bound_goes_through_detect_and_explain(tmp_path, capsys):
+    source = _deep_method(NESTING_BOUND)
+    assert max(_tree_height(node.ast) for node in pdg_from_source(source).nodes) == NESTING_BOUND
+    corpus, model, ids = _corpus_with(tmp_path, source)
+    out = tmp_path / "det.json"
+    assert main(["detect", str(corpus), "--model", str(model), "--out", str(out)]) == 0
+    assert sorted(row["method"] for row in json.loads(out.read_text())["methods"]) == sorted(ids)
+    explained = tmp_path / "expl"
+    assert main(["explain", str(corpus), "--model", str(model), "--method", ids[7], "--out", str(explained)]) == 0
+    (report,) = json.loads((explained / "explanations.json").read_text())
+    assert report["method"] == ids[7] and report["edges"]
+    capsys.readouterr()
+
+
+def _tree_height(ast) -> int:
+    return 1 + max((_tree_height(child) for child in ast[1]), default=0)
 
 
 def test_explain_bytes_stable_across_runs(pipeline, tmp_path):
@@ -557,15 +638,21 @@ def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, ca
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_train_rejects_zero_epochs(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", 0), ("fractions", [0.5, 0.5]), ("batch_size", 0), ("epochs", "3"), ("k", "3"), ("real_ratio", -1)],
+    ids=["epochs_zero", "two_fractions", "batch_size_zero", "epochs_a_string", "k_a_string", "negative_real_ratio"],
+)
+def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
     corpus = tmp_path / "corpus.jsonl"
     assert main(["gen-corpus", "--n", "24", "--seed", "3", "--out", str(corpus)]) == 0
-    cfg = tmp_path / "zero.json"
-    cfg.write_text(json.dumps(dict(FAST_CONFIG, epochs=0)), encoding="utf-8")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(FAST_CONFIG, **{key: value})), encoding="utf-8")
     model = tmp_path / "model.json"
     capsys.readouterr()
     assert main(["train", str(corpus), "--out", str(model), "--config", str(cfg)]) == 1
-    assert "epochs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:") and key in err
     assert not model.exists()
 
 

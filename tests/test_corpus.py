@@ -71,6 +71,15 @@ def test_malformed_json_names_line_number(tmp_path):
         load_corpus(path)
 
 
+def test_json_nested_past_the_decoder_limit_names_line_number(tmp_path):
+    ast = '["un:-", [' * 5000 + '["id:x", []]' + "]]" * 5000
+    deep = _entry_line("m2", "NV", source=None, pdg={"method": "f", "nodes": [], "edges": []})
+    deep = deep.replace('"nodes": []', '"nodes": [{"index": 0, "kind": "assign", "ast": ' + ast + "}]")
+    path = _write_lines(tmp_path / "c.jsonl", [_entry_line("m1", "NV"), deep])
+    with pytest.raises(SchemaError, match="line 2: JSON nested too deeply"):
+        load_corpus(path)
+
+
 def test_duplicate_id_rejected(tmp_path):
     path = _write_lines(
         tmp_path / "c.jsonl", [_entry_line("m1", "NV"), _entry_line("m1", "V")]

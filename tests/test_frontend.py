@@ -23,6 +23,8 @@ from vulgraph.frontend import (
     tokenize,
 )
 from vulgraph.frontend.cfg import _repair_edges, _structural_edges
+from vulgraph.frontend.parser import NESTING_BOUND, _Parser
+from vulgraph.frontend.render import BINARY_LEVEL, render_expr
 from vulgraph.rng import Rng
 
 from oracles import (
@@ -309,13 +311,13 @@ def test_parse_errors_carry_position():
 @pytest.mark.parametrize(
     "source, message",
     [
-        ("int", "expected 'id', found 'end of input' at 0:0"),
-        ("int f(", "expected type specifier at 0:0"),
-        ("int f(int a) {", "unterminated block at 0:0"),
+        ("int", "expected 'id', found 'end of input' at 1:1"),
+        ("int f(", "expected type specifier at 1:6"),
+        ("int f(int a) {", "unterminated block at 1:14"),
         ("int f(int a) { a = ", "unexpected end of input at 1:18"),
         ("int f(void) { x = sizeof(", "unexpected end of input at 1:25"),
         ("int f(void) { T *", "unexpected end of input at 1:17"),
-        ("int f(void) { x = (a", "expected ')', found 'end of input' at 0:0"),
+        ("int f(void) { x = (a", "expected ')', found 'end of input' at 1:20"),
         ("int f(void) { x = a + b * c - ; }", "unexpected token ';' in expression at 1:31"),
     ],
 )
@@ -340,6 +342,79 @@ def test_parser_matches_the_per_level_reference_on_mutated_sources(index, edits)
     source = _mutate(_corpus_sources()[index], edits)
     reference = functools.partial(parse_source_per_level, tokenize=tokenize)
     assert _outcome(_pdg_dicts(parse_source), source) == _outcome(_pdg_dicts(reference), source)
+
+
+def _leaf(name):
+    return [f"id:{name}", []]
+
+
+def _expressions():
+    """Trees over every ordered pair of binary operators, grouped either way,
+    under and over every unary and postfix form."""
+    a, b, c = _leaf("a"), _leaf("b"), _leaf("c")
+    pairs = []
+    for op1 in BINARY_LEVEL:
+        for op2 in BINARY_LEVEL:
+            pairs.append([f"bin:{op1}", [[f"bin:{op2}", [a, b]], c]])
+            pairs.append([f"bin:{op1}", [a, [f"bin:{op2}", [b, c]]]])
+    unary = ["+", "-", "!", "~", "*", "&", "++", "--"]
+    wrappers = [lambda t, op=op: [f"un:{op}", [t]] for op in unary]
+    wrappers += [
+        lambda t: ["post:++", [t]],
+        lambda t: ["post:--", [t]],
+        lambda t: ["index", [t, ["bin:+", [a, b]]]],
+        lambda t: ["arrow:f", [t]],
+        lambda t: ["dot:f", [t]],
+        lambda t: ["call:g", [t, c]],
+        lambda t: ["un:sizeof", [t]],
+    ]
+    operands = [a, ["bin:*", [a, b]], ["bin:||", [a, b]]]
+    operands += [wrap(a) for wrap in wrappers]
+    forms = list(pairs)
+    for wrap in wrappers:
+        for operand in operands:
+            forms.append(wrap(operand))
+            forms.append(["bin:-", [wrap(operand), wrap(operand)]])
+    return forms
+
+
+def test_rendered_expressions_parse_back_to_the_same_tree():
+    forms = _expressions()
+    assert len(forms) > 2 * len(BINARY_LEVEL) ** 2
+    for tree in forms:
+        text = render_expr(tree)
+        parser = _Parser(tokenize(text))
+        assert parser.parse_expr() == tree, text
+        assert parser.at("end"), text
+
+
+def _in_method(statement: str) -> str:
+    return "int f(int a) {\n" + statement + "\nreturn a;\n}\n"
+
+
+@pytest.mark.parametrize(
+    "build, deepest",
+    [
+        (lambda k: "if (" + "(" * k + "a" + ")" * k + ") a = 1;", NESTING_BOUND - 1),
+        (lambda k: "if (" + "- " * k + "a) a = 1;", NESTING_BOUND - 1),
+        (lambda k: "if (a" + " + a" * k + ") a = 1;", NESTING_BOUND - 1),
+        (lambda k: "if (a" + "[0]" * k + ") a = 1;", NESTING_BOUND - 1),
+        (lambda k: "if (" + "g(" * k + "a" + ")" * k + ") a = 1;", NESTING_BOUND - 1),
+        (lambda k: "a = " + "- " * k + "a;", NESTING_BOUND - 2),
+        (lambda k: "if (a) " * k + "a = 1;", NESTING_BOUND - 1),
+        (lambda k: "{" * k + "a = 1;" + "}" * k, NESTING_BOUND - 1),
+        (lambda k: "while (a) " * k + "a = 1;", NESTING_BOUND - 1),
+        (lambda k: "int " + "*" * k + "p;", NESTING_BOUND - 2),
+        (lambda k: "int p" + "[1]" * k + ";", NESTING_BOUND - 2),
+        (lambda k: "return " + "!" * k + "a;", NESTING_BOUND - 2),
+    ],
+    ids=["parens", "unary", "binary_chain", "subscripts", "calls", "assigned_unary",
+         "ifs", "blocks", "whiles", "pointer_declarator", "array_declarator", "return"],
+)
+def test_nesting_bound_admits_the_deepest_method_and_rejects_one_level_more(build, deepest):
+    parse_method(_in_method(build(deepest)))
+    with pytest.raises(ParseError, match=f"nesting deeper than {NESTING_BOUND} levels"):
+        parse_method(_in_method(build(deepest + 1)))
 
 
 # --- CFG ---------------------------------------------------------------------
