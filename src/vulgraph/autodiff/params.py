@@ -17,6 +17,13 @@ def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniforms(-bound, bound, fan_in * fan_out).reshape(fan_in, fan_out)
 
 
+def add_params(store: ParamStore, rng: Rng, layout: list) -> None:
+    """Register a layout's (name, shape) parameters in its order: each
+    matrix Glorot-initialised from rng, each vector zero."""
+    for name, shape in layout:
+        store.add(name, glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape))
+
+
 class Parameter(Tensor):
     """A ParamStore entry. Its data is a view into the store's value buffer.
     Once the store has a gradient buffer (zero_grad makes it), its gradient

@@ -13,7 +13,7 @@ treated as immutable once created.
 Besides the elementwise, reduction and shape ops, gru_sequence records a whole
 masked GRU recurrence as one node with a hand-written backward through time.
 Other modules record their own fused nodes through Tensor._make the same way:
-the Tree-LSTM forest (encoders.TreeLstm.encode_forest), the attention and
+the Tree-LSTM forest (encoders.encode_forest), the attention and
 fusion block (encoders.attend_and_fuse), the detector (fagcn.graph_logits),
 the training loss (fagcn.cross_entropy), and the explainer's masked adjacency
 and loss (explain.masked_adjacency, explain.mask_loss).

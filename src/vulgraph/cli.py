@@ -44,6 +44,7 @@ from .fagcn import (
     train,
 )
 from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
+from .frontend.pdg import EDGE_KINDS
 from .gradcheck import all_passed, run_gradcheck
 from .metrics import evaluation_report
 from .patterns import (
@@ -140,6 +141,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_values(cfg: RunConfig) -> None:
     """Every value has its default's type: an integer where the default is
     one, a number where it is a real, a list of numbers for the split
@@ -150,7 +155,7 @@ def _check_values(cfg: RunConfig) -> None:
         if isinstance(f.default, tuple):
             ok, want = isinstance(value, tuple) and all(_is_number(v) for v in value), "a list of numbers"
         elif isinstance(f.default, int):
-            ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            ok, want = _is_int(value), "an integer"
         else:
             ok, want = _is_number(value), "a number"
         if not ok:
@@ -330,8 +335,12 @@ def cmd_evaluate(args) -> int:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed detections row: {exc!r}") from exc
     for r in ranked:
-        if isinstance(r.score, bool) or not isinstance(r.score, (int, float)):
+        if not _is_number(r.score):
             raise SchemaError(f"malformed detections row: score {r.score!r} of {r.method!r} is not a number")
+        if r.decision not in ("V", "NV"):
+            raise SchemaError(
+                f"malformed detections row: decision {r.decision!r} of {r.method!r} is not V or NV"
+            )
     unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
@@ -345,10 +354,15 @@ def cmd_evaluate(args) -> int:
     skipped = 0
     try:
         for row in explanation_rows:
+            ranking = [(s["index"], s["importance"]) for s in row["statements"]]
+            if not all(_is_int(index) and _is_number(importance) for index, importance in ranking):
+                raise SchemaError(
+                    f"malformed explanations row: a statement of {row['method']!r} has a non-integer"
+                    " index or a non-number importance"
+                )
             if row["method"] not in truths or labels.get(row["method"]) != "V":
                 skipped += 1
                 continue
-            ranking = [(s["index"], s["importance"]) for s in row["statements"]]
             subgraphs.append(InterpretationSubgraph(row["method"], [], (), ranking))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed explanations row: {exc!r}") from exc
@@ -379,17 +393,25 @@ def cmd_mine(args) -> int:
         for row in rows:
             graphs.append(
                 AbstractGraph(
-                    nodes=[(int(i), str(label)) for i, label in row["abstract"]["nodes"]],
-                    edges=[(int(s), int(d), str(k)) for s, d, k in row["abstract"]["edges"]],
+                    nodes=[(i, str(label)) for i, label in row["abstract"]["nodes"]],
+                    edges=[(s, d, k) for s, d, k in row["abstract"]["edges"]],
                 )
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed explanations row: {exc!r}") from exc
     for graph in graphs:
-        ids = {i for i, _ in graph.nodes}
-        unknown = sorted({v for s, d, _ in graph.edges for v in (s, d)} - ids)
+        ids = [i for i, _ in graph.nodes]
+        ends = [v for s, d, _ in graph.edges for v in (s, d)]
+        if not all(_is_int(v) for v in ids + ends):
+            raise SchemaError("malformed explanations row: abstract node ids and edge ends must be integers")
+        unknown = sorted(set(ends) - set(ids))
         if unknown:
             raise SchemaError(f"malformed explanations row: abstract edges name unknown nodes {unknown}")
+        kinds = [k for _, _, k in graph.edges if k not in EDGE_KINDS]
+        if kinds:
+            raise SchemaError(
+                f"malformed explanations row: abstract edge kind {kinds[0]!r} is not data or control"
+            )
     lo, hi = args.sizes
     try:
         patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))

@@ -49,8 +49,9 @@ class CorpusEntry:
     @property
     def interpretable(self) -> bool:
         """Only vulnerable entries with fix information can anchor
-        explanation scoring."""
-        return self.label == "V" and self.fix is not None
+        explanation scoring, and only when given as source: fix lines are
+        source lines, and a serialized PDG's statements carry none."""
+        return self.label == "V" and self.fix is not None and self.source is not None
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,8 @@ def fix_truth(entry: CorpusEntry) -> FixGroundTruth:
         raise CorpusError(f"entry {entry.id!r} has no parsed method")
     if entry.fix is None:
         raise CorpusError(f"entry {entry.id!r} has no fix information")
+    if entry.source is None:
+        raise CorpusError(f"entry {entry.id!r} is a PDG without source lines to anchor its fix")
     pdg = entry.pdg
     changed = frozenset(
         node.index for node in pdg.nodes if node.line in set(entry.fix.changed)

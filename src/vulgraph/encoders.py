@@ -21,12 +21,14 @@ Everything here is batched: encode_method_batch processes all statements of
 many methods in one tensor program. Each GRU reads its whole input sequence
 from one gather (or, for the attention Bi-GRU, one concat) and runs as one
 autodiff op, gru_sequence, so its recurrence adds a single node to the tape.
-The Tree-LSTM over the whole forest (TreeLstm.encode_forest) and everything
-from the six feature matrices and the two attention states to the statement
-matrix (attend_and_fuse) are one node each as well, with hand-written
-backwards that repeat the numpy steps of the one-node-per-op tape in its
-order, so their values and gradients are bitwise that tape's. A training
-batch of eight methods records about 35 nodes.
+The Tree-LSTM over the whole forest (encode_forest) and everything from the
+six feature matrices and the two attention states to the statement matrix
+(attend_and_fuse) are one node each as well, with hand-written backwards
+that repeat the numpy steps of the one-node-per-op tape in its order, so
+their values and gradients are bitwise that tape's. A training batch of
+eight methods records about 35 nodes. Each block's parameters are declared
+once, as an ordered (name, shape) layout, and each op reads them by its
+layout's names.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, concat, glorot, gru_sequence, rows
+from .autodiff import ParamStore, Tensor, concat, gru_sequence, rows
 from .autodiff.tensor import _sigmoid
 from .errors import ConfigError, EmptyTree
 from .features import (
@@ -47,7 +49,6 @@ from .features import (
     normalize_ast_label,
 )
 from .frontend import Pdg
-from .rng import Rng
 
 N_FEATURES = 6
 WIDEN_DIM = 8  # per-feature width after the shared summarizing layer
@@ -76,215 +77,200 @@ class EncoderConfig:
         }
 
 
-_GRU_GATES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+GRU_GATES = "zrh"  # update, reset, candidate
+TREE_GATES = "ifou"  # input, forget, output, update
 
 
-class Gru:
-    """Batched GRU; parameters live in a ParamStore under a name prefix.
-
-    Masked steps leave the hidden state untouched, so trailing PAD positions
-    cannot change the output and an all-masked sequence returns zeros.
-    """
-
-    def __init__(self, store: ParamStore, prefix: str):
-        self.weights = tuple(store[f"{prefix}.{g}"] for g in _GRU_GATES)
-        self.hidden = self.weights[2].data.shape[0]
-
-    @staticmethod
-    def init(store: ParamStore, rng: Rng, prefix: str, in_dim: int, hidden: int) -> None:
-        for gate in ("z", "r", "h"):
-            store.add(f"{prefix}.w{gate}", glorot(rng, in_dim, hidden))
-            store.add(f"{prefix}.u{gate}", glorot(rng, hidden, hidden))
-            store.add(f"{prefix}.b{gate}", np.zeros(hidden))
-
-    def run(self, x: Tensor, steps: int, mask: np.ndarray | None = None) -> Tensor:
-        """Run over `steps` inputs stacked step-major in x ([steps * B,
-        in_dim]); mask[t] is a 0/1 vector of length B. Returns the final
-        hidden state [B, hidden] as one tape node."""
-        return gru_sequence(x, self.weights, steps, mask)
+# --- parameter layouts ------------------------------------------------------------
+# A block's names do not depend on its widths: a reader of names passes 0s.
 
 
-_TREE_GATES = ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")
+def cell_layout(prefix: str, gates: str, in_dim: int, hidden: int) -> list[tuple[str, tuple]]:
+    """A gated cell (a GRU or a child-sum Tree-LSTM): per gate, an input
+    weight w, a recurrent weight u and a bias b."""
+    return [
+        (f"{prefix}.{kind}{gate}", shape)
+        for gate in gates
+        for kind, shape in (("w", (in_dim, hidden)), ("u", (hidden, hidden)), ("b", (hidden,)))
+    ]
 
 
-class TreeLstm:
-    """Child-sum Tree-LSTM (Tai et al., ACL 2015) batched by node height
-    across a forest."""
-
-    def __init__(self, store: ParamStore, prefix: str = "tree"):
-        self.p = {g: store[f"{prefix}.{g}"] for g in _TREE_GATES}
-        self.hidden = self.p["bi"].data.shape[0]
-
-    @staticmethod
-    def init(store: ParamStore, rng: Rng, prefix: str, in_dim: int, hidden: int) -> None:
-        for gate in ("i", "f", "o", "u"):
-            store.add(f"{prefix}.w{gate}", glorot(rng, in_dim, hidden))
-            store.add(f"{prefix}.u{gate}", glorot(rng, hidden, hidden))
-            store.add(f"{prefix}.b{gate}", np.zeros(hidden))
-
-    def encode_forest(self, trees: list, vocab: Vocabulary, embed: Tensor) -> Tensor:
-        """Encode every tree bottom-up; returns root hidden states [n, hidden].
-
-        One tape node, whose backward runs the levels top-down and sends
-        gradients to the embedding table and the twelve gate parameters.
-        Each level takes the numpy steps of the per-op tape, and every
-        gradient, the table's row by row, adds up in that tape's order, so
-        values and gradients are bitwise its. Per-level intermediates are
-        kept only when an input requires grad."""
-        if not trees or any(not t for t in trees):
-            raise EmptyTree("cannot encode an empty syntax tree")
-        labels: list[int] = []  # vocab id per node, children before parents
-        heights: list[int] = []
-        parents: list[int] = []  # (parent, child) pairs, parent by parent
-        children: list[int] = []
-        label_ids: dict[str, int] = {}
-
-        def flatten(node) -> int:
-            label, kids = node[0], node[1]
-            if kids:
-                kids = [flatten(c) for c in kids]
-                j = len(labels)
-                heights.append(1 + max([heights[k] for k in kids]))
-                parents.extend([j] * len(kids))
-                children.extend(kids)
-            else:
-                j = len(labels)
-                heights.append(0)
-            label_id = label_ids.get(label)
-            if label_id is None:
-                label_id = label_ids[label] = vocab.id(normalize_ast_label(label))
-            labels.append(label_id)
-            return j
-
-        roots = [flatten(tree) for tree in trees]
-        node_label = np.array(labels, dtype=np.int64)
-        height = np.array(heights, dtype=np.int64)
-        parent = np.array(parents, dtype=np.int64)
-        child = np.array(children, dtype=np.int64)
-
-        params = tuple(self.p[g] for g in _TREE_GATES)
-        wi, ui, bi, wf, uf, bf, wo, uo, bo, wu, uu, bu = (t.data for t in params)
-        p_wi, p_ui, p_bi, p_wf, p_uf, p_bf, p_wo, p_uo, p_bo, p_wu, p_uu, p_bu = params
-        table = embed.data
-        record = any(t.requires_grad for t in (embed, *params))
-        # every node's h and c, one height after another (a node's children
-        # are lower, so they are filled before it)
-        h_all = np.empty((len(labels), self.hidden))
-        c_all = np.empty((len(labels), self.hidden))
-        row_of = np.empty(len(labels), dtype=np.int64)
-        slot = np.empty(len(labels), dtype=np.int64)  # a node's place in its level
-        levels = []
-        done = 0
-        for lvl in range(int(height.max()) + 1):  # no level is empty
-            nodes = np.flatnonzero(height == lvl)
-            m = len(nodes)
-            at = slice(done, done + m)
-            row_of[nodes] = np.arange(done, done + m)
-            slot[nodes] = np.arange(m)
-            ids = node_label[nodes]
-            x = table[ids]
-            if lvl:
-                here = height[parent] == lvl
-                kid_rows, kid_ids = row_of[child[here]], node_label[parent[here]]
-                h_kids, c_kids, x_kids = h_all[kid_rows], c_all[kid_rows], table[kid_ids]
-                f = _sigmoid(x_kids @ wf + h_kids @ uf + bf)
-                sel = np.zeros((m, len(kid_rows)))  # sums each node's children
-                sel[slot[parent[here]], np.arange(len(kid_rows))] = 1.0
-                h_sum = sel @ h_kids
-                fc_sum = sel @ (f * c_kids)
-                kids = (kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel)
-            else:  # the leaves
-                h_sum = np.zeros((m, self.hidden))
-                fc_sum = np.zeros((m, self.hidden))
-                kids = None
-            i = _sigmoid(x @ wi + h_sum @ ui + bi)
-            o = _sigmoid(x @ wo + h_sum @ uo + bo)
-            u = np.tanh(x @ wu + h_sum @ uu + bu)
-            c = i * u + fc_sum
-            tanh_c = np.tanh(c)
-            h_all[at], c_all[at] = o * tanh_c, c
-            if record:
-                levels.append((at, ids, x, h_sum, i, o, u, tanh_c, kids))
-            done += m
-        root_rows = row_of[roots]
-
-        def add_rows(t: Tensor, idx: np.ndarray, grad: np.ndarray) -> None:
-            # as rows() does: repeated indices add one after another
-            if t.grad is None:
-                t.grad = t._new_grad()
-            np.add.at(t.grad, idx, grad)
-
-        def backward(out):
-            d_h = np.zeros_like(h_all)
-            d_c = np.zeros_like(c_all)
-            d_h[root_rows] = out.grad
-            for at, ids, x, h_sum, i, o, u, tanh_c, kids in reversed(levels):
-                d_o = d_h[at] * tanh_c
-                dc = d_h[at] * o * (1.0 - tanh_c * tanh_c) + d_c[at]
-                d_i, d_u = dc * u, dc * i
-                d_ai = d_i * i * (1.0 - i)
-                d_ao = d_o * o * (1.0 - o)
-                d_au = d_u * (1.0 - u * u)
-                for (p_w, p_u, p_b), d_pre in (
-                    ((p_wo, p_uo, p_bo), d_ao), ((p_wi, p_ui, p_bi), d_ai), ((p_wu, p_uu, p_bu), d_au)
-                ):
-                    if p_b.requires_grad:
-                        p_b._accumulate(d_pre.sum(axis=0))
-                    if p_w.requires_grad:
-                        p_w._accumulate(x.T @ d_pre)
-                    if p_u.requires_grad:
-                        p_u._accumulate(h_sum.T @ d_pre)
-                if embed.requires_grad:
-                    d_x = d_ao @ wo.T
-                    d_x += d_ai @ wi.T
-                    d_x += d_au @ wu.T
-                    add_rows(embed, ids, d_x)
-                if kids is None:
-                    continue
-                kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel = kids
-                d_sum = d_ao @ uo.T
-                d_sum += d_ai @ ui.T
-                d_sum += d_au @ uu.T
-                d_fc = sel.T @ dc
-                d_af = d_fc * c_kids * f * (1.0 - f)
-                if p_bf.requires_grad:
-                    p_bf._accumulate(d_af.sum(axis=0))
-                if p_wf.requires_grad:
-                    p_wf._accumulate(x_kids.T @ d_af)
-                if p_uf.requires_grad:
-                    p_uf._accumulate(h_kids.T @ d_af)
-                if embed.requires_grad:
-                    add_rows(embed, kid_ids, d_af @ wf.T)
-                d_h[kid_rows] += sel.T @ d_sum + d_af @ uf.T
-                d_c[kid_rows] += d_fc * f
-
-        return Tensor._make(h_all[root_rows], (embed, *params), backward)
+def fuse_layout(hidden: int, wide: int, stmt_dim: int) -> list[tuple[str, tuple]]:
+    """The attention and fusion block, in attend_and_fuse's order, over
+    features of width `hidden` whose widened rows concatenate to `wide`."""
+    return [
+        ("attn.q_w", (hidden, hidden)), ("attn.ctx_w", (2 * hidden, hidden)),
+        ("attn.bias", (hidden,)), ("attn.v", (hidden, 1)),
+        ("fuse.h_w", (hidden, WIDEN_DIM)), ("fuse.h_b", (WIDEN_DIM,)),
+        ("fuse.score_w", (wide, 1)), ("fuse.score_b", (1,)),
+        ("fuse.out_w", (wide, stmt_dim)), ("fuse.out_b", (stmt_dim,)),
+    ]
 
 
-def init_encoder_params(
-    store: ParamStore, rng: Rng, vocab_size: int, cfg: EncoderConfig
-) -> None:
-    """Register every encoder parameter in a fixed, reproducible order."""
+def encoder_layout(vocab_size: int, cfg: EncoderConfig) -> list[tuple[str, tuple]]:
+    """Every encoder parameter, in registration order."""
     e, h = cfg.embed_dim, cfg.gru_hidden
-    store.add("embed.table", glorot(rng, vocab_size, e))
-    Gru.init(store, rng, "sub_gru", e, h)
-    TreeLstm.init(store, rng, "tree", e, h)
-    Gru.init(store, rng, "name_gru", e, h)
-    Gru.init(store, rng, "type_gru", e, h)
-    Gru.init(store, rng, "data_gru", h, h)
-    Gru.init(store, rng, "ctrl_gru", h, h)
-    Gru.init(store, rng, "attn_fwd", h, h)
-    Gru.init(store, rng, "attn_bwd", h, h)
-    store.add("attn.q_w", glorot(rng, h, h))
-    store.add("attn.ctx_w", glorot(rng, 2 * h, h))
-    store.add("attn.bias", np.zeros(h))
-    store.add("attn.v", glorot(rng, h, 1))
-    store.add("fuse.h_w", glorot(rng, h, WIDEN_DIM))
-    store.add("fuse.h_b", np.zeros(WIDEN_DIM))
-    store.add("fuse.score_w", glorot(rng, cfg.concat_dim, 1))
-    store.add("fuse.score_b", np.zeros(1))
-    store.add("fuse.out_w", glorot(rng, cfg.concat_dim, cfg.stmt_dim))
-    store.add("fuse.out_b", np.zeros(cfg.stmt_dim))
+    return [
+        ("embed.table", (vocab_size, e)),
+        *cell_layout("sub_gru", GRU_GATES, e, h),
+        *cell_layout("tree", TREE_GATES, e, h),
+        *cell_layout("name_gru", GRU_GATES, e, h),
+        *cell_layout("type_gru", GRU_GATES, e, h),
+        *cell_layout("data_gru", GRU_GATES, h, h),
+        *cell_layout("ctrl_gru", GRU_GATES, h, h),
+        *cell_layout("attn_fwd", GRU_GATES, h, h),
+        *cell_layout("attn_bwd", GRU_GATES, h, h),
+        *fuse_layout(h, cfg.concat_dim, cfg.stmt_dim),
+    ]
+
+
+FUSE_PARAMS = tuple(name for name, _ in fuse_layout(0, 0, 0))
+
+
+def cell_params(store: ParamStore, prefix: str, gates: str) -> tuple[Tensor, ...]:
+    """A cell's parameter tuple, in its layout's order."""
+    return tuple(store[name] for name, _ in cell_layout(prefix, gates, 0, 0))
+
+
+def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) -> Tensor:
+    """Encode every tree with a child-sum Tree-LSTM (Tai et al., ACL 2015)
+    batched by node height across the forest; `params` is the cell's tuple
+    (cell_params with TREE_GATES). Returns root hidden states [n, hidden].
+
+    One tape node, whose backward runs the levels top-down and sends
+    gradients to the embedding table and the twelve gate parameters. Each
+    level takes the numpy steps of the per-op tape, and every gradient, the
+    table's row by row, adds up in that tape's order, so values and
+    gradients are bitwise its. Per-level intermediates are kept only when an
+    input requires grad."""
+    if not trees or any(not t for t in trees):
+        raise EmptyTree("cannot encode an empty syntax tree")
+    labels: list[int] = []  # vocab id per node, children before parents
+    heights: list[int] = []
+    parents: list[int] = []  # (parent, child) pairs, parent by parent
+    children: list[int] = []
+    label_ids: dict[str, int] = {}
+
+    def flatten(node) -> int:
+        label, kids = node[0], node[1]
+        if kids:
+            kids = [flatten(c) for c in kids]
+            j = len(labels)
+            heights.append(1 + max([heights[k] for k in kids]))
+            parents.extend([j] * len(kids))
+            children.extend(kids)
+        else:
+            j = len(labels)
+            heights.append(0)
+        label_id = label_ids.get(label)
+        if label_id is None:
+            label_id = label_ids[label] = vocab.id(normalize_ast_label(label))
+        labels.append(label_id)
+        return j
+
+    roots = [flatten(tree) for tree in trees]
+    node_label = np.array(labels, dtype=np.int64)
+    height = np.array(heights, dtype=np.int64)
+    parent = np.array(parents, dtype=np.int64)
+    child = np.array(children, dtype=np.int64)
+
+    wi, ui, bi, wf, uf, bf, wo, uo, bo, wu, uu, bu = (t.data for t in params)
+    p_wi, p_ui, p_bi, p_wf, p_uf, p_bf, p_wo, p_uo, p_bo, p_wu, p_uu, p_bu = params
+    table = embed.data
+    record = any(t.requires_grad for t in (embed, *params))
+    hidden = bi.shape[0]
+    # every node's h and c, one height after another (a node's children
+    # are lower, so they are filled before it)
+    h_all = np.empty((len(labels), hidden))
+    c_all = np.empty((len(labels), hidden))
+    row_of = np.empty(len(labels), dtype=np.int64)
+    slot = np.empty(len(labels), dtype=np.int64)  # a node's place in its level
+    levels = []
+    done = 0
+    for lvl in range(int(height.max()) + 1):  # no level is empty
+        nodes = np.flatnonzero(height == lvl)
+        m = len(nodes)
+        at = slice(done, done + m)
+        row_of[nodes] = np.arange(done, done + m)
+        slot[nodes] = np.arange(m)
+        ids = node_label[nodes]
+        x = table[ids]
+        if lvl:
+            here = height[parent] == lvl
+            kid_rows, kid_ids = row_of[child[here]], node_label[parent[here]]
+            h_kids, c_kids, x_kids = h_all[kid_rows], c_all[kid_rows], table[kid_ids]
+            f = _sigmoid(x_kids @ wf + h_kids @ uf + bf)
+            sel = np.zeros((m, len(kid_rows)))  # sums each node's children
+            sel[slot[parent[here]], np.arange(len(kid_rows))] = 1.0
+            h_sum = sel @ h_kids
+            fc_sum = sel @ (f * c_kids)
+            kids = (kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel)
+        else:  # the leaves
+            h_sum = np.zeros((m, hidden))
+            fc_sum = np.zeros((m, hidden))
+            kids = None
+        i = _sigmoid(x @ wi + h_sum @ ui + bi)
+        o = _sigmoid(x @ wo + h_sum @ uo + bo)
+        u = np.tanh(x @ wu + h_sum @ uu + bu)
+        c = i * u + fc_sum
+        tanh_c = np.tanh(c)
+        h_all[at], c_all[at] = o * tanh_c, c
+        if record:
+            levels.append((at, ids, x, h_sum, i, o, u, tanh_c, kids))
+        done += m
+    root_rows = row_of[roots]
+
+    def add_rows(t: Tensor, idx: np.ndarray, grad: np.ndarray) -> None:
+        # as rows() does: repeated indices add one after another
+        if t.grad is None:
+            t.grad = t._new_grad()
+        np.add.at(t.grad, idx, grad)
+
+    def backward(out):
+        d_h = np.zeros_like(h_all)
+        d_c = np.zeros_like(c_all)
+        d_h[root_rows] = out.grad
+        for at, ids, x, h_sum, i, o, u, tanh_c, kids in reversed(levels):
+            d_o = d_h[at] * tanh_c
+            dc = d_h[at] * o * (1.0 - tanh_c * tanh_c) + d_c[at]
+            d_i, d_u = dc * u, dc * i
+            d_ai = d_i * i * (1.0 - i)
+            d_ao = d_o * o * (1.0 - o)
+            d_au = d_u * (1.0 - u * u)
+            for (p_w, p_u, p_b), d_pre in (
+                ((p_wo, p_uo, p_bo), d_ao), ((p_wi, p_ui, p_bi), d_ai), ((p_wu, p_uu, p_bu), d_au)
+            ):
+                if p_b.requires_grad:
+                    p_b._accumulate(d_pre.sum(axis=0))
+                if p_w.requires_grad:
+                    p_w._accumulate(x.T @ d_pre)
+                if p_u.requires_grad:
+                    p_u._accumulate(h_sum.T @ d_pre)
+            if embed.requires_grad:
+                d_x = d_ao @ wo.T
+                d_x += d_ai @ wi.T
+                d_x += d_au @ wu.T
+                add_rows(embed, ids, d_x)
+            if kids is None:
+                continue
+            kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel = kids
+            d_sum = d_ao @ uo.T
+            d_sum += d_ai @ ui.T
+            d_sum += d_au @ uu.T
+            d_fc = sel.T @ dc
+            d_af = d_fc * c_kids * f * (1.0 - f)
+            if p_bf.requires_grad:
+                p_bf._accumulate(d_af.sum(axis=0))
+            if p_wf.requires_grad:
+                p_wf._accumulate(x_kids.T @ d_af)
+            if p_uf.requires_grad:
+                p_uf._accumulate(h_kids.T @ d_af)
+            if embed.requires_grad:
+                add_rows(embed, kid_ids, d_af @ wf.T)
+            d_h[kid_rows] += sel.T @ d_sum + d_af @ uf.T
+            d_c[kid_rows] += d_fc * f
+
+    return Tensor._make(h_all[root_rows], (embed, *params), backward)
 
 
 # --- batched method encoding ------------------------------------------------------
@@ -309,24 +295,24 @@ def _token_matrix(
 
 
 def _run_token_gru(
-    gru: Gru, embed: Tensor, ids: np.ndarray, mask: np.ndarray
+    gru: tuple, embed: Tensor, ids: np.ndarray, mask: np.ndarray
 ) -> Tensor:
-    return gru.run(rows(embed, ids.T.reshape(-1)), ids.shape[1], mask.T)
+    return gru_sequence(rows(embed, ids.T.reshape(-1)), gru, ids.shape[1], mask.T)
 
 
-def _run_context_gru(gru: Gru, f1: Tensor, contexts: list[list[int]]) -> Tensor:
+def _run_context_gru(gru: tuple, f1: Tensor, contexts: list[list[int]]) -> Tensor:
     """GRU over the feature-1 vectors of each statement's context neighbors;
     contexts hold row indices into the stacked f1 matrix."""
     n = len(contexts)
     max_len = max((len(c) for c in contexts), default=0)
     if max_len == 0:
-        return Tensor(np.zeros((n, gru.hidden)))
+        return Tensor(np.zeros((n, gru[2].data.shape[0])))  # the first gate's bias
     idx = np.zeros((max_len, n), dtype=np.int64)
     mask = np.zeros((max_len, n), dtype=np.float64)
     for b, ctx in enumerate(contexts):
         idx[: len(ctx), b] = ctx
         mask[: len(ctx), b] = 1.0
-    return gru.run(rows(f1, idx.reshape(-1)), max_len, mask)
+    return gru_sequence(rows(f1, idx.reshape(-1)), gru, max_len, mask)
 
 
 def _statement_features(
@@ -348,26 +334,19 @@ def _statement_features(
         [[w for var in b.var_types for w in var] for b in flat], vocab
     )
 
-    f1 = _run_token_gru(Gru(store, "sub_gru"), embed, sub_ids, sub_mask)
-    f2 = TreeLstm(store).encode_forest([b.ast for b in flat], vocab, embed)
-    f3 = _run_token_gru(Gru(store, "name_gru"), embed, name_ids, name_mask)
-    f4 = _run_token_gru(Gru(store, "type_gru"), embed, type_ids, type_mask)
+    f1 = _run_token_gru(cell_params(store, "sub_gru", GRU_GATES), embed, sub_ids, sub_mask)
+    f2 = encode_forest([b.ast for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
+    f3 = _run_token_gru(cell_params(store, "name_gru", GRU_GATES), embed, name_ids, name_mask)
+    f4 = _run_token_gru(cell_params(store, "type_gru", GRU_GATES), embed, type_ids, type_mask)
 
     data_ctx, ctrl_ctx = [], []
     for (s, _), bundles in zip(spans, bundle_lists):
         for b in bundles:
             data_ctx.append([s + j for j in b.data_ctx])
             ctrl_ctx.append([s + j for j in b.ctrl_ctx])
-    f5 = _run_context_gru(Gru(store, "data_gru"), f1, data_ctx)
-    f6 = _run_context_gru(Gru(store, "ctrl_gru"), f1, ctrl_ctx)
+    f5 = _run_context_gru(cell_params(store, "data_gru", GRU_GATES), f1, data_ctx)
+    f6 = _run_context_gru(cell_params(store, "ctrl_gru", GRU_GATES), f1, ctrl_ctx)
     return [f1, f2, f3, f4, f5, f6]
-
-
-# the attention and fusion parameters, in attend_and_fuse's order
-FUSE_PARAMS = (
-    "attn.q_w", "attn.ctx_w", "attn.bias", "attn.v",
-    "fuse.h_w", "fuse.h_b", "fuse.score_w", "fuse.score_b", "fuse.out_w", "fuse.out_b",
-)
 
 
 def attend_and_fuse(
@@ -501,8 +480,8 @@ def encode_method_batch(
     total = start
 
     features = _statement_features(bundle_lists, spans, vocab, store)
-    fwd = Gru(store, "attn_fwd").run(concat(features), N_FEATURES)
-    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), N_FEATURES)
+    fwd = gru_sequence(concat(features), cell_params(store, "attn_fwd", GRU_GATES), N_FEATURES)
+    bwd = gru_sequence(concat(features[::-1]), cell_params(store, "attn_bwd", GRU_GATES), N_FEATURES)
     adj = np.zeros((total, total))
     for (s, e), pdg in zip(spans, pdgs):
         adj[s:e, s:e] = dependence_adjacency(pdg)

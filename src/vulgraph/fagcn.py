@@ -20,12 +20,12 @@ from .autodiff import (
     Adam,
     ParamStore,
     Tensor,
+    add_params,
     concat,
-    glorot,
     load_checkpoint,
     save_checkpoint,
 )
-from .encoders import EncoderConfig, dependence_adjacency, encode_method_batch, init_encoder_params
+from .encoders import EncoderConfig, dependence_adjacency, encode_method_batch, encoder_layout
 from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
@@ -37,8 +37,25 @@ GCN_HIDDEN = 64
 FC_HIDDEN = (64, 32)
 N_CLASSES = 2
 CHUNK_STMTS = 512  # statements of a scoring chunk, unless one method alone has more
-# the detector's parameters after the encoder, in graph_logits' order
-HEAD_PARAMS = ("gcn.w1", "gcn.w2", "fc.w1", "fc.b1", "fc.w2", "fc.b2", "fc.w3", "fc.b3")
+
+
+def head_layout(stmt_dim: int, d2: int, h1: int, h2: int) -> list[tuple[str, tuple]]:
+    """The detector's parameters after the encoder, in graph_logits' order:
+    two graph convolutions to width d2, and a head through widths h1 and h2."""
+    return [
+        ("gcn.w1", (stmt_dim, d2)), ("gcn.w2", (d2, d2)),
+        ("fc.w1", (sum(POOL_LEVELS) * d2, h1)), ("fc.b1", (h1,)),
+        ("fc.w2", (h1, h2)), ("fc.b2", (h2,)),
+        ("fc.w3", (h2, N_CLASSES)), ("fc.b3", (N_CLASSES,)),
+    ]
+
+
+HEAD_PARAMS = tuple(name for name, _ in head_layout(0, 0, 0, 0))
+
+
+def model_layout(vocab_size: int, cfg: EncoderConfig, d2: int = GCN_HIDDEN) -> list[tuple[str, tuple]]:
+    """Every model parameter, in registration order (which fixes checkpoint bytes)."""
+    return encoder_layout(vocab_size, cfg) + head_layout(cfg.stmt_dim, d2, *FC_HIDDEN)
 
 
 @dataclass(frozen=True)
@@ -66,23 +83,10 @@ class DetectionModel:
     threshold: float = 0.5
 
 
-def pool_width(d2: int = GCN_HIDDEN) -> int:
-    return sum(POOL_LEVELS) * d2
-
-
 def init_model_params(
     store: ParamStore, rng: Rng, vocab_size: int, cfg: EncoderConfig, d2: int = GCN_HIDDEN
 ) -> None:
-    init_encoder_params(store, rng, vocab_size, cfg)
-    store.add("gcn.w1", glorot(rng, cfg.stmt_dim, d2))
-    store.add("gcn.w2", glorot(rng, d2, d2))
-    h1, h2 = FC_HIDDEN
-    store.add("fc.w1", glorot(rng, pool_width(d2), h1))
-    store.add("fc.b1", np.zeros(h1))
-    store.add("fc.w2", glorot(rng, h1, h2))
-    store.add("fc.b2", np.zeros(h2))
-    store.add("fc.w3", glorot(rng, h2, N_CLASSES))
-    store.add("fc.b3", np.zeros(N_CLASSES))
+    add_params(store, rng, model_layout(vocab_size, cfg, d2))
 
 
 def new_model(vocab: Vocabulary, cfg: EncoderConfig | None = None, seed: int = 0) -> DetectionModel:
@@ -423,6 +427,7 @@ def save_model(path, model: DetectionModel) -> None:
 
 
 def load_model(path) -> DetectionModel:
+    """The checkpoint's model, whose parameters must follow the model layout."""
     store, meta = load_checkpoint(path)
     try:
         for what, got, want in (
@@ -431,7 +436,7 @@ def load_model(path) -> DetectionModel:
         ):
             if sorted(got) != sorted(want):
                 raise CheckpointError(f"{path}: {what} keys {sorted(got)}, expected {sorted(want)}")
-        return DetectionModel(
+        model = DetectionModel(
             store=store,
             vocab=Vocabulary.from_dict(meta["vocab"]),
             encoder_config=EncoderConfig(**meta["encoder_config"]),
@@ -439,3 +444,11 @@ def load_model(path) -> DetectionModel:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed model metadata: {exc!r}") from exc
+    got = [(name, t.data.shape) for name, t in store.items()]
+    want = model_layout(len(model.vocab), model.encoder_config)
+    if got != want:
+        unexpected, missing = [p for p in got if p not in want], [p for p in want if p not in got]
+        raise CheckpointError(
+            f"{path}: parameters differ from the model layout: {unexpected} not in it, {missing} missing"
+        )
+    return model

@@ -29,9 +29,16 @@ class Cfg:
         self._succ: dict[int, list[int]] = {v: [] for v in self.nodes}
         self._pred: dict[int, list[int]] = {v: [] for v in self.nodes}
         for src, dst, _ in self.edges:
-            if dst not in self._succ[src]:
-                self._succ[src].append(dst)
-                self._pred[dst].append(src)
+            self._link(src, dst)
+
+    def _link(self, src: int, dst: int) -> None:
+        if dst not in self._succ[src]:
+            self._succ[src].append(dst)
+            self._pred[dst].append(src)
+
+    def add_edge(self, src: int, dst: int, tag: str) -> None:
+        self.edges.append((src, dst, tag))
+        self._link(src, dst)
 
     @property
     def nodes(self) -> list[int]:
@@ -131,30 +138,30 @@ def _structural_edges(method: MethodAst) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _repair_edges(n: int, edges: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
-    """The synthetic seq edges that make EXIT reachable from every statement
-    and every statement reachable from ENTRY, in the order they are added.
-    Each search extends one reach set, so the repair is linear in the edges.
-    No search passes through ENTRY or EXIT, so the added edges never change
-    what a later search reaches."""
-    graph = Cfg(n, edges)
-    entry, exit_ = graph.entry, graph.exit
-    added: list[tuple[int, int, str]] = []
+def _repair_edges(graph: Cfg) -> list[tuple[int, int, str]]:
+    """Add to the structural graph, in place, the synthetic seq edges that
+    make EXIT reachable from every statement and every statement reachable
+    from ENTRY; returns them in the order they are added. Each search
+    extends one reach set, so the repair is linear in the edges. No search
+    passes through ENTRY or EXIT, so the added edges never change what a
+    later search reaches."""
+    n, entry, exit_ = graph.n_stmts, graph.entry, graph.exit
+    start = len(graph.edges)
     # a repair edge to EXIT makes EXIT reachable from all that reach its source
     reaches_exit = _extend_reach(set(), exit_, graph.predecessors())
     for node in range(n):
         if node not in reaches_exit:
-            added.append((node, exit_, "seq"))
+            graph.add_edge(node, exit_, "seq")
             _extend_reach(reaches_exit, node, graph.predecessors())
     reached = _extend_reach(set(), entry, graph.successors())
     for node in range(n):
         if node not in reached:
-            added.append((entry, node, "seq"))
+            graph.add_edge(entry, node, "seq")
             _extend_reach(reached, node, graph.successors())
-    return added
+    return graph.edges[start:]
 
 
 def build_cfg(method: MethodAst) -> Cfg:
-    edges = _structural_edges(method)
-    n = len(method.stmts)
-    return Cfg(n, edges + _repair_edges(n, edges))
+    graph = Cfg(len(method.stmts), _structural_edges(method))
+    _repair_edges(graph)
+    return graph

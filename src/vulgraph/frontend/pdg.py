@@ -15,6 +15,7 @@ from ..util import dump_json
 from .cfg import build_cfg
 from .deps import control_dependences, data_dependences
 from .parser import NESTING_BOUND, MethodAst, StmtNode, _declared_name, parse_method
+from .render import render_statement
 
 PRED_KINDS = frozenset({"if-pred", "while-pred", "for-pred"})
 STMT_KINDS = PRED_KINDS | {"decl", "assign", "call", "return", "goto", "label", "block-enter"}
@@ -124,8 +125,10 @@ def _is_tree(ast) -> bool:
 def pdg_from_dict(data: dict) -> Pdg:
     """Rebuild a serialized PDG. Node indices must be exactly 0..n-1, so a
     statement's index is its position; each node must be a known statement
-    kind whose ast is a [label, [children...]] tree within the nesting bound;
-    and every edge must join two of those nodes with kind data or control."""
+    kind whose ast is a [label, [children...]] tree within the nesting bound
+    and has the parts its kind reads (a decl its type and declarator, an
+    assign both sides); and every edge must join two of those nodes with
+    kind data or control."""
     nodes = [
         StmtNode(
             index=n["index"],
@@ -155,6 +158,13 @@ def pdg_from_dict(data: dict) -> Pdg:
                 f"pdg node {s.index} ({s.kind}) is not a statement kind with an ast tree"
                 f" of [label, [children...]] at most {NESTING_BOUND} high"
             )
+        try:  # rendering and reading a declared type index the parts a kind has
+            render_statement(s.kind, s.ast)
+            recover_decl_types([s])
+        except (IndexError, KeyError, ValueError) as exc:
+            raise SchemaError(
+                f"pdg node {s.index} ({s.kind}) has an ast that does not fit its kind: {exc!r}"
+            ) from exc
     for e in edges:
         if e.kind not in EDGE_KINDS or not (is_node(e.src) and is_node(e.dst)):
             raise SchemaError(

@@ -12,9 +12,11 @@ import zlib
 import numpy as np
 
 from .autodiff import Tensor, concat, gru_sequence, rows
-from .encoders import _TREE_GATES, FUSE_PARAMS, WIDEN_DIM, TreeLstm, attend_and_fuse
+from .encoders import (
+    FUSE_PARAMS, GRU_GATES, TREE_GATES, WIDEN_DIM, attend_and_fuse, cell_layout, encode_forest, fuse_layout,
+)
 from .explain import ExplainConfig, mask_loss, masked_adjacency
-from .fagcn import HEAD_PARAMS, cross_entropy, graph_logits
+from .fagcn import HEAD_PARAMS, cross_entropy, graph_logits, head_layout
 from .features import Vocabulary
 from .frontend import PdgEdge, pdg_from_source
 
@@ -51,21 +53,15 @@ def _max_rel_err(build, arrays) -> float:
 # gru_sequence: 4 steps of a batch of 3; row 0 skips step 1, row 1 is padded
 # at its last step, row 2 is masked at every step.
 _GRU_MASK = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=np.float64)
-_GRU_SHAPES = [(2, 2), (2, 2), (2,)] * 3
 # graph_logits: 2 statement features, 4 hidden units, head widths 3 and 2;
 # positive head weights keep every head unit active
-_HEAD_SHAPES = [(2, 4), (4, 4), (7 * 4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
+_HEAD = head_layout(2, 4, 3, 2)
 # encode_forest: three trees over a 5-label table, one of them a lone leaf
 _FOREST = [["a", [["b", []], ["c", [["a", []], ["b", []]]]]], ["b", []], ["c", [["c", []]]]]
 _FOREST_VOCAB = Vocabulary({"a": 2, "b": 3, "c": 4})
-_TREE_SHAPES = [(2, 2), (2, 2), (2,)] * 4
 # attend_and_fuse: three features of three statements, width 2; statements
 # 0 and 1 are neighbours
 _FUSE_ADJ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-_FUSE_SHAPES = [
-    (2, 2), (4, 2), (2,), (2, 1),
-    (2, WIDEN_DIM), (WIDEN_DIM,), (3 * WIDEN_DIM, 1), (1,), (3 * WIDEN_DIM, 2), (2,),
-]
 
 
 def _cases(seed: int):
@@ -138,13 +134,13 @@ def _cases(seed: int):
         (
             "gru_sequence",
             lambda x, *w: s(gru_sequence(x, w, 4, _GRU_MASK), w32),
-            lambda: [r(12, 2)] + [r(*shape) for shape in _GRU_SHAPES],
+            lambda: [r(12, 2)] + [r(*shape) for _, shape in cell_layout("gru", GRU_GATES, 2, 2)],
         ),
         (
             "graph_logits",
             lambda adj, x, *w: s(graph_logits(adj, x, dict(zip(HEAD_PARAMS, w))), w32[:1]),
-            lambda: [positive(3, 3), r(3, 2)] + [r(*shape) for shape in _HEAD_SHAPES[:2]]
-            + [positive(*shape) for shape in _HEAD_SHAPES[2:]],
+            lambda: [positive(3, 3), r(3, 2)] + [r(*shape) for _, shape in _HEAD[:2]]
+            + [positive(*shape) for _, shape in _HEAD[2:]],
         ),
         (
             "masked_adjacency",
@@ -153,18 +149,15 @@ def _cases(seed: int):
         ),
         (
             "encode_forest",
-            lambda table, *w: s(
-                TreeLstm({f"tree.{g}": t for g, t in zip(_TREE_GATES, w)}).encode_forest(_FOREST, _FOREST_VOCAB, table),
-                w32,
-            ),
-            lambda: [r(5, 2)] + [r(*shape) for shape in _TREE_SHAPES],
+            lambda table, *w: s(encode_forest(_FOREST, _FOREST_VOCAB, table, w), w32),
+            lambda: [r(5, 2)] + [r(*shape) for _, shape in cell_layout("tree", TREE_GATES, 2, 2)],
         ),
         (
             "attend_and_fuse",
             lambda f1, f2, f3, fwd, bwd, *w: s(
                 attend_and_fuse([f1, f2, f3], fwd, bwd, _FUSE_ADJ, dict(zip(FUSE_PARAMS, w))), w32
             ),
-            lambda: [r(3, 2) for _ in range(5)] + [r(*shape) for shape in _FUSE_SHAPES],
+            lambda: [r(3, 2) for _ in range(5)] + [r(*shape) for _, shape in fuse_layout(2, 3 * WIDEN_DIM, 2)],
         ),
         ("cross_entropy", lambda z: cross_entropy(z, np.array([1, 0, 1])), lambda: [r(3, 2)]),
         (

@@ -499,8 +499,8 @@ def sigmoid_two_branch(x):
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
-def encode_forest(tree_lstm, trees, vocab, embed):
-    """TreeLstm.encode_forest level by level on the per-op tape: every node
+def encode_forest(trees, vocab, embed, params):
+    """encoders.encode_forest level by level on the per-op tape: every node
     of one height is one batch, its children's states are gathered, and the
     levels' states are concatenated."""
     import numpy as np
@@ -525,8 +525,8 @@ def encode_forest(tree_lstm, trees, vocab, embed):
     for j, lvl in enumerate(height):
         order.setdefault(lvl, []).append(j)
 
-    p = tree_lstm.p
-    hid = tree_lstm.hidden
+    p = dict(zip("wi ui bi wf uf bf wo uo bo wu uu bu".split(), params))
+    hid = p["bi"].data.shape[0]
     h_rows = np.zeros((len(labels),), dtype=np.int64)
     h_all = c_all = None
     done = 0
@@ -567,12 +567,12 @@ def attention_scores(features, store):
     """Per-feature attention scores [n, len(features)]: a Bi-GRU reads the
     feature sequence into a shared context, and each feature is scored
     additively against it."""
-    from vulgraph.autodiff import concat
-    from vulgraph.encoders import Gru
+    from vulgraph.autodiff import concat, gru_sequence
+    from vulgraph.encoders import GRU_GATES, cell_params
 
     n = len(features)
-    fwd = Gru(store, "attn_fwd").run(concat(features), n)
-    bwd = Gru(store, "attn_bwd").run(concat(features[::-1]), n)
+    fwd = gru_sequence(concat(features), cell_params(store, "attn_fwd", GRU_GATES), n)
+    bwd = gru_sequence(concat(features[::-1]), cell_params(store, "attn_bwd", GRU_GATES), n)
     return _scores_against(features, fwd, bwd, store)
 
 

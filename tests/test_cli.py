@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vulgraph import explain
-from vulgraph.autodiff import Tensor
+from vulgraph.autodiff import ParamStore, Tensor
 from vulgraph.cli import load_run_config, main
 from vulgraph.corpus import load_corpus
 from vulgraph.encoders import EncoderConfig
@@ -260,6 +260,23 @@ def test_evaluate_without_explanations_skips_interpretation(pipeline, capsys):
     assert "interpretation" not in report
 
 
+def test_evaluate_skips_explanations_of_pdg_entries(pipeline, tmp_path, capsys):
+    # fix lines are source lines; a serialized PDG's statements carry none
+    rows = []
+    for e in load_corpus(pipeline["test_corpus"]):
+        fix = e.fix and {"changed": list(e.fix.changed), "added": list(e.fix.added)}
+        rows.append({"id": e.id, "source": None, "pdg": pdg_to_dict(e.pdg), "label": e.label, "fix": fix})
+    corpus = tmp_path / "pdgs.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    args = ["evaluate", "--detections", str(pipeline["detections"]), "--explanations", str(pipeline["explanations"])]
+    for path, evaluated in ((pipeline["test_corpus"], 1), (corpus, 0)):
+        assert main(args + ["--corpus", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["explanations_evaluated"] == evaluated
+        assert report["counts"]["explanations_skipped"] == 1 - evaluated
+        assert ("interpretation" in report) == bool(evaluated)
+
+
 def test_evaluate_unknown_method_is_validation_error(pipeline, tmp_path, capsys):
     bogus = tmp_path / "det.json"
     bogus.write_text(
@@ -319,9 +336,12 @@ def _break_node_order(pdg: dict) -> None:
         lambda pdg: pdg["nodes"][0].update(ast=["id:x", "y"]),
         lambda pdg: pdg["nodes"][0].update(ast=["id:x"]),
         lambda pdg: pdg["nodes"][0].update(ast=_nested_list(NESTING_BOUND + 1)),
+        lambda pdg: pdg["nodes"][0].update(kind="decl", ast=["decl", [["id:x", []]]]),
+        lambda pdg: pdg["nodes"][0].update(kind="assign", ast=["assign:=", [["id:x", []]]]),
     ],
     ids=["edge_out_of_range", "indices_from_one", "unknown_edge_kind", "unknown_statement_kind",
-         "ast_not_a_list", "ast_children_not_a_list", "ast_without_children", "ast_past_the_nesting_bound"],
+         "ast_not_a_list", "ast_children_not_a_list", "ast_without_children", "ast_past_the_nesting_bound",
+         "decl_without_declarator", "assign_with_one_side"],
 )
 def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
     generated = tmp_path / "generated.jsonl"
@@ -615,6 +635,37 @@ def _edge_to_unknown_node(rows):
     return rows
 
 
+def _every_decision(value):
+    def damage(report):
+        for row in report["methods"]:
+            row["decision"] = value
+        return report
+
+    return damage
+
+
+def _statement_index_as_string(rows):
+    for row in rows:
+        for stmt in row["statements"]:
+            stmt["index"] = str(stmt["index"])
+    return rows
+
+
+def _fractional_node_id(rows):
+    graph = rows[0]["abstract"]
+    first = graph["nodes"][0][0]
+    graph["nodes"][0][0] = first + 0.9
+    for edge in graph["edges"]:
+        edge[:2] = [v + 0.9 if v == first else v for v in edge[:2]]
+    return rows
+
+
+def _unknown_edge_kind(rows):
+    (first, _), (second, _) = rows[0]["abstract"]["nodes"][:2]
+    rows[0]["abstract"]["edges"].append([first, second, "banana"])
+    return rows
+
+
 @pytest.mark.parametrize(
     "args, damage",
     [
@@ -623,8 +674,16 @@ def _edge_to_unknown_node(rows):
         (["gradcheck", "--seed", "-1"], None),
         (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _first_score("high"))),
         (["mine", "{bad}"], ("explanations", _edge_to_unknown_node)),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _every_decision("maybe"))),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _statement_index_as_string),
+        ),
+        (["mine", "{bad}"], ("explanations", _fractional_node_id)),
+        (["mine", "{bad}"], ("explanations", _unknown_edge_kind)),
     ],
-    ids=["min_support_below_two", "sizes_from_zero", "negative_seed", "score_not_a_number", "edge_to_unknown_node"],
+    ids=["min_support_below_two", "sizes_from_zero", "negative_seed", "score_not_a_number", "edge_to_unknown_node",
+         "decision_maybe", "statement_index_a_string", "fractional_node_id", "unknown_edge_kind"],
 )
 def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, capsys, args, damage):
     paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}
@@ -720,6 +779,32 @@ def test_malformed_checkpoint_metadata_is_validation_error(pipeline, tmp_path, c
     damage(meta)
     bad = tmp_path / "model.json"
     save_checkpoint(bad, new_model(vocab, cfg).store, meta=meta)
+    capsys.readouterr()
+    assert main(["detect", str(pipeline["test_corpus"]), "--model", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.json" in err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda params: params.pop(),  # fc.b3
+        lambda params: params.__setitem__(-3, ("fc.b2", np.zeros(1))),
+        lambda params: params.append(("fc.b4", np.zeros(2))),
+    ],
+    ids=["missing_parameter", "parameter_of_wrong_shape", "extra_parameter"],
+)
+def test_checkpoint_outside_the_model_layout_is_validation_error(pipeline, tmp_path, capsys, damage):
+    entries = load_corpus(pipeline["test_corpus"])
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
+    params = [(name, t.data) for name, t in new_model(vocab, cfg).store.items()]
+    damage(params)
+    store = ParamStore()
+    for name, data in params:
+        store.add(name, data)
+    bad = tmp_path / "model.json"
+    save_checkpoint(bad, store, meta={"threshold": 0.5, "vocab": vocab.to_dict(), "encoder_config": cfg.to_dict()})
     capsys.readouterr()
     assert main(["detect", str(pipeline["test_corpus"]), "--model", str(bad)]) == 1
     err = capsys.readouterr().err

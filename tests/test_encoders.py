@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor, rows
+from vulgraph.autodiff import ParamStore, Tensor, add_params, gru_sequence, rows
 from vulgraph.encoders import (
     FUSE_PARAMS,
+    GRU_GATES,
+    TREE_GATES,
     EncoderConfig,
-    Gru,
-    TreeLstm,
     attend_and_fuse,
     _statement_features,
+    cell_layout,
+    cell_params,
+    encode_forest,
     encode_method_batch,
-    init_encoder_params,
+    encoder_layout,
 )
 from vulgraph.errors import ConfigError, EmptyTree
 from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features
@@ -48,7 +51,7 @@ def make_setup(seed=3, cfg=CFG, src=SRC):
     bundles = extract_method_features(pdg)
     vocab = build_vocabulary([bundles])
     store = ParamStore()
-    init_encoder_params(store, Rng(seed), len(vocab), cfg)
+    add_params(store, Rng(seed), encoder_layout(len(vocab), cfg))
     return pdg, bundles, vocab, store
 
 
@@ -69,10 +72,10 @@ def ref_gru(params, xs, h):
 def test_gru_matches_reference_recurrence():
     rng = Rng(1)
     store = ParamStore()
-    Gru.init(store, rng, "g", 4, 3)
-    gru = Gru(store, "g")
+    add_params(store, rng, cell_layout("g", GRU_GATES, 4, 3))
+    gru = cell_params(store, "g", GRU_GATES)
     xs = [np.array([[gauss(rng, 0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
-    out = gru.run(Tensor(np.concatenate(xs)), len(xs))
+    out = gru_sequence(Tensor(np.concatenate(xs)), gru, len(xs))
     np_params = {k: store[f"g.{k}"].data for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
     expect = ref_gru(np_params, xs, np.zeros((2, 3)))
     assert rel_err(out.data, expect) < 1e-12
@@ -80,13 +83,13 @@ def test_gru_matches_reference_recurrence():
 
 def test_gru_masked_steps_and_padding():
     _, _, vocab, store = make_setup()
-    gru = Gru(store, "sub_gru")
+    gru = cell_params(store, "sub_gru", GRU_GATES)
     embed = store["embed.table"]
 
     def run(ids, mask):
         # row 0: the sequence under its mask; row 1: a fully unmasked copy
         steps = rows(embed, np.repeat(ids, 2))
-        return gru.run(steps, len(ids), np.array([[m, 1.0] for m in mask])).data
+        return gru_sequence(steps, gru, len(ids), np.array([[m, 1.0] for m in mask])).data
 
     ids = [vocab.id("total"), vocab.id("n"), vocab.id("i")]
     base = run(ids, [1, 1, 1])
@@ -105,7 +108,7 @@ def test_gru_zero_weights_close_all_gates():
         store.add(f"g.w{g}", np.zeros((3, 4)))
         store.add(f"g.u{g}", np.zeros((4, 4)))
         store.add(f"g.b{g}", np.zeros(4))
-    out = Gru(store, "g").run(Tensor(np.ones((1, 3))), 1)
+    out = gru_sequence(Tensor(np.ones((1, 3))), cell_params(store, "g", GRU_GATES), 1)
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
 
@@ -115,10 +118,10 @@ def test_fused_gru_is_bitwise_the_per_step_recurrence():
         steps, batch = int(gen.integers(1, 7)), int(gen.integers(1, 6))
         in_dim, hidden = int(gen.integers(1, 5)), int(gen.integers(1, 5))
         store = ParamStore()
-        Gru.init(store, Rng(trial), "g", in_dim, hidden)
+        add_params(store, Rng(trial), cell_layout("g", GRU_GATES, in_dim, hidden))
         for t in store.tensors():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
-        gru = Gru(store, "g")
+        gru = cell_params(store, "g", GRU_GATES)
         xs = [Tensor(gen.normal(0.0, 2.0, (batch, in_dim)), requires_grad=True) for _ in range(steps)]
         mask = (gen.random((steps, batch)) < 0.6).astype(np.float64)
         mask[:, 0] = 0.0  # a row masked at every step
@@ -126,7 +129,7 @@ def test_fused_gru_is_bitwise_the_per_step_recurrence():
             store.zero_grad()
             ref = per_step_gru(dict(zip("wz uz bz wr ur br wh uh bh".split(), store.tensors())), xs, m)
             x = Tensor(np.concatenate([t.data for t in xs]), requires_grad=True)
-            out = gru.run(x, steps, m)
+            out = gru_sequence(x, gru, steps, m)
             assert np.array_equal(out.data, ref.data)
             # the gradients agree up to the order of their sums
             weight = Tensor(gen.normal(0.0, 1.0, out.data.shape))
@@ -171,7 +174,7 @@ def test_tree_lstm_matches_recursive_reference():
     pdg, bundles, vocab, store = make_setup()
     p = {k: store[f"tree.{k}"].data for k in ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")}
     embed = store["embed.table"].data
-    got = TreeLstm(store).encode_forest([b.ast for b in bundles], vocab, store["embed.table"])
+    got = encode_forest([b.ast for b in bundles], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
     assert got.data.shape == (len(bundles), CFG.gru_hidden)
     for row, b in enumerate(bundles):
         expect, _ = ref_tree(p, embed, vocab, b.ast)
@@ -183,16 +186,16 @@ def test_tree_lstm_child_permutation_invariant():
     kids = [["id:a", []], ["int:3", []], ["call:f", [["id:b", []]]]]
     t1 = ["assign:=", kids]
     t2 = ["assign:=", [kids[2], kids[0], kids[1]]]
-    out = TreeLstm(store).encode_forest([t1, t2], vocab, store["embed.table"])
+    out = encode_forest([t1, t2], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
     assert rel_err(out.data[0], out.data[1]) < 1e-12
 
 
 def test_tree_lstm_rejects_empty():
     _, bundles, vocab, store = make_setup()
-    tree = TreeLstm(store)
+    tree = cell_params(store, "tree", TREE_GATES)
     for forest in ([], [None], [bundles[0].ast, None]):
         with pytest.raises(EmptyTree):
-            tree.encode_forest(forest, vocab, store["embed.table"])
+            encode_forest(forest, vocab, store["embed.table"], tree)
 
 
 def _random_tree(gen, labels, depth):
@@ -211,14 +214,14 @@ def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
         forest = [_random_tree(gen, labels, int(gen.integers(0, depth + 1))) for _ in range(int(gen.integers(1, 6)))]
         store = ParamStore()
         store.add("embed.table", gen.normal(0.0, 1.0, (len(vocab), 5)))
-        TreeLstm.init(store, Rng(trial), "tree", 5, 4)
+        add_params(store, Rng(trial), cell_layout("tree", TREE_GATES, 5, 4))
         for t in store.tensors():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
         weight = Tensor(gen.normal(0.0, 1.0, (len(forest), 4)))
         results = []
-        for encode in (TreeLstm.encode_forest, oracles.encode_forest):
+        for encode in (encode_forest, oracles.encode_forest):
             store.zero_grad()
-            out = encode(TreeLstm(store), forest, vocab, store["embed.table"])
+            out = encode(forest, vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
             (out * weight).sum().backward(params=store)
             results.append([out.data] + [t.grad.copy() for t in store.tensors()])
         for got, want in zip(*results):
@@ -329,7 +332,7 @@ def test_fuse_matches_manual_arithmetic_two_statements():
     assert len(pdg.nodes) == 2 and len(pdg.edges) == 1
     vocab = build_vocabulary([extract_method_features(pdg)])
     store = ParamStore()
-    init_encoder_params(store, Rng(11), len(vocab), CFG)
+    add_params(store, Rng(11), encoder_layout(len(vocab), CFG))
     out, g = _encode_with_fusion_input(pdg, vocab, store)
     expect = _manual_fusion(store, g)  # the two statements are each other's neighbor
     assert rel_err(out[0], expect) < 1e-10

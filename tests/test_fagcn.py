@@ -22,6 +22,7 @@ from vulgraph.fagcn import (
     graph_logits,
     init_model_params,
     load_model,
+    model_layout,
     new_model,
     normalized_adjacency,
     rank_methods,
@@ -101,6 +102,23 @@ def test_gcn_forward_reductions():
     assert np.array_equal(out2.data[0], out2.data[1])
     store["gcn.w2"].data[:] = 0.0
     assert not np.any(gcn_forward(eye, Tensor(feats), store).data)
+
+
+def test_a_fresh_model_registers_the_model_layout():
+    # 94 parameters in layout order: each matrix Glorot-drawn, each vector zero
+    vocab = build_vocabulary([extract_method_features(pdg_from_source("int f(int a) { return a; }"))])
+    cfg = EncoderConfig()
+    layout = model_layout(len(vocab), cfg)
+    store = new_model(vocab, cfg, seed=4).store
+    assert [(name, t.data.shape) for name, t in store.items()] == layout
+    assert len(layout) == len(dict(layout)) == 94
+    for name, t in store.items():
+        if t.data.ndim == 1:
+            assert not np.any(t.data), name
+        else:
+            assert 0 < np.abs(t.data).max() <= math.sqrt(6.0 / sum(t.data.shape)), name
+    assert [name for name, _ in layout if name.startswith(("gcn.", "fc."))] == list(fagcn.HEAD_PARAMS)
+    assert [name for name, _ in layout if name.startswith(("attn.", "fuse."))] == list(encoders.FUSE_PARAMS)
 
 
 def test_graph_logits_rejects_mismatched_adjacency():
@@ -185,7 +203,7 @@ def test_training_batch_gradients_are_bitwise_the_per_op_tape(monkeypatch):
             monkeypatch.setattr(fagcn, "graph_logits", oracles.graph_logits)
             monkeypatch.setattr(fagcn, "cross_entropy", oracles.cross_entropy)
             monkeypatch.setattr(encoders, "attend_and_fuse", oracles.attend_and_fuse)
-            monkeypatch.setattr(encoders.TreeLstm, "encode_forest", oracles.encode_forest)
+            monkeypatch.setattr(encoders, "encode_forest", oracles.encode_forest)
         model.store.zero_grad()
         loss = _batch_loss(model, items, labels)
         loss.backward(params=model.store)

@@ -22,7 +22,7 @@ from vulgraph.frontend import (
     pdg_to_json,
     tokenize,
 )
-from vulgraph.frontend.cfg import _repair_edges, _structural_edges
+from vulgraph.frontend.cfg import Cfg, _repair_edges, _structural_edges
 from vulgraph.frontend.parser import NESTING_BOUND, _Parser
 from vulgraph.frontend.render import BINARY_LEVEL, render_expr
 from vulgraph.rng import Rng
@@ -521,7 +521,7 @@ def test_dependences_and_repairs_match_set_reference_on_large_methods():
         m = parse_method(src)
         structural = _structural_edges(m)
         want = per_node_repair_edges(len(m.stmts), structural)
-        assert _repair_edges(len(m.stmts), structural) == want, src
+        assert _repair_edges(Cfg(len(m.stmts), list(structural))) == want, src
         cfg = build_cfg(m)
         assert cfg.edges == structural + want, src
         assert control_dependences(cfg) == set_control_deps(cfg), src

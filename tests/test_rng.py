@@ -2,8 +2,7 @@ import math
 
 import numpy as np
 
-import vulgraph.encoders
-import vulgraph.fagcn
+import vulgraph.autodiff.params
 from vulgraph.encoders import EncoderConfig
 from vulgraph.fagcn import new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
@@ -74,7 +73,6 @@ def test_weight_init_checkpoints_are_the_scalar_draws(monkeypatch, tmp_path):
     vocab = build_vocabulary([extract_method_features(pdg_from_source("int f(int a) { return a; }"))])
     cfg = EncoderConfig()  # the default widths, e.g. fc.w1 is 448 x 64
     save_model(tmp_path / "batched.json", new_model(vocab, cfg, seed=3))
-    for module in (vulgraph.encoders, vulgraph.fagcn):
-        monkeypatch.setattr(module, "glorot", scalar_glorot)
+    monkeypatch.setattr(vulgraph.autodiff.params, "glorot", scalar_glorot)
     save_model(tmp_path / "scalar.json", new_model(vocab, cfg, seed=3))
     assert (tmp_path / "batched.json").read_bytes() == (tmp_path / "scalar.json").read_bytes()
