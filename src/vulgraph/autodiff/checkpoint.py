@@ -3,9 +3,11 @@
 Layout: 8-byte magic "IVDCKPT1", little-endian u64 manifest length, canonical
 JSON manifest, then one contiguous little-endian fp64 blob. The manifest
 records parameter names/shapes/offsets (in elements) and an arbitrary JSON
-metadata object (vocabulary, model config, decision threshold). Offsets
-follow manifest order, so files are byte-reproducible. Optimizer state is not
-stored: the CLI never resumes training.
+metadata object (vocabulary, model config, decision threshold). The
+parameters tile the blob in manifest order: each offset is the sum of the
+sizes before it, and the sizes sum to the blob's length, so files are
+byte-reproducible. Optimizer state is not stored: the CLI never resumes
+training.
 """
 
 from __future__ import annotations
@@ -58,19 +60,25 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
+    if (len(raw) - manifest_end) % 8:
+        raise CheckpointError(f"{path}: blob is not a whole number of fp64 values")
     blob = np.frombuffer(memoryview(raw)[manifest_end:], dtype="<f8")
-
-    def read(offset: int, shape: list[int]) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        if offset + size > blob.size:
-            raise CheckpointError(f"{path}: blob shorter than manifest claims")
-        return blob[offset : offset + size].reshape(shape)  # ParamStore.add copies it
-
-    store = ParamStore()
+    params, total = [], 0  # each parameter starts where the one before it ends
     try:
-        store.reserve(sum(int(np.prod(entry["shape"])) for entry in manifest["params"]))
         for entry in manifest["params"]:
-            store.add(entry["name"], read(entry["offset"], entry["shape"]))
+            shape = entry["shape"]
+            size = int(np.prod(shape)) if shape else 1
+            if entry["offset"] != total:
+                raise CheckpointError(
+                    f"{path}: {entry['name']!r} at offset {entry['offset']!r}, expected {total}"
+                )
+            if total + size > blob.size:
+                raise CheckpointError(f"{path}: blob shorter than manifest claims")
+            params.append((entry["name"], blob[total : total + size].reshape(shape)))
+            total += size
+        if total != blob.size:
+            raise CheckpointError(f"{path}: blob holds {blob.size} values, manifest claims {total}")
+        store = ParamStore(params)  # copies the values out of the blob
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed parameter list: {exc!r}") from exc
     return store, manifest.get("meta", {})

@@ -334,7 +334,15 @@ def cmd_evaluate(args) -> int:
         ranked = [RankedDetection(row["method"], row["score"], row["decision"], row["rank"]) for row in rows]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed detections row: {exc!r}") from exc
-    for r in ranked:
+    seen = set()
+    for i, r in enumerate(ranked, start=1):
+        if not isinstance(r.method, str):
+            raise SchemaError(f"malformed detections row: method {r.method!r} is not a string")
+        if r.method in seen:
+            raise SchemaError(f"malformed detections row: {r.method!r} is listed twice")
+        seen.add(r.method)
+        if not _is_int(r.rank) or r.rank != i:  # the ranking metrics read the row order
+            raise SchemaError(f"malformed detections row: rank {r.rank!r} of {r.method!r} in row {i}")
         if not _is_number(r.score):
             raise SchemaError(f"malformed detections row: score {r.score!r} of {r.method!r} is not a number")
         if r.decision not in ("V", "NV"):
@@ -349,9 +357,11 @@ def cmd_evaluate(args) -> int:
     for entry in entries:
         if entry.interpretable and entry.pdg is not None:
             truths[entry.id] = fix_truth(entry)
+    stmt_counts = {e.id: len(e.pdg.nodes) for e in entries if e.pdg is not None}
 
     subgraphs = []
     skipped = 0
+    explained = set()
     try:
         for row in explanation_rows:
             ranking = [(s["index"], s["importance"]) for s in row["statements"]]
@@ -360,6 +370,15 @@ def cmd_evaluate(args) -> int:
                     f"malformed explanations row: a statement of {row['method']!r} has a non-integer"
                     " index or a non-number importance"
                 )
+            n = stmt_counts.get(row["method"])
+            if n is not None and not all(0 <= index < n for index, _ in ranking):
+                raise SchemaError(
+                    f"malformed explanations row: a statement index of {row['method']!r} is not one"
+                    f" of its {n} statements"
+                )
+            if row["method"] in explained:
+                raise SchemaError(f"malformed explanations row: {row['method']!r} is explained twice")
+            explained.add(row["method"])
             if row["method"] not in truths or labels.get(row["method"]) != "V":
                 skipped += 1
                 continue
@@ -481,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, k=False, min_support=False):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="random seed")
         if k:
             p.add_argument("--k", type=int, help="edges kept per explanation")
         if min_support:
@@ -500,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="training log path (default: <out>.log.json)")
     p.add_argument("--split-out", dest="split_out",
                    help="prefix for writing the train/tune/test corpora")
+    p.add_argument("--seed", type=int, help="random seed")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -542,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="write a seeded planted-defect corpus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, help="random seed")
     common(p)
     p.set_defaults(func=cmd_gen_corpus)
 

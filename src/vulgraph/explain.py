@@ -178,8 +178,8 @@ def learn_edge_mask(
         return EdgeMask(logits=Tensor(np.zeros(0)))
     model = frozen(model)
     target = 1 if y_pred == "V" else 0
-    store = ParamStore()
-    logits = store.add("mask", np.full(n_edges, INIT_LOGIT))
+    store = ParamStore([("mask", np.full(n_edges, INIT_LOGIT))])
+    logits = store["mask"]
     opt = Adam(store, lr=config.lr)
     trace = []
     for _ in range(config.iterations):

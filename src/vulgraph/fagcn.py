@@ -20,8 +20,8 @@ from .autodiff import (
     Adam,
     ParamStore,
     Tensor,
-    add_params,
     concat,
+    init_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -83,16 +83,9 @@ class DetectionModel:
     threshold: float = 0.5
 
 
-def init_model_params(
-    store: ParamStore, rng: Rng, vocab_size: int, cfg: EncoderConfig, d2: int = GCN_HIDDEN
-) -> None:
-    add_params(store, rng, model_layout(vocab_size, cfg, d2))
-
-
 def new_model(vocab: Vocabulary, cfg: EncoderConfig | None = None, seed: int = 0) -> DetectionModel:
     cfg = cfg or EncoderConfig()
-    store = ParamStore()
-    init_model_params(store, Rng(seed).fork("init"), len(vocab), cfg)
+    store = init_params(Rng(seed).fork("init"), model_layout(len(vocab), cfg))
     return DetectionModel(store=store, vocab=vocab, encoder_config=cfg)
 
 
@@ -235,9 +228,10 @@ def frozen(model: DetectionModel) -> DetectionModel:
 def _chunks(items: list, size: int):
     """Consecutive runs of items that close at `size` methods or before
     CHUNK_STMTS statements would be passed; a method larger than the budget
-    is a chunk of its own. A chunk's fusion adjacency and its Tree-LSTM
-    child sums are dense in its statements, so the budget bounds its
-    memory."""
+    is a chunk of its own. Scoring chunks and training batches both follow
+    it: a chunk's fusion adjacency and its Tree-LSTM child sums (and in
+    training their backward) are dense in its statements, so the budget
+    bounds its memory."""
     part, stmts = [], 0
     for item in items:
         n = len(item[1].nodes)
@@ -357,11 +351,12 @@ def train(
     encoder_config: EncoderConfig | None = None,
     config: TrainConfig | None = None,
 ) -> tuple[DetectionModel, list[dict]]:
-    """Cross-entropy training with Adam over balanced batches; per-epoch loss
-    and tuning AUC are logged, early stopping restores the best-AUC epoch, and
-    the threshold is fit on that epoch's tuning scores. The vocabulary is
-    built from the training split. Each method's feature bundles are
-    extracted once per run."""
+    """Cross-entropy training with Adam over balanced batches, which close as
+    scoring chunks do (see _chunks); per-epoch loss and tuning AUC are
+    logged, early stopping restores the best-AUC epoch, and the threshold is
+    fit on that epoch's tuning scores. The vocabulary is built from the
+    training split. Each method's feature bundles are extracted once per
+    run."""
     config = config or TrainConfig()
     if config.epochs < 1:  # the threshold is fit on an epoch's tuning scores
         raise ConfigError("epochs must be at least 1")
@@ -389,8 +384,7 @@ def train(
         items = list(balanced)
         order_rng.shuffle(items)
         losses = []
-        for lo in range(0, len(items), config.batch_size):
-            batch = items[lo : lo + config.batch_size]
+        for batch in _chunks(items, config.batch_size):
             model.store.zero_grad()
             loss = _batch_loss(model, batch, labels, bundles)
             loss.backward(params=model.store)

@@ -464,8 +464,8 @@ def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
         return EdgeMask(logits=Tensor(np.zeros(0)))
     model = frozen(model)
     target = 1 if y_pred == "V" else 0
-    store = ParamStore()
-    logits = store.add("mask", np.full(n_edges, INIT_LOGIT))
+    store = ParamStore([("mask", np.full(n_edges, INIT_LOGIT))])
+    logits = store["mask"]
     opt = Adam(store, lr=config.lr)
     trace = []
     for _ in range(config.iterations):

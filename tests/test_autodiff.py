@@ -266,9 +266,8 @@ def test_constants_track_nothing():
 
 
 def test_backward_fills_zero_grads_for_unused_params():
-    store = ParamStore()
-    used = store.add("used", np.ones((2, 2)))
-    unused = store.add("unused", np.ones(3))
+    store = ParamStore([("used", np.ones((2, 2))), ("unused", np.ones(3))])
+    used, unused = store["used"], store["unused"]
     loss = used.sum()
     loss.backward(params=store)
     assert np.array_equal(unused.grad, np.zeros(3))
@@ -281,8 +280,7 @@ def test_backward_fills_zero_grads_for_unused_params():
 
 
 def test_adam_missing_gradient():
-    store = ParamStore()
-    store.add("w", np.ones(2))
+    store = ParamStore([("w", np.ones(2))])
     with pytest.raises(MissingGradient, match="'w'"):
         Adam(store, lr=0.1).step()
 
@@ -304,8 +302,8 @@ def test_adam_matches_reference_updates():
     rng = Rng(11)
     w0 = _rand(rng, 3, 2)
     target = _rand(rng, 3, 2)
-    store = ParamStore()
-    w = store.add("w", w0)
+    store = ParamStore([("w", w0)])
+    w = store["w"]
     opt = Adam(store, lr=0.01)
     grads = []
     for _ in range(5):
@@ -322,12 +320,7 @@ def test_flat_adam_is_bitwise_the_per_tensor_loop():
     gen = np.random.default_rng(4)
     shapes = [(3, 4), (4,), (), (2, 5), (1,)]
     inputs = [gen.normal(0.0, 1.0, shape) for shape in shapes]
-    stores = []
-    for _ in range(2):
-        store = ParamStore()
-        for k, data in enumerate(inputs):
-            store.add(f"p{k}", data)
-        stores.append(store)
+    stores = [ParamStore([(f"p{k}", data) for k, data in enumerate(inputs)]) for _ in range(2)]
     flat, ref = stores
     opts = (Adam(flat, lr=0.03), oracles.PerTensorAdam(ref, lr=0.03))
     for step in range(5):
@@ -341,8 +334,8 @@ def test_flat_adam_is_bitwise_the_per_tensor_loop():
 
 
 def test_param_store_tensors_are_views_of_one_buffer():
-    store = ParamStore()
-    tensors = [store.add(f"p{k}", np.full((k + 1, 3), float(k))) for k in range(6)]  # grows twice
+    store = ParamStore([(f"p{k}", np.full((k + 1, 3), float(k))) for k in range(6)])
+    tensors = store.tensors()
     assert [t.data.tolist() for t in tensors] == [np.full((k + 1, 3), float(k)).tolist() for k in range(6)]
     snapshot = store.values.copy()
     store.values[...] = -1.0
@@ -373,8 +366,8 @@ def test_sigmoid_is_bitwise_the_two_branch_form_without_overflow():
 def test_training_bitwise_deterministic():
     def run():
         rng = Rng(123)
-        store = ParamStore()
-        w = store.add("w", glorot(rng, 4, 4))
+        store = ParamStore([("w", glorot(rng, 4, 4))])
+        w = store["w"]
         x = Tensor(_rand(rng, 8, 4))
         opt = Adam(store, lr=0.005)
         for _ in range(10):
@@ -395,9 +388,7 @@ def test_training_bitwise_deterministic():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = Rng(21)
-    store = ParamStore()
-    store.add("enc.w", _rand(rng, 3, 4))
-    store.add("enc.b", _rand(rng, 4))
+    store = ParamStore([("enc.w", _rand(rng, 3, 4)), ("enc.b", _rand(rng, 4))])
     meta = {"threshold": 0.625, "vocab": {"tokens": {"aa": 2}}}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, meta=meta)
@@ -410,8 +401,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):
-    store = ParamStore()
-    store.add("w", np.arange(6, dtype=np.float64).reshape(2, 3))
+    store = ParamStore([("w", np.arange(6, dtype=np.float64).reshape(2, 3))])
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(p1, store, meta={"k": 1})
     save_checkpoint(p2, store, meta={"k": 1})
@@ -424,19 +414,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_bytes(b"NOTACKPT" + b"\x00" * 32)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
-    store = ParamStore()
-    store.add("w", np.ones(4))
+    store = ParamStore([("w", np.ones(4))])
     good = tmp_path / "good.ckpt"
     save_checkpoint(good, store)
     data = good.read_bytes()
-    (tmp_path / "trunc.ckpt").write_bytes(data[:-16])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path / "trunc.ckpt")
+    for name, damaged in (("trunc", data[:-16]), ("trailing", data + bytes(800)), ("ragged", data + bytes(3))):
+        (tmp_path / f"{name}.ckpt").write_bytes(damaged)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / f"{name}.ckpt")
     for manifest in (
         b"[]",
         b'{"version":1}',
         b'{"version":1,"params":[{"name":"w","shape":[2],"offset":-5}]}',
         b'{"version":1,"params":[{"name":"w","shape":[1],"offset":0},{"name":"w","shape":[1],"offset":1}]}',
+        # the parameters must tile the blob: no overlap, no value left unread
+        b'{"version":1,"params":[{"name":"a","shape":[2],"offset":0},{"name":"b","shape":[2],"offset":0}]}',
+        b'{"version":1,"params":[{"name":"w","shape":[1],"offset":0}]}',
     ):
         odd = tmp_path / "odd.ckpt"
         odd.write_bytes(b"IVDCKPT1" + len(manifest).to_bytes(8, "little") + manifest + bytes(16))

@@ -651,6 +651,44 @@ def _statement_index_as_string(rows):
     return rows
 
 
+def _rows_out_of_rank_order(report):
+    report["methods"].reverse()  # each row keeps its rank
+    return report
+
+
+def _method_listed_twice(report):
+    rows = report["methods"]
+    rows.append(dict(rows[0], rank=len(rows) + 1))
+    return report
+
+
+def _method_a_list(report):
+    report["methods"][0]["method"] = [report["methods"][0]["method"]]
+    return report
+
+
+def _every_statement_index(shift):
+    def damage(rows):
+        for row in rows:
+            for stmt in row["statements"]:
+                stmt["index"] += shift
+        return rows
+
+    return damage
+
+
+def _first_statement_index(value):
+    def damage(rows):
+        rows[0]["statements"][0]["index"] = value
+        return rows
+
+    return damage
+
+
+def _method_explained_twice(rows):
+    return rows + [rows[0]]
+
+
 def _fractional_node_id(rows):
     graph = rows[0]["abstract"]
     first = graph["nodes"][0][0]
@@ -681,9 +719,26 @@ def _unknown_edge_kind(rows):
         ),
         (["mine", "{bad}"], ("explanations", _fractional_node_id)),
         (["mine", "{bad}"], ("explanations", _unknown_edge_kind)),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _rows_out_of_rank_order)),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _method_listed_twice)),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], ("detections", _method_a_list)),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _every_statement_index(1000)),
+        ),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _first_statement_index(-1)),
+        ),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _method_explained_twice),
+        ),
     ],
     ids=["min_support_below_two", "sizes_from_zero", "negative_seed", "score_not_a_number", "edge_to_unknown_node",
-         "decision_maybe", "statement_index_a_string", "fractional_node_id", "unknown_edge_kind"],
+         "decision_maybe", "statement_index_a_string", "fractional_node_id", "unknown_edge_kind",
+         "rows_out_of_rank_order", "method_listed_twice", "method_not_a_string",
+         "statement_index_past_the_method", "statement_index_negative", "method_explained_twice"],
 )
 def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, capsys, args, damage):
     paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}
@@ -740,6 +795,24 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["detect", "corpus.jsonl", "--model", "m.json", "--jobs", "2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["detect", "{test_corpus}", "--model", "{model}"],
+        ["explain", "{test_corpus}", "--model", "{model}", "--method", "{vuln_id}", "--config", "{config}"],
+        ["evaluate", "--detections", "{detections}", "--corpus", "{test_corpus}"],
+        ["mine", "{explanations}"],
+    ],
+    ids=["detect", "explain", "evaluate", "mine"],
+)
+def test_seed_is_a_usage_error_where_nothing_is_drawn(pipeline, tmp_path, capsys, args):
+    # only train, gen-corpus and gradcheck make random draws
+    args = [arg.format(**pipeline) for arg in args] + ["--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    assert main(args + ["--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
@@ -800,9 +873,7 @@ def test_checkpoint_outside_the_model_layout_is_validation_error(pipeline, tmp_p
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
     params = [(name, t.data) for name, t in new_model(vocab, cfg).store.items()]
     damage(params)
-    store = ParamStore()
-    for name, data in params:
-        store.add(name, data)
+    store = ParamStore(params)
     bad = tmp_path / "model.json"
     save_checkpoint(bad, store, meta={"threshold": 0.5, "vocab": vocab.to_dict(), "encoder_config": cfg.to_dict()})
     capsys.readouterr()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor, add_params, gru_sequence, rows
+from vulgraph.autodiff import ParamStore, Tensor, gru_sequence, init_params, rows
 from vulgraph.encoders import (
     FUSE_PARAMS,
     GRU_GATES,
@@ -50,8 +50,7 @@ def make_setup(seed=3, cfg=CFG, src=SRC):
     pdg = pdg_from_source(src)
     bundles = extract_method_features(pdg)
     vocab = build_vocabulary([bundles])
-    store = ParamStore()
-    add_params(store, Rng(seed), encoder_layout(len(vocab), cfg))
+    store = init_params(Rng(seed), encoder_layout(len(vocab), cfg))
     return pdg, bundles, vocab, store
 
 
@@ -71,8 +70,7 @@ def ref_gru(params, xs, h):
 
 def test_gru_matches_reference_recurrence():
     rng = Rng(1)
-    store = ParamStore()
-    add_params(store, rng, cell_layout("g", GRU_GATES, 4, 3))
+    store = init_params(rng, cell_layout("g", GRU_GATES, 4, 3))
     gru = cell_params(store, "g", GRU_GATES)
     xs = [np.array([[gauss(rng, 0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
     out = gru_sequence(Tensor(np.concatenate(xs)), gru, len(xs))
@@ -103,11 +101,11 @@ def test_gru_masked_steps_and_padding():
 
 
 def test_gru_zero_weights_close_all_gates():
-    store = ParamStore()
-    for g in ("z", "r", "h"):
-        store.add(f"g.w{g}", np.zeros((3, 4)))
-        store.add(f"g.u{g}", np.zeros((4, 4)))
-        store.add(f"g.b{g}", np.zeros(4))
+    store = ParamStore([
+        (f"g.{kind}{g}", np.zeros(shape))
+        for g in ("z", "r", "h")
+        for kind, shape in (("w", (3, 4)), ("u", (4, 4)), ("b", 4))
+    ])
     out = gru_sequence(Tensor(np.ones((1, 3))), cell_params(store, "g", GRU_GATES), 1)
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
@@ -117,8 +115,7 @@ def test_fused_gru_is_bitwise_the_per_step_recurrence():
     for trial in range(12):
         steps, batch = int(gen.integers(1, 7)), int(gen.integers(1, 6))
         in_dim, hidden = int(gen.integers(1, 5)), int(gen.integers(1, 5))
-        store = ParamStore()
-        add_params(store, Rng(trial), cell_layout("g", GRU_GATES, in_dim, hidden))
+        store = init_params(Rng(trial), cell_layout("g", GRU_GATES, in_dim, hidden))
         for t in store.tensors():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
         gru = cell_params(store, "g", GRU_GATES)
@@ -212,9 +209,9 @@ def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
     for trial in range(40):
         depth = int(gen.integers(0, 7))
         forest = [_random_tree(gen, labels, int(gen.integers(0, depth + 1))) for _ in range(int(gen.integers(1, 6)))]
-        store = ParamStore()
-        store.add("embed.table", gen.normal(0.0, 1.0, (len(vocab), 5)))
-        add_params(store, Rng(trial), cell_layout("tree", TREE_GATES, 5, 4))
+        table = gen.normal(0.0, 1.0, (len(vocab), 5))
+        cell = init_params(Rng(trial), cell_layout("tree", TREE_GATES, 5, 4))
+        store = ParamStore([("embed.table", table)] + [(name, t.data) for name, t in cell.items()])
         for t in store.tensors():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
         weight = Tensor(gen.normal(0.0, 1.0, (len(forest), 4)))
@@ -331,8 +328,7 @@ def test_fuse_matches_manual_arithmetic_two_statements():
     pdg = pdg_from_source(TWO_SRC)
     assert len(pdg.nodes) == 2 and len(pdg.edges) == 1
     vocab = build_vocabulary([extract_method_features(pdg)])
-    store = ParamStore()
-    add_params(store, Rng(11), encoder_layout(len(vocab), CFG))
+    store = init_params(Rng(11), encoder_layout(len(vocab), CFG))
     out, g = _encode_with_fusion_input(pdg, vocab, store)
     expect = _manual_fusion(store, g)  # the two statements are each other's neighbor
     assert rel_err(out[0], expect) < 1e-10

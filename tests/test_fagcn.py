@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor
+from vulgraph.autodiff import ParamStore, Tensor, init_params
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
 from vulgraph import encoders, fagcn
@@ -20,7 +20,6 @@ from vulgraph.fagcn import (
     cross_entropy,
     detection_report,
     graph_logits,
-    init_model_params,
     load_model,
     model_layout,
     new_model,
@@ -87,9 +86,10 @@ def test_normalized_adjacency_keeps_listed_edges_only():
 
 def test_gcn_forward_reductions():
     rng = Rng(2)
-    store = ParamStore()
-    store.add("gcn.w1", np.array([[gauss(rng) for _ in range(3)] for _ in range(4)]))
-    store.add("gcn.w2", np.array([[gauss(rng) for _ in range(3)] for _ in range(3)]))
+    store = ParamStore([
+        ("gcn.w1", np.array([[gauss(rng) for _ in range(3)] for _ in range(4)])),
+        ("gcn.w2", np.array([[gauss(rng) for _ in range(3)] for _ in range(3)])),
+    ])
     feats = np.array([[gauss(rng) for _ in range(4)] for _ in range(2)])
     # no edges: adjacency is I, so the conv is a per-row MLP
     eye = normalized_adjacency(_chain_pdg(2))
@@ -123,8 +123,7 @@ def test_a_fresh_model_registers_the_model_layout():
 
 def test_graph_logits_rejects_mismatched_adjacency():
     rng = Rng(2)
-    store = ParamStore()
-    init_model_params(store, rng, vocab_size=5, cfg=EncoderConfig(stmt_dim=4), d2=3)
+    store = init_params(rng, model_layout(5, EncoderConfig(stmt_dim=4), d2=3))
     with pytest.raises(ShapeMismatch):
         graph_logits(Tensor(np.eye(3)), Tensor(np.ones((2, 4))), store)
 
@@ -174,8 +173,7 @@ def test_graph_logits_is_bitwise_the_per_op_detector():
     # the eight parameters, equal the one-node-per-op tape's bit for bit
     gen = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 8, 17, 60):
-        store = ParamStore()
-        init_model_params(store, Rng(n), vocab_size=7, cfg=EncoderConfig(stmt_dim=6), d2=5)
+        store = init_params(Rng(n), model_layout(7, EncoderConfig(stmt_dim=6), d2=5))
         adj = gen.uniform(0.0, 1.0, (n, n))
         feats = gen.normal(0.0, 1.0, (n, 6))
         weight = gen.normal(0.0, 1.0, (1, 2))
@@ -232,9 +230,8 @@ def test_cross_entropy_is_bitwise_the_per_op_tape():
 def test_head_gradients_match_finite_differences():
     # 3-statement method, end-to-end from feature matrix through the class head
     rng = Rng(7)
-    store = ParamStore()
     cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=5)
-    init_model_params(store, rng, vocab_size=11, cfg=cfg, d2=6)
+    store = init_params(rng, model_layout(11, cfg, d2=6))
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
     feats = np.array([[gauss(rng) for _ in range(5)] for _ in range(3)])
     adj = normalized_adjacency(pdg)
@@ -486,6 +483,26 @@ def test_chunks_close_at_sixteen_methods_or_the_statement_budget():
     ]
     assert shape(sized(5, 5, 5), size=2) == [[5, 5], [5]]
     assert shape([]) == []
+
+
+def test_training_batches_close_at_the_statement_budget(monkeypatch):
+    # eight 100-statement methods with batch_size 8: the sixth would pass
+    # CHUNK_STMTS, so they train in batches of 5 and 3, as scoring chunks them
+    body = ["int v0 = n;"] + [f"int v{i} = v{i - 1} + n;" for i in range(1, 99)]
+    pdg = pdg_from_source("int mid(int n) { " + " ".join(body) + " return v98; }")
+    assert len(pdg.nodes) == 100
+    items = [(f"m{i}", pdg) for i in range(8)]
+    labels = {mid: "V" if i % 2 else "NV" for i, (mid, _) in enumerate(items)}
+    sizes = []
+
+    def batch_loss(model, batch, *args):
+        sizes.append(len(batch))
+        return _batch_loss(model, batch, *args)
+
+    monkeypatch.setattr(fagcn, "_batch_loss", batch_loss)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=5)
+    train(items, items, labels, cfg, TrainConfig(epochs=1, batch_size=8))
+    assert sizes == [5, 3]
 
 
 def _peak_bytes(fn) -> int:
