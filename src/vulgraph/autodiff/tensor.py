@@ -5,18 +5,17 @@ gradient back to them; Tensor.backward() replays those functions in reverse
 topological order, visiting every node exactly once. A backward function
 receives its output node as its argument instead of capturing it, so a tape
 holds no reference cycle and is freed by reference counting as soon as its
-last tensor goes. Broadcasting is permitted over the
-leading dimension only (a (1, ...) or lower-rank operand against a (B, ...)
-one, plus true scalars); anything else raises ShapeMismatch. Tensors are
-treated as immutable once created.
+last tensor goes. Tensors are treated as immutable once created.
 
-Besides the elementwise, reduction and shape ops, gru_sequence records a whole
-masked GRU recurrence as one node with a hand-written backward through time.
-Other modules record their own fused nodes through Tensor._make the same way:
-the Tree-LSTM forest (encoders.encode_forest), the attention and
-fusion block (encoders.attend_and_fuse), the detector (fagcn.graph_logits),
-the training loss (fagcn.cross_entropy), and the explainer's masked adjacency
-and loss (explain.masked_adjacency, explain.mask_loss).
+The module keeps only the ops a run records: sigmoid, indexing, concat, the
+row gather `rows`, and gru_sequence, which records a whole masked GRU
+recurrence as one node with a hand-written backward through time. Other
+modules record their own fused nodes through Tensor._make the same way: the
+Tree-LSTM forest (encoders.encode_forest), the attention and fusion block
+(encoders.attend_and_fuse), the detector (fagcn.graph_logits), the training
+loss (fagcn.cross_entropy), and the explainer's masked adjacency and loss
+(explain.masked_adjacency, explain.mask_loss). The elementwise ops those
+nodes are held to bit for bit live with the test references.
 
 A parameter (params.Parameter) accumulates its gradient into its slot of the
 ParamStore's flat gradient buffer rather than into an array of its own.
@@ -27,32 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeMismatch
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
-def _leading_broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    if sa == sb or sa == () or sb == ():
-        return True
-    small, big = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-    pad = (1,) * (len(big) - len(small)) + small
-    if pad[1:] != big[1:]:
-        return False
-    return pad[0] == big[0] or pad[0] == 1 or big[0] == 1
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -67,7 +40,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -100,11 +73,17 @@ class Tensor:
             out._backward_fn = backward_fn
         return out
 
-    def backward(self, params=None) -> None:
-        """Backpropagate from this scalar. With a ParamStore given, every
-        registered parameter ends up with a gradient (zero if unused)."""
-        if self.data.size != 1:
-            raise ShapeMismatch("backward requires a scalar loss")
+    def backward(self, params=None, *, grad=None) -> None:
+        """Backpropagate `grad`, the gradient of some scalar with respect to
+        this tensor; a scalar loss may leave it out for its gradient of one.
+        With a ParamStore given, every registered parameter ends up with a
+        gradient (zero if unused)."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeMismatch("backward without an output gradient requires a scalar loss")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeMismatch(f"backward: gradient {np.shape(grad)} for a tensor {self.data.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -120,7 +99,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(grad, dtype=np.float64)
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node)
@@ -129,121 +108,7 @@ class Tensor:
                 if tensor.grad is None:
                     tensor.grad = tensor._new_grad()
 
-    # --- elementwise arithmetic --------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
-
-    def _check_broadcast(self, other: "Tensor", op: str) -> None:
-        if not _leading_broadcast_ok(self.data.shape, other.data.shape):
-            raise ShapeMismatch(
-                f"{op}: shapes {self.data.shape} and {other.data.shape} "
-                "differ beyond the leading dimension"
-            )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(other, "add")
-        out_data = self.data + other.data
-        a, b = self, other
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.data.shape))
-
-        return Tensor._make(out_data, (a, b), backward)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(other, "sub")
-        out_data = self.data - other.data
-        a, b = self, other
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-out.grad, b.data.shape))
-
-        return Tensor._make(out_data, (a, b), backward)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(other, "mul")
-        out_data = self.data * other.data
-        a, b = self, other
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-
-        return Tensor._make(out_data, (a, b), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        self._check_broadcast(other, "div")
-        out_data = self.data / other.data
-        a, b = self, other
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(
-                    _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape)
-                )
-
-        return Tensor._make(out_data, (a, b), backward)
-
-    def __neg__(self):
-        a = self
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(-out.grad)
-
-        return Tensor._make(-self.data, (a,), backward)
-
-    def maximum(self, other: "Tensor") -> "Tensor":
-        """Elementwise max; on ties the gradient goes to self."""
-        other = self._coerce(other)
-        if self.data.shape != other.data.shape:
-            raise ShapeMismatch("maximum requires equal shapes")
-        a, b = self, other
-        take_a = a.data >= b.data
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * take_a)
-            if b.requires_grad:
-                b._accumulate(out.grad * ~take_a)
-
-        return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
-
-    def pow_scalar(self, exponent: float) -> "Tensor":
-        a = self
-        out_data = np.power(a.data, exponent)
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * exponent * np.power(a.data, exponent - 1.0))
-
-        return Tensor._make(out_data, (a,), backward)
-
-    # --- nonlinearities ----------------------------------------------------
+    # --- recorded ops -------------------------------------------------------
 
     def sigmoid(self) -> "Tensor":
         a = self
@@ -254,100 +119,6 @@ class Tensor:
                 a._accumulate(out.grad * out.data * (1.0 - out.data))
 
         return Tensor._make(out_data, (a,), backward)
-
-    def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * (1.0 - out.data * out.data))
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def relu(self) -> "Tensor":
-        a = self
-        keep = a.data > 0
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * keep)
-
-        return Tensor._make(a.data * keep, (a,), backward)
-
-    def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * out.data)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def log(self) -> "Tensor":
-        a = self
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad / a.data)
-
-        return Tensor._make(np.log(a.data), (a,), backward)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(out):
-            if a.requires_grad:
-                y = out.data
-                g = out.grad
-                a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-        return Tensor._make(out_data, (a,), backward)
-
-    # --- shape ops ----------------------------------------------------------
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-            raise ShapeMismatch(
-                f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
-            )
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ out.grad)
-
-        return Tensor._make(a.data @ b.data, (a, b), backward)
-
-    __matmul__ = matmul
-
-    def transpose(self) -> "Tensor":
-        a = self
-        if a.data.ndim != 2:
-            raise ShapeMismatch("transpose expects a matrix")
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad.T)
-
-        return Tensor._make(a.data.T.copy(), (a,), backward)
-
-    def reshape(self, *shape) -> "Tensor":
-        a = self
-        old = a.data.shape
-
-        def backward(out):
-            if a.requires_grad:
-                a._accumulate(out.grad.reshape(old))
-
-        return Tensor._make(a.data.reshape(*shape), (a,), backward)
 
     def __getitem__(self, key) -> "Tensor":
         a = self
@@ -365,31 +136,6 @@ class Tensor:
                     a.grad[key] += out.grad
 
         return Tensor._make(a.data[key].copy(), (a,), backward)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-
-        def backward(out):
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        count = a.data.size if axis is None else a.data.shape[axis]
-
-        def backward(out):
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.data.shape) / count)
-
-        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -431,8 +177,8 @@ def gru_sequence(x: Tensor, weights, steps: int, mask: np.ndarray | None = None)
 
     The whole recurrence is one tape node whose backward runs through time by
     hand (Werbos, 1990). Each step's products are taken separately, so the
-    forward value is bitwise that of the same recurrence built from the
-    elementwise ops above. Per-step activations are kept only when an input
+    forward value is bitwise that of the same recurrence built from one tape
+    node per elementwise op. Per-step activations are kept only when an input
     requires grad."""
     if steps < 1 or x.data.ndim != 2 or x.data.shape[0] % steps:
         raise ShapeMismatch(f"gru_sequence: {x.data.shape} does not split into {steps} steps")

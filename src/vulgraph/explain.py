@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, ParamStore, Tensor
+from .autodiff.tensor import _sigmoid
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize, sym_normalize_grad
 from .frontend import Pdg
@@ -37,11 +38,11 @@ LOGIT_CLAMP = 30.0
 
 @dataclass
 class EdgeMask:
-    logits: Tensor
+    logits: np.ndarray
     loss_trace: list = field(default_factory=list)
 
     def values(self) -> np.ndarray:
-        return self.logits.sigmoid().data
+        return _sigmoid(self.logits)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def learn_edge_mask(
     config = config or ExplainConfig()
     n_edges = len(pdg.edges)
     if n_edges == 0:
-        return EdgeMask(logits=Tensor(np.zeros(0)))
+        return EdgeMask(logits=np.zeros(0))
     model = frozen(model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore([("mask", np.full(n_edges, INIT_LOGIT))])
@@ -192,7 +193,7 @@ def learn_edge_mask(
         opt.step()
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
-    return EdgeMask(logits=Tensor(logits.data.copy()), loss_trace=trace)
+    return EdgeMask(logits=logits.data.copy(), loss_trace=trace)
 
 
 def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = DEFAULT_TOP_EDGES) -> InterpretationSubgraph:

@@ -36,6 +36,7 @@ POOL_LEVELS = (1, 2, 4)
 GCN_HIDDEN = 64
 FC_HIDDEN = (64, 32)
 N_CLASSES = 2
+CHUNK_METHODS = 16  # methods of a scoring chunk
 CHUNK_STMTS = 512  # statements of a scoring chunk, unless one method alone has more
 
 
@@ -105,7 +106,7 @@ def sym_normalize(a: np.ndarray) -> tuple[np.ndarray, tuple]:
 def sym_normalize_grad(grad: np.ndarray, a: np.ndarray, saved: tuple) -> np.ndarray:
     """The gradient with respect to A of sym_normalize(A), given the output's
     gradient: the per-op chain rule, step by step in the same order, so it is
-    bitwise that of the elementwise tensor ops."""
+    bitwise that of the per-op tape (tests/oracles.py sym_normalize)."""
     degree, root, d, d_row, scale = saved
     d_scale = grad * a
     d_d = d_scale @ d_row.T
@@ -244,25 +245,25 @@ def _chunks(items: list, size: int):
         yield part
 
 
-def forward_methods(model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None):
+def forward_methods(model: DetectionModel, items: list, bundles: dict | None = None):
     """Yield (id, V-class probability, statement matrix) for [(id, pdg)]
     pairs, encoded per chunk (see _chunks): the one forward pass that
     detect, explain and training's tuning scores share."""
     # The pass records no autodiff tape, so a chunk's intermediates are
     # freed once the caller has moved on to the next chunk.
     const = frozen(model)
-    for part in _chunks(items, chunk):
+    for part in _chunks(items, CHUNK_METHODS):
         logits, feats = _chunk_logits(const, part, bundles)
-        probs = logits.softmax(axis=1).data[:, 1]
+        z = logits.data
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = (e / e.sum(axis=1, keepdims=True))[:, 1]
         for (mid, _), p, f in zip(part, probs, feats):
             yield mid, float(p), f
 
 
-def score_methods(
-    model: DetectionModel, items: list, chunk: int = 16, bundles: dict | None = None
-) -> list:
+def score_methods(model: DetectionModel, items: list, bundles: dict | None = None) -> list:
     """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
-    return [(mid, p) for mid, p, _ in forward_methods(model, items, chunk, bundles)]
+    return [(mid, p) for mid, p, _ in forward_methods(model, items, bundles)]
 
 
 def rank_methods(scored: list, threshold: float = 0.5) -> list[RankedDetection]:

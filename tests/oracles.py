@@ -18,7 +18,8 @@ per-level parser subclasses the package's parser and replaces only its
 expression rule, and the character-loop lexer builds the package's Token
 records; the feature reference reuses the per-statement helpers of
 vulgraph.features. No other code here is shared with the implementation
-under test.
+under test. The elementwise, reduction and shape ops of the per-op tape are
+not package code: tensor_ops installs them on Tensor (see conftest.py).
 """
 
 from __future__ import annotations
@@ -461,7 +462,7 @@ def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
     config = config or ExplainConfig()
     n_edges = len(pdg.edges)
     if n_edges == 0:
-        return EdgeMask(logits=Tensor(np.zeros(0)))
+        return EdgeMask(logits=np.zeros(0))
     model = frozen(model)
     target = 1 if y_pred == "V" else 0
     store = ParamStore([("mask", np.full(n_edges, INIT_LOGIT))])
@@ -481,7 +482,7 @@ def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
         opt.step()
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
-    return EdgeMask(logits=Tensor(logits.data.copy()), loss_trace=trace)
+    return EdgeMask(logits=logits.data.copy(), loss_trace=trace)
 
 
 # --- per-op references for the encoder, the training loss and Adam -----------------

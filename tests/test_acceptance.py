@@ -75,14 +75,22 @@ def _grad_cases(seed: int):
     def s(t, w):
         return (t * Tensor(w)).sum()
 
+    def dropped(*shapes):
+        # Draws the inputs of a case the suite no longer has (negation,
+        # maximum), so that the cases after it keep the inputs they have
+        # always been checked on.
+        for shape in shapes:
+            r(*shape)
+        return []
+
     return [
         (lambda a, b: s(a + b, w34), [r(3, 4), r(3, 4)]),
         (lambda a, b: s(a + b, w34), [r(3, 4), r(4)]),
         (lambda a, b: s(a - b, w34), [r(3, 4), r(3, 4)]),
-        (lambda a: s(-a, w34), [r(3, 4)]),
+        *dropped((3, 4)),
         (lambda a, b: s(a * b, w34), [r(3, 4), r(3, 4)]),
         (lambda a, b: s(a / b, w34), [r(3, 4), off(3, 4) * 2]),
-        (lambda a, b: s(a.maximum(b), w34), [r(3, 4), r(3, 4)]),
+        *dropped((3, 4), (3, 4)),
         (lambda a: s(a.pow_scalar(3.0), w34), [r(3, 4)]),
         (lambda a: s(a.pow_scalar(0.5), w34), [pos(3, 4)]),
         (lambda a: s(a.sigmoid(), w34), [r(3, 4)]),

@@ -212,9 +212,9 @@ def test_full_edge_set_score_is_the_detector_score(corpus, fitted_model):
 
 def test_misaligned_mask_rejected(demo, vocab):
     model = new_model(vocab, CFG, seed=0)
-    bad = EdgeMask(logits=Tensor(np.zeros(len(demo.edges) + 1)))
+    bad = EdgeMask(logits=np.zeros(len(demo.edges) + 1))
     with pytest.raises(MaskMisaligned):
-        _masked_probs(demo, model, bad.logits.data, statement_matrix(demo, model))
+        _masked_probs(demo, model, bad.logits, statement_matrix(demo, model))
     with pytest.raises(MaskMisaligned):
         extract_subgraph(demo, bad, k=2)
 
@@ -283,7 +283,7 @@ def test_parallel_symmetric_edges_get_equal_masks(vocab):
     mask = learn_edge_mask(pdg, model, "V", ExplainConfig(iterations=80), feats=statement_matrix(pdg, model))
     vals = mask.values()
     assert abs(vals[0] - vals[1]) <= 1e-6
-    assert abs(mask.logits.data[0] - 1.0) > 0.5  # the pair moved, not a frozen no-op
+    assert abs(mask.logits[0] - 1.0) > 0.5  # the pair moved, not a frozen no-op
     assert abs(vals[2] - vals[0]) > 1e-6  # the unrelated edge is not tied to them
 
 
@@ -292,7 +292,7 @@ def test_edge_insensitive_prediction_keeps_mask_at_init(demo, vocab):
     model.store["gcn.w1"].data[:] = 0.0  # conv output constant in the adjacency
     cfg = ExplainConfig(iterations=40, sparsity_weight=0.0, entropy_weight=0.0)
     mask = learn_edge_mask(demo, model, "V", cfg, feats=statement_matrix(demo, model))
-    assert np.array_equal(mask.logits.data, np.ones(len(demo.edges)))
+    assert np.array_equal(mask.logits, np.ones(len(demo.edges)))
     assert len(set(mask.loss_trace)) == 1
 
 
@@ -307,7 +307,7 @@ def test_mask_range_and_loss_trace_statistics(demo, vocab):
             mask = learn_edge_mask(pdg, model, "V", short, feats=statement_matrix(pdg, model))
             vals = mask.values()
             assert np.all(vals > 0.0) and np.all(vals < 1.0)
-            assert np.all(np.abs(mask.logits.data) <= 30.0)
+            assert np.all(np.abs(mask.logits) <= 30.0)
             assert len(mask.loss_trace) == short.iterations
             runs += 1
             if mask.loss_trace[-1] <= mask.loss_trace[0]:
@@ -331,7 +331,7 @@ def _five_edge_pdg():
 
 def test_extract_subgraph_ranking():
     pdg = _five_edge_pdg()
-    mask = EdgeMask(logits=Tensor(np.array([2.0, -1.0, 0.5, 2.0, -3.0])))
+    mask = EdgeMask(logits=np.array([2.0, -1.0, 0.5, 2.0, -3.0]))
     vals = mask.values()
 
     sub = extract_subgraph(pdg, mask, k=3)
@@ -398,7 +398,7 @@ def test_learned_mask_close_to_exhaustive_optimum(demo, flip_fixture, flip_mask)
 def test_learning_is_deterministic(demo, flip_fixture, flip_mask):
     pinned, _, _, _ = flip_fixture
     again = learn_edge_mask(demo, pinned, "NV", feats=statement_matrix(demo, pinned))
-    assert np.array_equal(flip_mask.logits.data, again.logits.data)
+    assert np.array_equal(flip_mask.logits, again.logits)
     assert flip_mask.loss_trace == again.loss_trace
 
 
@@ -442,7 +442,7 @@ def test_learned_masks_are_bitwise_the_per_op_tape():
         for decision in ("V", "NV"):
             got = learn_edge_mask(pdg, model, decision, config, feats=feats)
             want = oracles.learn_edge_mask(pdg, model, decision, config, feats=feats)
-            assert np.array_equal(got.logits.data, want.logits.data), (pdg.method, decision)
+            assert np.array_equal(got.logits, want.logits), (pdg.method, decision)
             assert got.loss_trace == want.loss_trace, (pdg.method, decision)
         logits = np.linspace(-3.0, 3.0, len(pdg.edges))
         assert np.array_equal(

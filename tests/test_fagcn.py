@@ -451,7 +451,7 @@ def test_classify_boundary_and_roundtrip(tmp_path):
     assert before == after
 
 
-def test_scores_are_the_softmax_of_the_training_logits():
+def test_scores_are_the_softmax_of_the_training_logits(monkeypatch):
     items, labels = _toy_corpus()
     vocab = _toy_vocab(items)
     model = new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12), seed=4)
@@ -464,7 +464,8 @@ def test_scores_are_the_softmax_of_the_training_logits():
     assert abs(float(_batch_loss(model, items, labels).data) - nll) < 1e-12
     # a chunk is one encoder batch, so other chunk sizes agree up to rounding
     for chunk in (1, 3):
-        scored = score_methods(model, items, chunk=chunk)
+        monkeypatch.setattr(fagcn, "CHUNK_METHODS", chunk)
+        scored = score_methods(model, items)
         assert [mid for mid, _ in scored] == [mid for mid, _ in items]
         assert max(abs(p - q) for (_, p), q in zip(scored, probs[:, 1])) < 1e-12
 
