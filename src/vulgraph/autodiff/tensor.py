@@ -7,8 +7,8 @@ receives its output node as its argument instead of capturing it, so a tape
 holds no reference cycle and is freed by reference counting as soon as its
 last tensor goes. Tensors are treated as immutable once created.
 
-The module keeps only the ops a run records: sigmoid, indexing, concat, the
-row gather `rows`, and gru_sequence, which records a whole masked GRU
+The module keeps only the ops a run records: sigmoid, concat, the row
+gather `rows`, and gru_sequence, which records a whole masked GRU
 recurrence as one node with a hand-written backward through time. Other
 modules record their own fused nodes through Tensor._make the same way: the
 Tree-LSTM forest (encoders.encode_forest), the attention and fusion block
@@ -119,23 +119,6 @@ class Tensor:
                 a._accumulate(out.grad * out.data * (1.0 - out.data))
 
         return Tensor._make(out_data, (a,), backward)
-
-    def __getitem__(self, key) -> "Tensor":
-        a = self
-        parts = key if isinstance(key, tuple) else (key,)
-        # An array key may repeat an index; only np.add.at sums every repeat.
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
-
-        def backward(out):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = a._new_grad()
-                if fancy:
-                    np.add.at(a.grad, key, out.grad)
-                else:
-                    a.grad[key] += out.grad
-
-        return Tensor._make(a.data[key].copy(), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -15,7 +15,8 @@ The per-statement features are
 All six widths are equal so the attention Bi-GRU can read them as a sequence.
 Fusion then scores every statement in {center} union PDG-neighbors, softmaxes
 the scores, and sums the weighted per-statement concatenations through a final
-projection.
+projection; the neighbours are the statement's slots in the chunk's slot list
+(vulgraph.slots), so no step is quadratic in the statements.
 
 Everything here is batched: encode_method_batch processes all statements of
 many methods in one tensor program. Each GRU reads its whole input sequence
@@ -26,7 +27,7 @@ six feature matrices and the two attention states to the statement matrix
 (attend_and_fuse) are one node each as well, with hand-written backwards
 that repeat the numpy steps of the one-node-per-op tape in its order, so
 their values and gradients are bitwise that tape's. A training batch of
-eight methods records about 35 nodes. Each block's parameters are declared
+eight methods records 18 nodes. Each block's parameters are declared
 once, as an ordered (name, shape) layout, and each op reads them by its
 layout's names.
 """
@@ -34,6 +35,7 @@ layout's names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,12 +45,13 @@ from .errors import ConfigError, EmptyTree
 from .features import (
     PAD_ID,
     UNK_ID,
+    FlatTree,
     StatementFeatureBundle,
     Vocabulary,
     extract_method_features,
-    normalize_ast_label,
 )
 from .frontend import Pdg
+from .slots import Runs, Slots, propagate, slot_list, slot_products
 
 N_FEATURES = 6
 WIDEN_DIM = 8  # per-feature width after the shared summarizing layer
@@ -132,47 +135,40 @@ def cell_params(store: ParamStore, prefix: str, gates: str) -> tuple[Tensor, ...
     return tuple(store[name] for name, _ in cell_layout(prefix, gates, 0, 0))
 
 
-def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) -> Tensor:
-    """Encode every tree with a child-sum Tree-LSTM (Tai et al., ACL 2015)
-    batched by node height across the forest; `params` is the cell's tuple
-    (cell_params with TREE_GATES). Returns root hidden states [n, hidden].
+def _gate(x: np.ndarray, w: np.ndarray, h_sum: np.ndarray | None, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A Tree-LSTM gate's pre-activation x @ w + h_sum @ u + b, summed in
+    that order; h_sum is None at the leaves."""
+    pre = x @ w
+    if h_sum is not None:
+        pre += h_sum @ u
+    pre += b
+    return pre
+
+
+def encode_forest(trees: list[FlatTree], vocab: Vocabulary, embed: Tensor, params: tuple) -> Tensor:
+    """Encode every flattened tree with a child-sum Tree-LSTM (Tai et al.,
+    ACL 2015) batched by node height across the forest; `params` is the
+    cell's tuple (cell_params with TREE_GATES). Returns root hidden states
+    [n, hidden].
 
     One tape node, whose backward runs the levels top-down and sends
     gradients to the embedding table and the twelve gate parameters. Each
     level takes the numpy steps of the per-op tape, and every gradient, the
     table's row by row, adds up in that tape's order, so values and
-    gradients are bitwise its. Per-level intermediates are kept only when an
-    input requires grad."""
-    if not trees or any(not t for t in trees):
+    gradients are bitwise its. A node's children are summed over its run of
+    (parent, child) pairs, so a level's memory grows with its pairs.
+    Per-level intermediates are kept only when an input requires grad."""
+    if not trees:
         raise EmptyTree("cannot encode an empty syntax tree")
-    labels: list[int] = []  # vocab id per node, children before parents
-    heights: list[int] = []
-    parents: list[int] = []  # (parent, child) pairs, parent by parent
-    children: list[int] = []
-    label_ids: dict[str, int] = {}
-
-    def flatten(node) -> int:
-        label, kids = node[0], node[1]
-        if kids:
-            kids = [flatten(c) for c in kids]
-            j = len(labels)
-            heights.append(1 + max([heights[k] for k in kids]))
-            parents.extend([j] * len(kids))
-            children.extend(kids)
-        else:
-            j = len(labels)
-            heights.append(0)
-        label_id = label_ids.get(label)
-        if label_id is None:
-            label_id = label_ids[label] = vocab.id(normalize_ast_label(label))
-        labels.append(label_id)
-        return j
-
-    roots = [flatten(tree) for tree in trees]
-    node_label = np.array(labels, dtype=np.int64)
-    height = np.array(heights, dtype=np.int64)
-    parent = np.array(parents, dtype=np.int64)
-    child = np.array(children, dtype=np.int64)
+    sizes = np.array([len(t.labels) for t in trees], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes  # each tree's first node in the forest
+    shift = np.repeat(offsets, sizes - 1)  # a tree of n nodes has n - 1 pairs
+    token_id = vocab.token_to_id.get
+    node_label = np.array([token_id(label, UNK_ID) for t in trees for label in t.labels], dtype=np.int64)
+    height = np.fromiter(chain.from_iterable(t.heights for t in trees), np.int64, len(node_label))
+    parent = np.fromiter(chain.from_iterable(t.parents for t in trees), np.int64, len(shift)) + shift
+    child = np.fromiter(chain.from_iterable(t.children for t in trees), np.int64, len(shift)) + shift
+    roots = offsets + sizes - 1
 
     wi, ui, bi, wf, uf, bf, wo, uo, bo, wu, uu, bu = (t.data for t in params)
     p_wi, p_ui, p_bi, p_wf, p_uf, p_bf, p_wo, p_uo, p_bo, p_wu, p_uu, p_bu = params
@@ -181,10 +177,10 @@ def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) 
     hidden = bi.shape[0]
     # every node's h and c, one height after another (a node's children
     # are lower, so they are filled before it)
-    h_all = np.empty((len(labels), hidden))
-    c_all = np.empty((len(labels), hidden))
-    row_of = np.empty(len(labels), dtype=np.int64)
-    slot = np.empty(len(labels), dtype=np.int64)  # a node's place in its level
+    h_all = np.empty((len(node_label), hidden))
+    c_all = np.empty((len(node_label), hidden))
+    row_of = np.empty(len(node_label), dtype=np.int64)
+    slot = np.empty(len(node_label), dtype=np.int64)  # a node's place in its level
     levels = []
     done = 0
     for lvl in range(int(height.max()) + 1):  # no level is empty
@@ -196,23 +192,23 @@ def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) 
         ids = node_label[nodes]
         x = table[ids]
         if lvl:
-            here = height[parent] == lvl
+            here = height[parent] == lvl  # every node here has a run of pairs
             kid_rows, kid_ids = row_of[child[here]], node_label[parent[here]]
             h_kids, c_kids, x_kids = h_all[kid_rows], c_all[kid_rows], table[kid_ids]
             f = _sigmoid(x_kids @ wf + h_kids @ uf + bf)
-            sel = np.zeros((m, len(kid_rows)))  # sums each node's children
-            sel[slot[parent[here]], np.arange(len(kid_rows))] = 1.0
-            h_sum = sel @ h_kids
-            fc_sum = sel @ (f * c_kids)
-            kids = (kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel)
-        else:  # the leaves
-            h_sum = np.zeros((m, hidden))
-            fc_sum = np.zeros((m, hidden))
-            kids = None
-        i = _sigmoid(x @ wi + h_sum @ ui + bi)
-        o = _sigmoid(x @ wo + h_sum @ uo + bo)
-        u = np.tanh(x @ wu + h_sum @ uu + bu)
-        c = i * u + fc_sum
+            owner = slot[parent[here]]  # the node each pair belongs to
+            runs = Runs(owner)
+            h_sum = runs.sum(h_kids)
+            fc_sum = runs.sum(f * c_kids)
+            kids = (kid_rows, kid_ids, h_kids, c_kids, x_kids, f, owner)
+        else:  # the leaves, whose child terms are zero and left out
+            h_sum = fc_sum = kids = None
+        i = _sigmoid(_gate(x, wi, h_sum, ui, bi))
+        o = _sigmoid(_gate(x, wo, h_sum, uo, bo))
+        u = np.tanh(_gate(x, wu, h_sum, uu, bu))
+        c = i * u
+        if fc_sum is not None:
+            c += fc_sum
         tanh_c = np.tanh(c)
         h_all[at], c_all[at] = o * tanh_c, c
         if record:
@@ -244,7 +240,7 @@ def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) 
                     p_b._accumulate(d_pre.sum(axis=0))
                 if p_w.requires_grad:
                     p_w._accumulate(x.T @ d_pre)
-                if p_u.requires_grad:
+                if p_u.requires_grad and h_sum is not None:
                     p_u._accumulate(h_sum.T @ d_pre)
             if embed.requires_grad:
                 d_x = d_ao @ wo.T
@@ -253,11 +249,11 @@ def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) 
                 add_rows(embed, ids, d_x)
             if kids is None:
                 continue
-            kid_rows, kid_ids, h_kids, c_kids, x_kids, f, sel = kids
+            kid_rows, kid_ids, h_kids, c_kids, x_kids, f, owner = kids
             d_sum = d_ao @ uo.T
             d_sum += d_ai @ ui.T
             d_sum += d_au @ uu.T
-            d_fc = sel.T @ dc
+            d_fc = dc[owner]
             d_af = d_fc * c_kids * f * (1.0 - f)
             if p_bf.requires_grad:
                 p_bf._accumulate(d_af.sum(axis=0))
@@ -267,7 +263,7 @@ def encode_forest(trees: list, vocab: Vocabulary, embed: Tensor, params: tuple) 
                 p_uf._accumulate(h_kids.T @ d_af)
             if embed.requires_grad:
                 add_rows(embed, kid_ids, d_af @ wf.T)
-            d_h[kid_rows] += sel.T @ d_sum + d_af @ uf.T
+            d_h[kid_rows] += d_sum[owner] + d_af @ uf.T
             d_c[kid_rows] += d_fc * f
 
     return Tensor._make(h_all[root_rows], (embed, *params), backward)
@@ -335,7 +331,7 @@ def _statement_features(
     )
 
     f1 = _run_token_gru(cell_params(store, "sub_gru", GRU_GATES), embed, sub_ids, sub_mask)
-    f2 = encode_forest([b.ast for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
+    f2 = encode_forest([b.tree for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
     f3 = _run_token_gru(cell_params(store, "name_gru", GRU_GATES), embed, name_ids, name_mask)
     f4 = _run_token_gru(cell_params(store, "type_gru", GRU_GATES), embed, type_ids, type_mask)
 
@@ -350,7 +346,7 @@ def _statement_features(
 
 
 def attend_and_fuse(
-    features: list[Tensor], fwd: Tensor, bwd: Tensor, adj: np.ndarray, store: ParamStore
+    features: list[Tensor], fwd: Tensor, bwd: Tensor, slots: Slots, store: ParamStore
 ) -> Tensor:
     """The statement matrix [n, stmt_dim] from the per-statement feature
     matrices, weighted by attention and fused over dependence neighbours.
@@ -360,7 +356,7 @@ def attend_and_fuse(
     softmax over the features weights them. Fusion: each weighted feature is
     widened to WIDEN_DIM by a shared layer, the concatenated rows g are
     scored, and each statement takes the softmax of those scores over its
-    neighbours in `adj` (the 0/1 block-diagonal A + I of the chunk) as
+    slots (itself and its dependence neighbours, see slots.slot_list) as
     weights for a sum of rows of g, then a final projection.
 
     One tape node. Forward and backward take the numpy steps of the tape
@@ -382,10 +378,10 @@ def attend_and_fuse(
     g = np.concatenate([w @ h_w + h_b for w in weighted], axis=1)
     fuse_scores = g @ score_w + score_b
     exp_col = np.exp(fuse_scores - float(fuse_scores.max()))
-    numer = adj * exp_col.T
-    denom = numer.sum(axis=1, keepdims=True)
-    w_fuse = numer / denom
-    fused = w_fuse @ g
+    e = exp_col.reshape(-1)[slots.src]
+    denom = slots.runs.sum(e)[slots.dst]
+    w_fuse = e / denom
+    fused = propagate(slots, w_fuse, g)
     out = fused @ out_w + out_b
 
     def backward(out_node):
@@ -395,17 +391,10 @@ def attend_and_fuse(
         d_fused = d_out @ out_w.T
         if p_out_w.requires_grad:
             p_out_w._accumulate(fused.T @ d_out)
-        # w_fuse = (numer.T / denom.T).T on the per-op tape. A sum over an
-        # axis rounds according to memory layout, so each summed array is in
-        # C order, as on that tape (a product is when one factor is).
-        d_q = np.ascontiguousarray((d_fused @ g.T).T)
-        d_g = w_fuse.T @ d_fused
-        denom_row = denom.T
-        d_numer = (d_q / denom_row).T
-        d_denom_row = (-d_q * numer.T / (denom_row * denom_row)).sum(axis=0, keepdims=True)
-        d_numer += np.broadcast_to(d_denom_row.T, numer.shape)
-        d_exp_col = (d_numer * adj).sum(axis=0, keepdims=True).T
-        d_scores = d_exp_col * exp_col
+        d_w = slot_products(slots, d_fused, g)
+        d_g = propagate(slots, w_fuse[slots.rev], d_fused)
+        d_e = d_w / denom + slots.runs.sum(-d_w * e / (denom * denom))[slots.dst]
+        d_scores = slots.runs.sum(d_e[slots.rev]).reshape(exp_col.shape) * exp_col
         if p_score_b.requires_grad:
             p_score_b._accumulate(d_scores.sum(axis=0))
         d_g += d_scores @ score_w.T
@@ -448,41 +437,24 @@ def attend_and_fuse(
     return Tensor._make(out, (*features, fwd, bwd, *params), backward)
 
 
-def dependence_adjacency(pdg: Pdg) -> np.ndarray:
-    """The method's 0/1 (A + I) over its dependence edges, either direction."""
-    a = np.eye(len(pdg.nodes))
-    for e in pdg.edges:
-        a[e.src, e.dst] = 1.0
-        a[e.dst, e.src] = 1.0
-    return a
-
-
 def encode_method_batch(
     pdgs: list[Pdg],
     vocab: Vocabulary,
     store: ParamStore,
     cfg: EncoderConfig,
     bundle_lists: list[list[StatementFeatureBundle]] | None = None,
-) -> tuple[Tensor, list[tuple[int, int]]]:
+) -> tuple[Tensor, Slots]:
     """Encode every statement of every method in one tensor program.
 
-    Returns (matrix [total_stmts, stmt_dim], [(start, end) per method]).
+    Returns the statement matrix [total_stmts, stmt_dim] and the chunk's
+    slot list, whose spans place each method's rows.
     """
+    slots = slot_list(pdgs)
     if not pdgs:
-        return Tensor(np.zeros((0, cfg.stmt_dim))), []
+        return Tensor(np.zeros((0, cfg.stmt_dim))), slots
     if bundle_lists is None:
         bundle_lists = [extract_method_features(p) for p in pdgs]
-    spans = []
-    start = 0
-    for bundles in bundle_lists:
-        spans.append((start, start + len(bundles)))
-        start += len(bundles)
-    total = start
-
-    features = _statement_features(bundle_lists, spans, vocab, store)
+    features = _statement_features(bundle_lists, slots.spans, vocab, store)
     fwd = gru_sequence(concat(features), cell_params(store, "attn_fwd", GRU_GATES), N_FEATURES)
     bwd = gru_sequence(concat(features[::-1]), cell_params(store, "attn_bwd", GRU_GATES), N_FEATURES)
-    adj = np.zeros((total, total))
-    for (s, e), pdg in zip(spans, pdgs):
-        adj[s:e, s:e] = dependence_adjacency(pdg)
-    return attend_and_fuse(features, fwd, bwd, adj, store), spans
+    return attend_and_fuse(features, fwd, bwd, slots, store), slots

@@ -3,20 +3,20 @@ method's dependence edges that preserves the model's prediction while pushing
 the mask sparse, then report the top-K edges and a ranking of the statements
 they touch.
 
-The mask scales the symmetrized adjacency before degree normalization. The
-statement matrix is the one the detector scored the method on, in its
-scoring chunk, held fixed; the detector's parameters are read as constants,
-so the optimization sees the graph structure as the only free input. Parallel
-edges between one statement pair share an adjacency slot through a noisy-OR
-combination, which keeps the slot symmetric in the two mask values and equal
-to plain OR for hard 0/1 masks.
+The mask weights the method's slot list (vulgraph.slots) before degree
+normalization. The statement matrix is the one the detector scored the
+method on, in its scoring chunk, held fixed; the detector's parameters are
+read as constants, so the optimization sees the graph structure as the only
+free input. Parallel edges between one statement pair share its pair of
+slots through a noisy-OR combination, which keeps the two slots equal and
+symmetric in the mask values and equal to plain OR for hard 0/1 masks.
 
 An iteration records five tape nodes: two sigmoids of the mask logits, the
-masked adjacency, the detector (fagcn.graph_logits) and the loss. Each of the
-last three has a hand-written backward that repeats the numpy steps of the
-equivalent one-node-per-op tape in its order, so masks are bitwise those of
-that tape, and an iteration's memory grows with the edges besides the n x n
-adjacency the detector reads.
+masked slot weights, the detector (fagcn.graph_logits) and the loss. Each of
+the last three has a hand-written backward that repeats the numpy steps of
+the equivalent one-node-per-op tape in its order, so masks are bitwise those
+of that tape. The slot list is built once per explanation, and an
+iteration's time and memory grow with the statements and edges.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import numpy as np
 from .autodiff import Adam, ParamStore, Tensor
 from .autodiff.tensor import _sigmoid
 from .errors import MaskMisaligned
-from .fagcn import DetectionModel, frozen, graph_logits, sym_normalize, sym_normalize_grad
+from .fagcn import DetectionModel, frozen, graph_logits
 from .frontend import Pdg
+from .slots import Slots, dependence_pairs, normalize, normalize_grad, slot_list
 
 DEFAULT_TOP_EDGES = 5
 INIT_LOGIT = 1.0
@@ -61,60 +62,55 @@ class InterpretationSubgraph:
     statement_ranking: list  # (statement index, importance), strongest first
 
 
-def _undirected_slots(pdg: Pdg) -> list[tuple[tuple[int, int], list[int]]]:
-    """Unordered endpoint pairs in first-appearance order, with the positions
-    of the edges mapping to each pair."""
-    slots: dict[tuple[int, int], list[int]] = {}
-    order = []
-    for pos, e in enumerate(pdg.edges):
-        key = (min(e.src, e.dst), max(e.src, e.dst))
-        if key not in slots:
-            slots[key] = []
-            order.append(key)
-        slots[key].append(pos)
-    return [(key, slots[key]) for key in order]
+@dataclass(frozen=True)
+class EdgeSlots:
+    """A method's slot list (slots.slot_list) and, for each statement pair,
+    its parallel edges: table[r, pair] is the position of the pair's r-th
+    edge, or n_edges (a zero gate) past its last one."""
+
+    slots: Slots
+    table: np.ndarray
+    n_edges: int
 
 
-def _slot_table(pdg: Pdg) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacency slots off the diagonal: table[r, slot] is the position of
-    the slot's r-th parallel edge, or len(pdg.edges) (a zero gate) past its
-    last one, and ends[:, slot] are the slot's two statements."""
-    slots = [(ends, positions) for ends, positions in _undirected_slots(pdg) if ends[0] != ends[1]]
-    width = max((len(positions) for _, positions in slots), default=1)
-    table = np.full((width, len(slots)), len(pdg.edges), dtype=np.int64)
-    for slot, (_, positions) in enumerate(slots):
-        table[: len(positions), slot] = positions
-    ends = np.array([ends for ends, _ in slots], dtype=np.int64).reshape(-1, 2).T
-    return table, ends
+def edge_slots(pdg: Pdg) -> EdgeSlots:
+    """The method's EdgeSlots; learn_edge_mask builds them once and reads
+    them in every iteration."""
+    pairs = dependence_pairs(pdg)
+    width = max((len(positions) for _, positions in pairs), default=1)
+    table = np.full((width, len(pairs)), len(pdg.edges), dtype=np.int64)
+    for pair, (_, positions) in enumerate(pairs):
+        table[: len(positions), pair] = positions
+    return EdgeSlots(slot_list([pdg]), table, len(pdg.edges))
 
 
-def masked_adjacency(pdg: Pdg, gate: Tensor) -> Tensor:
-    """Symmetric normalized adjacency with each undirected slot weighted by
-    the noisy-OR of its edges' gate values; self-loops stay at one.
+def masked_adjacency(edges: EdgeSlots, gate: Tensor) -> Tensor:
+    """Normalized slot weights with each statement pair weighted by the
+    noisy-OR of its edges' gate values; self loops stay at one.
 
-    One tape node. A slot's value is folded one parallel edge at a time,
-    g + next - g * next, from the gate of its first edge (a slot with fewer
-    edges reads a zero gate, which leaves it unchanged), placed at both of
-    the slot's cells of the identity, and normalized. The backward repeats
-    the per-op tape's numpy steps in its order, so its values are bitwise
-    that tape's; besides a few n x n matrices it keeps O(edges) values.
+    One tape node. A pair's value is folded one parallel edge at a time,
+    g + next - g * next, from the gate of its first edge (a pair with fewer
+    edges reads a zero gate, which leaves it unchanged), read by both of the
+    pair's slots, and normalized as the detector's weights are
+    (slots.normalize), so an open gate gives them bit for bit. The backward
+    repeats the per-op tape's numpy steps in its order, so its values are
+    bitwise that tape's; it keeps O(slots) values.
     """
-    if gate.data.shape != (len(pdg.edges),):
-        raise MaskMisaligned(f"{gate.data.shape} gate values for {len(pdg.edges)} edges")
-    table, ends = _slot_table(pdg)
+    if gate.data.shape != (edges.n_edges,):
+        raise MaskMisaligned(f"{gate.data.shape} gate values for {edges.n_edges} edges")
+    table, slots = edges.table, edges.slots
     padded = np.concatenate([gate.data, np.zeros(1)])
     folds = [padded[table[0]]]
     for extra in table[1:]:
         g, nxt = folds[-1], padded[extra]
         folds.append(g + nxt - g * nxt)
-    cells = (ends, ends[::-1])
-    a = np.eye(len(pdg.nodes))
-    a[cells] = folds[-1]
-    adj, saved = sym_normalize(a)
+    w = np.concatenate([folds[-1], np.ones(1)])[slots.pair]
+    adj, saved = normalize(slots, w)
 
     def backward(out):
-        picked = sym_normalize_grad(out.grad, a, saved)[cells]
-        d_fold = picked[0] + picked[1]
+        d_pair = np.zeros(len(folds[-1]) + 1)
+        np.add.at(d_pair, slots.pair, normalize_grad(slots, out.grad, w, saved))
+        d_fold = d_pair[:-1]
         grad = np.zeros(len(padded))
         for r in range(len(table) - 1, 0, -1):
             g, nxt = folds[r - 1], padded[table[r]]
@@ -179,6 +175,7 @@ def learn_edge_mask(
         return EdgeMask(logits=np.zeros(0))
     model = frozen(model)
     target = 1 if y_pred == "V" else 0
+    edges = edge_slots(pdg)
     store = ParamStore([("mask", np.full(n_edges, INIT_LOGIT))])
     logits = store["mask"]
     opt = Adam(store, lr=config.lr)
@@ -187,7 +184,7 @@ def learn_edge_mask(
         store.zero_grad()
         # Two sigmoid nodes, as on the per-op tape: one product
         # (g_adj + g_penalty) * s * (1 - s) would round differently.
-        head = graph_logits(masked_adjacency(pdg, logits.sigmoid()), feats, model.store)
+        head = graph_logits(edges.slots, masked_adjacency(edges, logits.sigmoid()), feats, model.store)
         loss = mask_loss(head, logits.sigmoid(), target, config)
         loss.backward(params=store)
         opt.step()

@@ -1,13 +1,18 @@
 """Graph-convolutional vulnerability detector.
 
 A method's statement vectors form its feature matrix; two graph-convolution
-layers over the symmetric-normalized dependence adjacency produce statement
+layers over the symmetric-normalized dependence graph produce statement
 representations, a three-level pyramid max-pool flattens them to a fixed
 width, and a small fully-connected head emits a two-class softmax. All of it
 after the encoder is graph_logits, one autodiff node with a hand-written
-backward, which training, scoring and the explainer share. The
-vulnerability score is the V-class probability; the decision threshold is fit
-on a tuning split by F1 search and persisted with the checkpoint.
+backward, which training, scoring and the explainer share. It takes a whole
+chunk of methods at once: the convolutions are sums over the chunk's slot
+list (vulgraph.slots), so they cost time and memory in proportion to the
+statements and edges, and each method is pooled over its own rows. Every
+product multiplies each method's rows on their own, so a method's logits are
+the same in a chunk as alone. The vulnerability score is the V-class
+probability; the decision threshold is fit on a tuning split by F1 search
+and persisted with the checkpoint.
 """
 
 from __future__ import annotations
@@ -20,17 +25,17 @@ from .autodiff import (
     Adam,
     ParamStore,
     Tensor,
-    concat,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from .encoders import EncoderConfig, dependence_adjacency, encode_method_batch, encoder_layout
+from .encoders import EncoderConfig, encode_method_batch, encoder_layout
 from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
 from .metrics import auc
 from .rng import Rng
+from .slots import Slots, normalize, propagate, slot_products
 
 POOL_LEVELS = (1, 2, 4)
 GCN_HIDDEN = 64
@@ -90,82 +95,70 @@ def new_model(vocab: Vocabulary, cfg: EncoderConfig | None = None, seed: int = 0
     return DetectionModel(store=store, vocab=vocab, encoder_config=cfg)
 
 
-def sym_normalize(a: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """D^{-1/2} A D^{-1/2} (Kipf & Welling, ICLR 2017), D the row sums of A,
-    and the intermediates that sym_normalize_grad reads."""
-    # 1 / D^{1/2}, not D^{-1/2}: the two differ in the last bit, and this
-    # form keeps the detector's scores and reports byte-stable.
-    degree = a.sum(axis=1, keepdims=True)
-    root = np.power(degree, 0.5)
-    d = 1.0 / root
-    d_row = d.T.copy()
-    scale = d @ d_row
-    return scale * a, (degree, root, d, d_row, scale)
-
-
-def sym_normalize_grad(grad: np.ndarray, a: np.ndarray, saved: tuple) -> np.ndarray:
-    """The gradient with respect to A of sym_normalize(A), given the output's
-    gradient: the per-op chain rule, step by step in the same order, so it is
-    bitwise that of the per-op tape (tests/oracles.py sym_normalize)."""
-    degree, root, d, d_row, scale = saved
-    d_scale = grad * a
-    d_d = d_scale @ d_row.T
-    d_d = d_d + (d.T @ d_scale).T
-    d_root = -d_d / (root * root)
-    d_degree = d_root * 0.5 * np.power(degree, -0.5)
-    return grad * scale + d_degree
-
-
-def normalized_adjacency(pdg: Pdg) -> Tensor:
-    """Normalized (A + I) over the symmetrized edge set."""
-    return Tensor(sym_normalize(dependence_adjacency(pdg))[0])
-
-
-def _pool_rows(n: int) -> list[tuple[int, int]]:
+def _pool_rows(first: int, last: int) -> list[tuple[int, int]]:
     """The row ranges [start, end) of the pyramid pool's 1+2+4 contiguous
-    bins over n statements; a bin is never empty."""
+    bins over the rows of one method, first to last - 1; a bin is never
+    empty."""
+    n = last - first
     bounds = []
     for level in POOL_LEVELS:
         for b in range(level):
             start = (b * n) // level
-            bounds.append((start, max(((b + 1) * n) // level, start + 1)))
+            bounds.append((first + start, first + max(((b + 1) * n) // level, start + 1)))
     return bounds
 
 
-def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
-    """[1, 2] class logits of one method: two relu graph convolutions over the
-    (optionally masked) adjacency, the pyramid pool, and the three-layer relu
-    head.
+def _by_method(a: np.ndarray, b: np.ndarray, spans: list) -> np.ndarray:
+    """a @ b, each method's rows (`spans`) multiplied on their own: BLAS
+    picks its kernel by the number of rows, and kernels differ in the last
+    bit, so this gives a method's rows as scoring it alone does."""
+    if len(spans) == 1:
+        return a @ b
+    return np.concatenate([a[s:e] @ b for s, e in spans])
+
+
+def graph_logits(slots: Slots, weights: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
+    """[methods, 2] class logits of a chunk's methods: two relu graph
+    convolutions over the chunk's slot list with normalized slot weights
+    (optionally masked), each method's pyramid pool over its rows, and the
+    three-layer relu head.
 
     The whole detector is one tape node whose backward sends gradients to
-    whichever of adj, feats and the eight parameters require grad. Forward
-    and backward take the same numpy steps, in the same order, as the model
-    built from one tape node per op, so values and gradients are bitwise
-    theirs. Intermediates are kept only when an input requires grad."""
-    a, x = adj.data, feats.data
-    if a.shape[0] != x.shape[0]:
-        raise ShapeMismatch("adjacency and feature matrix disagree on n")
+    whichever of weights, feats and the eight parameters require grad.
+    Forward and backward take the same numpy steps, in the same order, as
+    the model built from one tape node per op, so values and gradients are
+    bitwise theirs. Intermediates are kept only when an input requires
+    grad, and no step is quadratic in the statements."""
+    w, x = weights.data, feats.data
+    if x.shape[0] != len(slots.runs.starts) or w.shape != slots.src.shape:
+        raise ShapeMismatch(
+            f"{x.shape[0]} statement rows and {w.shape} slot weights"
+            f" for {len(slots.runs.starts)} rows and {slots.src.shape} slots"
+        )
     params = tuple(store[name] for name in HEAD_PARAMS)
     w1, w2, f1, b1, f2, b2, f3, b3 = (p.data for p in params)
     p_w1, p_w2, p_f1, p_b1, p_f2, p_b2, p_f3, p_b3 = params
-    t1 = x @ w1
-    t2 = a @ t1
+    t1 = _by_method(x, w1, slots.spans)
+    t2 = propagate(slots, w, t1)
     keep1 = t2 > 0
     h1 = t2 * keep1
-    t3 = h1 @ w2
-    t4 = a @ t3
+    t3 = _by_method(h1, w2, slots.spans)
+    t4 = propagate(slots, w, t3)
     keep2 = t4 > 0
     h = t4 * keep2
     cols = np.arange(h.shape[1])
-    idx = np.array([start + h[start:end].argmax(axis=0) for start, end in _pool_rows(len(h))])
-    z = h[idx, cols].reshape(1, -1)
-    a1 = z @ f1 + b1
+    idx = np.array([
+        start + h[start:end].argmax(axis=0) for span in slots.spans for start, end in _pool_rows(*span)
+    ])
+    z = h[idx, cols].reshape(len(slots.spans), -1)
+    heads = [(i, i + 1) for i in range(len(z))]
+    a1 = _by_method(z, f1, heads) + b1
     keep3 = a1 > 0
     r1 = a1 * keep3
-    a2 = r1 @ f2 + b2
+    a2 = _by_method(r1, f2, heads) + b2
     keep4 = a2 > 0
     r2 = a2 * keep4
-    logits = r2 @ f3 + b3
+    logits = _by_method(r2, f3, heads) + b3
 
     def backward(out):
         g = out.grad
@@ -185,39 +178,43 @@ def graph_logits(adj: Tensor, feats: Tensor, store: ParamStore) -> Tensor:
             p_b1._accumulate(g.sum(axis=0))
         pooled = (g @ f1.T).reshape(idx.shape)
         g = np.zeros(h.shape)
-        for k in range(len(idx)):  # bin by bin, so shared rows sum in a fixed order
-            g[idx[k], cols] += pooled[k]
+        np.add.at(g, (idx, cols), pooled)  # bin after bin, so shared rows sum in a fixed order
         g = g * keep2
-        if adj.requires_grad:
-            adj._accumulate(g @ t3.T)
-        g = a.T @ g
+        if weights.requires_grad:
+            weights._accumulate(slot_products(slots, g, t3))
+        w_rev = w[slots.rev]
+        g = propagate(slots, w_rev, g)
         if p_w2.requires_grad:
             p_w2._accumulate(h1.T @ g)
         g = (g @ w2.T) * keep1
-        if adj.requires_grad:
-            adj._accumulate(g @ t1.T)
+        if weights.requires_grad:
+            weights._accumulate(slot_products(slots, g, t1))
         if feats.requires_grad or p_w1.requires_grad:
-            g = a.T @ g
+            g = propagate(slots, w_rev, g)
             if feats.requires_grad:
                 feats._accumulate(g @ w1.T)
             if p_w1.requires_grad:
                 p_w1._accumulate(x.T @ g)
 
-    return Tensor._make(logits, (adj, feats, *params), backward)
+    return Tensor._make(logits, (weights, feats, *params), backward)
+
+
+def detector_weights(slots: Slots) -> Tensor:
+    """The detector's normalized slot weights: every slot weighs one."""
+    return Tensor(normalize(slots, np.ones(len(slots.src)))[0])
 
 
 def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> tuple[Tensor, list]:
-    """[len(items), 2] logits for [(id, pdg)] pairs encoded in one batch, and
-    each method's statement matrix; `bundles` maps method ids to feature
-    bundles already extracted."""
+    """[len(items), 2] logits for [(id, pdg)] pairs encoded and scored as one
+    chunk, and each method's statement matrix; `bundles` maps method ids to
+    feature bundles already extracted."""
     pdgs = [p for _, p in items]
     bundle_lists = None if bundles is None else [bundles[mid] for mid, _ in items]
-    enc, spans = encode_method_batch(
+    enc, slots = encode_method_batch(
         pdgs, model.vocab, model.store, model.encoder_config, bundle_lists
     )
-    feats = [enc[s:e] for s, e in spans]
-    logits = [graph_logits(normalized_adjacency(p), f, model.store) for p, f in zip(pdgs, feats)]
-    return concat(logits, axis=0), feats
+    logits = graph_logits(slots, detector_weights(slots), enc, model.store)
+    return logits, [Tensor(enc.data[s:e]) for s, e in slots.spans]
 
 
 def frozen(model: DetectionModel) -> DetectionModel:
@@ -230,9 +227,8 @@ def _chunks(items: list, size: int):
     """Consecutive runs of items that close at `size` methods or before
     CHUNK_STMTS statements would be passed; a method larger than the budget
     is a chunk of its own. Scoring chunks and training batches both follow
-    it: a chunk's fusion adjacency and its Tree-LSTM child sums (and in
-    training their backward) are dense in its statements, so the budget
-    bounds its memory."""
+    it: a chunk's memory grows with its statements and edges, so the budget
+    bounds it."""
     part, stmts = [], 0
     for item in items:
         n = len(item[1].nodes)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import VocabularyError
+from .errors import EmptyTree, VocabularyError
 from .frontend.lexer import KEYWORDS
 from .frontend.pdg import EDGE_KINDS, Pdg, recover_decl_types
 
@@ -47,6 +48,40 @@ def _split(name: str) -> tuple[str, ...]:
     return tuple(p.lower() for p in pieces if len(p) > 1)
 
 
+class FlatTree(NamedTuple):
+    """A syntax tree in post-order: children before parents, the root last."""
+
+    labels: list[str]  # each node's label, normalized for the vocabulary
+    heights: list[int]  # 0 for a leaf, else 1 + the highest child's
+    parents: list[int]  # (parent, child) node pairs, parent by parent
+    children: list[int]
+
+
+def flatten_ast(ast) -> FlatTree:
+    """The tree `ast` ([label, [child, ...]]) in post-order."""
+    if not ast:
+        raise EmptyTree("cannot encode an empty syntax tree")
+    labels: list[str] = []
+    heights: list[int] = []
+    parents: list[int] = []
+    children: list[int] = []
+
+    def visit(node) -> int:
+        kids = node[1]
+        if kids:
+            kids = [visit(c) for c in kids]
+            heights.append(1 + max([heights[k] for k in kids]))
+            parents.extend([len(labels)] * len(kids))
+            children.extend(kids)
+        else:
+            heights.append(0)
+        labels.append(normalize_ast_label(node[0]))
+        return len(labels) - 1
+
+    visit(ast)
+    return FlatTree(labels, heights, parents, children)
+
+
 @dataclass
 class StatementFeatureBundle:
     index: int
@@ -56,6 +91,12 @@ class StatementFeatureBundle:
     var_types: list[list[str]]
     data_ctx: list[int]
     ctrl_ctx: list[int]
+
+    @functools.cached_property
+    def tree(self) -> FlatTree:
+        """The statement's syntax tree flattened, once per bundle: the
+        Tree-LSTM reads it in every batch of every epoch."""
+        return flatten_ast(self.ast)
 
 
 def _type_words(type_text: str) -> list[str]:

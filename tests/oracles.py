@@ -6,20 +6,25 @@ finite differences for gradients, exhaustive subset search for explanation
 subgraphs, one tape node per elementwise op for the fused autodiff ops (the
 GRU recurrence, the Tree-LSTM forest, the attention and fusion block, the
 detector head, the training loss, the masked adjacency and the explainer's
-loss), Adam one parameter tensor at a time, a lexer that steps one
-character at a time, binary expressions parsed one precedence level per
-recursion, token vectors one row at a time, and statement contexts read
-from Pdg.neighbors. Some helpers wrap package code instead: the explanation search scores
-each subset with the detector itself, canonical_code applies the miner's
-canonical form to a whole graph, and the per-op explainer reuses the
-package's slot table and Adam step, which the fused explainer shares with
-it, and learns on the statement matrix of the package's forward pass; the
+loss) with every segment sum added by np.add.at, the dense n x n forms of
+the graph operations that the package keeps as slot lists, Adam one
+parameter tensor at a time, a lexer that steps one character at a time,
+binary expressions parsed one precedence level per recursion, token vectors
+one row at a time, and statement contexts read from Pdg.neighbors. Some
+helpers wrap package code instead: the explanation search scores each
+subset with the detector itself, canonical_code applies the miner's
+canonical form to a whole graph, the per-op graph references read the
+package's slot lists (vulgraph.slots.slot_list, explain.edge_slots) and the
+Tree-LSTM reference the package's flattened trees, and the per-op explainer
+reuses the package's Adam step, which the fused explainer shares with it,
+and learns on the statement matrix of the package's forward pass; the
 per-level parser subclasses the package's parser and replaces only its
 expression rule, and the character-loop lexer builds the package's Token
 records; the feature reference reuses the per-statement helpers of
 vulgraph.features. No other code here is shared with the implementation
-under test. The elementwise, reduction and shape ops of the per-op tape are
-not package code: tensor_ops installs them on Tensor (see conftest.py).
+under test. The elementwise, reduction, indexing and shape ops of the per-op
+tape are not package code: tensor_ops installs them on Tensor (see
+conftest.py).
 """
 
 from __future__ import annotations
@@ -313,7 +318,8 @@ def sliced_pyramid_pool(h, levels=(1, 2, 4)):
 # The package records each of these as one tape node with a hand-written
 # backward (fagcn.graph_logits, explain.masked_adjacency and the explainer's
 # loss); here they are built from one node per elementwise op, so the fused ops
-# can be required to match them bit for bit.
+# can be required to match them bit for bit. A sum over slots adds one slot
+# after another (np.add.at), and so does the gradient of a gather.
 
 
 def scatter(base, rows, cols, values):
@@ -367,6 +373,145 @@ def segment_max(x, bounds):
     return Tensor._make(x.data[idx, cols].reshape(-1), (x,), backward)
 
 
+def segment_sum(x, starts):
+    """Rows of x summed over each run from a start to the next (the last to
+    the end), added into zeros by np.add.at; a row's gradient is its run's
+    output gradient."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=x.data.shape[0]))
+    data = np.zeros((len(starts),) + x.data.shape[1:])
+    np.add.at(data, run, x.data)
+
+    def backward(out):
+        if x.requires_grad:
+            x._accumulate(out.grad[run])
+
+    return Tensor._make(data, (x,), backward)
+
+
+def scale_rows(x, w):
+    """Row k of the matrix x times w[k]."""
+    from vulgraph.autodiff import Tensor
+
+    def backward(out):
+        if x.requires_grad:
+            x._accumulate(out.grad * w.data[:, None])
+        if w.requires_grad:
+            w._accumulate((out.grad * x.data).sum(axis=1))
+
+    return Tensor._make(x.data * w.data[:, None], (x, w), backward)
+
+
+def propagate(slots, w, x):
+    """slots.propagate on the per-op tape: gather the source rows, scale
+    them by the slot weights, and sum them into their destination rows."""
+    from vulgraph.autodiff import rows
+
+    return segment_sum(scale_rows(rows(x, slots.src), w), slots.runs.starts)
+
+
+def normalize(slots, w):
+    """slots.normalize on the per-op tape: w / (deg[dst]^{1/2} deg[src]^{1/2}),
+    deg the segment sums of w, as 1 / deg^{1/2}."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, rows
+
+    d = Tensor(np.ones(())) / segment_sum(w, slots.runs.starts).pow_scalar(0.5)
+    return (rows(d, slots.dst) * rows(d, slots.src)) * w
+
+
+def masked_adjacency(edges, gate):
+    """explain.masked_adjacency on the per-op tape: a gather of each pair's
+    first gate, one noisy-OR round per further parallel edge, a gather of
+    each slot's pair value (a self loop reads a one), and normalize."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, concat, rows
+
+    padded = concat([gate, Tensor(np.zeros(1))])
+    g = rows(padded, edges.table[0])
+    for extra in edges.table[1:]:
+        nxt = rows(padded, extra)
+        g = g + nxt - g * nxt
+    return normalize(edges.slots, rows(concat([g, Tensor(np.ones(1))]), edges.slots.pair))
+
+
+def by_method(a, b, spans):
+    """a @ b with each span of a's rows multiplied on its own, as
+    fagcn.graph_logits multiplies each method's rows; its gradients are
+    those of a @ b."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    def backward(out):
+        if a.requires_grad:
+            a._accumulate(out.grad @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ out.grad)
+
+    return Tensor._make(np.concatenate([a.data[s:e] @ b.data for s, e in spans]), (a, b), backward)
+
+
+def gcn_forward(slots, weights, feats, store):
+    """Two relu graph-convolution layers; rows stay aligned with statements."""
+    h1 = propagate(slots, weights, by_method(feats, store["gcn.w1"], slots.spans)).relu()
+    return propagate(slots, weights, by_method(h1, store["gcn.w2"], slots.spans)).relu()
+
+
+def _pool_bounds(first, last):
+    """The 1+2+4 contiguous row bins of the rows first to last - 1."""
+    n = last - first
+    bounds = []
+    for level in (1, 2, 4):
+        for b in range(level):
+            start = (b * n) // level
+            bounds.append((first + start, first + max(((b + 1) * n) // level, start + 1)))
+    return bounds
+
+
+def pyramid_pool(h):
+    """Fixed-width descriptor: per-column max over 1+2+4 contiguous row bins."""
+    return segment_max(h, _pool_bounds(0, h.data.shape[0]))
+
+
+def _head_logits(pooled, store):
+    """The three-layer relu head, each method's row multiplied on its own."""
+    heads = [(i, i + 1) for i in range(pooled.data.shape[0])]
+    z = (by_method(pooled, store["fc.w1"], heads) + store["fc.b1"]).relu()
+    z = (by_method(z, store["fc.w2"], heads) + store["fc.b2"]).relu()
+    return by_method(z, store["fc.w3"], heads) + store["fc.b3"]
+
+
+def graph_logits(slots, weights, feats, store):
+    """[methods, 2] logits of the detector over a chunk's slot list: each
+    method's pyramid pool over its rows, then the head on every method."""
+    h = gcn_forward(slots, weights, feats, store)
+    bounds = [bound for span in slots.spans for bound in _pool_bounds(*span)]
+    return _head_logits(segment_max(h, bounds).reshape(len(slots.spans), -1), store)
+
+
+# --- dense references for the graph operations ------------------------------------
+# The package keeps a chunk's graph as a slot list (vulgraph.slots) and never
+# builds an n x n matrix; these are the dense forms it replaced, which the
+# edge-list ops are held to within a stated tolerance.
+
+
+def dependence_adjacency(pdg):
+    """The method's 0/1 (A + I) over its dependence edges, either direction."""
+    import numpy as np
+
+    a = np.eye(len(pdg.nodes))
+    for e in pdg.edges:
+        a[e.src, e.dst] = 1.0
+        a[e.dst, e.src] = 1.0
+    return a
+
+
 def sym_normalize(adj):
     """D^{-1/2} A D^{-1/2} of a tensor A, D its row sums, as 1 / D^{1/2}."""
     import numpy as np
@@ -377,17 +522,23 @@ def sym_normalize(adj):
     return (d @ d.transpose()) * adj
 
 
-def masked_adjacency(pdg, gate):
-    """Normalized adjacency with each undirected slot weighted by the
-    noisy-OR of its edges' gates: a gather of each slot's first gate, one
-    noisy-OR round per further parallel edge, and a scatter onto the
-    identity."""
+def dense_masked_adjacency(pdg, gate):
+    """Normalized adjacency with each undirected statement pair weighted by
+    the noisy-OR of its edges' gates, folded in edge order and scattered
+    onto the identity."""
     import numpy as np
 
     from vulgraph.autodiff import Tensor, concat, rows
-    from vulgraph.explain import _slot_table
 
-    table, ends = _slot_table(pdg)
+    positions = {}
+    for pos, e in enumerate(pdg.edges):
+        if e.src != e.dst:
+            positions.setdefault((min(e.src, e.dst), max(e.src, e.dst)), []).append(pos)
+    width = max((len(p) for p in positions.values()), default=1)
+    table = np.full((width, len(positions)), len(pdg.edges), dtype=np.int64)
+    for col, p in enumerate(positions.values()):
+        table[: len(p), col] = p
+    ends = np.array(list(positions), dtype=np.int64).reshape(-1, 2).T
     padded = concat([gate, Tensor(np.zeros(1))])
     g = rows(padded, table[0])
     for extra in table[1:]:
@@ -396,33 +547,32 @@ def masked_adjacency(pdg, gate):
     return sym_normalize(scatter(np.eye(len(pdg.nodes)), ends, ends[::-1], g))
 
 
-def gcn_forward(adj, feats, store):
-    """Two relu graph-convolution layers; rows stay aligned with statements."""
+def dense_graph_logits(adj, feats, store):
+    """[1, 2] logits of the detector for one method over a dense adjacency."""
     h1 = (adj @ (feats @ store["gcn.w1"])).relu()
-    return (adj @ (h1 @ store["gcn.w2"])).relu()
+    h = (adj @ (h1 @ store["gcn.w2"])).relu()
+    pooled = pyramid_pool(h)
+    return _head_logits(pooled.reshape(1, pooled.data.shape[0]), store)
 
 
-def pyramid_pool(h):
-    """Fixed-width descriptor: per-column max over 1+2+4 contiguous row bins."""
-    n = h.data.shape[0]
-    bounds = []
-    for level in (1, 2, 4):
-        for b in range(level):
-            start = (b * n) // level
-            bounds.append((start, max(((b + 1) * n) // level, start + 1)))
-    return segment_max(h, bounds)
+def densify(slots, weights):
+    """The n x n matrix holding each slot's weight at [dst, src]."""
+    import numpy as np
+
+    n = len(slots.runs.starts)
+    a = np.zeros((n, n))
+    a[slots.dst, slots.src] = weights
+    return a
 
 
-def _head_logits(pooled, store):
-    z = pooled.reshape(1, pooled.data.shape[0])
-    z = (z @ store["fc.w1"] + store["fc.b1"]).relu()
-    z = (z @ store["fc.w2"] + store["fc.b2"]).relu()
-    return z @ store["fc.w3"] + store["fc.b3"]
+def max_scaled_err(got, want) -> float:
+    """The largest difference from the reference, relative to the
+    reference's largest magnitude."""
+    import numpy as np
 
-
-def graph_logits(adj, feats, store):
-    """[1, 2] logits of the detector over an (optionally masked) adjacency."""
-    return _head_logits(pyramid_pool(gcn_forward(adj, feats, store)), store)
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    return float(np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300))
 
 
 def statement_matrix(pdg, model):
@@ -436,8 +586,10 @@ def statement_matrix(pdg, model):
 
 def masked_forward(pdg, model, logits, feats):
     """Class distribution [1, 2] under the graph masked by sigmoid(logits)."""
-    adj = masked_adjacency(pdg, logits.sigmoid())
-    return graph_logits(adj, feats, model.store).softmax(axis=1)
+    from vulgraph.explain import edge_slots
+
+    edges = edge_slots(pdg)
+    return graph_logits(edges.slots, masked_adjacency(edges, logits.sigmoid()), feats, model.store).softmax(axis=1)
 
 
 def _binary_entropy(sig):
@@ -502,23 +654,22 @@ def sigmoid_two_branch(x):
 
 def encode_forest(trees, vocab, embed, params):
     """encoders.encode_forest level by level on the per-op tape: every node
-    of one height is one batch, its children's states are gathered, and the
-    levels' states are concatenated."""
+    of one height is one batch, its children's states are gathered and
+    summed over each node's run of children, and the levels' states are
+    concatenated."""
     import numpy as np
 
     from vulgraph.autodiff import Tensor, concat, rows
-    from vulgraph.features import normalize_ast_label
 
     labels, children, roots = [], [], []
-
-    def flatten(node):
-        child_rows = [flatten(c) for c in node[1]]
-        labels.append(vocab.id(normalize_ast_label(node[0])))
-        children.append(child_rows)
-        return len(labels) - 1
-
     for tree in trees:
-        roots.append(flatten(tree))
+        base = len(labels)
+        kids = [[] for _ in tree.labels]
+        for p, c in zip(tree.parents, tree.children):
+            kids[p].append(base + c)
+        labels += [vocab.id(label) for label in tree.labels]
+        children += kids
+        roots.append(len(labels) - 1)
     height = [0] * len(labels)
     for j, kids in enumerate(children):
         height[j] = 1 + max((height[k] for k in kids), default=-1)
@@ -542,12 +693,9 @@ def encode_forest(trees, vocab, embed, params):
             c_kids = rows(c_all, child_idx)
             x_kids = rows(embed, np.array([labels[j] for _, j, _ in pairs], dtype=np.int64))
             f = (x_kids @ p["wf"] + h_kids @ p["uf"] + p["bf"]).sigmoid()
-            gather = np.zeros((m, len(pairs)))
-            for col, (pi, _, _) in enumerate(pairs):
-                gather[pi, col] = 1.0
-            sel = Tensor(gather)
-            h_sum = sel @ h_kids
-            fc_sum = sel @ (f * c_kids)
+            starts = np.searchsorted([pi for pi, _, _ in pairs], np.arange(m))
+            h_sum = segment_sum(h_kids, starts)
+            fc_sum = segment_sum(f * c_kids, starts)
         else:
             h_sum = Tensor(np.zeros((m, hid)))
             fc_sum = Tensor(np.zeros((m, hid)))
@@ -587,21 +735,43 @@ def _scores_against(features, fwd, bwd, store):
     return concat(cols, axis=1)
 
 
-def attend_and_fuse(features, fwd, bwd, adj, store):
-    """encoders.attend_and_fuse on the per-op tape: attention weights scale
-    each feature (column scaling by transposes), a shared layer widens it,
-    and a neighbour softmax over adj fuses the concatenated rows."""
-    import numpy as np
-
-    from vulgraph.autodiff import Tensor, concat
+def _fusion_input(features, fwd, bwd, store):
+    """The widened, attention-weighted feature rows g, concatenated, with
+    column scaling by transposes."""
+    from vulgraph.autodiff import concat
 
     attn = _scores_against(features, fwd, bwd, store).softmax(axis=1)
     weighted = []
     for j, f in enumerate(features):
         w_col = attn[:, j : j + 1]
         weighted.append((f.transpose() * w_col.transpose()).transpose())
-    widened = [f @ store["fuse.h_w"] + store["fuse.h_b"] for f in weighted]
-    g = concat(widened, axis=1)
+    return concat([f @ store["fuse.h_w"] + store["fuse.h_b"] for f in weighted], axis=1)
+
+
+def attend_and_fuse(features, fwd, bwd, slots, store):
+    """encoders.attend_and_fuse on the per-op tape: attention weights scale
+    each feature, a shared layer widens it, and each statement's softmax
+    over its slots fuses the concatenated rows."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor, rows
+
+    g = _fusion_input(features, fwd, bwd, store)
+    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
+    shift = float(scores.data.max())
+    e = rows((scores - Tensor(np.array(shift))).exp().reshape(len(slots.runs.starts)), slots.src)
+    w_fuse = e / rows(segment_sum(e, slots.runs.starts), slots.dst)
+    fused = propagate(slots, w_fuse, g)
+    return fused @ store["fuse.out_w"] + store["fuse.out_b"]
+
+
+def dense_attend_and_fuse(features, fwd, bwd, adj, store):
+    """The fusion step as a neighbour softmax over a dense 0/1 (A + I)."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+
+    g = _fusion_input(features, fwd, bwd, store)
     scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
     shift = float(scores.data.max())
     exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
@@ -666,13 +836,13 @@ def hard_subset_score(pdg, model, keep, feats) -> float:
     import numpy as np
 
     from vulgraph.autodiff import Tensor
-    from vulgraph.explain import masked_adjacency
+    from vulgraph.explain import edge_slots, masked_adjacency
     from vulgraph.fagcn import frozen, graph_logits
 
     gate = np.zeros(len(pdg.edges))
     gate[list(keep)] = 1.0
-    adj = masked_adjacency(pdg, Tensor(gate))
-    probs = graph_logits(adj, feats, frozen(model).store).softmax(axis=1)
+    edges = edge_slots(pdg)
+    probs = graph_logits(edges.slots, masked_adjacency(edges, Tensor(gate)), feats, frozen(model).store).softmax(axis=1)
     return float(probs.data[0, 1])
 
 
@@ -694,6 +864,21 @@ def brute_force_minimal_subgraph(pdg, model, k: int) -> tuple[tuple[int, ...], f
         if best is None or diff < best[1]:
             best = (subset, diff)
     return best
+
+
+def large_methods():
+    """Size-sweep methods of perfbench/largegen.py, 50 to 420 statements."""
+    import importlib.util
+    import pathlib
+
+    from vulgraph.frontend import pdg_from_source
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "largegen.py"
+    spec = importlib.util.spec_from_file_location("largegen", path)
+    largegen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(largegen)
+    return [pdg_from_source(largegen.large_method(i, 64 + i, f"big_{i}", size))
+            for i, size in enumerate((50, 100, 200, 420))]
 
 
 # --- random draws ---------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The elementwise, reduction and shape ops of the per-op tape.
+"""The elementwise, reduction, indexing and shape ops of the per-op tape.
 
-The package records only the ops a run needs: sigmoid, indexing, concat,
-rows, gru_sequence and the fused nodes of encoders, fagcn and explain. The
+The package records only the ops a run needs: sigmoid, concat, rows,
+gru_sequence and the fused nodes of encoders, fagcn and explain. The
 references in oracles.py are built from one tape node per elementwise op
 instead, and the fused ops are held to them bit for bit. install() sets these
 ops on vulgraph.autodiff.Tensor itself, not on a subclass, because the fused
@@ -119,6 +119,23 @@ class _Ops:
                 a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
         return Tensor._make(out_data, (a,), backward)
+
+    def __getitem__(self, key) -> Tensor:
+        a = self
+        parts = key if isinstance(key, tuple) else (key,)
+        # An array key may repeat an index; only np.add.at sums every repeat.
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
+
+        def backward(out):
+            if a.requires_grad:
+                if a.grad is None:
+                    a.grad = a._new_grad()
+                if fancy:
+                    np.add.at(a.grad, key, out.grad)
+                else:
+                    a.grad[key] += out.grad
+
+        return Tensor._make(a.data[key].copy(), (a,), backward)
 
     def matmul(self, other: Tensor) -> Tensor:
         other = _coerce(other)

@@ -36,6 +36,7 @@ from oracles import (
     brute_control_deps,
     brute_data_deps,
     brute_force_minimal_subgraph,
+    by_method,
     find_embedding,
     finite_diff,
     graphs_isomorphic,
@@ -43,8 +44,10 @@ from oracles import (
     literal_ndcg,
     random_source,
     rel_err,
+    scale_rows,
     scatter,
     segment_max,
+    segment_sum,
     statement_matrix,
 )
 
@@ -129,6 +132,12 @@ def _grad_cases(seed: int):
             lambda x, *w: s(gru_sequence(x, w, 4, gru_mask), w32),
             [r(12, 2)] + [r(*shape) for shape in [(2, 2), (2, 2), (2,)] * 3],
         ),
+        # segment sums over runs of 1, 3 and 2 rows, scaled row by row, and
+        # over a vector
+        (lambda a, b: s(segment_sum(scale_rows(a, b), np.array([0, 1, 4])), w34), [r(6, 4), r(6)]),
+        (lambda a: s(segment_sum(a, np.array([0, 2])), w4[:2]), [r(3)]),
+        # a product taken over spans of one and two rows
+        (lambda a, b: s(by_method(a, b, [(0, 1), (1, 3)]), w32), [r(3, 4), r(4, 2)]),
     ]
 
 

@@ -194,9 +194,10 @@ def test_gradcheck_case_inputs_depend_only_on_seed_and_name():
     ):
         gen = np.random.default_rng([3, zlib.crc32(name.encode())])
         assert all(np.array_equal(a, gen.uniform(-1.5, 1.5, size=shape)) for a, shape in zip(inputs, shapes))
-    # "slice_rows" draws the same shape as "sigmoid", but not the same values
-    sliced = next(inputs for name, _, inputs, _ in cases if name == "slice_rows")
-    assert not np.array_equal(sliced[0], first_inputs[0])
+    # "concat_rows" draws its first 8 values as "sigmoid" does, but not the
+    # same values
+    joined = next(inputs for name, _, inputs, _ in cases if name == "concat_rows")
+    assert not np.array_equal(joined[0], first_inputs[0][:2])
 
 
 # Run in a fresh interpreter with only the package on its path, so without

@@ -480,9 +480,9 @@ def test_explain_masks_the_forward_pass_detect_scored(untrained, monkeypatch, tm
     seen = []  # the statement matrix of each explainer iteration, one per method here
     explain_logits = explain.graph_logits
 
-    def recording(adj, feats, store):
+    def recording(slots, weights, feats, store):
         seen.append(feats.data.copy())
-        return explain_logits(adj, feats, store)
+        return explain_logits(slots, weights, feats, store)
 
     monkeypatch.setattr(explain, "graph_logits", recording)
     assert main(args + ["--out", str(tmp_path)]) == 0
@@ -492,10 +492,12 @@ def test_explain_masks_the_forward_pass_detect_scored(untrained, monkeypatch, tm
     items = [(e.id, e.pdg) for e in entries]
     moved = 0
     for lo in range(0, len(items), 16):
-        detect_logits, _ = _chunk_logits(model, items[lo : lo + 16])
+        detect_logits, detect_feats = _chunk_logits(model, items[lo : lo + 16])
         for i, (_, pdg) in enumerate(items[lo : lo + 16]):
-            open_gate = explain.masked_adjacency(pdg, Tensor(np.ones(len(pdg.edges))))
-            got = graph_logits(open_gate, Tensor(seen[lo + i]), model.store).data
+            assert np.array_equal(seen[lo + i], detect_feats[i].data), pdg.method
+            edges = explain.edge_slots(pdg)
+            open_gate = explain.masked_adjacency(edges, Tensor(np.ones(len(pdg.edges))))
+            got = graph_logits(edges.slots, open_gate, Tensor(seen[lo + i]), model.store).data
             assert np.array_equal(got, detect_logits.data[i : i + 1]), pdg.method
             ((_, _, alone),) = forward_methods(model, [("m", pdg)])
             moved += not np.array_equal(alone.data, seen[lo + i])
@@ -778,7 +780,7 @@ def test_gradcheck_passes_and_reports_table(capsys):
     captured = capsys.readouterr()
     rows = json.loads(captured.out)
     assert [row["op"] for row in rows] == [
-        "sigmoid", "slice_rows", "index_repeated", "concat_rows", "gather_repeated_rows", "gru_sequence",
+        "sigmoid", "concat_rows", "gather_repeated_rows", "gru_sequence",
         "graph_logits", "masked_adjacency", "encode_forest", "attend_and_fuse", "cross_entropy", "mask_loss",
     ]
     assert all(row["pass"] for row in rows)

@@ -16,9 +16,10 @@ from vulgraph.encoders import (
     encoder_layout,
 )
 from vulgraph.errors import ConfigError, EmptyTree
-from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features
-from vulgraph.frontend import pdg_from_source
+from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features, flatten_ast
+from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 from vulgraph.rng import Rng
+from vulgraph.slots import slot_list
 
 import oracles
 from oracles import attention_scores, finite_diff, gauss, per_step_gru, rel_err
@@ -171,7 +172,7 @@ def test_tree_lstm_matches_recursive_reference():
     pdg, bundles, vocab, store = make_setup()
     p = {k: store[f"tree.{k}"].data for k in ("wi", "ui", "bi", "wf", "uf", "bf", "wo", "uo", "bo", "wu", "uu", "bu")}
     embed = store["embed.table"].data
-    got = encode_forest([b.ast for b in bundles], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
+    got = encode_forest([b.tree for b in bundles], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
     assert got.data.shape == (len(bundles), CFG.gru_hidden)
     for row, b in enumerate(bundles):
         expect, _ = ref_tree(p, embed, vocab, b.ast)
@@ -183,16 +184,24 @@ def test_tree_lstm_child_permutation_invariant():
     kids = [["id:a", []], ["int:3", []], ["call:f", [["id:b", []]]]]
     t1 = ["assign:=", kids]
     t2 = ["assign:=", [kids[2], kids[0], kids[1]]]
-    out = encode_forest([t1, t2], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
+    out = encode_forest([flatten_ast(t1), flatten_ast(t2)], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
     assert rel_err(out.data[0], out.data[1]) < 1e-12
 
 
 def test_tree_lstm_rejects_empty():
-    _, bundles, vocab, store = make_setup()
-    tree = cell_params(store, "tree", TREE_GATES)
-    for forest in ([], [None], [bundles[0].ast, None]):
+    _, _, vocab, store = make_setup()
+    with pytest.raises(EmptyTree):
+        encode_forest([], vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
+    for tree in (None, []):
         with pytest.raises(EmptyTree):
-            encode_forest(forest, vocab, store["embed.table"], tree)
+            flatten_ast(tree)
+
+
+def test_flattened_tree_is_post_order():
+    flat = flatten_ast(["assign:=", [["id:total", []], ["op:+", [["id:a", []], ["int:3", []], ["str:\"s\"", []]]]]])
+    assert flat.labels == ["id:total", "id:a", "intlit", "strlit", "op:+", "assign:="]
+    assert flat.heights == [0, 0, 0, 0, 1, 2]
+    assert list(zip(flat.parents, flat.children)) == [(4, 1), (4, 2), (4, 3), (5, 0), (5, 4)]
 
 
 def _random_tree(gen, labels, depth):
@@ -208,7 +217,7 @@ def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
     vocab = Vocabulary({label: k + 2 for k, label in enumerate(labels[:5])})  # two labels map to UNK
     for trial in range(40):
         depth = int(gen.integers(0, 7))
-        forest = [_random_tree(gen, labels, int(gen.integers(0, depth + 1))) for _ in range(int(gen.integers(1, 6)))]
+        forest = [flatten_ast(_random_tree(gen, labels, int(gen.integers(0, depth + 1)))) for _ in range(int(gen.integers(1, 6)))]
         table = gen.normal(0.0, 1.0, (len(vocab), 5))
         cell = init_params(Rng(trial), cell_layout("tree", TREE_GATES, 5, 4))
         store = ParamStore([("embed.table", table)] + [(name, t.data) for name, t in cell.items()])
@@ -225,6 +234,18 @@ def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
             assert np.array_equal(got, want), trial
 
 
+def _random_chunk(gen, sizes):
+    """Methods of the given statement counts whose statement pairs are
+    joined with probability 0.3, some by two parallel edges."""
+    pdgs = []
+    for size in sizes:
+        base = pdg_from_source("int f() { " + "int v = 1; " * (size - 1) + "return 0; }")
+        edges = [PdgEdge(a, b, "data", "v") for a in range(size) for b in range(a + 1, size) if gen.random() < 0.3]
+        edges += [e for e in edges if gen.random() < 0.2]
+        pdgs.append(Pdg(method=base.method, nodes=base.nodes, edges=edges))
+    return pdgs
+
+
 def test_attend_and_fuse_is_bitwise_the_per_op_tape():
     # the statement matrix and the gradients of the features, both attention
     # states and the ten parameters, over chunks of one to three methods
@@ -234,23 +255,50 @@ def test_attend_and_fuse_is_bitwise_the_per_op_tape():
         t.data[...] = gen.normal(0.0, 0.5, t.data.shape)
     for sizes in ((1,), (5,), (3, 9), (20, 1, 40)):
         n = sum(sizes)
-        adj = np.zeros((n, n))
-        start = 0
-        for size in sizes:  # a random symmetric A + I per method
-            block = (gen.random((size, size)) < 0.3).astype(np.float64)
-            adj[start : start + size, start : start + size] = np.maximum(np.maximum(block, block.T), np.eye(size))
-            start += size
+        slots = slot_list(_random_chunk(gen, sizes))
         inputs = [gen.normal(0.0, 1.0, (n, CFG.gru_hidden)) for _ in range(8)]
         weight = Tensor(gen.normal(0.0, 1.0, (n, CFG.stmt_dim)))
         results = []
         for fuse in (attend_and_fuse, oracles.attend_and_fuse):
             store.zero_grad()
             ts = [Tensor(a, requires_grad=True) for a in inputs]
-            out = fuse(ts[:6], ts[6], ts[7], adj, store)
+            out = fuse(ts[:6], ts[6], ts[7], slots, store)
             (out * weight).sum().backward(params=store)
             results.append([out.data] + [t.grad for t in ts] + [store[name].grad.copy() for name in FUSE_PARAMS])
         for got, want in zip(*results):
             assert np.array_equal(got, want), sizes
+
+
+def test_attend_and_fuse_is_the_dense_neighbour_softmax():
+    # the slot softmax against the dense 0/1 block-diagonal (A + I) of the
+    # chunk: the statement matrix and every gradient within 1e-12 of the
+    # reference's largest magnitude
+    gen = np.random.default_rng(9)
+    _, _, vocab, store = make_setup()
+    for t in store.tensors():
+        t.data[...] = gen.normal(0.0, 0.5, t.data.shape)
+    for sizes in ((1,), (4, 7), (30, 2, 12)):
+        n = sum(sizes)
+        pdgs = _random_chunk(gen, sizes)
+        slots = slot_list(pdgs)
+        adj = np.zeros((n, n))
+        for pdg, (s, e) in zip(pdgs, slots.spans):
+            adj[s:e, s:e] = oracles.dependence_adjacency(pdg)
+        inputs = [gen.normal(0.0, 1.0, (n, CFG.gru_hidden)) for _ in range(8)]
+        weight = Tensor(gen.normal(0.0, 1.0, (n, CFG.stmt_dim)))
+        results = []
+        for fuse, graph in ((attend_and_fuse, slots), (oracles.dense_attend_and_fuse, adj)):
+            store.zero_grad()
+            ts = [Tensor(a, requires_grad=True) for a in inputs]
+            out = fuse(ts[:6], ts[6], ts[7], graph, store)
+            (out * weight).sum().backward(params=store)
+            results.append([out.data] + [t.grad for t in ts] + [store[name].grad.copy() for name in FUSE_PARAMS])
+        names = ["out"] + [f"input {k}" for k in range(8)] + list(FUSE_PARAMS)
+        for name, got, want in zip(names, *results):
+            if name == "fuse.score_b":  # zero: every score moving together moves no softmax
+                assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-12, sizes
+            else:
+                assert oracles.max_scaled_err(got, want) <= 1e-12, (sizes, name)
 
 
 # --- attention --------------------------------------------------------------------
@@ -351,7 +399,8 @@ def test_batch_encoding_agrees_with_single():
     pdg, bundles, vocab, store = make_setup()
     other = pdg_from_source("int one(int x) { int y = x + 1; return y; }")
     ob = extract_method_features(other)
-    big, spans = encode_method_batch([pdg, other], vocab, store, CFG, [bundles, ob])
+    big, slots = encode_method_batch([pdg, other], vocab, store, CFG, [bundles, ob])
+    spans = slots.spans
     assert spans == [(0, len(bundles)), (len(bundles), len(bundles) + len(ob))]
     solo1 = encode_one(pdg, vocab, store, bundles)
     solo2 = encode_one(other, vocab, store, ob)

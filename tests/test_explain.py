@@ -1,6 +1,3 @@
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -12,6 +9,7 @@ from vulgraph.explain import (
     DEFAULT_TOP_EDGES,
     EdgeMask,
     ExplainConfig,
+    edge_slots,
     explanation_report,
     extract_subgraph,
     learn_edge_mask,
@@ -21,18 +19,27 @@ from vulgraph.fagcn import (
     DetectionModel,
     TrainConfig,
     _batch_loss,
+    detector_weights,
     frozen,
     graph_logits,
     new_model,
-    normalized_adjacency,
     score_methods,
     train,
 )
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
+from vulgraph.slots import slot_list
 
 import oracles
-from oracles import TooManyEdges, brute_force_minimal_subgraph, hard_subset_score, rel_err, statement_matrix
+from oracles import (
+    TooManyEdges,
+    brute_force_minimal_subgraph,
+    densify,
+    hard_subset_score,
+    large_methods,
+    rel_err,
+    statement_matrix,
+)
 
 CFG = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)
 
@@ -71,8 +78,19 @@ CHAIN_SRC = "int f(int alpha) { int beta = alpha + 1; int gamma = beta + 2; retu
 def _masked_probs(pdg, model, logits, feats):
     """Class distribution [1, 2] of the detector under the graph masked by
     sigmoid(logits), as one explainer iteration computes it."""
-    adj = masked_adjacency(pdg, Tensor(logits).sigmoid())
-    return graph_logits(adj, feats, frozen(model).store).softmax(axis=1)
+    edges = edge_slots(pdg)
+    adj = masked_adjacency(edges, Tensor(logits).sigmoid())
+    return graph_logits(edges.slots, adj, feats, frozen(model).store).softmax(axis=1)
+
+
+def _detector_probs(pdg, model, feats):
+    """Class distribution [1, 2] of the detector on the method's own edges."""
+    slots = slot_list([pdg])
+    return graph_logits(slots, detector_weights(slots), feats, model.store).softmax(axis=1).data
+
+
+def _edgeless(pdg):
+    return Pdg(method=pdg.method, nodes=pdg.nodes, edges=[])
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +168,8 @@ def test_open_mask_matches_unmasked_prediction(demo, vocab):
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
         feats = statement_matrix(demo, model)
-        full = graph_logits(normalized_adjacency(demo), feats, model.store).softmax(axis=1).data
-        edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
+        full = _detector_probs(demo, model, feats)
+        edgeless = _detector_probs(_edgeless(demo), model, feats)
         assert np.abs(full - edgeless).max() > 1e-6  # prediction does depend on edges
         opened = _masked_probs(demo, model, np.full(n_edges, 20.0), feats)
         assert np.abs(opened.data - full).max() <= 1e-6
@@ -162,7 +180,7 @@ def test_closed_mask_matches_edgeless_prediction(demo, vocab):
     for seed in range(3):
         model = new_model(vocab, CFG, seed=seed)
         feats = statement_matrix(demo, model)
-        edgeless = graph_logits(Tensor(np.eye(len(demo.nodes))), feats, model.store).softmax(axis=1).data
+        edgeless = _detector_probs(_edgeless(demo), model, feats)
         closed = _masked_probs(demo, model, np.full(n_edges, -20.0), feats)
         assert np.abs(closed.data - edgeless).max() <= 1e-6
 
@@ -184,7 +202,8 @@ def _parallel_edge_pdg():
 def test_masked_adjacency_merges_parallel_edges():
     pdg = _parallel_edge_pdg()
     gate = np.array([0.3, 0.5, 0.9])
-    got = masked_adjacency(pdg, Tensor(gate)).data
+    edges = edge_slots(pdg)
+    got = densify(edges.slots, masked_adjacency(edges, Tensor(gate)).data)
 
     merged = 0.3 + 0.5 - 0.3 * 0.5  # two edges share the (0,1) slot
     a = np.eye(3)
@@ -198,8 +217,29 @@ def test_masked_adjacency_merges_parallel_edges():
 
 def test_open_gate_adjacency_is_the_detector_adjacency(demo):
     for pdg in (demo, _parallel_edge_pdg(), _five_edge_pdg(), pdg_from_source(CHAIN_SRC)):
-        got = masked_adjacency(pdg, Tensor(np.ones(len(pdg.edges)))).data
-        assert np.array_equal(got, normalized_adjacency(pdg).data)
+        got = masked_adjacency(edge_slots(pdg), Tensor(np.ones(len(pdg.edges)))).data
+        assert np.array_equal(got, detector_weights(slot_list([pdg])).data)
+
+
+def test_masked_adjacency_is_the_dense_masked_adjacency(demo):
+    # values and gate gradients against the dense per-op form, within 1e-12
+    # of the reference's largest magnitude, on planted, parallel-edge and
+    # large methods
+    gen = np.random.default_rng(4)
+    pdgs = [demo, _parallel_edge_pdg(), _five_edge_pdg()] + large_methods()
+    pdgs += [e.pdg for e in generate_planted_corpus(20, seed=9)[:10] if e.pdg is not None]
+    for pdg in pdgs:
+        edges = edge_slots(pdg)
+        gate = gen.uniform(0.0, 1.0, len(pdg.edges))
+        weight = gen.normal(0.0, 1.0, (len(pdg.nodes),) * 2)
+        g = Tensor(gate, requires_grad=True)
+        out = masked_adjacency(edges, g)
+        (out * Tensor(weight[edges.slots.dst, edges.slots.src])).sum().backward()
+        ref_g = Tensor(gate, requires_grad=True)
+        ref = oracles.dense_masked_adjacency(pdg, ref_g)
+        (ref * Tensor(weight)).sum().backward()
+        assert oracles.max_scaled_err(densify(edges.slots, out.data), ref.data) <= 1e-12, pdg.method
+        assert oracles.max_scaled_err(g.grad, ref_g.grad) <= 1e-12, pdg.method
 
 
 def test_full_edge_set_score_is_the_detector_score(corpus, fitted_model):
@@ -416,16 +456,6 @@ def test_explanation_report_shape(demo, flip_mask):
     )
 
 
-def _large_methods():
-    """Size-sweep methods of perfbench/largegen.py, 50 to 420 statements."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "largegen.py"
-    spec = importlib.util.spec_from_file_location("largegen", path)
-    largegen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(largegen)
-    return [pdg_from_source(largegen.large_method(i, 64 + i, f"big_{i}", size))
-            for i, size in enumerate((50, 100, 200, 420))]
-
-
 def test_learned_masks_are_bitwise_the_per_op_tape():
     # The explainer's three fused nodes against the one-node-per-op tape, on
     # planted methods under a briefly trained detector and on large methods,
@@ -435,7 +465,7 @@ def test_learned_masks_are_bitwise_the_per_op_tape():
     labels = {e.id: e.label for e in entries}
     items = [(e.id, e.pdg) for e in entries]
     model, _ = train(items[:32], items[32:40], labels, CFG, TrainConfig(epochs=2, seed=5))
-    cases = [(pdg, 60) for _, pdg in items[40:]] + [(pdg, 4) for pdg in _large_methods()]
+    cases = [(pdg, 60) for _, pdg in items[40:]] + [(pdg, 4) for pdg in large_methods()]
     for pdg, iterations in cases:
         config = ExplainConfig(iterations=iterations)
         feats = statement_matrix(pdg, model)

@@ -8,7 +8,7 @@ import pytest
 from vulgraph.autodiff import ParamStore, Tensor, init_params
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
-from vulgraph import encoders, fagcn
+from vulgraph import encoders, fagcn, features
 from vulgraph.fagcn import (
     CHUNK_STMTS,
     TrainConfig,
@@ -19,24 +19,27 @@ from vulgraph.fagcn import (
     best_threshold,
     cross_entropy,
     detection_report,
+    detector_weights,
+    forward_methods,
     graph_logits,
     load_model,
     model_layout,
     new_model,
-    normalized_adjacency,
     rank_methods,
     save_model,
     score_methods,
     train,
 )
 from vulgraph.corpus import generate_planted_corpus
-from vulgraph.explain import masked_adjacency
+from vulgraph.explain import ExplainConfig, edge_slots, learn_edge_mask, masked_adjacency
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, StmtNode, pdg_from_source
 from vulgraph.rng import Rng
+from vulgraph import slots as slots_module
+from vulgraph.slots import propagate, slot_list, slot_products
 
 import oracles
-from oracles import finite_diff, gauss, gcn_forward, pyramid_pool, rel_err, sliced_pyramid_pool
+from oracles import densify, finite_diff, gauss, gcn_forward, pyramid_pool, rel_err, sliced_pyramid_pool
 
 
 def _chain_pdg(n, edges=None):
@@ -48,40 +51,103 @@ def _chain_pdg(n, edges=None):
     return Pdg(method="probe", nodes=tuple(nodes), edges=es)
 
 
+def _normalized_adjacency(pdg):
+    """The detector's normalized slot weights of one method, as a matrix."""
+    slots = slot_list([pdg])
+    return densify(slots, detector_weights(slots).data)
+
+
 def test_normalized_adjacency_examples():
-    single = normalized_adjacency(_chain_pdg(1))
-    assert np.array_equal(single.data, [[1.0]])
-    pair = normalized_adjacency(_chain_pdg(2, [(0, 1)]))
-    assert rel_err(pair.data, [[0.5, 0.5], [0.5, 0.5]]) < 1e-12
-    path = normalized_adjacency(_chain_pdg(3, [(0, 1), (1, 2)]))
+    single = _normalized_adjacency(_chain_pdg(1))
+    assert np.array_equal(single, [[1.0]])
+    pair = _normalized_adjacency(_chain_pdg(2, [(0, 1)]))
+    assert rel_err(pair, [[0.5, 0.5], [0.5, 0.5]]) < 1e-12
+    path = _normalized_adjacency(_chain_pdg(3, [(0, 1), (1, 2)]))
     s6 = 1 / math.sqrt(6)
     expect = [[0.5, s6, 0.0], [s6, 1 / 3, s6], [0.0, s6, 0.5]]
-    assert rel_err(path.data, expect) < 1e-12
-    assert rel_err(path.data, path.data.T) < 1e-15
-    assert np.all(path.data >= 0)
+    assert rel_err(path, expect) < 1e-12
+    assert rel_err(path, path.T) < 1e-15
+    assert np.all(path >= 0)
+
+
+def test_slot_list_of_a_chunk():
+    # two methods laid end to end: parallel and reversed edges share one
+    # pair of slots, a self edge adds none, an edgeless statement keeps its
+    # self loop, and the slots into each row are one segment
+    first = _chain_pdg(4, [(0, 1), (1, 0), (0, 1), (1, 3), (2, 2)])
+    second = _chain_pdg(2, [(1, 0)])
+    slots = slot_list([first, second])
+    got = list(zip(slots.dst.tolist(), slots.src.tolist()))
+    assert got == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 4), (4, 5), (5, 4), (5, 5)]
+    assert slots.runs.starts.tolist() == [0, 2, 5, 6, 8, 10]
+    assert slots.spans == [(0, 4), (4, 6)]
+    assert slots.pair.tolist() == [3, 0, 0, 3, 1, 3, 1, 3, 3, 2, 2, 3]
+    assert [got[k] for k in slots.rev] == [(s, d) for d, s in got]
+
+
+def test_slot_sums_add_into_zero_as_add_at_does(monkeypatch):
+    # propagate and slot_products take a small sum whole and a large one
+    # offset by offset; both add each row's terms one after another into
+    # zero, as np.add.at does, so they match it bit for bit, and a lone -0.0
+    # term (the last method's one statement has only its self loop) sums to
+    # 0.0
+    gen = np.random.default_rng(3)
+    slots = slot_list(_random_chunk(gen, (30, 7, 1)))
+    w = gen.uniform(0.0, 1.0, len(slots.src))
+    x, g = gen.normal(0.0, 1.0, (2, 38, 5))
+    w[-1], x[-1] = -0.0, 0.0
+
+    def add_at(rows, terms):
+        out = np.zeros((38,) + terms.shape[1:])
+        np.add.at(out, rows, terms)
+        return out
+
+    want = [
+        add_at(slots.dst, x[slots.src] * w[:, None]),
+        (g[slots.dst] * x[slots.src]).sum(axis=1),
+        add_at(slots.dst, w),
+    ]
+    assert len(slots.src) * x.shape[1] <= slots_module.WHOLE  # whole at first
+    for whole in (slots_module.WHOLE, 0):
+        monkeypatch.setattr(slots_module, "WHOLE", whole)
+        got = [propagate(slots, w, x), slot_products(slots, g, x), slots.runs.sum(w)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert not np.signbit(got[0][-1]).any() and not np.signbit(got[2][-1])
 
 
 def _hard_adjacency(pdg, keep):
-    """The explainer's masked adjacency under a 0/1 gate over `keep`."""
+    """The explainer's masked adjacency under a 0/1 gate over `keep`, as a matrix."""
     gate = np.zeros(len(pdg.edges))
     gate[list(keep)] = 1.0
-    return masked_adjacency(pdg, Tensor(gate)).data
+    edges = edge_slots(pdg)
+    return densify(edges.slots, masked_adjacency(edges, Tensor(gate)).data)
 
 
 def test_normalized_adjacency_keeps_listed_edges_only():
     # A hard edge subset is scored through the 0/1-gate masked adjacency,
     # which must be bitwise the detector's adjacency of the kept edges alone.
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
-    assert np.array_equal(_hard_adjacency(pdg, [0, 1]), normalized_adjacency(pdg).data)
+    assert np.array_equal(_hard_adjacency(pdg, [0, 1]), _normalized_adjacency(pdg))
     assert np.array_equal(_hard_adjacency(pdg, []), np.eye(3))
-    assert np.array_equal(_hard_adjacency(pdg, [0]), normalized_adjacency(_chain_pdg(3, [(0, 1)])).data)
+    assert np.array_equal(_hard_adjacency(pdg, [0]), _normalized_adjacency(_chain_pdg(3, [(0, 1)])))
     rng = Rng(13)
     for entry in generate_planted_corpus(20, seed=4):
         full = entry.pdg
         for _ in range(6):
             keep = [pos for pos in range(len(full.edges)) if rng.random() < 0.5]
             kept = Pdg(method=full.method, nodes=full.nodes, edges=[full.edges[pos] for pos in keep])
-            assert np.array_equal(_hard_adjacency(full, keep), normalized_adjacency(kept).data)
+            assert np.array_equal(_hard_adjacency(full, keep), _normalized_adjacency(kept))
+
+
+def test_normalized_slot_weights_are_the_dense_normalization():
+    # the edge-list normalization against D^{-1/2} (A + I) D^{-1/2} of the
+    # dense matrix, on planted and large methods, within 1e-12 of the
+    # largest entry
+    pdgs = [e.pdg for e in generate_planted_corpus(20, seed=6) if e.pdg is not None] + oracles.large_methods()
+    for pdg in pdgs:
+        want = oracles.sym_normalize(Tensor(oracles.dependence_adjacency(pdg))).data
+        assert oracles.max_scaled_err(_normalized_adjacency(pdg), want) <= 1e-12, pdg.method
 
 
 def test_gcn_forward_reductions():
@@ -92,16 +158,16 @@ def test_gcn_forward_reductions():
     ])
     feats = np.array([[gauss(rng) for _ in range(4)] for _ in range(2)])
     # no edges: adjacency is I, so the conv is a per-row MLP
-    eye = normalized_adjacency(_chain_pdg(2))
-    out = gcn_forward(eye, Tensor(feats), store)
+    eye = slot_list([_chain_pdg(2)])
+    out = gcn_forward(eye, detector_weights(eye), Tensor(feats), store)
     manual = np.maximum(np.maximum(feats @ store["gcn.w1"].data, 0) @ store["gcn.w2"].data, 0)
     assert rel_err(out.data, manual) < 1e-12
     # identical rows on a symmetric 2-node graph stay identical
-    pair = normalized_adjacency(_chain_pdg(2, [(0, 1)]))
-    out2 = gcn_forward(pair, Tensor(np.tile(feats[0], (2, 1))), store)
+    pair = slot_list([_chain_pdg(2, [(0, 1)])])
+    out2 = gcn_forward(pair, detector_weights(pair), Tensor(np.tile(feats[0], (2, 1))), store)
     assert np.array_equal(out2.data[0], out2.data[1])
     store["gcn.w2"].data[:] = 0.0
-    assert not np.any(gcn_forward(eye, Tensor(feats), store).data)
+    assert not np.any(gcn_forward(eye, detector_weights(eye), Tensor(feats), store).data)
 
 
 def test_a_fresh_model_registers_the_model_layout():
@@ -124,8 +190,11 @@ def test_a_fresh_model_registers_the_model_layout():
 def test_graph_logits_rejects_mismatched_adjacency():
     rng = Rng(2)
     store = init_params(rng, model_layout(5, EncoderConfig(stmt_dim=4), d2=3))
+    slots = slot_list([_chain_pdg(3, [(0, 1)])])
     with pytest.raises(ShapeMismatch):
-        graph_logits(Tensor(np.eye(3)), Tensor(np.ones((2, 4))), store)
+        graph_logits(slots, detector_weights(slots), Tensor(np.ones((2, 4))), store)
+    with pytest.raises(ShapeMismatch):
+        graph_logits(slots, Tensor(np.ones(3)), Tensor(np.ones((3, 4))), store)
 
 
 def test_pyramid_pool_bins():
@@ -168,24 +237,68 @@ def test_pyramid_pool_is_bitwise_the_sliced_reference():
         assert np.array_equal(grad, ref_grad)
 
 
+def _random_chunk(gen, sizes):
+    """Methods of the given statement counts with random edges, parallel,
+    reversed and self edges included, so some statements have none."""
+    pdgs = []
+    for n in sizes:
+        ends = gen.integers(0, n, size=(int(gen.integers(0, 2 * n + 1)), 2))
+        pdgs.append(_chain_pdg(n, [tuple(pair) for pair in ends.tolist()]))
+    return pdgs
+
+
 def test_graph_logits_is_bitwise_the_per_op_detector():
-    # forward values and every gradient, into the adjacency, the features and
-    # the eight parameters, equal the one-node-per-op tape's bit for bit
+    # forward values and every gradient, into the slot weights, the features
+    # and the eight parameters, equal the one-node-per-op tape's bit for bit,
+    # over chunks of one to four methods
     gen = np.random.default_rng(11)
-    for n in (1, 2, 3, 5, 8, 17, 60):
-        store = init_params(Rng(n), model_layout(7, EncoderConfig(stmt_dim=6), d2=5))
-        adj = gen.uniform(0.0, 1.0, (n, n))
-        feats = gen.normal(0.0, 1.0, (n, 6))
-        weight = gen.normal(0.0, 1.0, (1, 2))
+    for trial, sizes in enumerate(((1,), (2,), (3, 1), (5, 8), (17, 2, 9), (60,), (4, 1, 30, 6))):
+        slots = slot_list(_random_chunk(gen, sizes))
+        store = init_params(Rng(trial), model_layout(7, EncoderConfig(stmt_dim=6), d2=5))
+        weights = gen.uniform(0.0, 1.0, len(slots.src))
+        feats = gen.normal(0.0, 1.0, (sum(sizes), 6))
+        weight = gen.normal(0.0, 1.0, (len(sizes), 2))
         results = []
         for logits_of in (graph_logits, oracles.graph_logits):
             store.zero_grad()
-            a, x = Tensor(adj, requires_grad=True), Tensor(feats, requires_grad=True)
-            out = logits_of(a, x, store)
+            a, x = Tensor(weights, requires_grad=True), Tensor(feats, requires_grad=True)
+            out = logits_of(slots, a, x, store)
             (out * Tensor(weight)).sum().backward(params=store)
             results.append([out.data, a.grad, x.grad] + [t.grad.copy() for _, t in store.items()])
         for got, want in zip(*results):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want), sizes
+
+
+def test_chunk_logits_are_the_dense_detector_per_method():
+    # one call over a chunk against the dense detector, one method at a
+    # time: logits and every gradient within 1e-12 of the reference's
+    # largest magnitude (the slot weights' gradient read at their cells)
+    gen = np.random.default_rng(12)
+    for trial, sizes in enumerate(((1,), (3, 1), (5, 8, 2), (40, 7))):
+        pdgs = _random_chunk(gen, sizes)
+        slots = slot_list(pdgs)
+        store = init_params(Rng(trial), model_layout(7, EncoderConfig(stmt_dim=6), d2=5))
+        feats = gen.normal(0.0, 1.0, (sum(sizes), 6))
+        weight = gen.normal(0.0, 1.0, (len(sizes), 2))
+        store.zero_grad()
+        w, x = Tensor(detector_weights(slots).data, requires_grad=True), Tensor(feats, requires_grad=True)
+        out = graph_logits(slots, w, x, store)
+        (out * Tensor(weight)).sum().backward(params=store)
+        got = [out.data, densify(slots, w.grad), x.grad] + [store[name].grad.copy() for name in fagcn.HEAD_PARAMS]
+        store.zero_grad()
+        want = [[], np.zeros((sum(sizes),) * 2), []]
+        for k, (pdg, (s, e)) in enumerate(zip(pdgs, slots.spans)):
+            adj = oracles.sym_normalize(Tensor(oracles.dependence_adjacency(pdg)))
+            a, xs = Tensor(adj.data, requires_grad=True), Tensor(feats[s:e], requires_grad=True)
+            logits = oracles.dense_graph_logits(a, xs, store)
+            (logits * Tensor(weight[k : k + 1])).sum().backward(params=store)
+            want[0].append(logits.data)
+            want[1][s:e, s:e] = a.grad * (adj.data != 0)
+            want[2].append(xs.grad)
+        want = [np.concatenate(want[0]), want[1], np.concatenate(want[2])]
+        want += [store[name].grad.copy() for name in fagcn.HEAD_PARAMS]
+        for part, (g, w_) in enumerate(zip(got, want)):
+            assert oracles.max_scaled_err(g, w_) <= 1e-12, (sizes, part)
 
 
 def test_training_batch_gradients_are_bitwise_the_per_op_tape(monkeypatch):
@@ -234,10 +347,11 @@ def test_head_gradients_match_finite_differences():
     store = init_params(rng, model_layout(11, cfg, d2=6))
     pdg = _chain_pdg(3, [(0, 1), (1, 2)])
     feats = np.array([[gauss(rng) for _ in range(5)] for _ in range(3)])
-    adj = normalized_adjacency(pdg)
+    slots = slot_list([pdg])
+    adj = detector_weights(slots)
 
     def loss_value():
-        logits = graph_logits(adj, Tensor(feats), store)
+        logits = graph_logits(slots, adj, Tensor(feats), store)
         probs = logits.softmax(axis=1)
         return (probs[0, 1] * probs[0, 1])
 
@@ -527,6 +641,48 @@ def test_scoring_peak_memory_grows_with_the_chunk_budget_not_the_methods():
     one = _peak_bytes(lambda: score_methods(model, [("m0", pdg)]))
     eight = _peak_bytes(lambda: score_methods(model, [(f"m{i}", pdg) for i in range(8)]))
     assert eight <= 3 * one, (eight, one)
+
+
+def _chain_method(n):
+    body = ["int v0 = n;"] + [f"int v{i} = v{i - 1} + n;" for i in range(1, n - 1)]
+    pdg = pdg_from_source("int big(int n) { " + " ".join(body) + f" return v{n - 2}; }}")
+    assert len(pdg.nodes) == n
+    return pdg
+
+
+def test_scoring_and_explaining_memory_grow_with_the_statements_not_their_square():
+    # With dense n x n graph matrices, 4 times the statements took 6.7 times
+    # the scoring memory and 9.6 times the explaining memory; with slot lists
+    # both grow about as the statements and edges do.
+    small, large = _chain_method(105), _chain_method(420)
+    model = new_model(_toy_vocab([("big", large)]), seed=1)
+    peaks = []
+    for pdg in (small, large):
+        ((_, _, feats),) = forward_methods(model, [("m", pdg)])
+        config = ExplainConfig(iterations=3)
+        peaks.append((
+            _peak_bytes(lambda: score_methods(model, [("m", pdg)])),
+            _peak_bytes(lambda: learn_edge_mask(pdg, model, "V", config, feats=feats)),
+        ))
+    (score_small, explain_small), (score_large, explain_large) = peaks
+    assert score_large <= 5 * score_small, peaks
+    assert explain_large <= 5 * explain_small, peaks
+
+
+def test_train_flattens_each_statement_tree_once(monkeypatch):
+    # training reads every tree in every batch of every epoch and tuning
+    # pass, but flattens each statement's tree once per run
+    items, labels = _toy_corpus()
+    flatten, calls = features.flatten_ast, []
+
+    def counting(ast):
+        calls.append(ast)
+        return flatten(ast)
+
+    monkeypatch.setattr(features, "flatten_ast", counting)
+    cfg = EncoderConfig(embed_dim=4, gru_hidden=4, stmt_dim=5)
+    train(items, items[:6], labels, cfg, TrainConfig(epochs=3, batch_size=4, patience=5))
+    assert len(calls) == sum(len(p.nodes) for _, p in items)
 
 
 def test_fit_threshold_requires_data():
