@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from ..errors import MissingGradient
 from ..rng import Rng
 from .tensor import Tensor
 
@@ -28,64 +27,41 @@ def init_params(rng: Rng, layout: list) -> ParamStore:
     )
 
 
-class Parameter(Tensor):
-    """A ParamStore entry. Its data is a view into the store's value buffer,
-    and its gradient accumulates into the matching view of the store's
-    gradient buffer."""
-
-    __slots__ = ("grad_view",)
-
-    def _new_grad(self) -> np.ndarray:
-        return self.grad_view  # ParamStore.zero_grad cleared it
-
-
 class ParamStore:
-    """Ordered name -> Parameter registry, built once from its full
+    """Ordered name -> parameter registry, built once from its full
     (name, array) list.
 
     Values live in one flat fp64 buffer and gradients in another, each
-    allocated at its final size and laid out in list order, so zeroing every
-    gradient is one fill, a snapshot of every value one copy, and an
-    optimizer step one elementwise update over the buffer.
+    allocated at its final size and laid out in list order. A parameter is a
+    Tensor whose data is its view of `values` and whose grad is its view of
+    `grads`, so zeroing every gradient is one fill, a snapshot of every value
+    one copy, and an optimizer step one elementwise update over the buffers.
     """
 
     def __init__(self, params: list[tuple[str, np.ndarray]]):
         arrays = [np.asarray(data, dtype=np.float64) for _, data in params]
         self.values = np.zeros(sum(a.size for a in arrays))  # every value, flat
-        self._grads = np.zeros(self.values.size)
-        self._params: dict[str, Parameter] = {}
+        self.grads = np.zeros(self.values.size)  # every gradient, flat
+        self._params: dict[str, Tensor] = {}
         start = 0
         for (name, _), data in zip(params, arrays):
             if name in self._params:
                 raise ValueError(f"duplicate parameter {name!r}")
             stop = start + data.size
-            t = Parameter(self.values[start:stop].reshape(data.shape), requires_grad=True)
+            t = Tensor(self.values[start:stop].reshape(data.shape), requires_grad=True)
             t.data[...] = data
-            t.grad_view = self._grads[start:stop].reshape(data.shape)
+            t.grad = self.grads[start:stop].reshape(data.shape)
             self._params[name] = t
             start = stop
 
-    def __getitem__(self, name: str) -> Parameter:
+    def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def tensors(self) -> list[Parameter]:
-        return list(self._params.values())
-
-    def items(self) -> list[tuple[str, Parameter]]:
+    def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
 
     def zero_grad(self) -> None:
-        self._grads.fill(0.0)
-        for t in self._params.values():
-            t.grad = None
-
-    def grads(self) -> np.ndarray:
-        """Every parameter's gradient, flat, in list order (a view);
-        MissingGradient names the first parameter without one."""
-        for name, t in self._params.items():
-            if t.grad is None:
-                raise MissingGradient(name)
-        return self._grads
+        self.grads.fill(0.0)
 
 
 class Adam:
@@ -102,7 +78,7 @@ class Adam:
         self._step, self._denom = np.empty(size), np.empty(size)  # scratch
 
     def step(self) -> None:
-        g = self.store.grads()
+        g = self.store.grads
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t

@@ -19,17 +19,17 @@ projection; the neighbours are the statement's slots in the chunk's slot list
 (vulgraph.slots), so no step is quadratic in the statements.
 
 Everything here is batched: encode_method_batch processes all statements of
-many methods in one tensor program. Each GRU reads its whole input sequence
-from one gather (or, for the attention Bi-GRU, one concat) and runs as one
-autodiff op, gru_sequence, so its recurrence adds a single node to the tape.
-The Tree-LSTM over the whole forest (encode_forest) and everything from the
-six feature matrices and the two attention states to the statement matrix
-(attend_and_fuse) are one node each as well, with hand-written backwards
-that repeat the numpy steps of the one-node-per-op tape in its order, so
-their values and gradients are bitwise that tape's. A training batch of
-eight methods records 18 nodes. Each block's parameters are declared
-once, as an ordered (name, shape) layout, and each op reads them by its
-layout's names.
+many methods in one tensor program. Each GRU recurrence (gru_sequence) is
+one tape node that reads its own input rows: token ids from the embedding
+table, context neighbours from feature 1, or, in the attention Bi-GRU, the
+six features in turn. The Tree-LSTM over the whole forest (encode_forest)
+and everything from the six feature matrices and the two attention states
+to the statement matrix (attend_and_fuse) are one node each as well. Their
+hand-written backwards repeat the numpy steps of the one-node-per-op tape in
+its order, so their values and gradients are bitwise that tape's. A
+training batch of eight methods records 11 nodes. Each block's parameters
+are declared once, as an ordered (name, shape) layout, and each op reads
+them by its layout's names.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, concat, gru_sequence, rows
-from .autodiff.tensor import _sigmoid
-from .errors import ConfigError, EmptyTree
+from .autodiff import ParamStore, Tensor
+from .errors import ConfigError, EmptyTree, ShapeMismatch
 from .features import (
     PAD_ID,
     UNK_ID,
@@ -135,6 +134,87 @@ def cell_params(store: ParamStore, prefix: str, gates: str) -> tuple[Tensor, ...
     return tuple(store[name] for name, _ in cell_layout(prefix, gates, 0, 0))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # One exp of a non-positive argument, so it never overflows; each branch
+    # is bitwise the textbook form for its sign, and +-inf map to 1 and 0.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def gru_sequence(inputs: list[Tensor], rows: np.ndarray, mask: np.ndarray, weights: tuple) -> Tensor:
+    """Final hidden state [B, hidden] of a GRU (Cho et al., 2014) run from a
+    zero state over rows.shape[0] steps: at step t, batch row b reads row
+    rows[t, b] of the input tensors stacked end to end, and mask[t, b] == 0
+    leaves its state untouched. `weights` are the cell's tuple (cell_params
+    with GRU_GATES).
+
+    The whole recurrence is one tape node whose backward runs through time by
+    hand (Werbos, 1990) and adds each read row's gradient into its input
+    with np.add.at, so a row read twice sums both. Each step's products are
+    taken separately, so the forward value is bitwise that of the same
+    recurrence built from one tape node per elementwise op. Per-step
+    activations are kept only when an input requires grad."""
+    rows = np.asarray(rows, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if rows.ndim != 2 or len(rows) < 1 or mask.shape != rows.shape:
+        raise ShapeMismatch(f"gru_sequence: rows {rows.shape} under a mask {mask.shape}")
+    steps, batch = rows.shape
+    flat = rows.reshape(-1)  # step-major
+    x = (inputs[0].data if len(inputs) == 1 else np.concatenate([t.data for t in inputs]))[flat]
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (w.data for w in weights)
+    hidden = bz.shape[0]
+    parents = (*inputs, *weights)
+    record = any(p.requires_grad for p in parents)
+    if record:  # each step's input state and gates, step-major like x
+        h_in, zs, rs, cands = (np.empty((steps * batch, hidden)) for _ in range(4))
+    h = np.zeros((batch, hidden))
+    for t in range(steps):
+        at = slice(t * batch, (t + 1) * batch)
+        xt = x[at]
+        z = _sigmoid(xt @ wz + h @ uz + bz)
+        r = _sigmoid(xt @ wr + h @ ur + br)
+        cand = np.tanh(xt @ wh + (r * h) @ uh + bh)
+        if record:
+            h_in[at], zs[at], rs[at], cands[at] = h, z, r, cand
+        keep = mask[t][:, None]
+        h = keep * (z * cand + (1.0 - z) * h) + (1.0 - keep) * h
+
+    def backward(out):
+        # Gradients of the z, r and candidate pre-activations, step-major.
+        d_z, d_r, d_c = (np.empty((steps * batch, hidden)) for _ in range(3))
+        dh = out.grad
+        for t in reversed(range(steps)):
+            at = slice(t * batch, (t + 1) * batch)
+            h_prev, z, r, cand = h_in[at], zs[at], rs[at], cands[at]
+            keep = mask[t][:, None]
+            d_next, carry = dh * keep, dh * (1.0 - keep)
+            d_c[at] = d_next * z * (1.0 - cand * cand)
+            d_rh = d_c[at] @ uh.T
+            d_z[at] = (d_next * cand - d_next * h_prev) * z * (1.0 - z)
+            d_r[at] = d_rh * h_prev * r * (1.0 - r)
+            dh = carry + d_next * (1.0 - z) + d_rh * r + d_z[at] @ uz.T + d_r[at] @ ur.T
+        if any(src.requires_grad for src in inputs):
+            d_x = d_z @ wz.T + d_r @ wr.T + d_c @ wh.T
+            start = 0
+            for src in inputs:
+                stop = start + len(src.data)
+                if src.requires_grad:
+                    mine = (flat >= start) & (flat < stop)
+                    src._accumulate(d_x[mine], flat[mine] - start)
+                start = stop
+        for k, (d_pre, h_side) in enumerate(((d_z, h_in), (d_r, h_in), (d_c, rs * h_in))):
+            w, u, b = weights[3 * k : 3 * k + 3]
+            if w.requires_grad:
+                w._accumulate(x.T @ d_pre)
+            if u.requires_grad:
+                u._accumulate(h_side.T @ d_pre)
+            if b.requires_grad:
+                b._accumulate(d_pre.sum(axis=0))
+
+    return Tensor._make(h, parents, backward)
+
+
 def _gate(x: np.ndarray, w: np.ndarray, h_sum: np.ndarray | None, u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A Tree-LSTM gate's pre-activation x @ w + h_sum @ u + b, summed in
     that order; h_sum is None at the leaves."""
@@ -216,12 +296,6 @@ def encode_forest(trees: list[FlatTree], vocab: Vocabulary, embed: Tensor, param
         done += m
     root_rows = row_of[roots]
 
-    def add_rows(t: Tensor, idx: np.ndarray, grad: np.ndarray) -> None:
-        # as rows() does: repeated indices add one after another
-        if t.grad is None:
-            t.grad = t._new_grad()
-        np.add.at(t.grad, idx, grad)
-
     def backward(out):
         d_h = np.zeros_like(h_all)
         d_c = np.zeros_like(c_all)
@@ -246,7 +320,7 @@ def encode_forest(trees: list[FlatTree], vocab: Vocabulary, embed: Tensor, param
                 d_x = d_ao @ wo.T
                 d_x += d_ai @ wi.T
                 d_x += d_au @ wu.T
-                add_rows(embed, ids, d_x)
+                embed._accumulate(d_x, ids)
             if kids is None:
                 continue
             kid_rows, kid_ids, h_kids, c_kids, x_kids, f, owner = kids
@@ -262,7 +336,7 @@ def encode_forest(trees: list[FlatTree], vocab: Vocabulary, embed: Tensor, param
             if p_uf.requires_grad:
                 p_uf._accumulate(h_kids.T @ d_af)
             if embed.requires_grad:
-                add_rows(embed, kid_ids, d_af @ wf.T)
+                embed._accumulate(d_af @ wf.T, kid_ids)
             d_h[kid_rows] += d_sum[owner] + d_af @ uf.T
             d_c[kid_rows] += d_fc * f
 
@@ -293,7 +367,7 @@ def _token_matrix(
 def _run_token_gru(
     gru: tuple, embed: Tensor, ids: np.ndarray, mask: np.ndarray
 ) -> Tensor:
-    return gru_sequence(rows(embed, ids.T.reshape(-1)), gru, ids.shape[1], mask.T)
+    return gru_sequence([embed], ids.T, mask.T, gru)
 
 
 def _run_context_gru(gru: tuple, f1: Tensor, contexts: list[list[int]]) -> Tensor:
@@ -308,7 +382,7 @@ def _run_context_gru(gru: tuple, f1: Tensor, contexts: list[list[int]]) -> Tenso
     for b, ctx in enumerate(contexts):
         idx[: len(ctx), b] = ctx
         mask[: len(ctx), b] = 1.0
-    return gru_sequence(rows(f1, idx.reshape(-1)), gru, max_len, mask)
+    return gru_sequence([f1], idx, mask, gru)
 
 
 def _statement_features(
@@ -455,6 +529,9 @@ def encode_method_batch(
     if bundle_lists is None:
         bundle_lists = [extract_method_features(p) for p in pdgs]
     features = _statement_features(bundle_lists, slots.spans, vocab, store)
-    fwd = gru_sequence(concat(features), cell_params(store, "attn_fwd", GRU_GATES), N_FEATURES)
-    bwd = gru_sequence(concat(features[::-1]), cell_params(store, "attn_bwd", GRU_GATES), N_FEATURES)
+    # step t reads feature t's rows (the backward direction, feature 6 - t's)
+    steps = np.arange(N_FEATURES * len(features[0].data)).reshape(N_FEATURES, -1)
+    ones = np.ones(steps.shape)
+    fwd = gru_sequence(features, steps, ones, cell_params(store, "attn_fwd", GRU_GATES))
+    bwd = gru_sequence(features[::-1], steps, ones, cell_params(store, "attn_bwd", GRU_GATES))
     return attend_and_fuse(features, fwd, bwd, slots, store), slots

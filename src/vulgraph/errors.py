@@ -42,14 +42,6 @@ class ShapeMismatch(VulgraphError):
     """Tensor operands have incompatible shapes for the requested op."""
 
 
-class MissingGradient(VulgraphError):
-    """An optimizer step was requested before gradients were populated."""
-
-    def __init__(self, name: str):
-        super().__init__(f"parameter {name!r} has no gradient")
-        self.name = name
-
-
 class EmptyTree(VulgraphError):
     """Tree encoding was requested for an empty syntax tree."""
 

@@ -11,12 +11,13 @@ free input. Parallel edges between one statement pair share its pair of
 slots through a noisy-OR combination, which keeps the two slots equal and
 symmetric in the mask values and equal to plain OR for hard 0/1 masks.
 
-An iteration records five tape nodes: two sigmoids of the mask logits, the
-masked slot weights, the detector (fagcn.graph_logits) and the loss. Each of
-the last three has a hand-written backward that repeats the numpy steps of
-the equivalent one-node-per-op tape in its order, so masks are bitwise those
-of that tape. The slot list is built once per explanation, and an
-iteration's time and memory grow with the statements and edges.
+An iteration records three tape nodes: the masked slot weights, the
+detector (fagcn.graph_logits) and the loss. The first and the last each take
+the sigmoid of the mask logits themselves. Each has a hand-written backward
+that repeats the numpy steps of the equivalent one-node-per-op tape in its
+order, so masks are bitwise those of that tape. The slot list is built once
+per explanation, and an iteration's time and memory grow with the
+statements and edges.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, ParamStore, Tensor
-from .autodiff.tensor import _sigmoid
+from .encoders import _sigmoid
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits
 from .frontend import Pdg
 from .slots import Slots, dependence_pairs, normalize, normalize_grad, slot_list
+from .util import dot_escape
 
 DEFAULT_TOP_EDGES = 5
 INIT_LOGIT = 1.0
@@ -84,9 +86,11 @@ def edge_slots(pdg: Pdg) -> EdgeSlots:
     return EdgeSlots(slot_list([pdg]), table, len(pdg.edges))
 
 
-def masked_adjacency(edges: EdgeSlots, gate: Tensor) -> Tensor:
+def masked_adjacency(edges: EdgeSlots, logits: Tensor) -> Tensor:
     """Normalized slot weights with each statement pair weighted by the
-    noisy-OR of its edges' gate values; self loops stay at one.
+    noisy-OR of its edges' gate values, the sigmoids of the mask logits;
+    self loops stay at one. Logits of +inf and -inf give hard gates of
+    exactly 1 and 0.
 
     One tape node. A pair's value is folded one parallel edge at a time,
     g + next - g * next, from the gate of its first edge (a pair with fewer
@@ -96,10 +100,11 @@ def masked_adjacency(edges: EdgeSlots, gate: Tensor) -> Tensor:
     repeats the per-op tape's numpy steps in its order, so its values are
     bitwise that tape's; it keeps O(slots) values.
     """
-    if gate.data.shape != (edges.n_edges,):
-        raise MaskMisaligned(f"{gate.data.shape} gate values for {edges.n_edges} edges")
+    if logits.data.shape != (edges.n_edges,):
+        raise MaskMisaligned(f"{logits.data.shape} mask logits for {edges.n_edges} edges")
     table, slots = edges.table, edges.slots
-    padded = np.concatenate([gate.data, np.zeros(1)])
+    gate = _sigmoid(logits.data)
+    padded = np.concatenate([gate, np.zeros(1)])
     folds = [padded[table[0]]]
     for extra in table[1:]:
         g, nxt = folds[-1], padded[extra]
@@ -117,19 +122,20 @@ def masked_adjacency(edges: EdgeSlots, gate: Tensor) -> Tensor:
             grad[table[r]] = d_fold + -d_fold * g
             d_fold = d_fold + -d_fold * nxt
         grad[table[0]] = d_fold
-        gate._accumulate(grad[:-1])
+        logits._accumulate(grad[:-1] * gate * (1.0 - gate))
 
-    return Tensor._make(adj, (gate,), backward)
+    return Tensor._make(adj, (logits,), backward)
 
 
-def mask_loss(head: Tensor, sig: Tensor, target: int, config: ExplainConfig) -> Tensor:
-    """-log softmax(head)[target] + sparsity * sum(sig) + entropy * sum(H(sig)),
-    H the binary entropy, as one tape node. Its backward takes the per-op
-    tape's numpy steps (negations aside, which are exact), and it adds the
-    five terms of d/d sig in that tape's order: sparsity, s log s, log s, the
-    left (1 - s) factor, then the (1 - s) inside the log. Float addition is
-    not associative, so another order moves the masks' last bits."""
-    z, s = head.data, sig.data
+def mask_loss(head: Tensor, logits: Tensor, target: int, config: ExplainConfig) -> Tensor:
+    """-log softmax(head)[target] + sparsity * sum(s) + entropy * sum(H(s)),
+    s = sigmoid(logits) and H the binary entropy, as one tape node. Its
+    backward takes the per-op tape's numpy steps (negations aside, which are
+    exact), and it adds the five terms of d/ds in that tape's order:
+    sparsity, s log s, log s, the left (1 - s) factor, then the (1 - s)
+    inside the log. Float addition is not associative, so another order
+    moves the masks' last bits."""
+    z, s = head.data, _sigmoid(logits.data)
     e = np.exp(z - z.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     p = probs[0, target]
@@ -145,16 +151,16 @@ def mask_loss(head: Tensor, sig: Tensor, target: int, config: ExplainConfig) -> 
             d_probs = np.zeros_like(probs)
             d_probs[0, target] = -g / p
             head._accumulate(probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True)))
-        if sig.requires_grad:
+        if logits.requires_grad:
             d_ent = -np.broadcast_to(g * config.entropy_weight, s.shape)
             grad = np.broadcast_to(g * config.sparsity_weight, s.shape).copy()
             grad += d_ent * log_s
             grad += d_ent * s / s  # not d_ent: (d * s) / s rounds
             grad += -(d_ent * log_rest)
             grad += -(d_ent * rest / rest)
-            sig._accumulate(grad)
+            logits._accumulate(grad * s * rest)
 
-    return Tensor._make(np.asarray(loss), (head, sig), backward)
+    return Tensor._make(np.asarray(loss), (head, logits), backward)
 
 
 def learn_edge_mask(
@@ -182,11 +188,12 @@ def learn_edge_mask(
     trace = []
     for _ in range(config.iterations):
         store.zero_grad()
-        # Two sigmoid nodes, as on the per-op tape: one product
-        # (g_adj + g_penalty) * s * (1 - s) would round differently.
-        head = graph_logits(edges.slots, masked_adjacency(edges, logits.sigmoid()), feats, model.store)
-        loss = mask_loss(head, logits.sigmoid(), target, config)
-        loss.backward(params=store)
+        # Each node takes its own sigmoid, as the per-op tape's two sigmoid
+        # nodes do: one product (g_adj + g_penalty) * s * (1 - s) would
+        # round differently.
+        head = graph_logits(edges.slots, masked_adjacency(edges, logits), feats, model.store)
+        loss = mask_loss(head, logits, target, config)
+        loss.backward()
         opt.step()
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
@@ -238,15 +245,12 @@ def explanation_report(decision: str, sub: InterpretationSubgraph) -> dict:
 def subgraph_to_dot(pdg: Pdg, sub: InterpretationSubgraph) -> str:
     """DOT rendering of the kept edges, labeled with their mask values."""
 
-    def esc(text: str) -> str:
-        return text.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = [f'digraph "{esc(sub.method)}" {{', "  node [shape=box];"]
+    lines = [f'digraph "{dot_escape(sub.method)}" {{', "  node [shape=box];"]
     for idx in sub.nodes:
-        lines.append(f'  n{idx} [label="{idx}: {esc(pdg.nodes[idx].text)}"];')
+        lines.append(f'  n{idx} [label="{idx}: {dot_escape(pdg.nodes[idx].text)}"];')
     for src, dst, kind, var, value in sub.edges:
         style = "" if kind == "data" else " style=dashed"
         tag = f"{var} {value:.3f}" if var else f"{value:.3f}"
-        lines.append(f'  n{src} -> n{dst} [label="{esc(tag)}"{style}];')
+        lines.append(f'  n{src} -> n{dst} [label="{dot_escape(tag)}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from .encoders import EncoderConfig, encode_method_batch, encoder_layout
 from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
-from .metrics import auc
+from .metrics import auc, precision_recall_f1
 from .rng import Rng
 from .slots import Slots, normalize, propagate, slot_products
 
@@ -289,14 +289,10 @@ def best_threshold(scored: list, labels: dict) -> float:
     distinct = sorted({s for s, _ in pairs})
     candidates = [distinct[0]]
     candidates += [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    truth = [lab for _, lab in pairs]
     best = None
     for tau in sorted(candidates):
-        tp = sum(1 for s, lab in pairs if s >= tau and lab == "V")
-        fp = sum(1 for s, lab in pairs if s >= tau and lab == "NV")
-        fn = sum(1 for s, lab in pairs if s < tau and lab == "V")
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
+        _, _, f1 = precision_recall_f1([s >= tau for s, _ in pairs], truth)
         if best is None or f1 > best[0] + 1e-12:
             best = (f1, tau)
     return best[1]
@@ -384,7 +380,7 @@ def train(
         for batch in _chunks(items, config.batch_size):
             model.store.zero_grad()
             loss = _batch_loss(model, batch, labels, bundles)
-            loss.backward(params=model.store)
+            loss.backward()
             opt.step()
             losses.append(float(loss.data))
         scored = score_methods(model, tune_items, bundles=bundles)

@@ -140,19 +140,6 @@ def normalize_ast_label(label: str) -> str:
     return label
 
 
-def ast_vocab_labels(ast) -> list[str]:
-    """AST node labels normalized for the vocabulary."""
-    out: list[str] = []
-
-    def walk(node):
-        out.append(normalize_ast_label(node[0]))
-        for child in node[1]:
-            walk(child)
-
-    walk(ast)
-    return out
-
-
 def _capped_context(neighbors: set[int], center: int) -> list[int]:
     if len(neighbors) <= CONTEXT_CAP:
         return sorted(neighbors)
@@ -207,9 +194,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id) + 2
 
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def to_dict(self) -> dict:
         return {"tokens": self.token_to_id}
 
@@ -223,13 +207,14 @@ class Vocabulary:
 
 
 def bundle_tokens(bundle: StatementFeatureBundle) -> list[str]:
-    """Every vocabulary-relevant token of a bundle."""
+    """Every vocabulary-relevant token of a bundle; its syntax tree's labels
+    come from the flattened tree the Tree-LSTM reads."""
     tokens = list(bundle.subtokens)
     for seq in bundle.var_names:
         tokens.extend(seq)
     for seq in bundle.var_types:
         tokens.extend(seq)
-    tokens.extend(ast_vocab_labels(bundle.ast))
+    tokens.extend(bundle.tree.labels)
     return tokens
 
 

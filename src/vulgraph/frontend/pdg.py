@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import SchemaError
-from ..util import dump_json
+from ..util import dot_escape, dump_json
 from .cfg import build_cfg
 from .deps import control_dependences, data_dependences
 from .parser import NESTING_BOUND, MethodAst, StmtNode, _declared_name, parse_method
@@ -187,15 +187,12 @@ def recover_decl_types(nodes: list[StmtNode]) -> dict[str, str]:
 
 
 def pdg_to_dot(pdg: Pdg) -> str:
-    def esc(text: str) -> str:
-        return text.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = [f'digraph "{esc(pdg.method)}" {{', "  node [shape=box];"]
+    lines = [f'digraph "{dot_escape(pdg.method)}" {{', "  node [shape=box];"]
     for s in pdg.nodes:
-        lines.append(f'  n{s.index} [label="{s.index}: {esc(s.text)}"];')
+        lines.append(f'  n{s.index} [label="{s.index}: {dot_escape(s.text)}"];')
     for e in pdg.edges:
         if e.kind == "data":
-            lines.append(f'  n{e.src} -> n{e.dst} [label="{esc(e.var or "")}"];')
+            lines.append(f'  n{e.src} -> n{e.dst} [label="{dot_escape(e.var or "")}"];')
         else:
             lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
     lines.append("}")

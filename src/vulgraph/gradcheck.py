@@ -1,8 +1,8 @@
 """Central-difference verification of every operation a run records.
 
-Each case builds a small random input and pushes it through one operation:
-sigmoid, concat, the row gather, the GRU recurrence, and the fused nodes of
-the encoders, the detector and the explainer. Backward is seeded with a
+Each case builds a small random input and pushes it through one operation a
+run records: the GRU recurrence and the other fused nodes of the encoders,
+the detector and the explainer. Backward is seeded with a
 fixed random weighting of the output, and the reverse-mode gradient of that
 weighted sum is compared against two-sided finite differences.
 """
@@ -13,9 +13,10 @@ import zlib
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gru_sequence, rows
+from .autodiff import Tensor
 from .encoders import (
     FUSE_PARAMS, GRU_GATES, TREE_GATES, WIDEN_DIM, attend_and_fuse, cell_layout, encode_forest, fuse_layout,
+    gru_sequence,
 )
 from .explain import ExplainConfig, edge_slots, mask_loss, masked_adjacency
 from .fagcn import HEAD_PARAMS, cross_entropy, graph_logits, head_layout
@@ -51,8 +52,10 @@ def _max_rel_err(build, arrays, weight) -> float:
     return worst
 
 
-# gru_sequence: 4 steps of a batch of 3; row 0 skips step 1, row 1 is padded
-# at its last step, row 2 is masked at every step.
+# gru_sequence: 4 steps of a batch of 3 over two inputs of 3 and 2 rows,
+# stacked; batch row 0 skips step 1, row 1 is padded at its last step, row 2
+# is masked at every step. Input rows 0, 1 and 3 are read twice unmasked.
+_GRU_ROWS = np.array([[3, 0, 2], [1, 3, 4], [4, 0, 1], [1, 2, 2]])
 _GRU_MASK = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=np.float64)
 # graph_logits: 2 statement features, 4 hidden units, head widths 3 and 2;
 # positive head weights keep every head unit active
@@ -92,13 +95,10 @@ def _cases(seed: int):
     n_rows, n_slots = len(chunk.runs.starts), len(chunk.src)
 
     cases = [
-        ("sigmoid", lambda a: a.sigmoid(), lambda: [r(3, 4)]),
-        ("concat_rows", lambda a, b: concat([a, b], axis=0), lambda: [r(2, 4), r(4, 4)]),
-        ("gather_repeated_rows", lambda a: rows(a, np.array([0, 2, 2])), lambda: [r(4, 4)]),
         (
             "gru_sequence",
-            lambda x, *w: gru_sequence(x, w, 4, _GRU_MASK),
-            lambda: [r(12, 2)] + [r(*shape) for _, shape in cell_layout("gru", GRU_GATES, 2, 2)],
+            lambda a, b, *w: gru_sequence([a, b], _GRU_ROWS, _GRU_MASK, w),
+            lambda: [r(3, 2), r(2, 2)] + [r(*shape) for _, shape in cell_layout("gru", GRU_GATES, 2, 2)],
         ),
         (
             "graph_logits",
@@ -106,7 +106,7 @@ def _cases(seed: int):
             lambda: [positive(n_slots), r(n_rows, 2)] + [r(*shape) for _, shape in _HEAD[:2]]
             + [positive(*shape) for _, shape in _HEAD[2:]],
         ),
-        ("masked_adjacency", lambda a: masked_adjacency(parallel, a.sigmoid()), lambda: [r(3)]),
+        ("masked_adjacency", lambda a: masked_adjacency(parallel, a), lambda: [r(3)]),
         (
             "encode_forest",
             lambda table, *w: encode_forest(_FOREST, _FOREST_VOCAB, table, w),
@@ -122,7 +122,7 @@ def _cases(seed: int):
         ("cross_entropy", lambda z: cross_entropy(z, np.array([1, 0, 1])), lambda: [r(3, 2)]),
         (
             "mask_loss",
-            lambda head, a: mask_loss(head, a.sigmoid(), 1, ExplainConfig()),
+            lambda head, a: mask_loss(head, a, 1, ExplainConfig()),
             lambda: [r(1, 2), r(4)],
         ),
     ]

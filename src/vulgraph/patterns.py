@@ -14,6 +14,7 @@ from itertools import combinations, permutations, product
 
 from .frontend import Pdg
 from .frontend.render import render_statement
+from .util import dot_escape
 
 MAX_PATTERN_EDGES = 8
 
@@ -184,12 +185,9 @@ def pattern_to_dict(p: Pattern) -> dict:
 
 
 def pattern_to_dot(p: Pattern) -> str:
-    def esc(text: str) -> str:
-        return text.replace("\\", "\\\\").replace('"', '\\"')
-
     lines = [f'digraph "pattern_support_{p.support}" {{', "  node [shape=box];"]
     for i, label in p.graph.nodes:
-        lines.append(f'  n{i} [label="{esc(label)}"];')
+        lines.append(f'  n{i} [label="{dot_escape(label)}"];')
     for s, d, k in p.graph.edges:
         style = "" if k == "data" else " [style=dashed]"
         lines.append(f"  n{s} -> n{d}{style};")

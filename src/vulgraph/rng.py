@@ -50,14 +50,11 @@ class Rng:
         """Uniform float in [0, 1)."""
         return (self._next() >> 11) * (1.0 / (1 << 53))
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
-        """n draws of `uniform(low, high)` at once: bitwise the same floats,
-        and the same state afterwards. The state is a Weyl sequence, so draw
-        k's state is the current one plus k * gamma, mod 2**64; uint64 numpy
-        arithmetic wraps the same way."""
+        """n draws of low + (high - low) * random() at once: bitwise the
+        same floats, and the same state afterwards. The state is a Weyl
+        sequence, so draw k's state is the current one plus k * gamma, mod
+        2**64; uint64 numpy arithmetic wraps the same way."""
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

@@ -23,8 +23,8 @@ expression rule, and the character-loop lexer builds the package's Token
 records; the feature reference reuses the per-statement helpers of
 vulgraph.features. No other code here is shared with the implementation
 under test. The elementwise, reduction, indexing and shape ops of the per-op
-tape are not package code: tensor_ops installs them on Tensor (see
-conftest.py).
+tape, the row gather and concat among them, are not package code:
+tensor_ops installs them on Tensor (see conftest.py).
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def amax_rows(a):
 def sliced_pyramid_pool(h, levels=(1, 2, 4)):
     """Per-column max over 1+2+4 contiguous row bins, one slice and one
     amax_rows per bin, joined by concat."""
-    from vulgraph.autodiff import concat
+    from tensor_ops import concat
 
     n = h.data.shape[0]
     parts = []
@@ -408,7 +408,7 @@ def scale_rows(x, w):
 def propagate(slots, w, x):
     """slots.propagate on the per-op tape: gather the source rows, scale
     them by the slot weights, and sum them into their destination rows."""
-    from vulgraph.autodiff import rows
+    from tensor_ops import rows
 
     return segment_sum(scale_rows(rows(x, slots.src), w), slots.runs.starts)
 
@@ -418,7 +418,8 @@ def normalize(slots, w):
     deg the segment sums of w, as 1 / deg^{1/2}."""
     import numpy as np
 
-    from vulgraph.autodiff import Tensor, rows
+    from tensor_ops import rows
+    from vulgraph.autodiff import Tensor
 
     d = Tensor(np.ones(())) / segment_sum(w, slots.runs.starts).pow_scalar(0.5)
     return (rows(d, slots.dst) * rows(d, slots.src)) * w
@@ -430,7 +431,8 @@ def masked_adjacency(edges, gate):
     each slot's pair value (a self loop reads a one), and normalize."""
     import numpy as np
 
-    from vulgraph.autodiff import Tensor, concat, rows
+    from tensor_ops import concat, rows
+    from vulgraph.autodiff import Tensor
 
     padded = concat([gate, Tensor(np.zeros(1))])
     g = rows(padded, edges.table[0])
@@ -528,7 +530,8 @@ def dense_masked_adjacency(pdg, gate):
     onto the identity."""
     import numpy as np
 
-    from vulgraph.autodiff import Tensor, concat, rows
+    from tensor_ops import concat, rows
+    from vulgraph.autodiff import Tensor
 
     positions = {}
     for pos, e in enumerate(pdg.edges):
@@ -630,7 +633,7 @@ def learn_edge_mask(pdg, model, y_pred, config=None, *, feats):
             + sig.sum() * Tensor(np.array(config.sparsity_weight))
             + _binary_entropy(sig).sum() * Tensor(np.array(config.entropy_weight))
         )
-        loss.backward(params=store)
+        loss.backward()
         opt.step()
         np.clip(logits.data, -LOGIT_CLAMP, LOGIT_CLAMP, out=logits.data)
         trace.append(float(loss.data))
@@ -659,7 +662,9 @@ def encode_forest(trees, vocab, embed, params):
     concatenated."""
     import numpy as np
 
-    from vulgraph.autodiff import Tensor, concat, rows
+    from tensor_ops import concat, rows
+    from vulgraph.autodiff import Tensor
+    from vulgraph.features import UNK_ID
 
     labels, children, roots = [], [], []
     for tree in trees:
@@ -667,7 +672,7 @@ def encode_forest(trees, vocab, embed, params):
         kids = [[] for _ in tree.labels]
         for p, c in zip(tree.parents, tree.children):
             kids[p].append(base + c)
-        labels += [vocab.id(label) for label in tree.labels]
+        labels += [vocab.token_to_id.get(label, UNK_ID) for label in tree.labels]
         children += kids
         roots.append(len(labels) - 1)
     height = [0] * len(labels)
@@ -716,17 +721,19 @@ def attention_scores(features, store):
     """Per-feature attention scores [n, len(features)]: a Bi-GRU reads the
     feature sequence into a shared context, and each feature is scored
     additively against it."""
-    from vulgraph.autodiff import concat, gru_sequence
-    from vulgraph.encoders import GRU_GATES, cell_params
+    import numpy as np
 
-    n = len(features)
-    fwd = gru_sequence(concat(features), cell_params(store, "attn_fwd", GRU_GATES), n)
-    bwd = gru_sequence(concat(features[::-1]), cell_params(store, "attn_bwd", GRU_GATES), n)
+    from vulgraph.encoders import GRU_GATES, cell_params, gru_sequence
+
+    steps = np.arange(len(features) * len(features[0].data)).reshape(len(features), -1)
+    ones = np.ones(steps.shape)
+    fwd = gru_sequence(features, steps, ones, cell_params(store, "attn_fwd", GRU_GATES))
+    bwd = gru_sequence(features[::-1], steps, ones, cell_params(store, "attn_bwd", GRU_GATES))
     return _scores_against(features, fwd, bwd, store)
 
 
 def _scores_against(features, fwd, bwd, store):
-    from vulgraph.autodiff import concat
+    from tensor_ops import concat
 
     ctx = concat([fwd, bwd], axis=1) @ store["attn.ctx_w"]
     cols = []
@@ -738,7 +745,7 @@ def _scores_against(features, fwd, bwd, store):
 def _fusion_input(features, fwd, bwd, store):
     """The widened, attention-weighted feature rows g, concatenated, with
     column scaling by transposes."""
-    from vulgraph.autodiff import concat
+    from tensor_ops import concat
 
     attn = _scores_against(features, fwd, bwd, store).softmax(axis=1)
     weighted = []
@@ -754,7 +761,8 @@ def attend_and_fuse(features, fwd, bwd, slots, store):
     over its slots fuses the concatenated rows."""
     import numpy as np
 
-    from vulgraph.autodiff import Tensor, rows
+    from tensor_ops import rows
+    from vulgraph.autodiff import Tensor
 
     g = _fusion_input(features, fwd, bwd, store)
     scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
@@ -832,17 +840,18 @@ class TooManyEdges(Exception):
 
 def hard_subset_score(pdg, model, keep, feats) -> float:
     """V-probability with only the `keep` edge positions present: the
-    explainer's masked adjacency under a 0/1 gate."""
+    explainer's masked adjacency under a 0/1 gate, whose logits are -inf
+    and +inf."""
     import numpy as np
 
     from vulgraph.autodiff import Tensor
     from vulgraph.explain import edge_slots, masked_adjacency
     from vulgraph.fagcn import frozen, graph_logits
 
-    gate = np.zeros(len(pdg.edges))
-    gate[list(keep)] = 1.0
+    logits = np.full(len(pdg.edges), -np.inf)
+    logits[list(keep)] = np.inf
     edges = edge_slots(pdg)
-    probs = graph_logits(edges.slots, masked_adjacency(edges, Tensor(gate)), feats, frozen(model).store).softmax(axis=1)
+    probs = graph_logits(edges.slots, masked_adjacency(edges, Tensor(logits)), feats, frozen(model).store).softmax(axis=1)
     return float(probs.data[0, 1])
 
 
@@ -890,6 +899,12 @@ def gauss(rng, mu: float = 0.0, sigma: float = 1.0) -> float:
     u2 = rng.random()
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     return mu + sigma * z
+
+
+def uniform(rng, low: float, high: float) -> float:
+    """One draw in [low, high) from a package Rng: the scalar form that
+    Rng.uniforms is held to bit for bit."""
+    return low + (high - low) * rng.random()
 
 
 # --- random mini-C programs for dependence fuzzing ----------------------------
@@ -1273,14 +1288,14 @@ def vectorize(tokens, vocab, max_len: int):
     import numpy as np
 
     from vulgraph.errors import VocabularyError
-    from vulgraph.features import PAD_ID
+    from vulgraph.features import PAD_ID, UNK_ID
 
     if max_len < 1:
         raise VocabularyError("max_len must be >= 1")
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.float64)
     for i, token in enumerate(tokens[:max_len]):
-        ids[i] = vocab.id(token)
+        ids[i] = vocab.token_to_id.get(token, UNK_ID)
         mask[i] = 1.0
     return ids, mask
 

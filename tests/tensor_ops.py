@@ -1,12 +1,12 @@
 """The elementwise, reduction, indexing and shape ops of the per-op tape.
 
-The package records only the ops a run needs: sigmoid, concat, rows,
-gru_sequence and the fused nodes of encoders, fagcn and explain. The
-references in oracles.py are built from one tape node per elementwise op
-instead, and the fused ops are held to them bit for bit. install() sets these
-ops on vulgraph.autodiff.Tensor itself, not on a subclass, because the fused
-ops' outputs are base Tensors made by Tensor._make and a reference goes on
-computing with them.
+The package records only the fused nodes a run needs, each in the module
+that uses it (encoders, fagcn and explain). The references in oracles.py are
+built from one tape node per elementwise op instead, and the fused ops are
+held to them bit for bit. install() sets these ops on vulgraph.autodiff.Tensor
+itself, not on a subclass, because the fused ops' outputs are base Tensors
+made by Tensor._make and a reference goes on computing with them; concat
+and the row gather rows are plain functions.
 
 Broadcasting is permitted over the leading dimension only (a (1, ...) or
 lower-rank operand against a (B, ...) one, plus true scalars); anything else
@@ -20,6 +20,7 @@ import types
 import numpy as np
 
 from vulgraph.autodiff import Tensor
+from vulgraph.encoders import _sigmoid
 from vulgraph.errors import ShapeMismatch
 
 
@@ -91,6 +92,7 @@ class _Ops:
     __sub__ = _binary(np.subtract, "sub", lambda g, x, y: g, lambda g, x, y: -g)
     __mul__ = _binary(np.multiply, "mul", lambda g, x, y: g * y, lambda g, x, y: g * x)
     __truediv__ = _binary(np.divide, "div", lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    sigmoid = _unary(_sigmoid, lambda g, x, y: g * y * (1.0 - y))
     tanh = _unary(np.tanh, lambda g, x, y: g * (1.0 - y * y))
     relu = _unary(lambda x: x * (x > 0), lambda g, x, y: g * (x > 0))
     exp = _unary(np.exp, lambda g, x, y: g * y)
@@ -122,18 +124,10 @@ class _Ops:
 
     def __getitem__(self, key) -> Tensor:
         a = self
-        parts = key if isinstance(key, tuple) else (key,)
-        # An array key may repeat an index; only np.add.at sums every repeat.
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
         def backward(out):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = a._new_grad()
-                if fancy:
-                    np.add.at(a.grad, key, out.grad)
-                else:
-                    a.grad[key] += out.grad
+            if a.requires_grad:  # an array key may repeat an index: np.add.at sums every repeat
+                a._accumulate(out.grad, key)
 
         return Tensor._make(a.data[key].copy(), (a,), backward)
 
@@ -200,6 +194,35 @@ class _Ops:
                 a._accumulate(np.broadcast_to(g, a.data.shape) / count)
 
         return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    if not tensors:
+        raise ShapeMismatch("concat of nothing")
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(out):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * data.ndim
+                sl[axis] = slice(start, stop)
+                t._accumulate(out.grad[tuple(sl)])
+
+    return Tensor._make(data, tuple(tensors), backward)
+
+
+def rows(table: Tensor, indices) -> Tensor:
+    """Embedding-style row gather; gradients accumulate per row with
+    np.add.at so repeated indices are handled correctly."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def backward(out):
+        if table.requires_grad:
+            table._accumulate(out.grad, idx)
+
+    return Tensor._make(table.data[idx].copy(), (table,), backward)
 
 
 def install() -> None:

@@ -10,9 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from vulgraph.autodiff import Adam, Tensor, concat, gru_sequence, rows
+from vulgraph.autodiff import Adam, Tensor
 from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
-from vulgraph.encoders import EncoderConfig
+from vulgraph.encoders import EncoderConfig, gru_sequence
 from vulgraph.explain import extract_subgraph, learn_edge_mask
 from vulgraph.fagcn import (
     TrainConfig,
@@ -50,6 +50,7 @@ from oracles import (
     segment_sum,
     statement_matrix,
 )
+from tensor_ops import concat, rows
 
 import pathlib
 
@@ -129,7 +130,7 @@ def _grad_cases(seed: int):
             [r(3)],
         ),
         (
-            lambda x, *w: s(gru_sequence(x, w, 4, gru_mask), w32),
+            lambda x, *w: s(gru_sequence([x], np.arange(12).reshape(4, 3), gru_mask, w), w32),
             [r(12, 2)] + [r(*shape) for shape in [(2, 2), (2, 2), (2,)] * 3],
         ),
         # segment sums over runs of 1, 3 and 2 rows, scaled row by row, and
@@ -176,7 +177,7 @@ def test_gradient_end_to_end_detection_loss():
         model = new_model(vocab, cfg, seed=seed)
         model.store.zero_grad()
         loss = _batch_loss(model, batch, labels)
-        loss.backward(params=model.store)
+        loss.backward()
         analytic = {name: t.grad.copy() for name, t in model.store.items()}
 
         coord_rng = np.random.default_rng(seed)
@@ -308,7 +309,7 @@ def _fidelity_result(run: int):
         for _ in range(18):
             model.store.zero_grad()
             loss = _batch_loss(model, train_pdgs, labels)
-            loss.backward(params=model.store)
+            loss.backward()
             opt.step()
         for pdg in pdgs:
             (ranked,) = rank_methods(score_methods(model, [("m", pdg)]), model.threshold)

@@ -12,22 +12,14 @@ import numpy as np
 import pytest
 
 from vulgraph import gradcheck
-from vulgraph.autodiff import (
-    Adam,
-    ParamStore,
-    Tensor,
-    concat,
-    glorot,
-    load_checkpoint,
-    rows,
-    save_checkpoint,
-)
-from vulgraph.autodiff.tensor import _sigmoid
-from vulgraph.errors import CheckpointError, MissingGradient, ShapeMismatch
+from vulgraph.autodiff import Adam, ParamStore, Tensor, glorot, load_checkpoint, save_checkpoint
+from vulgraph.encoders import _sigmoid
+from vulgraph.errors import CheckpointError, ShapeMismatch
 from vulgraph.rng import Rng
 
 import oracles
-from oracles import finite_diff, rel_err, scatter, segment_max
+from oracles import finite_diff, rel_err, scatter, segment_max, uniform
+from tensor_ops import concat, rows
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vulgraph"
 
@@ -35,7 +27,7 @@ TOL = 1e-4
 
 
 def _rand(rng, *shape):
-    return np.array([rng.uniform(-2.0, 2.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    return np.array([uniform(rng, -2.0, 2.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
 
 def check_grads(make_loss, arrays, tol=TOL, eps=1e-6):
@@ -143,9 +135,9 @@ def test_grad_composite_mlp():
     check_grads(loss, [x, w1, b1, w2])
 
 
-def _tape_ops() -> set[str]:
-    """Qualified names of the functions in the package that record a tape
-    node, in any module."""
+def _tape_ops(root: pathlib.Path = PACKAGE) -> set[str]:
+    """Qualified names of the functions under root that record a tape node,
+    in any module."""
     ops = set()
 
     def visit(scope, prefix):
@@ -158,18 +150,23 @@ def _tape_ops() -> set[str]:
             ):
                 ops.add(prefix + node.name)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return ops
 
 
+def test_the_autodiff_package_records_no_op():
+    # the tape, parameters, Adam and checkpoints; every op lives in the
+    # module that uses it
+    assert _tape_ops(PACKAGE / "autodiff") == set()
+
+
 def test_every_tape_op_has_a_gradcheck_case():
     ops = _tape_ops()
-    fused = {
+    assert ops == {
         "gru_sequence", "graph_logits", "masked_adjacency", "mask_loss",
         "encode_forest", "attend_and_fuse", "cross_entropy",
     }
-    assert {"Tensor.sigmoid", "rows", "concat"} | fused <= ops
     exercised = set()
     for _, build, arrays, _ in gradcheck._cases(0):
         stack = [build(*[Tensor(a, requires_grad=True) for a in arrays])]
@@ -187,17 +184,17 @@ def test_gradcheck_case_inputs_depend_only_on_seed_and_name():
     # it, and adding or removing a case moves no other row of the table.
     cases = gradcheck._cases(3)
     (first, _, first_inputs, _), (last, _, last_inputs, _) = cases[0], cases[-1]
-    assert (first, last) == ("sigmoid", "mask_loss")
+    assert (first, last) == ("gru_sequence", "mask_loss")
     for name, inputs, shapes in (
-        ("sigmoid", first_inputs, [(3, 4)]),
+        ("gru_sequence", first_inputs, [(3, 2), (2, 2), (2, 2)]),
         ("mask_loss", last_inputs, [(1, 2), (4,)]),
     ):
         gen = np.random.default_rng([3, zlib.crc32(name.encode())])
         assert all(np.array_equal(a, gen.uniform(-1.5, 1.5, size=shape)) for a, shape in zip(inputs, shapes))
-    # "concat_rows" draws its first 8 values as "sigmoid" does, but not the
-    # same values
-    joined = next(inputs for name, _, inputs, _ in cases if name == "concat_rows")
-    assert not np.array_equal(joined[0], first_inputs[0][:2])
+    # "masked_adjacency" draws its first 2 values as "mask_loss" does, but
+    # not the same values
+    masked = next(inputs for name, _, inputs, _ in cases if name == "masked_adjacency")
+    assert not np.array_equal(masked[0][:2], last_inputs[0][0])
 
 
 # Run in a fresh interpreter with only the package on its path, so without
@@ -330,10 +327,12 @@ def test_constants_track_nothing():
 
 
 def test_backward_fills_zero_grads_for_unused_params():
+    # a parameter's gradient is zero from the start, and a backward that
+    # does not reach it leaves it so
     store = ParamStore([("used", np.ones((2, 2))), ("unused", np.ones(3))])
     used, unused = store["used"], store["unused"]
     loss = used.sum()
-    loss.backward(params=store)
+    loss.backward()
     assert np.array_equal(unused.grad, np.zeros(3))
     Adam(store, lr=0.5).step()  # a zero gradient leaves its parameter in place
     assert np.allclose(used.data, np.full((2, 2), 0.5), rtol=0, atol=1e-7)
@@ -344,9 +343,10 @@ def test_backward_fills_zero_grads_for_unused_params():
 
 
 def test_adam_missing_gradient():
+    # no backward has run, so every gradient is zero and a step moves nothing
     store = ParamStore([("w", np.ones(2))])
-    with pytest.raises(MissingGradient, match="'w'"):
-        Adam(store, lr=0.1).step()
+    Adam(store, lr=0.1).step()
+    assert store["w"].data.tolist() == [1.0, 1.0]
 
 
 def test_adam_matches_reference_updates():
@@ -390,28 +390,32 @@ def test_flat_adam_is_bitwise_the_per_tensor_loop():
     for step in range(5):
         for store, opt in zip(stores, opts):
             store.zero_grad()
-            loss = sum(((t * t).sum() * Tensor(np.array(0.5 + k + step))).exp().log() for k, t in enumerate(store.tensors()))
-            loss.backward(params=store)
+            loss = sum(((t * t).sum() * Tensor(np.array(0.5 + k + step))).exp().log() for k, (_, t) in enumerate(store.items()))
+            loss.backward()
             opt.step()
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(flat.tensors(), ref.tensors()))
-    assert np.array_equal(flat.values, np.concatenate([t.data.reshape(-1) for t in ref.tensors()]))
+        assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(flat.items(), ref.items()))
+    assert np.array_equal(flat.values, np.concatenate([t.data.reshape(-1) for _, t in ref.items()]))
 
 
 def test_param_store_tensors_are_views_of_one_buffer():
     store = ParamStore([(f"p{k}", np.full((k + 1, 3), float(k))) for k in range(6)])
-    tensors = store.tensors()
+    tensors = [t for _, t in store.items()]
     assert [t.data.tolist() for t in tensors] == [np.full((k + 1, 3), float(k)).tolist() for k in range(6)]
     snapshot = store.values.copy()
     store.values[...] = -1.0
     assert all(np.all(t.data == -1.0) for t in tensors)
     store.values[...] = snapshot
     assert tensors[4].data.tolist() == np.full((5, 3), 4.0).tolist()
-    (tensors[2] * tensors[2]).sum().backward(params=store)
-    assert np.array_equal(store.grads()[9:18], np.full(9, 4.0))
+    # each gradient is its view of the gradient buffer from the start
+    assert all(np.shares_memory(t.grad, store.grads) and not t.grad.any() for t in tensors)
+    (tensors[2] * tensors[2]).sum().backward()
+    assert np.array_equal(store.grads[9:18], np.full(9, 4.0))
+    assert tensors[2].grad.tolist() == np.full((3, 3), 4.0).tolist()
+    (tensors[2] * tensors[2]).sum().backward()  # accumulates until zero_grad
+    assert np.array_equal(store.grads[9:18], np.full(9, 8.0))
     store.zero_grad()
-    assert all(t.grad is None for t in tensors)
-    with pytest.raises(MissingGradient, match="'p0'"):
-        store.grads()
+    assert not store.grads.any()
+    assert all(np.shares_memory(t.grad, store.grads) for t in tensors)
 
 
 def test_sigmoid_is_bitwise_the_two_branch_form_without_overflow():
@@ -425,6 +429,7 @@ def test_sigmoid_is_bitwise_the_two_branch_form_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _sigmoid(np.array([800.0, -800.0])).tolist() == [1.0, 0.0]
+        assert _sigmoid(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]  # hard gates
 
 
 def test_training_bitwise_deterministic():

@@ -496,7 +496,7 @@ def test_explain_masks_the_forward_pass_detect_scored(untrained, monkeypatch, tm
         for i, (_, pdg) in enumerate(items[lo : lo + 16]):
             assert np.array_equal(seen[lo + i], detect_feats[i].data), pdg.method
             edges = explain.edge_slots(pdg)
-            open_gate = explain.masked_adjacency(edges, Tensor(np.ones(len(pdg.edges))))
+            open_gate = explain.masked_adjacency(edges, Tensor(np.full(len(pdg.edges), np.inf)))
             got = graph_logits(edges.slots, open_gate, Tensor(seen[lo + i]), model.store).data
             assert np.array_equal(got, detect_logits.data[i : i + 1]), pdg.method
             ((_, _, alone),) = forward_methods(model, [("m", pdg)])
@@ -780,8 +780,8 @@ def test_gradcheck_passes_and_reports_table(capsys):
     captured = capsys.readouterr()
     rows = json.loads(captured.out)
     assert [row["op"] for row in rows] == [
-        "sigmoid", "concat_rows", "gather_repeated_rows", "gru_sequence",
-        "graph_logits", "masked_adjacency", "encode_forest", "attend_and_fuse", "cross_entropy", "mask_loss",
+        "gru_sequence", "graph_logits", "masked_adjacency", "encode_forest", "attend_and_fuse", "cross_entropy",
+        "mask_loss",
     ]
     assert all(row["pass"] for row in rows)
     assert all(row["max_rel_err"] < 1e-4 for row in rows)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor, gru_sequence, init_params, rows
+from vulgraph.autodiff import ParamStore, Tensor, init_params
 from vulgraph.encoders import (
     FUSE_PARAMS,
     GRU_GATES,
@@ -14,15 +14,17 @@ from vulgraph.encoders import (
     encode_forest,
     encode_method_batch,
     encoder_layout,
+    gru_sequence,
 )
 from vulgraph.errors import ConfigError, EmptyTree
-from vulgraph.features import Vocabulary, build_vocabulary, extract_method_features, flatten_ast
+from vulgraph.features import UNK_ID, Vocabulary, build_vocabulary, extract_method_features, flatten_ast
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
 from vulgraph.rng import Rng
 from vulgraph.slots import slot_list
 
 import oracles
 from oracles import attention_scores, finite_diff, gauss, per_step_gru, rel_err
+from tensor_ops import rows
 
 CFG = EncoderConfig(embed_dim=6, gru_hidden=5, stmt_dim=7)
 
@@ -74,7 +76,8 @@ def test_gru_matches_reference_recurrence():
     store = init_params(rng, cell_layout("g", GRU_GATES, 4, 3))
     gru = cell_params(store, "g", GRU_GATES)
     xs = [np.array([[gauss(rng, 0, 1) for _ in range(4)] for _ in range(2)]) for _ in range(5)]
-    out = gru_sequence(Tensor(np.concatenate(xs)), gru, len(xs))
+    steps = np.arange(10).reshape(5, 2)  # step t reads rows 2t and 2t + 1
+    out = gru_sequence([Tensor(np.concatenate(xs))], steps, np.ones(steps.shape), gru)
     np_params = {k: store[f"g.{k}"].data for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
     expect = ref_gru(np_params, xs, np.zeros((2, 3)))
     assert rel_err(out.data, expect) < 1e-12
@@ -87,10 +90,10 @@ def test_gru_masked_steps_and_padding():
 
     def run(ids, mask):
         # row 0: the sequence under its mask; row 1: a fully unmasked copy
-        steps = rows(embed, np.repeat(ids, 2))
-        return gru_sequence(steps, gru, len(ids), np.array([[m, 1.0] for m in mask])).data
+        steps = np.repeat(ids, 2).reshape(len(ids), 2)
+        return gru_sequence([embed], steps, np.array([[m, 1.0] for m in mask]), gru).data
 
-    ids = [vocab.id("total"), vocab.id("n"), vocab.id("i")]
+    ids = [vocab.token_to_id.get(token, UNK_ID) for token in ("total", "n", "i")]
     base = run(ids, [1, 1, 1])
     assert np.array_equal(base[0], base[1])
     padded = run(ids + [0, 0], [1, 1, 1, 0, 0])
@@ -107,38 +110,42 @@ def test_gru_zero_weights_close_all_gates():
         for g in ("z", "r", "h")
         for kind, shape in (("w", (3, 4)), ("u", (4, 4)), ("b", 4))
     ])
-    out = gru_sequence(Tensor(np.ones((1, 3))), cell_params(store, "g", GRU_GATES), 1)
+    out = gru_sequence([Tensor(np.ones((1, 3)))], np.zeros((1, 1)), np.ones((1, 1)), cell_params(store, "g", GRU_GATES))
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_fused_gru_is_bitwise_the_per_step_recurrence():
+    # step t of batch row b reads row rows[t, b] of two tables stacked end
+    # to end, repeats included; the reference gathers each step's rows from
+    # the joined table (tensor_ops.rows, which sums repeats by np.add.at)
     gen = np.random.default_rng(7)
     for trial in range(12):
         steps, batch = int(gen.integers(1, 7)), int(gen.integers(1, 6))
         in_dim, hidden = int(gen.integers(1, 5)), int(gen.integers(1, 5))
         store = init_params(Rng(trial), cell_layout("g", GRU_GATES, in_dim, hidden))
-        for t in store.tensors():  # nonzero biases too
+        for _, t in store.items():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
         gru = cell_params(store, "g", GRU_GATES)
-        xs = [Tensor(gen.normal(0.0, 2.0, (batch, in_dim)), requires_grad=True) for _ in range(steps)]
+        sizes = (int(gen.integers(1, 4)), int(gen.integers(1, 4)))
+        table = gen.normal(0.0, 2.0, (sum(sizes), in_dim))
+        ids = gen.integers(0, sum(sizes), (steps, batch))
         mask = (gen.random((steps, batch)) < 0.6).astype(np.float64)
         mask[:, 0] = 0.0  # a row masked at every step
         for m in (mask, None):
             store.zero_grad()
-            ref = per_step_gru(dict(zip("wz uz bz wr ur br wh uh bh".split(), store.tensors())), xs, m)
-            x = Tensor(np.concatenate([t.data for t in xs]), requires_grad=True)
-            out = gru_sequence(x, gru, steps, m)
+            joined = Tensor(table, requires_grad=True)
+            ref = per_step_gru(dict(zip("wz uz bz wr ur br wh uh bh".split(), gru)), [rows(joined, i) for i in ids], m)
+            parts = [Tensor(table[: sizes[0]], requires_grad=True), Tensor(table[sizes[0] :], requires_grad=True)]
+            out = gru_sequence(parts, ids, np.ones(ids.shape) if m is None else m, gru)
             assert np.array_equal(out.data, ref.data)
             # the gradients agree up to the order of their sums
             weight = Tensor(gen.normal(0.0, 1.0, out.data.shape))
             (ref * weight).sum().backward()
             expect = {name: t.grad.copy() for name, t in store.items()}
-            expect_x = np.concatenate([t.grad for t in xs])
-            for t in xs:
-                t.grad = None
             store.zero_grad()
-            (out * weight).sum().backward(params=store)
-            assert rel_err(x.grad, expect_x) < 1e-12
+            (out * weight).sum().backward()
+            got = np.concatenate([p.grad if p.grad is not None else np.zeros(p.data.shape) for p in parts])
+            assert rel_err(got, joined.grad) < 1e-12
             for name, t in store.items():
                 assert rel_err(t.grad, expect[name]) < 1e-12, name
 
@@ -164,7 +171,7 @@ def ref_tree(p, embed, vocab, node):
     from vulgraph.features import normalize_ast_label
 
     kids = [ref_tree(p, embed, vocab, k) for k in node[1]]
-    x = embed[vocab.id(normalize_ast_label(node[0]))]
+    x = embed[vocab.token_to_id.get(normalize_ast_label(node[0]), UNK_ID)]
     return ref_tree_cell(p, x, kids)
 
 
@@ -221,15 +228,15 @@ def test_fused_tree_lstm_is_bitwise_the_per_op_tape():
         table = gen.normal(0.0, 1.0, (len(vocab), 5))
         cell = init_params(Rng(trial), cell_layout("tree", TREE_GATES, 5, 4))
         store = ParamStore([("embed.table", table)] + [(name, t.data) for name, t in cell.items()])
-        for t in store.tensors():  # nonzero biases too
+        for _, t in store.items():  # nonzero biases too
             t.data[...] = gen.normal(0.0, 1.0, t.data.shape)
         weight = Tensor(gen.normal(0.0, 1.0, (len(forest), 4)))
         results = []
         for encode in (encode_forest, oracles.encode_forest):
             store.zero_grad()
             out = encode(forest, vocab, store["embed.table"], cell_params(store, "tree", TREE_GATES))
-            (out * weight).sum().backward(params=store)
-            results.append([out.data] + [t.grad.copy() for t in store.tensors()])
+            (out * weight).sum().backward()
+            results.append([out.data] + [t.grad.copy() for _, t in store.items()])
         for got, want in zip(*results):
             assert np.array_equal(got, want), trial
 
@@ -251,7 +258,7 @@ def test_attend_and_fuse_is_bitwise_the_per_op_tape():
     # states and the ten parameters, over chunks of one to three methods
     gen = np.random.default_rng(8)
     _, _, vocab, store = make_setup()
-    for t in store.tensors():
+    for _, t in store.items():
         t.data[...] = gen.normal(0.0, 0.5, t.data.shape)
     for sizes in ((1,), (5,), (3, 9), (20, 1, 40)):
         n = sum(sizes)
@@ -263,7 +270,7 @@ def test_attend_and_fuse_is_bitwise_the_per_op_tape():
             store.zero_grad()
             ts = [Tensor(a, requires_grad=True) for a in inputs]
             out = fuse(ts[:6], ts[6], ts[7], slots, store)
-            (out * weight).sum().backward(params=store)
+            (out * weight).sum().backward()
             results.append([out.data] + [t.grad for t in ts] + [store[name].grad.copy() for name in FUSE_PARAMS])
         for got, want in zip(*results):
             assert np.array_equal(got, want), sizes
@@ -275,7 +282,7 @@ def test_attend_and_fuse_is_the_dense_neighbour_softmax():
     # reference's largest magnitude
     gen = np.random.default_rng(9)
     _, _, vocab, store = make_setup()
-    for t in store.tensors():
+    for _, t in store.items():
         t.data[...] = gen.normal(0.0, 0.5, t.data.shape)
     for sizes in ((1,), (4, 7), (30, 2, 12)):
         n = sum(sizes)
@@ -291,7 +298,7 @@ def test_attend_and_fuse_is_the_dense_neighbour_softmax():
             store.zero_grad()
             ts = [Tensor(a, requires_grad=True) for a in inputs]
             out = fuse(ts[:6], ts[6], ts[7], graph, store)
-            (out * weight).sum().backward(params=store)
+            (out * weight).sum().backward()
             results.append([out.data] + [t.grad for t in ts] + [store[name].grad.copy() for name in FUSE_PARAMS])
         names = ["out"] + [f"input {k}" for k in range(8)] + list(FUSE_PARAMS)
         for name, got, want in zip(names, *results):
@@ -411,7 +418,7 @@ def test_batch_encoding_agrees_with_single():
 def test_every_parameter_gets_gradient():
     pdg, bundles, vocab, store = make_setup()
     out = encode_one(pdg, vocab, store, bundles)
-    (out * out).sum().backward(params=store)
+    (out * out).sum().backward()
     dead = [n for n, t in store.items() if not np.any(t.grad)]
     assert dead == [], f"zero gradients for {dead}"
 
@@ -427,7 +434,7 @@ def test_end_to_end_gradients_match_finite_differences():
         return (out * Tensor(probe)).sum()
 
     loss = loss_value()
-    loss.backward(params=store)
+    loss.backward()
     for name in ("embed.table", "sub_gru.wh", "tree.uf", "attn_fwd.wz", "fuse.score_w", "fuse.out_b", "data_gru.uz"):
         t = store[name]
         grad = t.grad.copy()

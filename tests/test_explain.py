@@ -79,7 +79,7 @@ def _masked_probs(pdg, model, logits, feats):
     """Class distribution [1, 2] of the detector under the graph masked by
     sigmoid(logits), as one explainer iteration computes it."""
     edges = edge_slots(pdg)
-    adj = masked_adjacency(edges, Tensor(logits).sigmoid())
+    adj = masked_adjacency(edges, Tensor(logits))
     return graph_logits(edges.slots, adj, feats, frozen(model).store).softmax(axis=1)
 
 
@@ -127,7 +127,7 @@ def fitted_model(corpus, vocab):
     for _ in range(18):
         model.store.zero_grad()
         loss = _batch_loss(model, items, labels)
-        loss.backward(params=model.store)
+        loss.backward()
         opt.step()
     return model
 
@@ -203,7 +203,7 @@ def test_masked_adjacency_merges_parallel_edges():
     pdg = _parallel_edge_pdg()
     gate = np.array([0.3, 0.5, 0.9])
     edges = edge_slots(pdg)
-    got = densify(edges.slots, masked_adjacency(edges, Tensor(gate)).data)
+    got = densify(edges.slots, masked_adjacency(edges, Tensor(np.log(gate / (1.0 - gate)))).data)
 
     merged = 0.3 + 0.5 - 0.3 * 0.5  # two edges share the (0,1) slot
     a = np.eye(3)
@@ -217,7 +217,7 @@ def test_masked_adjacency_merges_parallel_edges():
 
 def test_open_gate_adjacency_is_the_detector_adjacency(demo):
     for pdg in (demo, _parallel_edge_pdg(), _five_edge_pdg(), pdg_from_source(CHAIN_SRC)):
-        got = masked_adjacency(edge_slots(pdg), Tensor(np.ones(len(pdg.edges)))).data
+        got = masked_adjacency(edge_slots(pdg), Tensor(np.full(len(pdg.edges), np.inf))).data
         assert np.array_equal(got, detector_weights(slot_list([pdg])).data)
 
 
@@ -232,11 +232,12 @@ def test_masked_adjacency_is_the_dense_masked_adjacency(demo):
         edges = edge_slots(pdg)
         gate = gen.uniform(0.0, 1.0, len(pdg.edges))
         weight = gen.normal(0.0, 1.0, (len(pdg.nodes),) * 2)
-        g = Tensor(gate, requires_grad=True)
+        logits = np.log(gate / (1.0 - gate))
+        g = Tensor(logits, requires_grad=True)
         out = masked_adjacency(edges, g)
         (out * Tensor(weight[edges.slots.dst, edges.slots.src])).sum().backward()
-        ref_g = Tensor(gate, requires_grad=True)
-        ref = oracles.dense_masked_adjacency(pdg, ref_g)
+        ref_g = Tensor(logits, requires_grad=True)
+        ref = oracles.dense_masked_adjacency(pdg, ref_g.sigmoid())
         (ref * Tensor(weight)).sum().backward()
         assert oracles.max_scaled_err(densify(edges.slots, out.data), ref.data) <= 1e-12, pdg.method
         assert oracles.max_scaled_err(g.grad, ref_g.grad) <= 1e-12, pdg.method
@@ -283,38 +284,64 @@ def test_decision_flipping_edge_gets_highest_mask(demo, flip_fixture, flip_mask)
     assert vals.max() > 0.9 and vals.min() < 0.1
 
 
-def test_learn_edge_mask_leaves_detector_gradients_alone(demo, vocab):
-    model = new_model(vocab, CFG, seed=0)
-    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=3), feats=statement_matrix(demo, model))
-    assert all(t.grad is None for _, t in model.store.items())
-
-
-def _tape_nodes(loss: Tensor) -> int:
-    seen, stack = set(), [loss]
+def _tape(loss: Tensor) -> list[Tensor]:
+    """Every node the loss reaches through the tape, itself included."""
+    seen, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(p for p in node._parents if p.requires_grad)
-    return len(seen)
+    return list(seen.values())
+
+
+def _record_backwards(monkeypatch) -> list[list[Tensor]]:
+    """Make every Tensor.backward record the tape it runs over."""
+    tapes = []
+    backward = Tensor.backward
+
+    def recording(self, **kw):
+        tapes.append(_tape(self))
+        return backward(self, **kw)
+
+    monkeypatch.setattr(Tensor, "backward", recording)
+    return tapes
+
+
+def test_learn_edge_mask_leaves_detector_gradients_alone(monkeypatch, demo, vocab):
+    model = new_model(vocab, CFG, seed=0)
+    feats = statement_matrix(demo, model)
+    pattern = np.random.default_rng(5).normal(0.0, 1.0, model.store.grads.shape)
+    model.store.grads[...] = pattern
+    tapes = _record_backwards(monkeypatch)
+    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=3), feats=feats)
+    assert np.array_equal(model.store.grads.view(np.int64), pattern.view(np.int64))
+    # no detector parameter is on an iteration's tape
+    params = {id(t) for _, t in model.store.items()}
+    assert len(tapes) == 3 and not any(id(node) in params for tape in tapes for node in tape)
+
+
+def test_an_explain_iteration_records_three_ops(monkeypatch, demo, vocab):
+    # the masked adjacency and the loss each take the logits' sigmoid, so
+    # the tape is those two and the detector
+    model = new_model(vocab, CFG, seed=0)
+    tapes = _record_backwards(monkeypatch)
+    learn_edge_mask(demo, model, "V", ExplainConfig(iterations=2), feats=statement_matrix(demo, model))
+    for tape in tapes:
+        assert sorted(node._backward_fn.__qualname__.split(".")[0] for node in tape if node._backward_fn) == [
+            "graph_logits", "mask_loss", "masked_adjacency",
+        ]
 
 
 def test_explain_tape_does_not_grow_with_edges(monkeypatch, vocab):
     chain = "int f(int v0) { " + " ".join(f"int v{i} = v{i - 1} + 1;" for i in range(1, 60)) + " return v59; }"
     small, large = _five_edge_pdg(), pdg_from_source(chain)
     assert len(small.edges) == 5 and len(large.edges) >= 50
-    counts = []
-    backward = Tensor.backward
-
-    def counting(self, params=None):
-        counts.append(_tape_nodes(self))
-        return backward(self, params)
-
-    monkeypatch.setattr(Tensor, "backward", counting)
+    tapes = _record_backwards(monkeypatch)
     model = new_model(vocab, CFG, seed=0)
     for pdg in (small, large):
         learn_edge_mask(pdg, model, "V", ExplainConfig(iterations=2), feats=statement_matrix(pdg, model))
-    assert len(counts) == 4 and len(set(counts)) == 1
+    assert len(tapes) == 4 and len({len(tape) for tape in tapes}) == 1
 
 
 def test_parallel_symmetric_edges_get_equal_masks(vocab):

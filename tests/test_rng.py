@@ -9,6 +9,8 @@ from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_from_source
 from vulgraph.rng import Rng
 
+from oracles import uniform
+
 
 def test_raw_stream_matches_reference():
     # first outputs of the splitmix64 generator for seeds 0 and 42
@@ -47,7 +49,7 @@ def test_bounds_and_coverage():
     vals = [r.randint(0, 3) for _ in range(400)]
     assert set(vals) == {0, 1, 2, 3}
     assert all(0.0 <= r.random() < 1.0 for _ in range(200))
-    assert all(-1.5 <= r.uniform(-1.5, 2.5) <= 2.5 for _ in range(200))
+    assert all(-1.5 <= uniform(r, -1.5, 2.5) <= 2.5 for _ in range(200))
 
 
 def test_uniforms_are_the_scalar_draws_at_once():
@@ -55,7 +57,7 @@ def test_uniforms_are_the_scalar_draws_at_once():
         for n in (0, 1, 7, 4096):
             batched, scalar = Rng(seed), Rng(seed)
             got = batched.uniforms(-0.75, 1.25, n)
-            want = [scalar.uniform(-0.75, 1.25) for _ in range(n)]
+            want = [uniform(scalar, -0.75, 1.25) for _ in range(n)]
             assert got.dtype == np.float64 and got.shape == (n,)
             assert got.tolist() == want  # identical bits, not merely close
             assert batched._state == scalar._state
@@ -67,7 +69,7 @@ def test_weight_init_checkpoints_are_the_scalar_draws(monkeypatch, tmp_path):
     # scalar draw per weight must save to the same bytes.
     def scalar_glorot(rng, fan_in, fan_out):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        flat = np.array([rng.uniform(-bound, bound) for _ in range(fan_in * fan_out)])
+        flat = np.array([uniform(rng, -bound, bound) for _ in range(fan_in * fan_out)])
         return flat.reshape(fan_in, fan_out)
 
     vocab = build_vocabulary([extract_method_features(pdg_from_source("int f(int a) { return a; }"))])
