@@ -44,15 +44,24 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def _accumulate(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
-        """Add grad into this tensor's gradient, or with `rows` given, add
-        grad[k] into its row rows[k] one k after another (np.add.at), so
-        repeated rows sum every repeat."""
+        """Add grad into this tensor's gradient, or with a vector of `rows`
+        given, add grad[k] into its row rows[k] one k after another, so
+        repeated rows sum every repeat. The rows go through one flat
+        np.add.at at index row * width + column: the additions of a row-wise
+        np.add.at in its order, so bit for bit its result. A gradient is
+        contiguous (a fresh array or a view of a store's flat buffer), so
+        its flat reshape is a view."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape)
         if rows is None:
             self.grad += grad
-        else:
-            np.add.at(self.grad, rows, grad)
+            return
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ShapeMismatch(f"row accumulation takes a vector of rows, not an array of shape {rows.shape}")
+        width = int(np.prod(self.grad.shape[1:]))
+        index = (rows[:, None] * width + np.arange(width)).reshape(-1)
+        np.add.at(self.grad.reshape(-1), index, grad.reshape(-1))
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn) -> "Tensor":

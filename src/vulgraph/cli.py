@@ -19,6 +19,7 @@ from .corpus import (
     dump_corpus,
     fix_truth,
     generate_planted_corpus,
+    iter_corpus,
     load_corpus,
     split,
 )
@@ -187,15 +188,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _usable_entries(path):
-    entries = load_corpus(path)
-    usable = []
+def _parsed(entries, skipped: set | None = None):
+    """The entries whose method parsed, as they are read. Each other one is
+    logged as skipped when it is read, and its id added to `skipped`."""
     for entry in entries:
-        if entry.pdg is None:
-            _log(f"skipping {entry.id}: {entry.parse_error}")
-        else:
-            usable.append(entry)
-    return entries, usable
+        if entry.pdg is not None:
+            yield entry
+            continue
+        _log(f"skipping {entry.id}: {entry.parse_error}")
+        if skipped is not None:
+            skipped.add(entry.id)
 
 
 # --- commands ---------------------------------------------------------------
@@ -226,7 +228,7 @@ def cmd_parse(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    _, usable = _usable_entries(args.corpus)
+    usable = list(_parsed(load_corpus(args.corpus)))
     parts = split(usable, cfg.split_spec())
     labels = {e.id: e.label for e in usable}
     train_items = [(e.id, e.pdg) for e in parts["train"]]
@@ -256,48 +258,53 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     _config_from_args(args)  # detect reads no key, but a bad --config is still an error
     model = load_model(args.model)
-    _, usable = _usable_entries(args.corpus)
-    items = [(e.id, e.pdg) for e in usable]
+    # The corpus streams into the scoring chunks: a run holds one chunk of
+    # parsed methods and one score per method.
+    items = ((e.id, e.pdg) for e in _parsed(iter_corpus(args.corpus)))
     scored = score_methods(model, items)
     ranked = rank_methods(scored, model.threshold)
     report = {"threshold": model.threshold, "methods": detection_report(ranked)}
     _emit(dump_json(report, indent=2), args.out)
-    _log(f"scored {len(items)} method(s)")
+    _log(f"scored {len(scored)} method(s)")
     return 0
 
 
 def cmd_explain(args) -> int:
     cfg = _config_from_args(args)
     model = load_model(args.model)
-    _, usable = _usable_entries(args.corpus)
-    chosen = {e.id for e in usable}
-    if args.method:
-        missing = set(args.method) - chosen
-        if missing:
-            raise CorpusError(f"method ids not in corpus: {sorted(missing)}")
-        chosen = set(args.method)
+    forced = set(args.method or ())
 
     # The same batches as detect, so each score is bitwise detect's score,
     # and each mask is learned on the statement matrix that score came from.
+    # The corpus streams into them, so a run holds one chunk of parsed
+    # methods besides its explanations.
     explain_cfg = cfg.explain_settings()
     results = []
-    passes = forward_methods(model, [(e.id, e.pdg) for e in usable])
-    for entry, (_, score, feats) in zip(usable, passes):
+    skipped: set = set()
+    usable = 0
+    items = ((e.id, e.pdg) for e in _parsed(iter_corpus(args.corpus), skipped))
+    for (mid, pdg), score, feats in forward_methods(model, items):
+        usable += 1
         decision = "V" if score >= model.threshold else "NV"
-        if entry.id not in chosen or (not args.method and decision != "V"):
+        if (mid not in forced) if forced else (decision != "V"):
             continue
-        mask = learn_edge_mask(entry.pdg, model, decision, explain_cfg, feats=feats)
-        sub = extract_subgraph(entry.pdg, mask, cfg.k)
-        sub.method = entry.id
+        mask = learn_edge_mask(pdg, model, decision, explain_cfg, feats=feats)
+        sub = extract_subgraph(pdg, mask, cfg.k)
+        sub.method = mid
         report = explanation_report(decision, sub)
         report["score"] = score
-        graph = abstract_subgraph(sub, entry.pdg)
+        graph = abstract_subgraph(sub, pdg)
         report["abstract"] = {
             "nodes": [[i, label] for i, label in graph.nodes],
             "edges": [[s, d, kind] for s, d, kind in graph.edges],
         }
-        results.append((report, subgraph_to_dot(entry.pdg, sub)))
+        results.append((report, subgraph_to_dot(pdg, sub)))
     reports = [report for report, _ in results]
+    missing = forced - {report["method"] for report in reports}
+    if missing & skipped:
+        raise CorpusError(f"method ids skipped because their parse failed: {sorted(missing & skipped)}")
+    if missing:
+        raise CorpusError(f"method ids not in corpus: {sorted(missing)}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,7 +315,7 @@ def cmd_explain(args) -> int:
             (out_dir / f"{report['method']}.dot").write_text(dot, encoding="utf-8")
     else:
         sys.stdout.write(dump_json(reports, indent=2))
-    _log(f"explained {len(reports)} of {len(chosen)} method(s)")
+    _log(f"explained {len(reports)} of {len(forced) or usable} method(s)")
     return 0
 
 
@@ -324,8 +331,15 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     detections = _load_json(args.detections, "detections")
     explanation_rows = _load_json(args.explanations, "explanations") if args.explanations else []
-    entries = load_corpus(args.corpus)
-    labels = {e.id: e.label for e in entries}
+    # One pass over the corpus keeps only what the metrics read of each
+    # entry: its label, its statement count and, when interpretable, its fix.
+    labels, stmt_counts, truths = {}, {}, {}
+    for entry in iter_corpus(args.corpus):
+        labels[entry.id] = entry.label
+        if entry.pdg is not None:
+            stmt_counts[entry.id] = len(entry.pdg.nodes)
+            if entry.interpretable:
+                truths[entry.id] = fix_truth(entry)
 
     rows = detections.get("methods") if isinstance(detections, dict) else None
     if not isinstance(rows, list):
@@ -352,12 +366,6 @@ def cmd_evaluate(args) -> int:
     unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
-
-    truths = {}
-    for entry in entries:
-        if entry.interpretable and entry.pdg is not None:
-            truths[entry.id] = fix_truth(entry)
-    stmt_counts = {e.id: len(e.pdg.nodes) for e in entries if e.pdg is not None}
 
     subgraphs = []
     skipped = 0

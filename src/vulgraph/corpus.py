@@ -124,14 +124,15 @@ def _entry_from_obj(obj, lineno: int) -> CorpusEntry:
     )
 
 
-def load_corpus(path) -> list[CorpusEntry]:
-    """Read and validate a JSON-lines corpus.
+def iter_corpus(path):
+    """Read and validate a JSON-lines corpus one line at a time, yielding
+    each entry as its line is read.
 
     Schema violations abort with the offending line number; method-parse
     failures are recorded on the entry (pdg None, parse_error set) so one bad
-    method cannot sink a whole corpus.
+    method cannot sink a whole corpus. Only the ids seen so far are kept, to
+    reject a duplicate.
     """
-    entries = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -148,8 +149,13 @@ def load_corpus(path) -> list[CorpusEntry]:
             if entry.id in seen:
                 raise DuplicateId(f"line {lineno}: duplicate method id {entry.id!r}")
             seen.add(entry.id)
-            entries.append(entry)
-    return entries
+            yield entry
+
+
+def load_corpus(path) -> list[CorpusEntry]:
+    """Every entry of a JSON-lines corpus, read and checked as iter_corpus
+    does."""
+    return list(iter_corpus(path))
 
 
 def entry_to_obj(entry: CorpusEntry) -> dict:

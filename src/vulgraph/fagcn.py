@@ -223,7 +223,7 @@ def frozen(model: DetectionModel) -> DetectionModel:
     return replace(model, store={name: Tensor(t.data) for name, t in model.store.items()})
 
 
-def _chunks(items: list, size: int):
+def _chunks(items, size: int):
     """Consecutive runs of items that close at `size` methods or before
     CHUNK_STMTS statements would be passed; a method larger than the budget
     is a chunk of its own. Scoring chunks and training batches both follow
@@ -241,10 +241,13 @@ def _chunks(items: list, size: int):
         yield part
 
 
-def forward_methods(model: DetectionModel, items: list, bundles: dict | None = None):
-    """Yield (id, V-class probability, statement matrix) for [(id, pdg)]
-    pairs, encoded per chunk (see _chunks): the one forward pass that
-    detect, explain and training's tuning scores share."""
+def forward_methods(model: DetectionModel, items, bundles: dict | None = None):
+    """Yield ((id, pdg), V-class probability, statement matrix) for each of
+    an iterable of (id, pdg) pairs, encoded per chunk (see _chunks): the one
+    forward pass that detect, explain and training's tuning scores share.
+    A chunk's items are drawn (with the one that closes it) before its
+    methods are yielded, so a caller that streams them holds one chunk of
+    methods, not all of them."""
     # The pass records no autodiff tape, so a chunk's intermediates are
     # freed once the caller has moved on to the next chunk.
     const = frozen(model)
@@ -253,13 +256,14 @@ def forward_methods(model: DetectionModel, items: list, bundles: dict | None = N
         z = logits.data
         e = np.exp(z - z.max(axis=1, keepdims=True))
         probs = (e / e.sum(axis=1, keepdims=True))[:, 1]
-        for (mid, _), p, f in zip(part, probs, feats):
-            yield mid, float(p), f
+        for item, p, f in zip(part, probs, feats):
+            yield item, float(p), f
 
 
-def score_methods(model: DetectionModel, items: list, bundles: dict | None = None) -> list:
-    """V-class probabilities for [(id, pdg)] pairs, encoded per chunk."""
-    return [(mid, p) for mid, p, _ in forward_methods(model, items, bundles)]
+def score_methods(model: DetectionModel, items, bundles: dict | None = None) -> list:
+    """(id, V-class probability) for each of an iterable of (id, pdg) pairs,
+    encoded per chunk."""
+    return [(mid, p) for (mid, _), p, _ in forward_methods(model, items, bundles)]
 
 
 def rank_methods(scored: list, threshold: float = 0.5) -> list[RankedDetection]:

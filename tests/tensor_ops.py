@@ -127,7 +127,9 @@ class _Ops:
 
         def backward(out):
             if a.requires_grad:  # an array key may repeat an index: np.add.at sums every repeat
-                a._accumulate(out.grad, key)
+                if a.grad is None:
+                    a.grad = np.zeros(a.data.shape)
+                np.add.at(a.grad, key, out.grad)
 
         return Tensor._make(a.data[key].copy(), (a,), backward)
 

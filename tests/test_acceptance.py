@@ -360,7 +360,7 @@ def _end_to_end_result(run: int):
         TrainConfig(epochs=50, lr=1e-3, batch_size=8, patience=5, seed=11),
     )
     passes = list(forward_methods(model, [(e.id, e.pdg) for e in parts["test"]]))
-    scored = [(m, s) for m, s, _ in passes]
+    scored = [(m, s) for (m, _), s, _ in passes]
     pos = [s for m, s in scored if labels[m] == "V"]
     neg = [s for m, s in scored if labels[m] == "NV"]
     test_auc = auc(pos, neg)
@@ -368,7 +368,7 @@ def _end_to_end_result(run: int):
     by_id = {e.id: e for e in entries}
     detected = [m for m, s in scored if labels[m] == "V" and s >= model.threshold]
     subgraphs, truths = [], {}
-    feats = {m: f for m, _, f in passes}
+    feats = {m: f for (m, _), _, f in passes}
     for mid in detected:
         entry = by_id[mid]
         mask = learn_edge_mask(entry.pdg, model, "V", feats=feats[mid])

@@ -317,6 +317,28 @@ def test_fanout_gradient_accumulates_exactly():
     assert np.array_equal(a.grad, b.data + c.data)
 
 
+def test_row_accumulation_is_bitwise_the_row_wise_add_at():
+    # repeated rows, with values whose sums depend on the order of addition,
+    # and signed zeros: -0.0 survives only a sum of -0.0 terms
+    rng = np.random.default_rng(4)
+    rows = np.array([3, 0, 3, 3, 1, 0, 3])
+    grad = rng.standard_normal((len(rows), 5)) * 10.0 ** rng.integers(-8, 9, (len(rows), 5))
+    grad[:, 4] = -0.0
+    grad[4, 3] = -0.0
+    store = ParamStore([("before", np.zeros(2)), ("table", np.zeros((4, 5)))])
+    store["table"].grad[...] = -0.0
+    for t, want in ((store["table"], np.full((4, 5), -0.0)), (Tensor(np.zeros((4, 5))), np.zeros((4, 5)))):
+        for _ in range(2):  # the second time into a gradient that holds sums
+            np.add.at(want, rows, grad)
+            t._accumulate(grad, rows)
+            assert want.tobytes() == t.grad.tobytes()
+    assert np.signbit(store["table"].grad[2]).all()
+    assert np.shares_memory(store["table"].grad, store.grads)
+    assert store["before"].grad.tobytes() == np.zeros(2).tobytes()
+    with pytest.raises(ShapeMismatch):  # an index pair per element is not a vector of rows
+        Tensor(np.zeros((4, 5)))._accumulate(grad[:2, 0], (np.array([0, 1]), np.array([2, 3])))
+
+
 def test_constants_track_nothing():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)), requires_grad=True)

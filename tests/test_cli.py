@@ -2,6 +2,7 @@ import collections
 import json
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,6 +530,83 @@ def test_explain_unknown_method_is_validation_error(pipeline, capsys):
     )
     assert code == 1
     assert "nope" in capsys.readouterr().err
+
+
+def test_explain_names_a_forced_method_whose_parse_failed(tmp_path, capsys):
+    corpus, model, ids = _corpus_with(tmp_path, _deep_method(NESTING_BOUND + 1))
+    out = tmp_path / "expl"
+    capsys.readouterr()
+    assert main(["explain", str(corpus), "--model", str(model), "--method", ids[7], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"skipping {ids[7]}: ParseError" in err
+    assert err.endswith(f"error: method ids skipped because their parse failed: [{ids[7]!r}]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "last_line",
+    [lambda lines: "{not json", lambda lines: lines[0]],
+    ids=["invalid_json", "duplicate_id"],
+)
+@pytest.mark.parametrize("command", ["detect", "explain", "evaluate"])
+def test_a_bad_last_line_writes_no_report(pipeline, tmp_path, capsys, command, last_line):
+    # detect and explain score methods before the corpus is read to its end
+    lines = pipeline["test_corpus"].read_text(encoding="utf-8").splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines + [last_line(lines)]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "detect": ["detect", str(corpus), "--model", str(pipeline["model"])],
+        "explain": ["explain", str(corpus), "--model", str(pipeline["model"]), "--config", str(pipeline["config"])],
+        "evaluate": ["evaluate", "--corpus", str(corpus), "--detections", str(pipeline["detections"]),
+                     "--explanations", str(pipeline["explanations"])],
+    }[command]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {len(lines) + 1}: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    """Planted corpora of 32 and 256 methods, whose first 32 methods are
+    the same, and an untrained model over the larger one's vocabulary."""
+    root = tmp_path_factory.mktemp("streamed")
+    corpora = {}
+    for n in (32, 256):
+        corpora[n] = root / f"corpus{n}.jsonl"
+        assert main(["gen-corpus", "--n", str(n), "--seed", "1", "--out", str(corpora[n])]) == 0
+    entries = load_corpus(corpora[256])
+    vocab = build_vocabulary([extract_method_features(e.pdg) for e in entries])
+    model = root / "model.json"
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)))
+    quick = root / "quick.json"
+    quick.write_text(json.dumps({"explain_iterations": 2}), encoding="utf-8")
+    return corpora, model, quick, entries[0].id
+
+
+@pytest.mark.parametrize("command", ["detect", "explain"])
+def test_a_run_holds_one_chunk_of_parsed_methods(streamed, tmp_path, capsys, command):
+    # A run's peak Python heap may grow with the corpus only by its per-method
+    # rows (an id, a score, a report row), not by the methods it has parsed:
+    # a parsed planted method is about 10 KiB.
+    corpora, model, quick, method = streamed
+    args = {
+        "detect": ["detect", "--model", str(model), "--out", str(tmp_path / "det.json")],
+        "explain": ["explain", "--model", str(model), "--config", str(quick), "--method", method,
+                    "--out", str(tmp_path / "expl")],
+    }[command]
+    assert main(args + [str(corpora[32])]) == 0  # fill the caches a first run fills
+    peaks = {}
+    for n, corpus in corpora.items():
+        tracemalloc.start()
+        try:
+            assert main(args + [str(corpus)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[256] - peaks[32] <= 2048 * (256 - 32), peaks
 
 
 # --- mine -------------------------------------------------------------------
