@@ -4,6 +4,10 @@ Subcommands: parse, train, detect, explain, evaluate, mine, gradcheck,
 gen-corpus. Configuration precedence is defaults < --config JSON file <
 explicit flags. Progress lines go to standard error; machine-readable
 results go to standard output or to the declared output paths only.
+
+Each subcommand imports the layers it runs when it runs. parse, gen-corpus,
+evaluate and mine load neither numpy nor the model; train, detect, explain
+and gradcheck import the model modules inside their command functions.
 """
 
 from __future__ import annotations
@@ -23,39 +27,10 @@ from .corpus import (
     load_corpus,
     split,
 )
-from .encoders import EncoderConfig
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
-from .explain import (
-    ExplainConfig,
-    InterpretationSubgraph,
-    explanation_report,
-    extract_subgraph,
-    learn_edge_mask,
-    subgraph_to_dot,
-)
-from .fagcn import (
-    RankedDetection,
-    TrainConfig,
-    detection_report,
-    forward_methods,
-    load_model,
-    rank_methods,
-    save_model,
-    score_methods,
-    train,
-)
 from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
 from .frontend.pdg import EDGE_KINDS
-from .gradcheck import all_passed, run_gradcheck
-from .metrics import evaluation_report
-from .patterns import (
-    AbstractGraph,
-    abstract_subgraph,
-    mine_patterns,
-    pattern_count_table,
-    pattern_to_dict,
-    pattern_to_dot,
-)
+from .metrics import InterpretationSubgraph, RankedDetection, evaluation_report
 from .util import dump_json
 
 TABLE_GRID = (2, 3, 4, 5)
@@ -80,14 +55,18 @@ class RunConfig:
     k: int = 5
     min_support: int = 2
 
-    def encoder_config(self) -> EncoderConfig:
+    def encoder_config(self):
+        from .encoders import EncoderConfig
+
         return EncoderConfig(
             embed_dim=self.embed_dim,
             gru_hidden=self.gru_hidden,
             stmt_dim=self.stmt_dim,
         )
 
-    def train_config(self) -> TrainConfig:
+    def train_config(self):
+        from .fagcn import TrainConfig
+
         return TrainConfig(
             epochs=self.epochs,
             lr=self.lr,
@@ -101,7 +80,9 @@ class RunConfig:
             fractions=tuple(self.fractions), seed=self.seed, real_ratio=self.real_ratio
         )
 
-    def explain_settings(self) -> ExplainConfig:
+    def explain_settings(self):
+        from .explain import ExplainConfig
+
         return ExplainConfig(
             iterations=self.explain_iterations,
             lr=self.explain_lr,
@@ -227,6 +208,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .fagcn import save_model, train
+
     cfg = _config_from_args(args)
     usable = list(_parsed(load_corpus(args.corpus)))
     parts = split(usable, cfg.split_spec())
@@ -256,6 +239,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .fagcn import detection_report, load_model, rank_methods, score_methods
+
     _config_from_args(args)  # detect reads no key, but a bad --config is still an error
     model = load_model(args.model)
     # The corpus streams into the scoring chunks: a run holds one chunk of
@@ -270,6 +255,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .explain import explanation_report, extract_subgraph, learn_edge_mask, subgraph_to_dot
+    from .fagcn import forward_methods, load_model
+    from .patterns import abstract_subgraph
+
     cfg = _config_from_args(args)
     model = load_model(args.model)
     forced = set(args.method or ())
@@ -411,6 +400,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from .patterns import AbstractGraph, mine_patterns, pattern_count_table, pattern_to_dict, pattern_to_dot
+
     cfg = _config_from_args(args)
     rows = _load_json(args.explanations, "explanations")
     if not isinstance(rows, list):
@@ -466,6 +457,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import all_passed, run_gradcheck
+
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
     results = run_gradcheck(seed=args.seed)

@@ -31,6 +31,7 @@ from .encoders import _sigmoid
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits
 from .frontend import Pdg
+from .metrics import InterpretationSubgraph
 from .slots import Slots, dependence_pairs, normalize, normalize_grad, slot_list
 from .util import dot_escape
 
@@ -54,14 +55,6 @@ class ExplainConfig:
     lr: float = 0.05
     sparsity_weight: float = 0.005
     entropy_weight: float = 0.1
-
-
-@dataclass
-class InterpretationSubgraph:
-    method: str
-    edges: list  # (src, dst, kind, var, mask_value), strongest first
-    nodes: tuple
-    statement_ranking: list  # (statement index, importance), strongest first
 
 
 @dataclass(frozen=True)

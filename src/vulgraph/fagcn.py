@@ -33,7 +33,7 @@ from .encoders import EncoderConfig, encode_method_batch, encoder_layout
 from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
-from .metrics import auc, precision_recall_f1
+from .metrics import RankedDetection, auc, precision_recall_f1
 from .rng import Rng
 from .slots import Slots, normalize, propagate, slot_products
 
@@ -62,14 +62,6 @@ HEAD_PARAMS = tuple(name for name, _ in head_layout(0, 0, 0, 0))
 def model_layout(vocab_size: int, cfg: EncoderConfig, d2: int = GCN_HIDDEN) -> list[tuple[str, tuple]]:
     """Every model parameter, in registration order (which fixes checkpoint bytes)."""
     return encoder_layout(vocab_size, cfg) + head_layout(cfg.stmt_dim, d2, *FC_HIDDEN)
-
-
-@dataclass(frozen=True)
-class RankedDetection:
-    method: str
-    score: float
-    decision: str
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -387,6 +379,7 @@ def train(
             loss.backward()
             opt.step()
             losses.append(float(loss.data))
+            del loss  # the next batch is encoded without this batch's tape alive
         scored = score_methods(model, tune_items, bundles=bundles)
         pos = [s for mid, s in scored if labels[mid] == "V"]
         neg = [s for mid, s in scored if labels[mid] == "NV"]

@@ -5,6 +5,11 @@ a 1 wherever the method at that rank is actually vulnerable. Interpretation
 metrics compare explanation subgraphs against fix ground truth, i.e. the
 statements a real patch deleted or modified plus the statements depending on
 added lines.
+
+The two records the measures read, a RankedDetection and an
+InterpretationSubgraph, are defined here: the detector (vulgraph.fagcn) and
+the explainer (vulgraph.explain) build them, and `vulgraph evaluate` reads
+them back from report files without loading numpy or the model.
 """
 
 from __future__ import annotations
@@ -15,6 +20,22 @@ from dataclasses import dataclass
 from .errors import EmptyClass, KOutOfRange, LengthMismatch, MissingTruth
 
 REPORT_KS = (1, 3, 5, 10, 15, 20)
+
+
+@dataclass(frozen=True)
+class RankedDetection:
+    method: str
+    score: float
+    decision: str
+    rank: int
+
+
+@dataclass
+class InterpretationSubgraph:
+    method: str
+    edges: list  # (src, dst, kind, var, mask_value), strongest first
+    nodes: tuple
+    statement_ranking: list  # (statement index, importance), strongest first
 
 
 @dataclass(frozen=True)

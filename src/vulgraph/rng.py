@@ -4,11 +4,13 @@ A small splitmix64 generator backs every stochastic choice in the package
 (weight init, corpus shuffles, synthetic program generation) so that results
 are bit-identical across platforms and processes for a given seed. Floats are
 built from the top 53 bits of the raw stream, the portable construction.
+
+Only `Rng.uniforms`, which draws weight matrices, needs numpy; it imports it
+when called, so a command that draws no weights (gen-corpus, the corpus
+split) runs without loading numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,11 +52,14 @@ class Rng:
         """Uniform float in [0, 1)."""
         return (self._next() >> 11) * (1.0 / (1 << 53))
 
-    def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
-        """n draws of low + (high - low) * random() at once: bitwise the
-        same floats, and the same state afterwards. The state is a Weyl
-        sequence, so draw k's state is the current one plus k * gamma, mod
-        2**64; uint64 numpy arithmetic wraps the same way."""
+    def uniforms(self, low: float, high: float, n: int):
+        """n draws of low + (high - low) * random() at once, as a float64
+        numpy array: bitwise the same floats, and the same state afterwards.
+        The state is a Weyl sequence, so draw k's state is the current one
+        plus k * gamma, mod 2**64; uint64 numpy arithmetic wraps the same
+        way."""
+        import numpy as np
+
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

@@ -899,12 +899,13 @@ def test_seed_is_a_usage_error_where_nothing_is_drawn(pipeline, tmp_path, capsys
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
-    import vulgraph.cli as cli_mod
+    import vulgraph.gradcheck as gradcheck_mod
 
     def boom(seed=0):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "run_gradcheck", boom)
+    # cmd_gradcheck imports run_gradcheck when it runs, from its own module
+    monkeypatch.setattr(gradcheck_mod, "run_gradcheck", boom)
     assert main(["gradcheck"]) == 2
     assert "internal error" in capsys.readouterr().err
 

@@ -1,6 +1,6 @@
 import pytest
 
-from vulgraph.explain import InterpretationSubgraph
+from vulgraph.metrics import InterpretationSubgraph
 from vulgraph.frontend import pdg_from_source
 from vulgraph.patterns import (
     AbstractGraph,
