@@ -8,6 +8,8 @@ results go to standard output or to the declared output paths only.
 Each subcommand imports the layers it runs when it runs. parse, gen-corpus,
 evaluate and mine load neither numpy nor the model; train, detect, explain
 and gradcheck import the model modules inside their command functions.
+gen-corpus parses nothing and loads no frontend module: the commands that
+read a corpus parse its methods as they read them.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .corpus import (
     iter_corpus,
     load_corpus,
     split,
+    write_corpus_lines,
 )
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
-from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
-from .frontend.pdg import EDGE_KINDS
 from .metrics import InterpretationSubgraph, RankedDetection, evaluation_report
 from .util import dump_json
 
@@ -185,6 +186,8 @@ def _parsed(entries, skipped: set | None = None):
 
 
 def cmd_parse(args) -> int:
+    from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
+
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -400,6 +403,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from .frontend.pdg import EDGE_KINDS
     from .patterns import AbstractGraph, mine_patterns, pattern_count_table, pattern_to_dict, pattern_to_dot
 
     cfg = _config_from_args(args)
@@ -470,10 +474,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     cfg = _config_from_args(args)
-    entries = generate_planted_corpus(args.n, seed=cfg.seed)
-    dump_corpus(entries, args.out)
-    vuln = sum(1 for e in entries if e.label == "V")
-    _log(f"wrote {len(entries)} methods ({vuln} vulnerable) to {args.out}")
+    try:
+        lines = generate_planted_corpus(args.n, seed=cfg.seed)
+    except ValueError as exc:  # the generator's own check of --n
+        raise ConfigError(f"--n: {exc}") from exc
+    write_corpus_lines(lines, args.out)
+    vuln = sum(1 for line in lines if line["label"] == "V")
+    _log(f"wrote {len(lines)} methods ({vuln} vulnerable) to {args.out}")
     return 0
 
 

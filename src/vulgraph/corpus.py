@@ -5,12 +5,17 @@ The on-disk format is JSON lines, one method per line:
     {"id": str, "source": str|null, "pdg": obj|null,
      "label": "V"|"NV", "fix": {"changed": [int], "added": [int]}|null}
 
-Splitting shuffles the vulnerable methods by seed and cuts them by the
+The reader is the one place a method is parsed: each entry given as source
+is parsed into its PDG as its line is read, and a method that fails to parse
+is kept with its parse_error, for the commands to skip with a `skipping`
+line. Splitting shuffles the vulnerable methods by seed and cuts them by the
 configured fractions; the training split is balanced with an equal number of
 non-vulnerable methods while tune/test receive floor(ratio * |V|) each, all
-drawn without overlap. The generator emits paired methods: a vulnerable
-variant whose risky call lacks its bounds guard, and a twin that differs only
-by the guard's presence.
+drawn without overlap. The generator emits paired methods as corpus lines,
+unparsed: a vulnerable variant whose risky call lacks its bounds guard, and a
+twin that differs only by the guard's presence. This module loads the
+frontend only when it parses or serializes a PDG, so writing a generated
+corpus loads none of it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     CorpusError,
@@ -26,9 +32,11 @@ from .errors import (
     SchemaError,
     VulgraphError,
 )
-from .frontend import Pdg, pdg_from_dict, pdg_from_source, pdg_to_dict
 from .metrics import FixGroundTruth
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .frontend import Pdg
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,8 @@ def _entry_from_obj(obj, lineno: int) -> CorpusEntry:
         raise _schema_error(lineno, "entry must provide source or pdg")
     fix = _parse_fix(obj.get("fix"), lineno)
 
+    from .frontend import pdg_from_dict, pdg_from_source
+
     pdg = None
     parse_error = None
     try:
@@ -164,6 +174,8 @@ def entry_to_obj(entry: CorpusEntry) -> dict:
         fix = {"changed": list(entry.fix.changed), "added": list(entry.fix.added)}
     pdg_obj = None
     if entry.source is None and entry.pdg is not None:
+        from .frontend import pdg_to_dict
+
         pdg_obj = pdg_to_dict(entry.pdg)
     return {
         "id": entry.id,
@@ -174,10 +186,16 @@ def entry_to_obj(entry: CorpusEntry) -> dict:
     }
 
 
-def dump_corpus(entries, path) -> None:
+def write_corpus_lines(lines, path) -> None:
+    """Write corpus lines, each a JSON object of the schema above, one per
+    line with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry_to_obj(entry), sort_keys=True) + "\n")
+        for obj in lines:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def dump_corpus(entries, path) -> None:
+    write_corpus_lines(map(entry_to_obj, entries), path)
 
 
 def _floor(x: float) -> int:
@@ -337,19 +355,22 @@ def _render_method(name, signature, prep, risky, guard, tail, filler_pre, filler
     return "\n".join(lines) + "\n", risky_line
 
 
-def generate_planted_corpus(n_methods: int, seed: int) -> list[CorpusEntry]:
-    """Seeded synthetic corpus of paired methods.
+def generate_planted_corpus(n_methods: int, seed: int) -> list[dict]:
+    """Seeded synthetic corpus of paired methods, as the corpus lines that
+    write_corpus_lines writes: id, source, label and fix, with pdg null.
 
     Half the methods are vulnerable: one of four templates plants a risky
     call (buffer copy, raw index store, unchecked allocation size, raw read)
     without its bounds guard; the twin wraps the same call in the guard and
-    is otherwise identical. The fix marks the planted statement's line.
+    is otherwise identical. The fix marks the planted statement's line. No
+    method is parsed here: its PDG is the one the corpus reader builds from
+    the written line.
     """
     if n_methods < 20:
         raise ValueError("n_methods must be at least 20")
     rng = Rng(seed)
     n_vuln = n_methods // 2
-    entries = []
+    lines = []
     for i in range(n_methods - n_vuln):
         signature, prep, risky, guard, tail = _TEMPLATES[
             rng.randint(0, len(_TEMPLATES) - 1)
@@ -362,19 +383,16 @@ def generate_planted_corpus(n_methods: int, seed: int) -> list[CorpusEntry]:
             f"handler_{i:04d}", signature, prep, risky, guard, tail,
             filler_pre, filler_post, guarded=True,
         )
-        safe = CorpusEntry(
-            id=f"m{i:04d}_s", source=safe_src, pdg=pdg_from_source(safe_src),
-            label="NV", fix=None,
+        lines.append(
+            {"id": f"m{i:04d}_s", "source": safe_src, "pdg": None, "label": "NV", "fix": None}
         )
-        entries.append(safe)
         if paired:
             vuln_src, risky_line = _render_method(
                 f"handler_{i:04d}", signature, prep, risky, guard, tail,
                 filler_pre, filler_post, guarded=False,
             )
-            vuln = CorpusEntry(
-                id=f"m{i:04d}_v", source=vuln_src, pdg=pdg_from_source(vuln_src),
-                label="V", fix=FixInfo(changed=(risky_line,), added=()),
-            )
-            entries.append(vuln)
-    return entries
+            lines.append({
+                "id": f"m{i:04d}_v", "source": vuln_src, "pdg": None, "label": "V",
+                "fix": {"changed": [risky_line], "added": []},
+            })
+    return lines

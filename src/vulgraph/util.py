@@ -10,7 +10,7 @@ def dump_json(obj, indent: int | None = None) -> str:
 
     Every JSON report the package writes, and each checkpoint's manifest,
     goes through here so that identical inputs yield identical bytes. A
-    corpus file does not: corpus.dump_corpus writes one sorted-key
+    corpus file does not: corpus.write_corpus_lines writes one sorted-key
     json.dumps line per method, with the default separators.
     """
     if indent is None:

@@ -21,7 +21,8 @@ and learns on the statement matrix of the package's forward pass; the
 per-level parser subclasses the package's parser and replaces only its
 expression rule, and the character-loop lexer builds the package's Token
 records; the feature reference reuses the per-statement helpers of
-vulgraph.features. No other code here is shared with the implementation
+vulgraph.features; planted_entries reads the generator's lines through the
+package's corpus writer and reader. No other code here is shared with the implementation
 under test. The elementwise, reduction, indexing and shape ops of the per-op
 tape, the row gather and concat among them, are not package code:
 tensor_ops installs them on Tensor (see conftest.py).
@@ -888,6 +889,21 @@ def large_methods():
     spec.loader.exec_module(largegen)
     return [pdg_from_source(largegen.large_method(i, 64 + i, f"big_{i}", size))
             for i, size in enumerate((50, 100, 200, 420))]
+
+
+def planted_entries(n_methods: int, seed: int):
+    """The planted corpus as a reader of gen-corpus's output gets it: the
+    generator's lines written by the corpus writer, then read back through
+    iter_corpus, which parses each method."""
+    import pathlib
+    import tempfile
+
+    from vulgraph.corpus import generate_planted_corpus, load_corpus, write_corpus_lines
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "planted.jsonl"
+        write_corpus_lines(generate_planted_corpus(n_methods, seed), path)
+        return load_corpus(path)
 
 
 # --- random draws ---------------------------------------------------------------

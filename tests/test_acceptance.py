@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from vulgraph.autodiff import Adam, Tensor
-from vulgraph.corpus import SplitSpec, fix_truth, generate_planted_corpus, split
+from vulgraph.corpus import SplitSpec, fix_truth, split
 from vulgraph.encoders import EncoderConfig, gru_sequence
 from vulgraph.explain import extract_subgraph, learn_edge_mask
 from vulgraph.fagcn import (
@@ -42,6 +42,7 @@ from oracles import (
     graphs_isomorphic,
     hard_subset_score,
     literal_ndcg,
+    planted_entries,
     random_source,
     rel_err,
     scale_rows,
@@ -348,7 +349,7 @@ def test_explainer_fidelity_on_50_fixtures():
 
 @lru_cache(maxsize=None)
 def _end_to_end_result(run: int):
-    entries = generate_planted_corpus(500, seed=11)
+    entries = planted_entries(500, seed=11)
     parts = split(entries, SplitSpec(fractions=(0.8, 0.1, 0.1), seed=11, real_ratio=1.0))
     labels = {e.id: e.label for e in entries}
     cfg = EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)

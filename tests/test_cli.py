@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import pathlib
 import sys
@@ -10,7 +11,7 @@ import pytest
 from vulgraph import explain
 from vulgraph.autodiff import ParamStore, Tensor
 from vulgraph.cli import load_run_config, main
-from vulgraph.corpus import load_corpus
+from vulgraph.corpus import iter_corpus, load_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import ConfigError
 from vulgraph.autodiff import save_checkpoint
@@ -871,6 +872,43 @@ def test_gen_corpus_counts(tmp_path):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 20
     assert sum(1 for l in lines if l["label"] == "V") == 10
+
+
+# SHA-256 of the files gen-corpus wrote before it stopped parsing what it
+# generates; the generator's lines must stay byte for byte the same.
+GEN_CORPUS_DIGESTS = {
+    (200, 1): "91111b8fc34726bb26c357feae258beb89329fad0addea1ca97d2c08f47ff5be",
+    (2000, 4): "9928c36919c9f0a812d730b1938d9e322be0d32271944336f6d14038fbd41e55",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GEN_CORPUS_DIGESTS))
+def test_gen_corpus_bytes_are_pinned(tmp_path, capsys, n, seed):
+    out = tmp_path / "c.jsonl"
+    assert main(["gen-corpus", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_CORPUS_DIGESTS[n, seed]
+    capsys.readouterr()
+
+
+def test_gen_corpus_methods_all_parse_when_read(tmp_path, capsys):
+    # gen-corpus writes its methods unparsed; every one must parse when the
+    # corpus is read
+    out = tmp_path / "c.jsonl"
+    for seed in range(10):
+        assert main(["gen-corpus", "--n", "200", "--seed", str(seed), "--out", str(out)]) == 0
+        entries = list(iter_corpus(out))
+        assert len(entries) == 200
+        assert all(e.pdg is not None and e.parse_error is None for e in entries), seed
+    capsys.readouterr()
+
+
+def test_gen_corpus_below_its_minimum_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["gen-corpus", "--n", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "--n" in err and "at least 20" in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

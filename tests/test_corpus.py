@@ -21,7 +21,7 @@ from vulgraph.errors import (
 )
 from vulgraph.frontend import pdg_from_source, pdg_to_dict
 
-from oracles import logistic_baseline_auc
+from oracles import logistic_baseline_auc, planted_entries
 
 
 SRC_A = "int a(int x) { int y = x + 1; return y; }"
@@ -227,7 +227,7 @@ def test_split_spec_validation(kwargs):
 
 
 def test_generator_counts_and_fix_lines():
-    entries = generate_planted_corpus(100, seed=7)
+    entries = planted_entries(100, seed=7)
     assert sum(1 for e in entries if e.label == "V") == 50
     assert sum(1 for e in entries if e.label == "NV") == 50
     for e in entries:
@@ -243,7 +243,7 @@ def test_generator_minimum_size_enforced():
 
 
 def test_generator_twins_differ_only_in_guard():
-    entries = generate_planted_corpus(20, seed=5)
+    entries = planted_entries(20, seed=5)
     by_id = {e.id: e for e in entries}
     for e in entries:
         if e.label != "V":
@@ -261,7 +261,7 @@ def test_generator_twins_differ_only_in_guard():
 
 
 def test_generator_fix_marks_risky_statement():
-    entries = generate_planted_corpus(40, seed=2)
+    entries = planted_entries(40, seed=2)
     for e in entries:
         if e.label != "V":
             continue
@@ -276,15 +276,15 @@ def test_generator_fix_marks_risky_statement():
 
 
 def test_generator_deterministic():
-    a = generate_planted_corpus(30, seed=9)
-    b = generate_planted_corpus(30, seed=9)
+    a = planted_entries(30, seed=9)
+    b = planted_entries(30, seed=9)
     assert [(e.id, e.source, e.label) for e in a] == [
         (e.id, e.source, e.label) for e in b
     ]
 
 
 def test_generated_corpus_is_learnable():
-    entries = generate_planted_corpus(60, seed=1)
+    entries = planted_entries(60, seed=1)
     sources = [e.source for e in entries]
     labels = [1 if e.label == "V" else 0 for e in entries]
     assert logistic_baseline_auc(sources, labels) >= 0.8

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vulgraph.autodiff import Adam, Tensor
-from vulgraph.corpus import generate_planted_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import MaskMisaligned
 from vulgraph.explain import (
@@ -227,7 +226,7 @@ def test_masked_adjacency_is_the_dense_masked_adjacency(demo):
     # large methods
     gen = np.random.default_rng(4)
     pdgs = [demo, _parallel_edge_pdg(), _five_edge_pdg()] + large_methods()
-    pdgs += [e.pdg for e in generate_planted_corpus(20, seed=9)[:10] if e.pdg is not None]
+    pdgs += [e.pdg for e in oracles.planted_entries(20, seed=9)[:10] if e.pdg is not None]
     for pdg in pdgs:
         edges = edge_slots(pdg)
         gate = gen.uniform(0.0, 1.0, len(pdg.edges))
@@ -488,7 +487,7 @@ def test_learned_masks_are_bitwise_the_per_op_tape():
     # planted methods under a briefly trained detector and on large methods,
     # for both decisions: same logits and loss trace, bit for bit. Adding the
     # entropy terms of d/d sigmoid in another order already breaks this.
-    entries = [e for e in generate_planted_corpus(48, seed=5) if e.pdg is not None]
+    entries = [e for e in oracles.planted_entries(48, seed=5) if e.pdg is not None]
     labels = {e.id: e.label for e in entries}
     items = [(e.id, e.pdg) for e in entries]
     model, _ = train(items[:32], items[32:40], labels, CFG, TrainConfig(epochs=2, seed=5))

@@ -30,7 +30,6 @@ from vulgraph.fagcn import (
     score_methods,
     train,
 )
-from vulgraph.corpus import generate_planted_corpus
 from vulgraph.explain import ExplainConfig, edge_slots, learn_edge_mask, masked_adjacency
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, StmtNode, pdg_from_source
@@ -133,7 +132,7 @@ def test_normalized_adjacency_keeps_listed_edges_only():
     assert np.array_equal(_hard_adjacency(pdg, []), np.eye(3))
     assert np.array_equal(_hard_adjacency(pdg, [0]), _normalized_adjacency(_chain_pdg(3, [(0, 1)])))
     rng = Rng(13)
-    for entry in generate_planted_corpus(20, seed=4):
+    for entry in oracles.planted_entries(20, seed=4):
         full = entry.pdg
         for _ in range(6):
             keep = [pos for pos in range(len(full.edges)) if rng.random() < 0.5]
@@ -145,7 +144,7 @@ def test_normalized_slot_weights_are_the_dense_normalization():
     # the edge-list normalization against D^{-1/2} (A + I) D^{-1/2} of the
     # dense matrix, on planted and large methods, within 1e-12 of the
     # largest entry
-    pdgs = [e.pdg for e in generate_planted_corpus(20, seed=6) if e.pdg is not None] + oracles.large_methods()
+    pdgs = [e.pdg for e in oracles.planted_entries(20, seed=6) if e.pdg is not None] + oracles.large_methods()
     for pdg in pdgs:
         want = oracles.sym_normalize(Tensor(oracles.dependence_adjacency(pdg))).data
         assert oracles.max_scaled_err(_normalized_adjacency(pdg), want) <= 1e-12, pdg.method
@@ -305,7 +304,7 @@ def test_chunk_logits_are_the_dense_detector_per_method():
 def test_training_batch_gradients_are_bitwise_the_per_op_tape(monkeypatch):
     # the fused Tree-LSTM, attention/fusion block, detector and loss against
     # their one-node-per-op forms: the loss and every parameter gradient
-    entries = generate_planted_corpus(40, seed=2)
+    entries = oracles.planted_entries(40, seed=2)
     items = [(e.id, e.pdg) for e in entries if e.pdg is not None][:8]
     labels = {e.id: e.label for e in entries}
     model = new_model(_toy_vocab(items), seed=3)
@@ -494,7 +493,7 @@ def _tape_ops(root: Tensor) -> int:
 
 
 def test_batch_loss_tape_is_small():
-    entries = generate_planted_corpus(40, seed=1)
+    entries = oracles.planted_entries(40, seed=1)
     items = [(e.id, e.pdg) for e in entries if e.pdg is not None][:8]
     labels = {e.id: e.label for e in entries}
     vocab = _toy_vocab(items)

@@ -157,7 +157,7 @@ def test_split_identifier_returns_a_fresh_list():
 
 def test_features_match_the_neighbors_reference():
     rng = Rng(8)
-    sources = [e.source for seed in (1, 2, 3) for e in generate_planted_corpus(60, seed)]
+    sources = [line["source"] for seed in (1, 2, 3) for line in generate_planted_corpus(60, seed)]
     sources += [random_source(rng.fork(str(i)), max_stmts=60) for i in range(60)]
     hubs = ["int hub = seed;"] + [f"int v{i:02d} = hub + v{i - 1:02d};" for i in range(1, 20)]
     sources.append("int g(int seed) { int v00 = 0; " + " ".join(hubs) + " return hub; }")

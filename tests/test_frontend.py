@@ -137,7 +137,7 @@ def test_lexer_errors_keep_type_message_and_position(source, message):
 def _corpus_sources() -> tuple[str, ...]:
     """The gen-corpus sources of seeds 1-3, then random dependence-fuzzing
     programs."""
-    sources = [e.source for seed in (1, 2, 3) for e in generate_planted_corpus(200, seed)]
+    sources = [line["source"] for seed in (1, 2, 3) for line in generate_planted_corpus(200, seed)]
     rng = Rng(31)
     sources += [random_source(rng.fork(str(i)), max_stmts=40) for i in range(100)]
     return tuple(sources)

@@ -2,7 +2,8 @@
 
 parse, gen-corpus, evaluate and mine run on the numpy-free layer; train,
 detect, explain and gradcheck import the model modules when they run, and
-none of them loads a module it never calls. The conftest loads numpy into
+none of them loads a module it never calls. gen-corpus parses nothing, so it
+loads no frontend module either. The conftest loads numpy into
 the test process, so the commands run in fresh interpreters; the layering
 check reads the source with `ast` and imports nothing.
 """
@@ -145,6 +146,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path):
 
     for command in ("gen-corpus", "parse", "evaluate", "mine"):
         assert sorted(m for m in loaded[command] if _is_numpy_or_model(m)) == [], command
+    assert sorted(m for m in loaded["gen-corpus"] if m.startswith("vulgraph.frontend")) == []
     for command in ("train", "detect"):
         assert "vulgraph.fagcn" in loaded[command]
         assert loaded[command] & {"vulgraph.gradcheck", "vulgraph.explain", "vulgraph.patterns"} == set(), command
