@@ -188,6 +188,8 @@ def _parsed(entries, skipped: set | None = None):
 def cmd_parse(args) -> int:
     from .frontend import build_pdg, parse_source, pdg_to_dot, pdg_to_json
 
+    if args.dot and not args.out:
+        raise ConfigError("--dot writes its DOT files into the --out directory; give --out DIR")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

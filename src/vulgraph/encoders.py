@@ -104,7 +104,7 @@ def fuse_layout(hidden: int, wide: int, stmt_dim: int) -> list[tuple[str, tuple]
         ("attn.q_w", (hidden, hidden)), ("attn.ctx_w", (2 * hidden, hidden)),
         ("attn.bias", (hidden,)), ("attn.v", (hidden, 1)),
         ("fuse.h_w", (hidden, WIDEN_DIM)), ("fuse.h_b", (WIDEN_DIM,)),
-        ("fuse.score_w", (wide, 1)), ("fuse.score_b", (1,)),
+        ("fuse.score_w", (wide, 1)),
         ("fuse.out_w", (wide, stmt_dim)), ("fuse.out_b", (stmt_dim,)),
     ]
 
@@ -438,8 +438,8 @@ def attend_and_fuse(
     layout, so values and gradients are bitwise that tape's. Intermediates
     are kept only when an input requires grad."""
     params = tuple(store[name] for name in FUSE_PARAMS)
-    q_w, ctx_w, bias, v, h_w, h_b, score_w, score_b, out_w, out_b = (p.data for p in params)
-    p_q_w, p_ctx_w, p_bias, p_v, p_h_w, p_h_b, p_score_w, p_score_b, p_out_w, p_out_b = params
+    q_w, ctx_w, bias, v, h_w, h_b, score_w, out_w, out_b = (p.data for p in params)
+    p_q_w, p_ctx_w, p_bias, p_v, p_h_w, p_h_b, p_score_w, p_out_w, p_out_b = params
     feats = [f.data for f in features]
     width = fwd.data.shape[1]
     both = np.concatenate([fwd.data, bwd.data], axis=1)
@@ -450,7 +450,7 @@ def attend_and_fuse(
     attn = e / e.sum(axis=1, keepdims=True)
     weighted = [f * attn[:, j : j + 1] for j, f in enumerate(feats)]
     g = np.concatenate([w @ h_w + h_b for w in weighted], axis=1)
-    fuse_scores = g @ score_w + score_b
+    fuse_scores = g @ score_w
     exp_col = np.exp(fuse_scores - float(fuse_scores.max()))
     e = exp_col.reshape(-1)[slots.src]
     denom = slots.runs.sum(e)[slots.dst]
@@ -469,8 +469,6 @@ def attend_and_fuse(
         d_g = propagate(slots, w_fuse[slots.rev], d_fused)
         d_e = d_w / denom + slots.runs.sum(-d_w * e / (denom * denom))[slots.dst]
         d_scores = slots.runs.sum(d_e[slots.rev]).reshape(exp_col.shape) * exp_col
-        if p_score_b.requires_grad:
-            p_score_b._accumulate(d_scores.sum(axis=0))
         d_g += d_scores @ score_w.T
         if p_score_w.requires_grad:
             p_score_w._accumulate(g.T @ d_scores)

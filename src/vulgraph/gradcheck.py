@@ -4,7 +4,9 @@ Each case builds a small random input and pushes it through one operation a
 run records: the GRU recurrence and the other fused nodes of the encoders,
 the detector and the explainer. Backward is seeded with a
 fixed random weighting of the output, and the reverse-mode gradient of that
-weighted sum is compared against two-sided finite differences.
+weighted sum is compared against two-sided finite differences. Each error is
+relative to the larger of the two gradients, floored at what the finite
+difference's own roundoff allows (see _floor).
 """
 
 from __future__ import annotations
@@ -28,16 +30,24 @@ TOLERANCE = 1e-4
 _EPS = 1e-6
 
 
-def _max_rel_err(build, arrays, weight) -> float:
-    """Worst relative error over every input of the gradient of
-    sum(weight * build(*inputs)), seeded into backward as the output gradient."""
+def _gradients(build, arrays, weight) -> tuple[list[np.ndarray], float]:
+    """The reverse-mode gradient of sum(weight * build(*inputs)) for each
+    input, with weight seeded into backward as the output gradient, and the
+    error floor of that sum's finite differences (see _floor)."""
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    build(*tensors).backward(grad=weight)
+    out = build(*tensors)
+    out.backward(grad=weight)
+    return [t.grad for t in tensors], _floor(float(np.abs(weight * out.data).sum()))
+
+
+def _numeric_gradients(build, arrays, weight) -> list[np.ndarray]:
+    """The two-sided finite differences of sum(weight * build(*inputs)) at
+    step _EPS, for each element of each input."""
 
     def value(parts) -> float:
         return float((build(*[Tensor(p) for p in parts]).data * weight).sum())
 
-    worst = 0.0
+    grads = []
     for which, base in enumerate(arrays):
         numeric = np.zeros_like(base)
         flat = numeric.reshape(-1)
@@ -46,9 +56,34 @@ def _max_rel_err(build, arrays, weight) -> float:
             hi[which].reshape(-1)[i] += _EPS
             lo[which].reshape(-1)[i] -= _EPS
             flat[i] = (value(hi) - value(lo)) / (2 * _EPS)
-        analytic = tensors[which].grad
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        grads.append(numeric)
+    return grads
+
+
+def _floor(total: float) -> float:
+    """The least denominator of a relative error, for a weighted output whose
+    terms have absolute values summing to `total`.
+
+    Each value a finite difference takes is a float64 sum of the terms
+    weight * out, and every term is rounded at least once, so the value
+    carries a roundoff of about u * total, u = eps / 2 being the unit
+    roundoff. The difference of two such values carries up to
+    2 * u * total = eps * total, and dividing it by the step 2 * _EPS gives
+    the central difference's own absolute error, r = eps * total / (2 * _EPS).
+    An analytic gradient within r of the numeric one agrees with it as far
+    as the difference can tell, wherever the true gradient is near zero. A
+    floor of r / TOLERANCE scores an absolute error below r under TOLERANCE
+    and leaves the relative error of every gradient above the floor as it is."""
+    return np.finfo(np.float64).eps * total / (2 * _EPS) / TOLERANCE
+
+
+def _max_rel_err(analytic, numeric, floor: float) -> float:
+    """Worst relative error over every element of every input, each error
+    divided by the larger of the two gradients or the floor."""
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
 
 
@@ -141,7 +176,8 @@ def run_gradcheck(seed: int = 0) -> list[dict]:
     """One row per operation: name, measured error, pass/fail."""
     out = []
     for name, build, arrays, weight in _cases(seed):
-        err = _max_rel_err(build, arrays, weight)
+        analytic, floor = _gradients(build, arrays, weight)
+        err = _max_rel_err(analytic, _numeric_gradients(build, arrays, weight), floor)
         out.append({"op": name, "max_rel_err": err, "pass": bool(err < TOLERANCE)})
     return out
 

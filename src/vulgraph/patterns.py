@@ -138,7 +138,7 @@ def mine_patterns(graphs, min_support: int, size_range=(1, MAX_PATTERN_EDGES)) -
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if not (1 <= lo <= hi <= MAX_PATTERN_EDGES):
-        raise ValueError(f"size_range must lie within [1, {MAX_PATTERN_EDGES}]")
+        raise ValueError(f"size_range must satisfy 1 <= LO <= HI <= {MAX_PATTERN_EDGES}, got LO={lo}, HI={hi}")
     support: dict = {}
     forms: dict = {}
     for graph in graphs:

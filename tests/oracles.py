@@ -766,7 +766,7 @@ def attend_and_fuse(features, fwd, bwd, slots, store):
     from vulgraph.autodiff import Tensor
 
     g = _fusion_input(features, fwd, bwd, store)
-    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
+    scores = g @ store["fuse.score_w"]
     shift = float(scores.data.max())
     e = rows((scores - Tensor(np.array(shift))).exp().reshape(len(slots.runs.starts)), slots.src)
     w_fuse = e / rows(segment_sum(e, slots.runs.starts), slots.dst)
@@ -781,7 +781,7 @@ def dense_attend_and_fuse(features, fwd, bwd, adj, store):
     from vulgraph.autodiff import Tensor
 
     g = _fusion_input(features, fwd, bwd, store)
-    scores = g @ store["fuse.score_w"] + store["fuse.score_b"]
+    scores = g @ store["fuse.score_w"]
     shift = float(scores.data.max())
     exp_row = (scores - Tensor(np.array(shift))).exp().transpose()
     numer = Tensor(adj) * exp_row

@@ -197,6 +197,37 @@ def test_gradcheck_case_inputs_depend_only_on_seed_and_name():
     assert not np.array_equal(masked[0][:2], last_inputs[0][0])
 
 
+GRADCHECK_SEEDS = range(40)
+
+
+def test_gradcheck_passes_on_correct_gradients_for_every_seed():
+    failing = [
+        (seed, row["op"], row["max_rel_err"])
+        for seed in GRADCHECK_SEEDS
+        for row in gradcheck.run_gradcheck(seed)
+        if not row["pass"]
+    ]
+    assert failing == []
+
+
+def test_gradcheck_fails_a_gradient_scaled_by_one_part_in_a_thousand_or_dropped():
+    # For every case and seed, each input's gradient (every term its
+    # backward adds into it) scaled by 1 + 1e-3, or left out, must fail the
+    # check at its floor. The finite differences are taken once per case and
+    # compared against every mutated gradient.
+    uncaught = []
+    for seed in GRADCHECK_SEEDS:
+        for name, build, arrays, weight in gradcheck._cases(seed):
+            analytic, floor = gradcheck._gradients(build, arrays, weight)
+            numeric = gradcheck._numeric_gradients(build, arrays, weight)
+            for which in range(len(arrays)):
+                for scale in (1 + 1e-3, 0.0):
+                    mutated = [grad * scale if k == which else grad for k, grad in enumerate(analytic)]
+                    if gradcheck._max_rel_err(mutated, numeric, floor) < gradcheck.TOLERANCE:
+                        uncaught.append((seed, name, which, scale))
+    assert uncaught == []
+
+
 # Run in a fresh interpreter with only the package on its path, so without
 # the ops tests/tensor_ops.py installs: records which functions call
 # Tensor._make during the commands given as JSON in argv[1], then during

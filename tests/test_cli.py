@@ -13,7 +13,7 @@ from vulgraph.autodiff import ParamStore, Tensor
 from vulgraph.cli import load_run_config, main
 from vulgraph.corpus import iter_corpus, load_corpus
 from vulgraph.encoders import EncoderConfig
-from vulgraph.errors import ConfigError
+from vulgraph.errors import CheckpointError, ConfigError
 from vulgraph.autodiff import save_checkpoint
 from vulgraph.fagcn import _chunk_logits, forward_methods, frozen, graph_logits, load_model, new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
@@ -87,6 +87,14 @@ def test_parse_writes_json_and_dot_files(tmp_path):
     dot_files = list(out.glob("*.dot"))
     assert len(json_files) == 1 and len(dot_files) == 1
     assert dot_files[0].read_text().startswith("digraph")
+
+
+def test_parse_dot_without_out_is_validation_error(capsys):
+    # DOT files are only written into --out; without it they would be dropped
+    assert main(["parse", str(FIXTURES / "device_xcmd.c"), "--dot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--out" in captured.err
+    assert captured.out == ""
 
 
 def test_parse_missing_file_is_validation_error(capsys):
@@ -653,6 +661,14 @@ def test_mine_writes_dot_files(tmp_path):
     assert (out / "pattern_000.dot").read_text().startswith("digraph")
 
 
+def test_mine_sizes_out_of_order_names_the_rule_and_the_pair(tmp_path, capsys):
+    path = tmp_path / "expl.json"
+    path.write_text(json.dumps([_fake_explanation("a"), _fake_explanation("b")]), encoding="utf-8")
+    assert main(["mine", str(path), "--sizes", "3,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1 <= LO <= HI <= 8" in err and "LO=3, HI=1" in err
+
+
 def test_mine_requires_abstract_graphs(tmp_path, capsys):
     path = tmp_path / "expl.json"
     row = _fake_explanation("a")
@@ -1002,3 +1018,23 @@ def test_checkpoint_outside_the_model_layout_is_validation_error(pipeline, tmp_p
     assert main(["detect", str(pipeline["test_corpus"]), "--model", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model.json" in err
+
+
+def test_checkpoint_with_the_removed_fusion_bias_is_refused(pipeline, tmp_path, capsys):
+    # The earlier layout held a bias of the fusion scores right after
+    # fuse.score_w; no compatibility path loads a checkpoint written in it
+    model = load_model(pipeline["model"])
+    params = []
+    for name, t in model.store.items():
+        params.append((name, t.data))
+        if name == "fuse.score_w":
+            params.append(("fuse.score_b", np.zeros(1)))
+    old = tmp_path / "model.json"
+    model.store = ParamStore(params)
+    save_model(old, model)
+    with pytest.raises(CheckpointError, match="fuse.score_b"):
+        load_model(old)
+    capsys.readouterr()
+    assert main(["detect", str(pipeline["test_corpus"]), "--model", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fuse.score_b" in err

@@ -171,13 +171,13 @@ def test_gcn_forward_reductions():
 
 
 def test_a_fresh_model_registers_the_model_layout():
-    # 94 parameters in layout order: each matrix Glorot-drawn, each vector zero
+    # 93 parameters in layout order: each matrix Glorot-drawn, each vector zero
     vocab = build_vocabulary([extract_method_features(pdg_from_source("int f(int a) { return a; }"))])
     cfg = EncoderConfig()
     layout = model_layout(len(vocab), cfg)
     store = new_model(vocab, cfg, seed=4).store
     assert [(name, t.data.shape) for name, t in store.items()] == layout
-    assert len(layout) == len(dict(layout)) == 94
+    assert len(layout) == len(dict(layout)) == 93
     for name, t in store.items():
         if t.data.ndim == 1:
             assert not np.any(t.data), name
