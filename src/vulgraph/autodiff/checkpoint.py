@@ -12,14 +12,13 @@ training.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import CheckpointError
-from ..util import dump_json
+from ..util import decode_json, dump_json
 from .params import ParamStore
 
 MAGIC = b"IVDCKPT1"
@@ -52,10 +51,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     manifest_end = 16 + manifest_len
     if manifest_end > len(raw):
         raise CheckpointError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(raw[16:manifest_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
+    manifest = decode_json(raw[16:manifest_end], CheckpointError, f"{path}: manifest")
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != 1:

@@ -15,7 +15,6 @@ read a corpus parse its methods as they read them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -32,7 +31,7 @@ from .corpus import (
 )
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
 from .metrics import InterpretationSubgraph, RankedDetection, evaluation_report
-from .util import dump_json
+from .util import decode_json, decode_text, dump_json
 
 TABLE_GRID = (2, 3, 4, 5)
 
@@ -96,13 +95,9 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     merged = asdict(RunConfig())
     known = set(merged)
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        data = decode_json(Path(path).read_bytes(), ConfigError, path)
         if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"{path}: config file must hold a JSON object")
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -131,8 +126,10 @@ def _is_int(value) -> bool:
 def _check_values(cfg: RunConfig) -> None:
     """Every value has its default's type: an integer where the default is
     one, a number where it is a real, a list of numbers for the split
-    fractions. k must be positive and the split settings must pass
-    SplitSpec's checks; train checks its own epochs and batch size."""
+    fractions. k, patience and explain_iterations must be at least 1, the
+    step sizes positive, the mask penalties non-negative, and the split
+    settings must pass SplitSpec's checks; train checks its own epochs and
+    batch size."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(f.default, tuple):
@@ -143,8 +140,15 @@ def _check_values(cfg: RunConfig) -> None:
             ok, want = _is_number(value), "a number"
         if not ok:
             raise ConfigError(f"{f.name} must be {want}, not {value!r}")
-    if cfg.k < 1:
-        raise ConfigError("k must be at least 1")
+    for key in ("k", "patience", "explain_iterations"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, not {getattr(cfg, key)!r}")
+    for key in ("lr", "explain_lr"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be positive, not {getattr(cfg, key)!r}")
+    for key in ("sparsity_weight", "entropy_weight"):
+        if not getattr(cfg, key) >= 0:
+            raise ConfigError(f"{key} must be non-negative, not {getattr(cfg, key)!r}")
     try:
         cfg.split_spec()
     except ValueError as exc:
@@ -168,6 +172,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _emit_dir(report, out: str | None, name: str, dots) -> None:
+    """The JSON report to standard output, or with --out DIR, to DIR/name
+    plus each (file name, DOT text) of `dots` into DIR."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for filename, dot in dots:
+            (Path(out) / filename).write_text(dot, encoding="utf-8")
+    _emit(dump_json(report, indent=2), Path(out) / name if out else None)
 
 
 def _parsed(entries, skipped: set | None = None):
@@ -195,7 +209,8 @@ def cmd_parse(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for path in args.files:
-        source = Path(path).read_text(encoding="utf-8")
+        source = decode_text(Path(path).read_bytes(), VulgraphError, path)
+        source = source.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read
         for method_ast in parse_source(source):
             pdg = build_pdg(method_ast)
             text = pdg_to_json(pdg)
@@ -299,32 +314,66 @@ def cmd_explain(args) -> int:
         raise CorpusError(f"method ids skipped because their parse failed: {sorted(missing & skipped)}")
     if missing:
         raise CorpusError(f"method ids not in corpus: {sorted(missing)}")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "explanations.json").write_text(
-            dump_json(reports, indent=2), encoding="utf-8"
-        )
-        for report, dot in results:
-            (out_dir / f"{report['method']}.dot").write_text(dot, encoding="utf-8")
-    else:
-        sys.stdout.write(dump_json(reports, indent=2))
+    _emit_dir(reports, args.out, "explanations.json", ((f"{r['method']}.dot", dot) for r, dot in results))
     _log(f"explained {len(reports)} of {len(forced) or usable} method(s)")
     return 0
 
 
-def _load_json(path, what: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+def read_explanations(path) -> list[tuple]:
+    """(method, [(index, importance)], [(node id, label)], [(source, target,
+    kind)]) for each row of an explanations file, the list explain writes,
+    every field checked once (docs/cli.md lists the checks); a row that
+    fails one is a schema error naming the file and the row."""
+    from .frontend.pdg import EDGE_KINDS
+
+    rows = decode_json(Path(path).read_bytes(), SchemaError, path)
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}: explanations file must hold a list of explanations")
+    explanations, seen = [], set()
+    for n, row in enumerate(rows, start=1):
+        where = f"{path}: explanations row {n}"
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}: not an object")
+        method, statements, graph = row.get("method"), row.get("statements"), row.get("abstract")
+        if not isinstance(method, str):
+            raise SchemaError(f"{where}: method {method!r} is not a string")
+        if method in seen:
+            raise SchemaError(f"{where}: {method!r} is explained twice")
+        seen.add(method)
+        if not _all_of(statements, dict):
+            raise SchemaError(f"{where}: statements must be a list of objects")
+        ranking = [(s.get("index"), s.get("importance")) for s in statements]
+        if not all(_is_int(index) and _is_number(importance) for index, importance in ranking):
+            raise SchemaError(f"{where}: a statement has a non-integer index or a non-number importance")
+        nodes = graph.get("nodes") if isinstance(graph, dict) else None
+        edges = graph.get("edges") if isinstance(graph, dict) else None
+        if not (_all_of(nodes, list, 2) and _all_of(edges, list, 3)):
+            raise SchemaError(f"{where}: abstract must hold [id, label] nodes and [source, target, kind] edges")
+        ids = [i for i, _ in nodes]
+        ends = [v for s, d, _ in edges for v in (s, d)]
+        if not all(_is_int(v) for v in ids + ends):
+            raise SchemaError(f"{where}: abstract node ids and edge ends must be integers")
+        unknown = sorted(set(ends) - set(ids))
+        if unknown:
+            raise SchemaError(f"{where}: abstract edges name unknown nodes {unknown}")
+        kinds = [k for _, _, k in edges if k not in EDGE_KINDS]
+        if kinds:
+            raise SchemaError(f"{where}: abstract edge kind {kinds[0]!r} is not data or control")
+        explanations.append((method, ranking, [(i, str(label)) for i, label in nodes], [tuple(e) for e in edges]))
+    return explanations
+
+
+def _all_of(value, kind: type, length: int | None = None) -> bool:
+    """Whether `value` is a list of `kind` values, each `length` long if given."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and (length is None or len(v) == length) for v in value
+    )
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    detections = _load_json(args.detections, "detections")
-    explanation_rows = _load_json(args.explanations, "explanations") if args.explanations else []
+    detections = decode_json(Path(args.detections).read_bytes(), SchemaError, args.detections)
+    explanations = read_explanations(args.explanations) if args.explanations else []
     # One pass over the corpus keeps only what the metrics read of each
     # entry: its label, its statement count and, when interpretable, its fix.
     labels, stmt_counts, truths = {}, {}, {}
@@ -336,57 +385,39 @@ def cmd_evaluate(args) -> int:
                 truths[entry.id] = fix_truth(entry)
 
     rows = detections.get("methods") if isinstance(detections, dict) else None
-    if not isinstance(rows, list):
-        raise SchemaError("detections file must hold an object with a methods list")
-    try:
-        ranked = [RankedDetection(row["method"], row["score"], row["decision"], row["rank"]) for row in rows]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed detections row: {exc!r}") from exc
+    if not _all_of(rows, dict):
+        raise SchemaError(f"{args.detections}: detections file must hold an object with a list of method rows")
+    ranked = [RankedDetection(r.get("method"), r.get("score"), r.get("decision"), r.get("rank")) for r in rows]
     seen = set()
     for i, r in enumerate(ranked, start=1):
+        where = f"{args.detections}: detections row {i}"
         if not isinstance(r.method, str):
-            raise SchemaError(f"malformed detections row: method {r.method!r} is not a string")
+            raise SchemaError(f"{where}: method {r.method!r} is not a string")
         if r.method in seen:
-            raise SchemaError(f"malformed detections row: {r.method!r} is listed twice")
+            raise SchemaError(f"{where}: {r.method!r} is listed twice")
         seen.add(r.method)
         if not _is_int(r.rank) or r.rank != i:  # the ranking metrics read the row order
-            raise SchemaError(f"malformed detections row: rank {r.rank!r} of {r.method!r} in row {i}")
+            raise SchemaError(f"{where}: rank {r.rank!r} of {r.method!r} is not its row number")
         if not _is_number(r.score):
-            raise SchemaError(f"malformed detections row: score {r.score!r} of {r.method!r} is not a number")
+            raise SchemaError(f"{where}: score {r.score!r} of {r.method!r} is not a number")
         if r.decision not in ("V", "NV"):
-            raise SchemaError(
-                f"malformed detections row: decision {r.decision!r} of {r.method!r} is not V or NV"
-            )
+            raise SchemaError(f"{where}: decision {r.decision!r} of {r.method!r} is not V or NV")
     unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
 
     subgraphs = []
     skipped = 0
-    explained = set()
-    try:
-        for row in explanation_rows:
-            ranking = [(s["index"], s["importance"]) for s in row["statements"]]
-            if not all(_is_int(index) and _is_number(importance) for index, importance in ranking):
-                raise SchemaError(
-                    f"malformed explanations row: a statement of {row['method']!r} has a non-integer"
-                    " index or a non-number importance"
-                )
-            n = stmt_counts.get(row["method"])
-            if n is not None and not all(0 <= index < n for index, _ in ranking):
-                raise SchemaError(
-                    f"malformed explanations row: a statement index of {row['method']!r} is not one"
-                    f" of its {n} statements"
-                )
-            if row["method"] in explained:
-                raise SchemaError(f"malformed explanations row: {row['method']!r} is explained twice")
-            explained.add(row["method"])
-            if row["method"] not in truths or labels.get(row["method"]) != "V":
-                skipped += 1
-                continue
-            subgraphs.append(InterpretationSubgraph(row["method"], [], (), ranking))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed explanations row: {exc!r}") from exc
+    for method, ranking, _, _ in explanations:
+        n = stmt_counts.get(method)
+        if n is not None and not all(0 <= index < n for index, _ in ranking):
+            raise SchemaError(
+                f"{args.explanations}: a statement index of {method!r} is not one of its {n} statements"
+            )
+        if method not in truths or labels.get(method) != "V":
+            skipped += 1
+            continue
+        subgraphs.append(InterpretationSubgraph(method, [], (), ranking))
 
     report = evaluation_report(
         ranked,
@@ -405,37 +436,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    from .frontend.pdg import EDGE_KINDS
     from .patterns import AbstractGraph, mine_patterns, pattern_count_table, pattern_to_dict, pattern_to_dot
 
     cfg = _config_from_args(args)
-    rows = _load_json(args.explanations, "explanations")
-    if not isinstance(rows, list):
-        raise SchemaError("explanations file must hold a list of explanations")
-    graphs = []
-    try:
-        for row in rows:
-            graphs.append(
-                AbstractGraph(
-                    nodes=[(i, str(label)) for i, label in row["abstract"]["nodes"]],
-                    edges=[(s, d, k) for s, d, k in row["abstract"]["edges"]],
-                )
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed explanations row: {exc!r}") from exc
-    for graph in graphs:
-        ids = [i for i, _ in graph.nodes]
-        ends = [v for s, d, _ in graph.edges for v in (s, d)]
-        if not all(_is_int(v) for v in ids + ends):
-            raise SchemaError("malformed explanations row: abstract node ids and edge ends must be integers")
-        unknown = sorted(set(ends) - set(ids))
-        if unknown:
-            raise SchemaError(f"malformed explanations row: abstract edges name unknown nodes {unknown}")
-        kinds = [k for _, _, k in graph.edges if k not in EDGE_KINDS]
-        if kinds:
-            raise SchemaError(
-                f"malformed explanations row: abstract edge kind {kinds[0]!r} is not data or control"
-            )
+    graphs = [AbstractGraph(nodes, edges) for _, _, nodes, edges in read_explanations(args.explanations)]
     lo, hi = args.sizes
     try:
         patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))
@@ -448,16 +452,8 @@ def cmd_mine(args) -> int:
         "patterns": [pattern_to_dict(p) for p in patterns],
         "count_table": table,
     }
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "patterns.json").write_text(dump_json(report, indent=2), encoding="utf-8")
-        for i, pattern in enumerate(patterns):
-            (out_dir / f"pattern_{i:03d}.dot").write_text(
-                pattern_to_dot(pattern), encoding="utf-8"
-            )
-    else:
-        sys.stdout.write(dump_json(report, indent=2))
+    dots = ((f"pattern_{i:03d}.dot", pattern_to_dot(p)) for i, p in enumerate(patterns))
+    _emit_dir(report, args.out, "patterns.json", dots)
     _log(f"mined {len(patterns)} pattern(s) from {len(graphs)} explanation(s)")
     return 0
 

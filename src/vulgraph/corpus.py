@@ -34,6 +34,7 @@ from .errors import (
 )
 from .metrics import FixGroundTruth
 from .rng import Rng
+from .util import decode_json
 
 if TYPE_CHECKING:
     from .frontend import Pdg
@@ -138,24 +139,17 @@ def iter_corpus(path):
     """Read and validate a JSON-lines corpus one line at a time, yielding
     each entry as its line is read.
 
-    Schema violations abort with the offending line number; method-parse
-    failures are recorded on the entry (pdg None, parse_error set) so one bad
-    method cannot sink a whole corpus. Only the ids seen so far are kept, to
-    reject a duplicate.
+    A line that is not UTF-8, not JSON or not of the schema aborts with its
+    line number; method-parse failures are recorded on the entry (pdg None,
+    parse_error set) so one bad method cannot sink a whole corpus. Only the
+    ids seen so far are kept, to reject a duplicate.
     """
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # lines end at \n; each is decoded on its own
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            if not raw.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _schema_error(lineno, f"invalid JSON ({exc.msg})") from exc
-            except RecursionError as exc:  # the decoder's own nesting limit
-                raise _schema_error(lineno, "JSON nested too deeply to decode") from exc
-            entry = _entry_from_obj(obj, lineno)
+            entry = _entry_from_obj(decode_json(raw, SchemaError, f"line {lineno}"), lineno)
             if entry.id in seen:
                 raise DuplicateId(f"line {lineno}: duplicate method id {entry.id!r}")
             seen.add(entry.id)

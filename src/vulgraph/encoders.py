@@ -364,12 +364,6 @@ def _token_matrix(
     return ids, mask
 
 
-def _run_token_gru(
-    gru: tuple, embed: Tensor, ids: np.ndarray, mask: np.ndarray
-) -> Tensor:
-    return gru_sequence([embed], ids.T, mask.T, gru)
-
-
 def _run_context_gru(gru: tuple, f1: Tensor, contexts: list[list[int]]) -> Tensor:
     """GRU over the feature-1 vectors of each statement's context neighbors;
     contexts hold row indices into the stacked f1 matrix."""
@@ -404,10 +398,10 @@ def _statement_features(
         [[w for var in b.var_types for w in var] for b in flat], vocab
     )
 
-    f1 = _run_token_gru(cell_params(store, "sub_gru", GRU_GATES), embed, sub_ids, sub_mask)
+    f1 = gru_sequence([embed], sub_ids.T, sub_mask.T, cell_params(store, "sub_gru", GRU_GATES))
     f2 = encode_forest([b.tree for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
-    f3 = _run_token_gru(cell_params(store, "name_gru", GRU_GATES), embed, name_ids, name_mask)
-    f4 = _run_token_gru(cell_params(store, "type_gru", GRU_GATES), embed, type_ids, type_mask)
+    f3 = gru_sequence([embed], name_ids.T, name_mask.T, cell_params(store, "name_gru", GRU_GATES))
+    f4 = gru_sequence([embed], type_ids.T, type_mask.T, cell_params(store, "type_gru", GRU_GATES))
 
     data_ctx, ctrl_ctx = [], []
     for (s, _), bundles in zip(spans, bundle_lists):
@@ -513,7 +507,6 @@ def encode_method_batch(
     pdgs: list[Pdg],
     vocab: Vocabulary,
     store: ParamStore,
-    cfg: EncoderConfig,
     bundle_lists: list[list[StatementFeatureBundle]] | None = None,
 ) -> tuple[Tensor, Slots]:
     """Encode every statement of every method in one tensor program.
@@ -522,8 +515,6 @@ def encode_method_batch(
     slot list, whose spans place each method's rows.
     """
     slots = slot_list(pdgs)
-    if not pdgs:
-        return Tensor(np.zeros((0, cfg.stmt_dim))), slots
     if bundle_lists is None:
         bundle_lists = [extract_method_features(p) for p in pdgs]
     features = _statement_features(bundle_lists, slots.spans, vocab, store)

@@ -202,9 +202,7 @@ def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = Non
     feature bundles already extracted."""
     pdgs = [p for _, p in items]
     bundle_lists = None if bundles is None else [bundles[mid] for mid, _ in items]
-    enc, slots = encode_method_batch(
-        pdgs, model.vocab, model.store, model.encoder_config, bundle_lists
-    )
+    enc, slots = encode_method_batch(pdgs, model.vocab, model.store, bundle_lists)
     logits = graph_logits(slots, detector_weights(slots), enc, model.store)
     return logits, [Tensor(enc.data[s:e]) for s, e in slots.spans]
 

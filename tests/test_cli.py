@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import pathlib
+import struct
 import sys
 import tracemalloc
 
@@ -15,6 +16,7 @@ from vulgraph.corpus import iter_corpus, load_corpus
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import CheckpointError, ConfigError
 from vulgraph.autodiff import save_checkpoint
+from vulgraph.autodiff.checkpoint import MAGIC
 from vulgraph.fagcn import _chunk_logits, forward_methods, frozen, graph_logits, load_model, new_model, save_model
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import pdg_from_source, pdg_to_dict
@@ -831,11 +833,17 @@ def _unknown_edge_kind(rows):
             ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
             ("explanations", _method_explained_twice),
         ),
+        (["mine", "{bad}"], ("explanations", _method_explained_twice)),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _edge_to_unknown_node),
+        ),
     ],
     ids=["min_support_below_two", "sizes_from_zero", "negative_seed", "score_not_a_number", "edge_to_unknown_node",
          "decision_maybe", "statement_index_a_string", "fractional_node_id", "unknown_edge_kind",
          "rows_out_of_rank_order", "method_listed_twice", "method_not_a_string",
-         "statement_index_past_the_method", "statement_index_negative", "method_explained_twice"],
+         "statement_index_past_the_method", "statement_index_negative", "method_explained_twice",
+         "mine_method_explained_twice", "evaluate_edge_to_unknown_node"],
 )
 def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, capsys, args, damage):
     paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}
@@ -849,10 +857,68 @@ def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, ca
     assert capsys.readouterr().err.startswith("error:")
 
 
+_NOT_UTF8 = b'{"id": "caf\xe9"}'  # Latin-1 text
+_TOO_DEEP = b"[" * 200_000  # past the JSON decoder's nesting limit
+
+
+def _corpus_line_2(line):
+    return lambda pipeline: pipeline["test_corpus"].read_bytes().splitlines()[0] + b"\n" + line + b"\n"
+
+
+def _manifest(manifest):
+    return lambda pipeline: MAGIC + struct.pack("<Q", len(manifest)) + manifest
+
+
+@pytest.mark.parametrize(
+    "args, content, where",
+    [
+        (["detect", "{bad}", "--model", "{model}"], _corpus_line_2(_NOT_UTF8), "line 2"),
+        (["evaluate", "--corpus", "{bad}", "--detections", "{detections}"], _corpus_line_2(_NOT_UTF8), "line 2"),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], lambda p: _NOT_UTF8, "{bad}"),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            lambda p: _NOT_UTF8, "{bad}",
+        ),
+        (["mine", "{bad}"], lambda p: _NOT_UTF8, "{bad}"),
+        (["mine", "{explanations}", "--config", "{bad}"], lambda p: _NOT_UTF8, "{bad}"),
+        (["detect", "{test_corpus}", "--model", "{bad}"], _manifest(_NOT_UTF8), "{bad}: manifest"),
+        (["parse", "{bad}"], lambda p: b"int f(void) {\n  return 0; /* caf\xe9 */\n}\n", "{bad}"),
+        (["evaluate", "--corpus", "{test_corpus}", "--detections", "{bad}"], lambda p: _TOO_DEEP, "{bad}"),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            lambda p: _TOO_DEEP, "{bad}",
+        ),
+        (["mine", "{bad}"], lambda p: _TOO_DEEP, "{bad}"),
+        (["mine", "{explanations}", "--config", "{bad}"], lambda p: _TOO_DEEP, "{bad}"),
+        (["detect", "{test_corpus}", "--model", "{bad}"], _manifest(_TOO_DEEP), "{bad}: manifest"),
+    ],
+    ids=["corpus_not_utf8_detect", "corpus_not_utf8_evaluate", "detections_not_utf8",
+         "explanations_not_utf8_evaluate", "explanations_not_utf8_mine", "config_not_utf8", "manifest_not_utf8",
+         "source_not_utf8", "detections_too_deep", "explanations_too_deep_evaluate",
+         "explanations_too_deep_mine", "config_too_deep", "manifest_too_deep"],
+)
+def test_undecodable_input_files_are_validation_errors(pipeline, tmp_path, capsys, args, content, where):
+    # every file is decoded by one step: bad bytes and runaway nesting exit 1
+    # with an error that names the file, or the line of a corpus
+    bad = tmp_path / "bad"
+    bad.write_bytes(content(pipeline))
+    paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}
+    capsys.readouterr()
+    assert main([arg.format(bad=bad, **paths) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where.format(bad=bad)}: ") and "internal error" not in err, err
+
+
 @pytest.mark.parametrize(
     "key, value",
-    [("epochs", 0), ("fractions", [0.5, 0.5]), ("batch_size", 0), ("epochs", "3"), ("k", "3"), ("real_ratio", -1)],
-    ids=["epochs_zero", "two_fractions", "batch_size_zero", "epochs_a_string", "k_a_string", "negative_real_ratio"],
+    [
+        ("epochs", 0), ("fractions", [0.5, 0.5]), ("batch_size", 0), ("epochs", "3"), ("k", "3"), ("real_ratio", -1),
+        ("explain_iterations", -3), ("patience", 0), ("patience", -2), ("lr", 0), ("lr", -1e-3),
+        ("explain_lr", -0.05), ("sparsity_weight", -1), ("entropy_weight", -0.1),
+    ],
+    ids=["epochs_zero", "two_fractions", "batch_size_zero", "epochs_a_string", "k_a_string", "negative_real_ratio",
+         "negative_explain_iterations", "patience_zero", "negative_patience", "lr_zero", "negative_lr",
+         "negative_explain_lr", "negative_sparsity_weight", "negative_entropy_weight"],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
     corpus = tmp_path / "corpus.jsonl"

@@ -45,7 +45,7 @@ int scan(int num) {
 
 def encode_one(pdg, vocab, store, bundles):
     """Statement vectors of one method, encoded as a batch of one."""
-    out, _ = encode_method_batch([pdg], vocab, store, CFG, [bundles])
+    out, _ = encode_method_batch([pdg], vocab, store, [bundles])
     return out
 
 
@@ -346,7 +346,7 @@ def _encode_with_fusion_input(pdg, vocab, store):
     """encode_method_batch's output and the widened, attention-weighted
     feature rows g that its fusion step consumes."""
     bundles = extract_method_features(pdg)
-    out, _ = encode_method_batch([pdg], vocab, store, CFG, [bundles])
+    out, _ = encode_method_batch([pdg], vocab, store, [bundles])
     feats = _statement_features([bundles], [(0, len(bundles))], vocab, store)
     w = _attention_weights(feats, store)
     hw, hb = store["fuse.h_w"].data, store["fuse.h_b"].data
@@ -403,7 +403,7 @@ def test_batch_encoding_agrees_with_single():
     pdg, bundles, vocab, store = make_setup()
     other = pdg_from_source("int one(int x) { int y = x + 1; return y; }")
     ob = extract_method_features(other)
-    big, slots = encode_method_batch([pdg, other], vocab, store, CFG, [bundles, ob])
+    big, slots = encode_method_batch([pdg, other], vocab, store, [bundles, ob])
     spans = slots.spans
     assert spans == [(0, len(bundles)), (len(bundles), len(bundles) + len(ob))]
     solo1 = encode_one(pdg, vocab, store, bundles)
