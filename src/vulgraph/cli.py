@@ -2,8 +2,10 @@
 
 Subcommands: parse, train, detect, explain, evaluate, mine, gradcheck,
 gen-corpus. Configuration precedence is defaults < --config JSON file <
-explicit flags. Progress lines go to standard error; machine-readable
-results go to standard output or to the declared output paths only.
+explicit flags; each command that takes --config builds its RunConfig
+(vulgraph.config), which checks every key, before it opens any input.
+Progress lines go to standard error; machine-readable results go to
+standard output or to the declared output paths only.
 
 Each subcommand imports the layers it runs when it runs. parse, gen-corpus,
 evaluate and mine load neither numpy nor the model; train, detect, explain
@@ -16,11 +18,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .config import RunConfig, load_run_config
 from .corpus import (
-    SplitSpec,
     dump_corpus,
     fix_truth,
     generate_planted_corpus,
@@ -31,135 +32,13 @@ from .corpus import (
 )
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
 from .metrics import InterpretationSubgraph, RankedDetection, evaluation_report
-from .util import decode_json, decode_text, dump_json
+from .util import decode_json, decode_text, dump_json, is_int, is_number
 
 TABLE_GRID = (2, 3, 4, 5)
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    embed_dim: int = 32
-    gru_hidden: int = 32
-    stmt_dim: int = 64
-    epochs: int = 50
-    lr: float = 1e-3
-    batch_size: int = 8
-    patience: int = 5
-    fractions: tuple = (0.8, 0.1, 0.1)
-    real_ratio: float = 1.0
-    explain_iterations: int = 300
-    explain_lr: float = 0.05
-    sparsity_weight: float = 0.005
-    entropy_weight: float = 0.1
-    k: int = 5
-    min_support: int = 2
-
-    def encoder_config(self):
-        from .encoders import EncoderConfig
-
-        return EncoderConfig(
-            embed_dim=self.embed_dim,
-            gru_hidden=self.gru_hidden,
-            stmt_dim=self.stmt_dim,
-        )
-
-    def train_config(self):
-        from .fagcn import TrainConfig
-
-        return TrainConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            patience=self.patience,
-            seed=self.seed,
-        )
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            fractions=tuple(self.fractions), seed=self.seed, real_ratio=self.real_ratio
-        )
-
-    def explain_settings(self):
-        from .explain import ExplainConfig
-
-        return ExplainConfig(
-            iterations=self.explain_iterations,
-            lr=self.explain_lr,
-            sparsity_weight=self.sparsity_weight,
-            entropy_weight=self.entropy_weight,
-        )
-
-
-def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    merged = asdict(RunConfig())
-    known = set(merged)
-    if path is not None:
-        data = decode_json(Path(path).read_bytes(), ConfigError, path)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config file must hold a JSON object")
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    if isinstance(merged["fractions"], list):
-        merged["fractions"] = tuple(merged["fractions"])
-    try:
-        cfg = RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_values(cfg)
-    return cfg
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_values(cfg: RunConfig) -> None:
-    """Every value has its default's type: an integer where the default is
-    one, a number where it is a real, a list of numbers for the split
-    fractions. k, patience and explain_iterations must be at least 1, the
-    step sizes positive, the mask penalties non-negative, and the split
-    settings must pass SplitSpec's checks; train checks its own epochs and
-    batch size."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(f.default, tuple):
-            ok, want = isinstance(value, tuple) and all(_is_number(v) for v in value), "a list of numbers"
-        elif isinstance(f.default, int):
-            ok, want = _is_int(value), "an integer"
-        else:
-            ok, want = _is_number(value), "a number"
-        if not ok:
-            raise ConfigError(f"{f.name} must be {want}, not {value!r}")
-    for key in ("k", "patience", "explain_iterations"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, not {getattr(cfg, key)!r}")
-    for key in ("lr", "explain_lr"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"{key} must be positive, not {getattr(cfg, key)!r}")
-    for key in ("sparsity_weight", "entropy_weight"):
-        if not getattr(cfg, key) >= 0:
-            raise ConfigError(f"{key} must be non-negative, not {getattr(cfg, key)!r}")
-    try:
-        cfg.split_spec()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for key in ("seed", "k", "min_support"):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
+    overrides = {key: getattr(args, key, None) for key in ("seed", "k", "min_support")}
     return load_run_config(getattr(args, "config", None), overrides)
 
 
@@ -211,8 +90,11 @@ def cmd_parse(args) -> int:
     for path in args.files:
         source = decode_text(Path(path).read_bytes(), VulgraphError, path)
         source = source.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read
-        for method_ast in parse_source(source):
-            pdg = build_pdg(method_ast)
+        try:  # a file's PDGs are written once the whole file has parsed
+            pdgs = [build_pdg(method_ast) for method_ast in parse_source(source)]
+        except VulgraphError as exc:
+            raise VulgraphError(f"{path}: {exc}") from exc
+        for pdg in pdgs:
             text = pdg_to_json(pdg)
             if out_dir:
                 (out_dir / f"{pdg.method}.pdg.json").write_text(text, encoding="utf-8")
@@ -343,7 +225,7 @@ def read_explanations(path) -> list[tuple]:
         if not _all_of(statements, dict):
             raise SchemaError(f"{where}: statements must be a list of objects")
         ranking = [(s.get("index"), s.get("importance")) for s in statements]
-        if not all(_is_int(index) and _is_number(importance) for index, importance in ranking):
+        if not all(is_int(index) and is_number(importance) for index, importance in ranking):
             raise SchemaError(f"{where}: a statement has a non-integer index or a non-number importance")
         nodes = graph.get("nodes") if isinstance(graph, dict) else None
         edges = graph.get("edges") if isinstance(graph, dict) else None
@@ -351,7 +233,7 @@ def read_explanations(path) -> list[tuple]:
             raise SchemaError(f"{where}: abstract must hold [id, label] nodes and [source, target, kind] edges")
         ids = [i for i, _ in nodes]
         ends = [v for s, d, _ in edges for v in (s, d)]
-        if not all(_is_int(v) for v in ids + ends):
+        if not all(is_int(v) for v in ids + ends):
             raise SchemaError(f"{where}: abstract node ids and edge ends must be integers")
         unknown = sorted(set(ends) - set(ids))
         if unknown:
@@ -370,9 +252,34 @@ def _all_of(value, kind: type, length: int | None = None) -> bool:
     )
 
 
+def read_detections(path) -> list[RankedDetection]:
+    """The rows of a detections file, the report detect writes, each checked
+    (docs/cli.md lists the checks); a bad row is a schema error naming it."""
+    detections = decode_json(Path(path).read_bytes(), SchemaError, path)
+    rows = detections.get("methods") if isinstance(detections, dict) else None
+    if not _all_of(rows, dict):
+        raise SchemaError(f"{path}: detections file must hold an object with a list of method rows")
+    ranked = [RankedDetection(r.get("method"), r.get("score"), r.get("decision"), r.get("rank")) for r in rows]
+    seen = set()
+    for i, r in enumerate(ranked, start=1):
+        where = f"{path}: detections row {i}"
+        if not isinstance(r.method, str):
+            raise SchemaError(f"{where}: method {r.method!r} is not a string")
+        if r.method in seen:
+            raise SchemaError(f"{where}: {r.method!r} is listed twice")
+        seen.add(r.method)
+        if not is_int(r.rank) or r.rank != i:  # the ranking metrics read the row order
+            raise SchemaError(f"{where}: rank {r.rank!r} of {r.method!r} is not its row number")
+        if not is_number(r.score):
+            raise SchemaError(f"{where}: score {r.score!r} of {r.method!r} is not a number")
+        if r.decision not in ("V", "NV"):
+            raise SchemaError(f"{where}: decision {r.decision!r} of {r.method!r} is not V or NV")
+    return ranked
+
+
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    detections = decode_json(Path(args.detections).read_bytes(), SchemaError, args.detections)
+    ranked = read_detections(args.detections)
     explanations = read_explanations(args.explanations) if args.explanations else []
     # One pass over the corpus keeps only what the metrics read of each
     # entry: its label, its statement count and, when interpretable, its fix.
@@ -383,25 +290,6 @@ def cmd_evaluate(args) -> int:
             stmt_counts[entry.id] = len(entry.pdg.nodes)
             if entry.interpretable:
                 truths[entry.id] = fix_truth(entry)
-
-    rows = detections.get("methods") if isinstance(detections, dict) else None
-    if not _all_of(rows, dict):
-        raise SchemaError(f"{args.detections}: detections file must hold an object with a list of method rows")
-    ranked = [RankedDetection(r.get("method"), r.get("score"), r.get("decision"), r.get("rank")) for r in rows]
-    seen = set()
-    for i, r in enumerate(ranked, start=1):
-        where = f"{args.detections}: detections row {i}"
-        if not isinstance(r.method, str):
-            raise SchemaError(f"{where}: method {r.method!r} is not a string")
-        if r.method in seen:
-            raise SchemaError(f"{where}: {r.method!r} is listed twice")
-        seen.add(r.method)
-        if not _is_int(r.rank) or r.rank != i:  # the ranking metrics read the row order
-            raise SchemaError(f"{where}: rank {r.rank!r} of {r.method!r} is not its row number")
-        if not _is_number(r.score):
-            raise SchemaError(f"{where}: score {r.score!r} of {r.method!r} is not a number")
-        if r.decision not in ("V", "NV"):
-            raise SchemaError(f"{where}: decision {r.decision!r} of {r.method!r} is not V or NV")
     unknown = [r.method for r in ranked if r.method not in labels]
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
@@ -443,7 +331,7 @@ def cmd_mine(args) -> int:
     lo, hi = args.sizes
     try:
         patterns = mine_patterns(graphs, cfg.min_support, (lo, hi))
-    except ValueError as exc:  # the miner's own checks of --min-support and --sizes
+    except ValueError as exc:  # the miner's own check of --sizes
         raise ConfigError(str(exc)) from exc
     table = pattern_count_table(graphs, supports=list(TABLE_GRID), sizes=list(TABLE_GRID))
     report = {

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .config import SplitSpec
 from .errors import (
     CorpusError,
     DuplicateId,
@@ -61,23 +62,6 @@ class CorpusEntry:
         explanation scoring, and only when given as source: fix lines are
         source lines, and a serialized PDG's statements carry none."""
         return self.label == "V" and self.fix is not None and self.source is not None
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
-    real_ratio: float = 1.0
-
-    def __post_init__(self):
-        if len(self.fractions) != 3:
-            raise ValueError("fractions must be (train, tune, test)")
-        if any(f <= 0 for f in self.fractions):
-            raise ValueError("every split fraction must be positive")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-        if self.real_ratio < 0:
-            raise ValueError("real_ratio must be non-negative")
 
 
 def _schema_error(lineno: int, message: str) -> SchemaError:

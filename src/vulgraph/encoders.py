@@ -34,13 +34,13 @@ them by its layout's names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .autodiff import ParamStore, Tensor
-from .errors import ConfigError, EmptyTree, ShapeMismatch
+from .config import EncoderConfig
+from .errors import EmptyTree, ShapeMismatch
 from .features import (
     PAD_ID,
     UNK_ID,
@@ -54,29 +54,7 @@ from .slots import Runs, Slots, propagate, slot_list, slot_products
 
 N_FEATURES = 6
 WIDEN_DIM = 8  # per-feature width after the shared summarizing layer
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    embed_dim: int = 32
-    gru_hidden: int = 32  # also the Tree-LSTM's width, so attention reads equal widths
-    stmt_dim: int = 64
-
-    def __post_init__(self):
-        for field in ("embed_dim", "gru_hidden", "stmt_dim"):
-            if getattr(self, field) < 2:
-                raise ConfigError(f"{field} must be >= 2")
-
-    @property
-    def concat_dim(self) -> int:
-        return N_FEATURES * WIDEN_DIM
-
-    def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "gru_hidden": self.gru_hidden,
-            "stmt_dim": self.stmt_dim,
-        }
+CONCAT_DIM = N_FEATURES * WIDEN_DIM  # a statement's widened features, concatenated
 
 
 GRU_GATES = "zrh"  # update, reset, candidate
@@ -122,7 +100,7 @@ def encoder_layout(vocab_size: int, cfg: EncoderConfig) -> list[tuple[str, tuple
         *cell_layout("ctrl_gru", GRU_GATES, h, h),
         *cell_layout("attn_fwd", GRU_GATES, h, h),
         *cell_layout("attn_bwd", GRU_GATES, h, h),
-        *fuse_layout(h, cfg.concat_dim, cfg.stmt_dim),
+        *fuse_layout(h, CONCAT_DIM, cfg.stmt_dim),
     ]
 
 

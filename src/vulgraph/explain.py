@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, ParamStore, Tensor
+from .config import TOP_K, ExplainConfig
 from .encoders import _sigmoid
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits
@@ -35,7 +36,6 @@ from .metrics import InterpretationSubgraph
 from .slots import Slots, dependence_pairs, normalize, normalize_grad, slot_list
 from .util import dot_escape
 
-DEFAULT_TOP_EDGES = 5
 INIT_LOGIT = 1.0
 LOGIT_CLAMP = 30.0
 
@@ -47,14 +47,6 @@ class EdgeMask:
 
     def values(self) -> np.ndarray:
         return _sigmoid(self.logits)
-
-
-@dataclass(frozen=True)
-class ExplainConfig:
-    iterations: int = 300
-    lr: float = 0.05
-    sparsity_weight: float = 0.005
-    entropy_weight: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -193,7 +185,7 @@ def learn_edge_mask(
     return EdgeMask(logits=logits.data.copy(), loss_trace=trace)
 
 
-def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = DEFAULT_TOP_EDGES) -> InterpretationSubgraph:
+def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = TOP_K) -> InterpretationSubgraph:
     """Top-k edges by mask value (ties by edge order); statements ranked by
     the sum of mask values over their kept incident edges."""
     values = mask.values()

@@ -29,8 +29,9 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .encoders import EncoderConfig, encode_method_batch, encoder_layout
-from .errors import CheckpointError, ConfigError, EmptySplit, ShapeMismatch, SingleClassTuningSet
+from .config import EncoderConfig, TrainConfig
+from .encoders import encode_method_batch, encoder_layout
+from .errors import CheckpointError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
 from .metrics import RankedDetection, auc, precision_recall_f1
@@ -62,15 +63,6 @@ HEAD_PARAMS = tuple(name for name, _ in head_layout(0, 0, 0, 0))
 def model_layout(vocab_size: int, cfg: EncoderConfig, d2: int = GCN_HIDDEN) -> list[tuple[str, tuple]]:
     """Every model parameter, in registration order (which fixes checkpoint bytes)."""
     return encoder_layout(vocab_size, cfg) + head_layout(cfg.stmt_dim, d2, *FC_HIDDEN)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    lr: float = 1e-3
-    batch_size: int = 8
-    patience: int = 5
-    seed: int = 0
 
 
 @dataclass
@@ -345,10 +337,6 @@ def train(
     training split. Each method's feature bundles are extracted once per
     run."""
     config = config or TrainConfig()
-    if config.epochs < 1:  # the threshold is fit on an epoch's tuning scores
-        raise ConfigError("epochs must be at least 1")
-    if config.batch_size < 1:
-        raise ConfigError("batch_size must be at least 1")
     if not train_items:
         raise EmptySplit("training split is empty")
     if not tune_items:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import TOP_K
 from .errors import EmptyClass, KOutOfRange, LengthMismatch, MissingTruth
 
 REPORT_KS = (1, 3, 5, 10, 15, 20)
@@ -187,7 +188,7 @@ def evaluation_report(
     labels: dict,
     subgraphs=None,
     truths: dict | None = None,
-    num_nodes: int = 5,
+    num_nodes: int = TOP_K,
     ks=REPORT_KS,
 ) -> dict:
     """All measures in one JSON-ready structure; ranking rows only for

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from .config import MIN_SUPPORT
 from .frontend import Pdg
 from .frontend.render import render_statement
 from .util import dot_escape
@@ -135,8 +136,8 @@ def mine_patterns(graphs, min_support: int, size_range=(1, MAX_PATTERN_EDGES)) -
     """Frequent connected sub-graphs, counted at most once per source graph,
     ordered by (support desc, canonical form asc)."""
     lo, hi = size_range
-    if min_support < 2:
-        raise ValueError("min_support must be at least 2")
+    if min_support < MIN_SUPPORT:
+        raise ValueError(f"min_support must be at least {MIN_SUPPORT}")
     if not (1 <= lo <= hi <= MAX_PATTERN_EDGES):
         raise ValueError(f"size_range must satisfy 1 <= LO <= HI <= {MAX_PATTERN_EDGES}, got LO={lo}, HI={hi}")
     support: dict = {}
@@ -162,10 +163,10 @@ def mine_patterns(graphs, min_support: int, size_range=(1, MAX_PATTERN_EDGES)) -
 
 def pattern_count_table(graphs, supports, sizes) -> dict:
     """Distinct-pattern counts per (edge-count, support-threshold) cell."""
-    if any(m < 2 for m in supports):
-        raise ValueError("support thresholds must be at least 2")
+    if any(m < MIN_SUPPORT for m in supports):
+        raise ValueError(f"support thresholds must be at least {MIN_SUPPORT}")
     if sizes and graphs:
-        mined = mine_patterns(graphs, 2, (min(sizes), max(sizes)))
+        mined = mine_patterns(graphs, MIN_SUPPORT, (min(sizes), max(sizes)))
     else:
         mined = []
     counts = [

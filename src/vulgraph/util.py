@@ -42,6 +42,14 @@ def decode_json(raw: bytes, error: type[Exception], where: str):
         raise error(f"{where}: JSON nested too deeply to decode") from exc
 
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def dot_escape(text: str) -> str:
     """`text` escaped for a double-quoted DOT string."""
     return text.replace("\\", "\\\\").replace('"', '\\"')

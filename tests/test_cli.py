@@ -99,6 +99,15 @@ def test_parse_dot_without_out_is_validation_error(capsys):
     assert captured.out == ""
 
 
+def test_parse_error_names_its_file_after_the_earlier_files_are_written(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_text("int f(void) {\n    int x = @;\n}\n", encoding="utf-8")
+    assert main(["parse", str(FIXTURES / "device_xcmd.c"), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (FIXTURES / "device_xcmd.pdg.json").read_text()
+    assert captured.err == f"error: {bad}: illegal character '@' at 2:13\n"
+
+
 def test_parse_missing_file_is_validation_error(capsys):
     assert main(["parse", "/nonexistent/source.c"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -909,16 +918,26 @@ def test_undecodable_input_files_are_validation_errors(pipeline, tmp_path, capsy
     assert err.startswith(f"error: {where.format(bad=bad)}: ") and "internal error" not in err, err
 
 
+def test_evaluate_checks_the_detections_rows_before_it_reads_the_corpus(tmp_path, capsys):
+    detections = tmp_path / "detections.json"
+    row = {"method": "m", "score": 0.9, "decision": "V", "rank": 2}
+    detections.write_text(json.dumps({"threshold": 0.5, "methods": [row]}), encoding="utf-8")
+    assert main(["evaluate", "--detections", str(detections), "--corpus", str(tmp_path / "missing.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {detections}: detections row 1: rank 2 ")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
         ("epochs", 0), ("fractions", [0.5, 0.5]), ("batch_size", 0), ("epochs", "3"), ("k", "3"), ("real_ratio", -1),
         ("explain_iterations", -3), ("patience", 0), ("patience", -2), ("lr", 0), ("lr", -1e-3),
-        ("explain_lr", -0.05), ("sparsity_weight", -1), ("entropy_weight", -0.1),
+        ("explain_lr", -0.05), ("sparsity_weight", -1), ("entropy_weight", -0.1), ("gru_hidden", 1),
+        ("stmt_dim", 1), ("min_support", 1),
     ],
     ids=["epochs_zero", "two_fractions", "batch_size_zero", "epochs_a_string", "k_a_string", "negative_real_ratio",
          "negative_explain_iterations", "patience_zero", "negative_patience", "lr_zero", "negative_lr",
-         "negative_explain_lr", "negative_sparsity_weight", "negative_entropy_weight"],
+         "negative_explain_lr", "negative_sparsity_weight", "negative_entropy_weight", "gru_hidden_one",
+         "stmt_dim_one", "min_support_one"],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
     corpus = tmp_path / "corpus.jsonl"
@@ -931,6 +950,29 @@ def test_train_rejects_bad_config_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error:") and key in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("batch_size", 0), ("embed_dim", 1), ("min_support", 1)])
+@pytest.mark.parametrize("command", ["train", "detect", "explain", "evaluate", "mine", "gen-corpus"])
+def test_every_command_checks_its_whole_config_before_it_reads_input(tmp_path, capsys, command, key, value):
+    # every key is checked whatever the command reads of the config, and
+    # before any input is opened: the inputs here do not exist
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    argv = {
+        "train": ["train", missing, "--out", str(out)],
+        "detect": ["detect", missing, "--model", missing, "--out", str(out)],
+        "explain": ["explain", missing, "--model", missing, "--out", str(out)],
+        "evaluate": ["evaluate", "--detections", missing, "--explanations", missing, "--corpus", missing,
+                     "--out", str(out)],
+        "mine": ["mine", missing, "--out", str(out)],
+        "gen-corpus": ["gen-corpus", "--n", "20", "--out", str(out)],
+    }[command]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(f"error: {key} must be")
+    assert captured.out == "" and not out.exists()
 
 
 # --- developer utilities ----------------------------------------------------

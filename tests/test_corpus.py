@@ -14,6 +14,7 @@ from vulgraph.corpus import (
     split,
 )
 from vulgraph.errors import (
+    ConfigError,
     CorpusError,
     DuplicateId,
     InsufficientNegatives,
@@ -222,7 +223,7 @@ def test_split_insufficient_negatives():
     ],
 )
 def test_split_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SplitSpec(**kwargs)
 
 

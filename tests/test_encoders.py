@@ -3,6 +3,7 @@ import pytest
 
 from vulgraph.autodiff import ParamStore, Tensor, init_params
 from vulgraph.encoders import (
+    CONCAT_DIM,
     FUSE_PARAMS,
     GRU_GATES,
     TREE_GATES,
@@ -452,4 +453,4 @@ def test_config_validation():
         EncoderConfig(embed_dim=1)
     with pytest.raises(TypeError):  # the tree width is gru_hidden, not a knob
         EncoderConfig(gru_hidden=8, tree_hidden=16)
-    assert EncoderConfig().concat_dim == 48
+    assert CONCAT_DIM == 48

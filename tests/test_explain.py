@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from vulgraph.autodiff import Adam, Tensor
+from vulgraph.config import TOP_K
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import MaskMisaligned
 from vulgraph.explain import (
-    DEFAULT_TOP_EDGES,
     EdgeMask,
     ExplainConfig,
     edge_slots,
@@ -470,7 +470,7 @@ def test_learning_is_deterministic(demo, flip_fixture, flip_mask):
 
 def test_explanation_report_shape(demo, flip_mask):
     sub = extract_subgraph(demo, flip_mask)  # default K
-    assert len(sub.edges) == min(DEFAULT_TOP_EDGES, len(demo.edges))
+    assert len(sub.edges) == min(TOP_K, len(demo.edges))
     report = explanation_report("NV", sub)
     assert report["method"] == demo.method
     assert report["decision"] == "NV"

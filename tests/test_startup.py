@@ -18,7 +18,7 @@ import sys
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "vulgraph"
 
-NUMPY_FREE = ["errors.py", "util.py", "rng.py", "frontend", "corpus.py", "metrics.py", "patterns.py", "cli.py"]
+NUMPY_FREE = ["errors.py", "util.py", "rng.py", "frontend", "corpus.py", "metrics.py", "patterns.py", "config.py", "cli.py"]
 MODEL = ("autodiff", "features", "slots", "encoders", "fagcn", "explain", "gradcheck")
 
 
