@@ -30,10 +30,21 @@ its order, so their values and gradients are bitwise that tape's. A
 training batch of eight methods records 11 nodes. Each block's parameters
 are declared once, as an ordered (name, shape) layout, and each op reads
 them by its layout's names.
+
+A pass that records no tape (fagcn.forward_methods) passes a memo
+(recurrence_memo): the five recurrences whose input is a token sequence
+(sub_gru, name_gru and type_gru over vocabulary ids, data_gru and ctrl_gru
+over their neighbours' subtokens) then run each distinct sequence once per
+pass and read its final state from the memo afterwards. A row's state does
+not depend on the rows run beside it (ROW_SAFE_WIDTH), so every state is
+bitwise the one a chunk running all its rows reaches. The recording pass
+takes no memo and runs every row: its backward adds each row's gradient
+into the weights in a fixed order, and shared rows would change that sum.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -324,37 +335,103 @@ def encode_forest(trees: list[FlatTree], vocab: Vocabulary, embed: Tensor, param
 # --- batched method encoding ------------------------------------------------------
 
 
-def _token_matrix(
-    seqs: list[list[str]], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vocabulary ids [len(seqs), longest] of each token sequence, padded with
-    PAD_ID, and the 0/1 mask of its real tokens; both filled by one
-    assignment over every token's (row, column)."""
+def _token_keys(seqs: list[list[str]], vocab: Vocabulary) -> list[tuple[int, ...]]:
+    """Each token sequence as the tuple of its vocabulary ids."""
+    token_id = vocab.token_to_id.get
+    return [tuple([token_id(t, UNK_ID) for t in seq]) for seq in seqs]
+
+
+def _token_matrix(seqs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The int sequences (token ids or context rows) as a matrix
+    [len(seqs), longest] padded with PAD_ID, and the 0/1 mask of its real
+    entries; both filled by one assignment over every entry's (row,
+    column)."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     max_len = max(int(lengths.max(initial=0)), 1)
     ids = np.full((len(seqs), max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), max_len), dtype=np.float64)
     row = np.repeat(np.arange(len(seqs)), lengths)
     col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    token_id = vocab.token_to_id.get
-    ids[row, col] = [token_id(t, UNK_ID) for seq in seqs for t in seq]
+    ids[row, col] = np.fromiter(chain.from_iterable(seqs), np.int64, len(row))
     mask[row, col] = 1.0
     return ids, mask
 
 
-def _run_context_gru(gru: tuple, f1: Tensor, contexts: list[list[int]]) -> Tensor:
+def _run_token_gru(gru: tuple, embed: Tensor, keys: list[tuple[int, ...]]) -> Tensor:
+    """GRU over the embedded tokens of each id sequence."""
+    ids, mask = _token_matrix(keys)
+    return gru_sequence([embed], ids.T, mask.T, gru)
+
+
+def _run_context_gru(gru: tuple, f1: Tensor, contexts: list) -> Tensor:
     """GRU over the feature-1 vectors of each statement's context neighbors;
-    contexts hold row indices into the stacked f1 matrix."""
-    n = len(contexts)
-    max_len = max((len(c) for c in contexts), default=0)
-    if max_len == 0:
-        return Tensor(np.zeros((n, gru[2].data.shape[0])))  # the first gate's bias
-    idx = np.zeros((max_len, n), dtype=np.int64)
-    mask = np.zeros((max_len, n), dtype=np.float64)
-    for b, ctx in enumerate(contexts):
-        idx[: len(ctx), b] = ctx
-        mask[: len(ctx), b] = 1.0
-    return gru_sequence([f1], idx, mask, gru)
+    contexts hold row indices into the f1 matrix."""
+    if not any(contexts):
+        return Tensor(np.zeros((len(contexts), gru[2].data.shape[0])))  # the first gate's bias
+    idx, mask = _token_matrix(contexts)
+    return gru_sequence([f1], idx.T, mask.T, gru)
+
+
+# A row of an A @ W product does not depend on the other rows when the
+# product has at least 2 rows and at least 4 output columns. Measured with
+# one thread of numpy's bundled OpenBLAS 0.3.31: no row of 288 such products
+# (2-130 rows, inner widths 2-64, output widths 4-64) differed from the same
+# row in a two-row product, nor did any of 1,232 cases in a wider sweep, or
+# of 3,200 at the GRU oracle test's widths of 4 or less. Output widths 1-3
+# with an inner width of 8 or more do differ (50 of 96 products), and so
+# does a one-row product, which takes the matrix-vector kernel (275 of 288).
+# A @ B.T with 37 rows or fewer takes yet another kernel, and rows of such
+# products can depend on the row count (18 of 120 differed); only backward
+# passes take them, and those never read a memo.
+ROW_SAFE_WIDTH = 4
+MEMO_GRUS = ("sub_gru", "name_gru", "type_gru", "data_gru", "ctrl_gru")
+
+
+class StateMemo:
+    """The final states one recurrence has reached in a pass, keyed by the
+    input sequence that determines each: a token GRU's vocabulary-id tuple,
+    or a context GRU's tuple of its neighbours' rows in the sub_gru memo.
+    Valid only while the weights stay as they were."""
+
+    def __init__(self, width: int):
+        self.index: dict = {}
+        self._rows = np.empty((0, width))  # capacity doubles as states arrive
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._rows[: len(self.index)]
+
+    def rows(self, keys: list, run) -> list[int]:
+        """Each key's row of `states`. Keys not seen before go to one call of
+        run(keys) -> Tensor of their final states, in order."""
+        index = self.index
+        new = list(dict.fromkeys(k for k in keys if k not in index))
+        if new:
+            # A lone new key runs as two identical rows: a one-row product
+            # takes another kernel (see ROW_SAFE_WIDTH).
+            got = run(new * 2 if len(new) == 1 else new).data
+            start, stop = len(index), len(index) + len(new)
+            if stop > len(self._rows):
+                grown = np.empty((max(stop, 2 * start), got.shape[1]))
+                grown[:start] = self.states
+                self._rows = grown
+            self._rows[start:stop] = got[: len(new)]
+            index.update(zip(new, range(start, stop)))
+        return [index[k] for k in keys]
+
+    def read(self, keys: list, run) -> Tensor:
+        """The final states of `keys`, [len(keys), width] (see rows)."""
+        rows = self.rows(keys, run)
+        return Tensor(self.states[rows])
+
+
+def recurrence_memo(width: int) -> dict[str, StateMemo] | None:
+    """An empty memo for each recurrence whose input is a token sequence,
+    for states `width` (gru_hidden) wide; None below ROW_SAFE_WIDTH, where a
+    row's bits may depend on the rows run beside it."""
+    if width < ROW_SAFE_WIDTH:
+        return None
+    return {name: StateMemo(width) for name in MEMO_GRUS}
 
 
 def _statement_features(
@@ -362,32 +439,52 @@ def _statement_features(
     spans: list[tuple[int, int]],
     vocab: Vocabulary,
     store: ParamStore,
+    memo: dict[str, StateMemo] | None = None,
 ) -> list[Tensor]:
     """The six per-statement feature matrices [total_stmts, gru_hidden] of
-    every method, in feature order; spans place each method's rows."""
+    every method, in feature order; spans place each method's rows.
+
+    With a memo (recurrence_memo), the five token and context recurrences
+    run only the keys the memo has not seen, all in one batch each, and read
+    the rest from it. Every row is bitwise what running all rows gives,
+    since each product has 2 rows or more (see ROW_SAFE_WIDTH). A chunk of
+    one statement, whose products have one row, runs all rows and leaves
+    the memo alone, as a chunk without a memo does."""
     flat = [b for bundles in bundle_lists for b in bundles]
     embed = store["embed.table"]
-
-    sub_ids, sub_mask = _token_matrix([b.subtokens for b in flat], vocab)
-    name_ids, name_mask = _token_matrix(
-        [[w for var in b.var_names for w in var] for b in flat], vocab
-    )
-    type_ids, type_mask = _token_matrix(
-        [[w for var in b.var_types for w in var] for b in flat], vocab
-    )
-
-    f1 = gru_sequence([embed], sub_ids.T, sub_mask.T, cell_params(store, "sub_gru", GRU_GATES))
-    f2 = encode_forest([b.tree for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
-    f3 = gru_sequence([embed], name_ids.T, name_mask.T, cell_params(store, "name_gru", GRU_GATES))
-    f4 = gru_sequence([embed], type_ids.T, type_mask.T, cell_params(store, "type_gru", GRU_GATES))
-
+    sub_gru, name_gru, type_gru, data_gru, ctrl_gru = (cell_params(store, n, GRU_GATES) for n in MEMO_GRUS)
+    tree = cell_params(store, "tree", TREE_GATES)
+    sub_keys = _token_keys([b.subtokens for b in flat], vocab)
+    name_keys = _token_keys([[w for var in b.var_names for w in var] for b in flat], vocab)
+    type_keys = _token_keys([[w for var in b.var_types for w in var] for b in flat], vocab)
     data_ctx, ctrl_ctx = [], []
     for (s, _), bundles in zip(spans, bundle_lists):
         for b in bundles:
             data_ctx.append([s + j for j in b.data_ctx])
             ctrl_ctx.append([s + j for j in b.ctrl_ctx])
-    f5 = _run_context_gru(cell_params(store, "data_gru", GRU_GATES), f1, data_ctx)
-    f6 = _run_context_gru(cell_params(store, "ctrl_gru", GRU_GATES), f1, ctrl_ctx)
+
+    if memo is None or len(flat) < 2:
+        # Every row runs, in the order the recording pass's backward relies on.
+        f1 = _run_token_gru(sub_gru, embed, sub_keys)
+        f2 = encode_forest([b.tree for b in flat], vocab, embed, tree)
+        f3 = _run_token_gru(name_gru, embed, name_keys)
+        f4 = _run_token_gru(type_gru, embed, type_keys)
+        f5 = _run_context_gru(data_gru, f1, data_ctx)
+        f6 = _run_context_gru(ctrl_gru, f1, ctrl_ctx)
+        return [f1, f2, f3, f4, f5, f6]
+
+    sub = memo["sub_gru"]
+    sub_rows = sub.rows(sub_keys, partial(_run_token_gru, sub_gru, embed))
+    f1 = Tensor(sub.states[sub_rows])
+    f2 = encode_forest([b.tree for b in flat], vocab, embed, tree)
+    f3 = memo["name_gru"].read(name_keys, partial(_run_token_gru, name_gru, embed))
+    f4 = memo["type_gru"].read(type_keys, partial(_run_token_gru, type_gru, embed))
+    # a context's key is its neighbours' rows of the sub_gru memo
+    known = Tensor(sub.states)
+    data_keys = [tuple([sub_rows[i] for i in ctx]) for ctx in data_ctx]
+    ctrl_keys = [tuple([sub_rows[i] for i in ctx]) for ctx in ctrl_ctx]
+    f5 = memo["data_gru"].read(data_keys, partial(_run_context_gru, data_gru, known))
+    f6 = memo["ctrl_gru"].read(ctrl_keys, partial(_run_context_gru, ctrl_gru, known))
     return [f1, f2, f3, f4, f5, f6]
 
 
@@ -486,16 +583,18 @@ def encode_method_batch(
     vocab: Vocabulary,
     store: ParamStore,
     bundle_lists: list[list[StatementFeatureBundle]] | None = None,
+    memo: dict[str, StateMemo] | None = None,
 ) -> tuple[Tensor, Slots]:
     """Encode every statement of every method in one tensor program.
 
     Returns the statement matrix [total_stmts, stmt_dim] and the chunk's
-    slot list, whose spans place each method's rows.
+    slot list, whose spans place each method's rows. A memo
+    (recurrence_memo) may only be passed while no input requires grad.
     """
     slots = slot_list(pdgs)
     if bundle_lists is None:
         bundle_lists = [extract_method_features(p) for p in pdgs]
-    features = _statement_features(bundle_lists, slots.spans, vocab, store)
+    features = _statement_features(bundle_lists, slots.spans, vocab, store, memo)
     # step t reads feature t's rows (the backward direction, feature 6 - t's)
     steps = np.arange(N_FEATURES * len(features[0].data)).reshape(N_FEATURES, -1)
     ones = np.ones(steps.shape)

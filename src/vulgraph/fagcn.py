@@ -30,7 +30,7 @@ from .autodiff import (
     save_checkpoint,
 )
 from .config import EncoderConfig, TrainConfig
-from .encoders import encode_method_batch, encoder_layout
+from .encoders import encode_method_batch, encoder_layout, recurrence_memo
 from .errors import CheckpointError, EmptySplit, ShapeMismatch, SingleClassTuningSet
 from .features import Vocabulary, build_vocabulary, extract_method_features
 from .frontend import Pdg
@@ -188,13 +188,16 @@ def detector_weights(slots: Slots) -> Tensor:
     return Tensor(normalize(slots, np.ones(len(slots.src)))[0])
 
 
-def _chunk_logits(model: DetectionModel, items: list, bundles: dict | None = None) -> tuple[Tensor, list]:
+def _chunk_logits(
+    model: DetectionModel, items: list, bundles: dict | None = None, memo: dict | None = None
+) -> tuple[Tensor, list]:
     """[len(items), 2] logits for [(id, pdg)] pairs encoded and scored as one
     chunk, and each method's statement matrix; `bundles` maps method ids to
-    feature bundles already extracted."""
+    feature bundles already extracted, and `memo` is the pass's recurrence
+    memo (encoders.recurrence_memo), for a frozen model only."""
     pdgs = [p for _, p in items]
     bundle_lists = None if bundles is None else [bundles[mid] for mid, _ in items]
-    enc, slots = encode_method_batch(pdgs, model.vocab, model.store, bundle_lists)
+    enc, slots = encode_method_batch(pdgs, model.vocab, model.store, bundle_lists, memo)
     logits = graph_logits(slots, detector_weights(slots), enc, model.store)
     return logits, [Tensor(enc.data[s:e]) for s, e in slots.spans]
 
@@ -229,12 +232,23 @@ def forward_methods(model: DetectionModel, items, bundles: dict | None = None):
     forward pass that detect, explain and training's tuning scores share.
     A chunk's items are drawn (with the one that closes it) before its
     methods are yielded, so a caller that streams them holds one chunk of
-    methods, not all of them."""
+    methods, not all of them.
+
+    The weights stay fixed for the whole pass, so the token and context
+    recurrences (sub_gru, name_gru, type_gru, data_gru, ctrl_gru) run each
+    distinct input sequence once and read its final state from a memo
+    afterwards (encoders.StateMemo), bitwise the state a chunk running every
+    row reaches. The memo lives and dies with the pass. The Tree-LSTM and the
+    attention Bi-GRU still run per chunk: their level products can have one
+    row, so their bits depend on the chunk. Training's recording pass
+    (_batch_loss) runs every row, so its backward sums the per-row
+    gradients in a fixed order."""
     # The pass records no autodiff tape, so a chunk's intermediates are
     # freed once the caller has moved on to the next chunk.
     const = frozen(model)
+    memo = recurrence_memo(model.encoder_config.gru_hidden)
     for part in _chunks(items, CHUNK_METHODS):
-        logits, feats = _chunk_logits(const, part, bundles)
+        logits, feats = _chunk_logits(const, part, bundles, memo)
         z = logits.data
         e = np.exp(z - z.max(axis=1, keepdims=True))
         probs = (e / e.sum(axis=1, keepdims=True))[:, 1]

@@ -1329,6 +1329,26 @@ def token_matrix_per_row(seqs, vocab):
     return ids, mask
 
 
+def context_gru_per_statement(gru, f1, contexts):
+    """encoders._run_context_gru with its index and mask matrices filled one
+    statement at a time."""
+    import numpy as np
+
+    from vulgraph.autodiff import Tensor
+    from vulgraph.encoders import gru_sequence
+
+    n = len(contexts)
+    max_len = max((len(c) for c in contexts), default=0)
+    if max_len == 0:
+        return Tensor(np.zeros((n, gru[2].data.shape[0])))
+    idx = np.zeros((max_len, n), dtype=np.int64)
+    mask = np.zeros((max_len, n), dtype=np.float64)
+    for b, ctx in enumerate(contexts):
+        idx[: len(ctx), b] = ctx
+        mask[: len(ctx), b] = 1.0
+    return gru_sequence([f1], idx, mask, gru)
+
+
 # --- statement features from Pdg.neighbors -----------------------------------------
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vulgraph.autodiff import ParamStore, Tensor, init_params
+from vulgraph.autodiff import Adam, ParamStore, Tensor, init_params
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
 from vulgraph import encoders, fagcn, features
@@ -585,6 +585,77 @@ def test_scores_are_the_softmax_of_the_training_logits(monkeypatch):
         scored = score_methods(model, items)
         assert [mid for mid, _ in scored] == [mid for mid, _ in items]
         assert max(abs(p - q) for (_, p), q in zip(scored, probs[:, 1])) < 1e-12
+
+
+MIXER_SRC = """
+int mixer(int src) {
+    int amount = read_size(src);
+    int total = amount + src;
+    return total;
+}
+"""
+
+
+def _no_reuse(monkeypatch):
+    """Encode every chunk without the pass's memo: all rows of each
+    recurrence run."""
+    chunk_logits = fagcn._chunk_logits
+    monkeypatch.setattr(fagcn, "_chunk_logits", lambda model, part, bundles, memo: chunk_logits(model, part, bundles))
+
+
+def _passes(model, items):
+    """Each method's score and statement-matrix bytes from one forward pass."""
+    return [(mid, p, f.data.tobytes()) for (mid, _), p, f in forward_methods(model, items)]
+
+
+def _repeating_corpus():
+    """Four chunks whose token sequences repeat across chunks: the guarded
+    and unguarded twins; then only straight-line methods, so no control
+    context; then one method with one new call, so one new subtoken
+    sequence; then a method of one statement, alone."""
+    safe, risky = pdg_from_source(SAFE_TMPL.format(i=0)), pdg_from_source(RISKY_TMPL.format(i=0))
+    mixer = pdg_from_source(MIXER_SRC)
+    moved = pdg_from_source(RISKY_TMPL.format(i=0).replace("copy_data", "move_data"))
+    one = pdg_from_source("int one(int src) { return read_size(src); }")
+    chunks = [[safe, risky] * 8, [risky, mixer] * 8, [safe] * 15 + [moved], [one]]
+    items = [(f"m{c}_{i}", p) for c, part in enumerate(chunks) for i, p in enumerate(part)]
+    assert [len(part) for part in _chunks(items, fagcn.CHUNK_METHODS)] == [16, 16, 16, 1]
+    ctrl = [[bool(b.ctrl_ctx) for p in part for b in extract_method_features(p)] for part in chunks]
+    assert any(ctrl[0]) and not any(ctrl[1])
+    return items
+
+
+def test_memoised_scoring_is_bitwise_scoring_with_no_reuse(monkeypatch):
+    items = _repeating_corpus()
+    model = new_model(_toy_vocab(items), EncoderConfig(), seed=3)
+    runs = []  # the key lists each token GRU ran, in the memoised pass
+    run_token_gru = encoders._run_token_gru
+
+    def recording(gru, embed, keys):
+        runs.append(list(keys))
+        return run_token_gru(gru, embed, keys)
+
+    monkeypatch.setattr(encoders, "_run_token_gru", recording)
+    memoised = _passes(model, items)
+    # a lone new key (the third chunk's new call) ran as two identical rows
+    assert any(len(keys) == 2 and keys[0] == keys[1] for keys in runs)
+    assert sum(len(set(keys)) for keys in runs) < sum(len(p.nodes) for _, p in items)
+    _no_reuse(monkeypatch)
+    assert memoised == _passes(model, items)
+
+
+def test_the_memo_does_not_outlive_its_pass(monkeypatch):
+    items = _repeating_corpus()
+    labels = {mid: "V" if i % 2 else "NV" for i, (mid, _) in enumerate(items)}
+    model = new_model(_toy_vocab(items), EncoderConfig(), seed=3)
+    before = _passes(model, items)
+    loss = _batch_loss(model, items[:8], labels)
+    loss.backward()
+    Adam(model.store, lr=1e-2).step()
+    after = _passes(model, items)
+    assert after != before
+    _no_reuse(monkeypatch)
+    assert after == _passes(model, items)
 
 
 def test_chunks_close_at_sixteen_methods_or_the_statement_budget():

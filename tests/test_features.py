@@ -13,11 +13,12 @@ from vulgraph.features import (
     split_identifier,
 )
 from vulgraph.corpus import generate_planted_corpus
-from vulgraph.encoders import _token_matrix
+from vulgraph.autodiff import Tensor, init_params
+from vulgraph.encoders import GRU_GATES, _run_context_gru, _token_keys, _token_matrix, cell_layout, cell_params
 from vulgraph.frontend import pdg_from_dict, pdg_from_source, pdg_to_dict
 from vulgraph.rng import Rng
 
-from oracles import method_features, random_source, token_matrix_per_row, vectorize
+from oracles import context_gru_per_statement, method_features, random_source, token_matrix_per_row, vectorize
 
 
 def _is_subsequence(needle, haystack):
@@ -178,8 +179,18 @@ _TOKENS = st.sampled_from(["aa", "bb", "cc", "zz", "intlit", "", "id:x"])
 @given(seqs=st.lists(st.lists(_TOKENS, max_size=9), min_size=1, max_size=12))
 def test_token_matrix_is_bitwise_the_per_row_vectorize(seqs):
     vocab = Vocabulary({"aa": 2, "bb": 3, "cc": 4, "intlit": 5, "": 6})
-    ids, mask = _token_matrix(seqs, vocab)
+    ids, mask = _token_matrix(_token_keys(seqs, vocab))
     want_ids, want_mask = token_matrix_per_row(seqs, vocab)
     for got, want in ((ids, want_ids), (mask, want_mask)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(contexts=st.lists(st.lists(st.integers(0, 9), max_size=8), min_size=1, max_size=12))
+def test_context_gru_is_bitwise_the_per_statement_fill(contexts):
+    gru = cell_params(init_params(Rng(5), cell_layout("g", GRU_GATES, 6, 6)), "g", GRU_GATES)
+    f1 = Tensor(np.random.default_rng(len(contexts)).normal(0.0, 1.0, (10, 6)))
+    got = _run_context_gru(gru, f1, contexts).data
+    want = context_gru_per_statement(gru, f1, contexts).data
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
