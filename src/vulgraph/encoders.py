@@ -32,14 +32,16 @@ are declared once, as an ordered (name, shape) layout, and each op reads
 them by its layout's names.
 
 A pass that records no tape (fagcn.forward_methods) passes a memo
-(recurrence_memo): the five recurrences whose input is a token sequence
-(sub_gru, name_gru and type_gru over vocabulary ids, data_gru and ctrl_gru
-over their neighbours' subtokens) then run each distinct sequence once per
-pass and read its final state from the memo afterwards. A row's state does
-not depend on the rows run beside it (ROW_SAFE_WIDTH), so every state is
-bitwise the one a chunk running all its rows reaches. The recording pass
-takes no memo and runs every row: its backward adds each row's gradient
-into the weights in a fixed order, and shared rows would change that sum.
+(recurrence_memo), one dict per recurrence whose input is a token
+sequence: sub_gru, name_gru and type_gru are keyed by their vocabulary-id
+tuples, and data_gru and ctrl_gru by the tuple of their neighbours'
+subtoken sequences. Each distinct key then runs once per pass, and later
+chunks read its final state from the memo. A row's state does not depend
+on the rows run beside it (ROW_SAFE_WIDTH), so every state is bitwise the
+one a chunk running all its rows reaches. The recording pass runs the same
+listing of the six features with no memo, so every row runs: its backward
+adds each row's gradient into the weights in a fixed order, and shared rows
+would change that sum.
 """
 
 from __future__ import annotations
@@ -387,51 +389,33 @@ ROW_SAFE_WIDTH = 4
 MEMO_GRUS = ("sub_gru", "name_gru", "type_gru", "data_gru", "ctrl_gru")
 
 
-class StateMemo:
-    """The final states one recurrence has reached in a pass, keyed by the
-    input sequence that determines each: a token GRU's vocabulary-id tuple,
-    or a context GRU's tuple of its neighbours' rows in the sub_gru memo.
-    Valid only while the weights stay as they were."""
-
-    def __init__(self, width: int):
-        self.index: dict = {}
-        self._rows = np.empty((0, width))  # capacity doubles as states arrive
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._rows[: len(self.index)]
-
-    def rows(self, keys: list, run) -> list[int]:
-        """Each key's row of `states`. Keys not seen before go to one call of
-        run(keys) -> Tensor of their final states, in order."""
-        index = self.index
-        new = list(dict.fromkeys(k for k in keys if k not in index))
-        if new:
-            # A lone new key runs as two identical rows: a one-row product
-            # takes another kernel (see ROW_SAFE_WIDTH).
-            got = run(new * 2 if len(new) == 1 else new).data
-            start, stop = len(index), len(index) + len(new)
-            if stop > len(self._rows):
-                grown = np.empty((max(stop, 2 * start), got.shape[1]))
-                grown[:start] = self.states
-                self._rows = grown
-            self._rows[start:stop] = got[: len(new)]
-            index.update(zip(new, range(start, stop)))
-        return [index[k] for k in keys]
-
-    def read(self, keys: list, run) -> Tensor:
-        """The final states of `keys`, [len(keys), width] (see rows)."""
-        rows = self.rows(keys, run)
-        return Tensor(self.states[rows])
-
-
-def recurrence_memo(width: int) -> dict[str, StateMemo] | None:
-    """An empty memo for each recurrence whose input is a token sequence,
-    for states `width` (gru_hidden) wide; None below ROW_SAFE_WIDTH, where a
-    row's bits may depend on the rows run beside it."""
+def recurrence_memo(width: int) -> dict[str, dict] | None:
+    """An empty memo for each recurrence whose input is a token sequence:
+    a dict from the key that determines a final state to that state's row,
+    `width` (gru_hidden) wide. Valid only while the weights stay as they
+    were. None below ROW_SAFE_WIDTH, where a row's bits may depend on the
+    rows run beside it."""
     if width < ROW_SAFE_WIDTH:
         return None
-    return {name: StateMemo(width) for name in MEMO_GRUS}
+    return {name: {} for name in MEMO_GRUS}
+
+
+def _final_states(memo: dict | None, keys: list, inputs: list, run) -> Tensor:
+    """run(inputs): a recurrence's final state for each input, [len(inputs),
+    hidden]. With a memo, only the inputs whose keys it has not seen run,
+    one per key and all in one call, and every row is read from it."""
+    if memo is None:
+        return run(inputs)
+    new: dict = {}
+    for key, x in zip(keys, inputs):
+        if key not in memo:
+            new.setdefault(key, x)
+    if new:
+        todo = list(new.values())
+        # A lone new key runs as two identical rows: a one-row product
+        # takes another kernel (see ROW_SAFE_WIDTH).
+        memo.update(zip(new, run(todo * 2 if len(todo) == 1 else todo).data))
+    return Tensor(np.array([memo[key] for key in keys]))
 
 
 def _statement_features(
@@ -439,52 +423,45 @@ def _statement_features(
     spans: list[tuple[int, int]],
     vocab: Vocabulary,
     store: ParamStore,
-    memo: dict[str, StateMemo] | None = None,
+    memo: dict[str, dict] | None = None,
 ) -> list[Tensor]:
     """The six per-statement feature matrices [total_stmts, gru_hidden] of
     every method, in feature order; spans place each method's rows.
 
     With a memo (recurrence_memo), the five token and context recurrences
     run only the keys the memo has not seen, all in one batch each, and read
-    the rest from it. Every row is bitwise what running all rows gives,
-    since each product has 2 rows or more (see ROW_SAFE_WIDTH). A chunk of
-    one statement, whose products have one row, runs all rows and leaves
-    the memo alone, as a chunk without a memo does."""
+    every row from it. A token sequence's key is its vocabulary-id tuple; a
+    context's key is the tuple of its neighbours' subtoken keys. Every row
+    is bitwise what running all rows gives, since each product has 2 rows
+    or more (see ROW_SAFE_WIDTH). Without a memo, as in the recording pass,
+    the same listing runs every row, in the order its backward relies on."""
     flat = [b for bundles in bundle_lists for b in bundles]
+    if len(flat) < 2:  # its products would have one row
+        memo = None
+    memos = dict.fromkeys(MEMO_GRUS) if memo is None else memo
     embed = store["embed.table"]
-    sub_gru, name_gru, type_gru, data_gru, ctrl_gru = (cell_params(store, n, GRU_GATES) for n in MEMO_GRUS)
-    tree = cell_params(store, "tree", TREE_GATES)
     sub_keys = _token_keys([b.subtokens for b in flat], vocab)
-    name_keys = _token_keys([[w for var in b.var_names for w in var] for b in flat], vocab)
-    type_keys = _token_keys([[w for var in b.var_types for w in var] for b in flat], vocab)
     data_ctx, ctrl_ctx = [], []
     for (s, _), bundles in zip(spans, bundle_lists):
         for b in bundles:
             data_ctx.append([s + j for j in b.data_ctx])
             ctrl_ctx.append([s + j for j in b.ctrl_ctx])
 
-    if memo is None or len(flat) < 2:
-        # Every row runs, in the order the recording pass's backward relies on.
-        f1 = _run_token_gru(sub_gru, embed, sub_keys)
-        f2 = encode_forest([b.tree for b in flat], vocab, embed, tree)
-        f3 = _run_token_gru(name_gru, embed, name_keys)
-        f4 = _run_token_gru(type_gru, embed, type_keys)
-        f5 = _run_context_gru(data_gru, f1, data_ctx)
-        f6 = _run_context_gru(ctrl_gru, f1, ctrl_ctx)
-        return [f1, f2, f3, f4, f5, f6]
+    def tokens(name: str, keys: list) -> Tensor:
+        run = partial(_run_token_gru, cell_params(store, name, GRU_GATES), embed)
+        return _final_states(memos[name], keys, keys, run)
 
-    sub = memo["sub_gru"]
-    sub_rows = sub.rows(sub_keys, partial(_run_token_gru, sub_gru, embed))
-    f1 = Tensor(sub.states[sub_rows])
-    f2 = encode_forest([b.tree for b in flat], vocab, embed, tree)
-    f3 = memo["name_gru"].read(name_keys, partial(_run_token_gru, name_gru, embed))
-    f4 = memo["type_gru"].read(type_keys, partial(_run_token_gru, type_gru, embed))
-    # a context's key is its neighbours' rows of the sub_gru memo
-    known = Tensor(sub.states)
-    data_keys = [tuple([sub_rows[i] for i in ctx]) for ctx in data_ctx]
-    ctrl_keys = [tuple([sub_rows[i] for i in ctx]) for ctx in ctrl_ctx]
-    f5 = memo["data_gru"].read(data_keys, partial(_run_context_gru, data_gru, known))
-    f6 = memo["ctrl_gru"].read(ctrl_keys, partial(_run_context_gru, ctrl_gru, known))
+    def context(name: str, contexts: list, f1: Tensor) -> Tensor:
+        run = partial(_run_context_gru, cell_params(store, name, GRU_GATES), f1)
+        keys = None if memo is None else [tuple([sub_keys[i] for i in ctx]) for ctx in contexts]
+        return _final_states(memos[name], keys, contexts, run)
+
+    f1 = tokens("sub_gru", sub_keys)
+    f2 = encode_forest([b.tree for b in flat], vocab, embed, cell_params(store, "tree", TREE_GATES))
+    f3 = tokens("name_gru", _token_keys([[w for var in b.var_names for w in var] for b in flat], vocab))
+    f4 = tokens("type_gru", _token_keys([[w for var in b.var_types for w in var] for b in flat], vocab))
+    f5 = context("data_gru", data_ctx, f1)
+    f6 = context("ctrl_gru", ctrl_ctx, f1)
     return [f1, f2, f3, f4, f5, f6]
 
 
@@ -583,7 +560,7 @@ def encode_method_batch(
     vocab: Vocabulary,
     store: ParamStore,
     bundle_lists: list[list[StatementFeatureBundle]] | None = None,
-    memo: dict[str, StateMemo] | None = None,
+    memo: dict[str, dict] | None = None,
 ) -> tuple[Tensor, Slots]:
     """Encode every statement of every method in one tensor program.
 

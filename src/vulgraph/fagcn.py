@@ -237,12 +237,14 @@ def forward_methods(model: DetectionModel, items, bundles: dict | None = None):
     The weights stay fixed for the whole pass, so the token and context
     recurrences (sub_gru, name_gru, type_gru, data_gru, ctrl_gru) run each
     distinct input sequence once and read its final state from a memo
-    afterwards (encoders.StateMemo), bitwise the state a chunk running every
-    row reaches. The memo lives and dies with the pass. The Tree-LSTM and the
-    attention Bi-GRU still run per chunk: their level products can have one
-    row, so their bits depend on the chunk. Training's recording pass
-    (_batch_loss) runs every row, so its backward sums the per-row
-    gradients in a fixed order."""
+    afterwards (encoders.recurrence_memo, one dict per recurrence keyed by
+    the token sequences themselves; a context by its neighbours' subtoken
+    sequences), bitwise the state a chunk running every row reaches. The
+    memo lives and dies with the pass. The Tree-LSTM and the attention
+    Bi-GRU still run per chunk: their level products can have one row, so
+    their bits depend on the chunk. Training's recording pass (_batch_loss)
+    runs the same feature listing with no memo, so every row runs and its
+    backward sums the per-row gradients in a fixed order."""
     # The pass records no autodiff tape, so a chunk's intermediates are
     # freed once the caller has moved on to the next chunk.
     const = frozen(model)

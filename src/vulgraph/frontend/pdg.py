@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SchemaError
+from ..errors import EmptyMethod, SchemaError
 from ..util import dot_escape, dump_json
 from .cfg import build_cfg
 from .deps import control_dependences, data_dependences
@@ -122,13 +122,31 @@ def _is_tree(ast) -> bool:
     return True
 
 
+def _is_names(v) -> bool:
+    """Whether `v` is a list of strings, as a node's defs and uses are."""
+    return isinstance(v, list) and all(isinstance(name, str) for name in v)
+
+
 def pdg_from_dict(data: dict) -> Pdg:
-    """Rebuild a serialized PDG. Node indices must be exactly 0..n-1, so a
-    statement's index is its position; each node must be a known statement
-    kind whose ast is a [label, [children...]] tree within the nesting bound
-    and has the parts its kind reads (a decl its type and declarator, an
-    assign both sides); and every edge must join two of those nodes with
-    kind data or control."""
+    """Rebuild a serialized PDG. It must have a statement, as a parsed
+    method must. Node indices must be exactly 0..n-1, so a statement's index
+    is its position; each node must be a known statement kind whose ast is a
+    [label, [children...]] tree within the nesting bound and has the parts
+    its kind reads (a decl its type and declarator, an assign both sides),
+    whose text is a string and whose defs and uses are lists of strings; and
+    every edge must join two of those nodes with kind data or control, its
+    var a string or null."""
+    if not data["nodes"]:
+        raise EmptyMethod(f"pdg of method {data['method']!r} has no statements")
+    for n in data["nodes"]:
+        if not isinstance(n["text"], str):
+            raise SchemaError(f"pdg node {n['index']!r} has a text that is not a string")
+        for names in ("defs", "uses"):
+            if not _is_names(n[names]):
+                raise SchemaError(f"pdg node {n['index']!r} has {names} that are not a list of strings")
+    for e in data["edges"]:
+        if not isinstance(e.get("var"), (str, type(None))):
+            raise SchemaError(f"pdg edge {e['src']!r}->{e['dst']!r} has a var that is not a string or null")
     nodes = [
         StmtNode(
             index=n["index"],

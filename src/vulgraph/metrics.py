@@ -189,13 +189,12 @@ def evaluation_report(
     subgraphs=None,
     truths: dict | None = None,
     num_nodes: int = TOP_K,
-    ks=REPORT_KS,
 ) -> dict:
-    """All measures in one JSON-ready structure; ranking rows only for
-    cutoffs the list is long enough to support."""
+    """All measures in one JSON-ready structure; ranking rows for the
+    REPORT_KS cutoffs the list is long enough to support."""
     rel = relevance_from_ranking(ranked, labels)
     rows = []
-    for k in ks:
+    for k in REPORT_KS:
         if k > len(rel):
             continue
         rows.append(

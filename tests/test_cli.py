@@ -359,10 +359,15 @@ def _break_node_order(pdg: dict) -> None:
         lambda pdg: pdg["nodes"][0].update(ast=_nested_list(NESTING_BOUND + 1)),
         lambda pdg: pdg["nodes"][0].update(kind="decl", ast=["decl", [["id:x", []]]]),
         lambda pdg: pdg["nodes"][0].update(kind="assign", ast=["assign:=", [["id:x", []]]]),
+        lambda pdg: pdg["nodes"][0].update(text=5),
+        lambda pdg: pdg["nodes"][0].update(defs=[7]),
+        lambda pdg: pdg["nodes"][0].update(uses="ab"),
+        lambda pdg: pdg["edges"][0].update(var=9),
     ],
     ids=["edge_out_of_range", "indices_from_one", "unknown_edge_kind", "unknown_statement_kind",
          "ast_not_a_list", "ast_children_not_a_list", "ast_without_children", "ast_past_the_nesting_bound",
-         "decl_without_declarator", "assign_with_one_side"],
+         "decl_without_declarator", "assign_with_one_side", "text_not_a_string", "defs_not_strings",
+         "uses_a_string", "var_not_a_string"],
 )
 def test_detect_skips_malformed_pdg_entries(tmp_path, capsys, corrupt):
     generated = tmp_path / "generated.jsonl"
@@ -438,6 +443,30 @@ def test_method_at_the_nesting_bound_goes_through_detect_and_explain(tmp_path, c
     (report,) = json.loads((explained / "explanations.json").read_text())
     assert report["method"] == ids[7] and report["edges"]
     capsys.readouterr()
+
+
+def test_detect_skips_a_pdg_with_no_statements(tmp_path, capsys):
+    source = "int one(int src) { int n = read_size(src); return n; }"
+    row = {"id": "m_src", "source": source, "pdg": None, "label": "NV", "fix": None}
+    empty = {"id": "m_empty", "source": None, "pdg": {"method": "empty", "nodes": [], "edges": []},
+             "label": "NV", "fix": None}
+    model = tmp_path / "model.json"
+    vocab = build_vocabulary([extract_method_features(pdg_from_source(source))])
+    save_model(model, new_model(vocab, EncoderConfig(embed_dim=8, gru_hidden=8, stmt_dim=12)))
+
+    def detect(name, rows):
+        corpus, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.det.json"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert main(["detect", str(corpus), "--model", str(model), "--out", str(out)]) == 0
+        return json.loads(out.read_text())["methods"]
+
+    alone = detect("alone", [row])
+    capsys.readouterr()
+    # the empty entry is skipped, and the method after it scores as it does alone
+    assert detect("mixed", [empty, row]) == alone
+    assert "skipping m_empty: EmptyMethod: pdg of method 'empty' has no statements" in capsys.readouterr().err
+    assert [r["method"] for r in alone] == ["m_src"]
+    assert detect("empty", [empty]) == []
 
 
 def _tree_height(ast) -> int:

@@ -629,17 +629,26 @@ def test_memoised_scoring_is_bitwise_scoring_with_no_reuse(monkeypatch):
     items = _repeating_corpus()
     model = new_model(_toy_vocab(items), EncoderConfig(), seed=3)
     runs = []  # the key lists each token GRU ran, in the memoised pass
-    run_token_gru = encoders._run_token_gru
+    context_rows = []  # the rows each context GRU ran, in the memoised pass
+    run_token_gru, run_context_gru = encoders._run_token_gru, encoders._run_context_gru
 
     def recording(gru, embed, keys):
         runs.append(list(keys))
         return run_token_gru(gru, embed, keys)
 
+    def recording_context(gru, f1, contexts):
+        context_rows.append(len(contexts))
+        return run_context_gru(gru, f1, contexts)
+
     monkeypatch.setattr(encoders, "_run_token_gru", recording)
+    monkeypatch.setattr(encoders, "_run_context_gru", recording_context)
     memoised = _passes(model, items)
+    stmts = sum(len(p.nodes) for _, p in items)
     # a lone new key (the third chunk's new call) ran as two identical rows
     assert any(len(keys) == 2 and keys[0] == keys[1] for keys in runs)
-    assert sum(len(set(keys)) for keys in runs) < sum(len(p.nodes) for _, p in items)
+    assert sum(len(set(keys)) for keys in runs) < stmts
+    # the two context GRUs together ran fewer rows than the corpus has statements
+    assert context_rows and sum(context_rows) < stmts
     _no_reuse(monkeypatch)
     assert memoised == _passes(model, items)
 
