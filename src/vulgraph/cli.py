@@ -31,7 +31,7 @@ from .corpus import (
     write_corpus_lines,
 )
 from .errors import ConfigError, CorpusError, SchemaError, VulgraphError
-from .metrics import InterpretationSubgraph, RankedDetection, evaluation_report
+from .metrics import RankedDetection, evaluation_report
 from .util import decode_json, decode_text, dump_json, is_int, is_number
 
 TABLE_GRID = (2, 3, 4, 5)
@@ -141,7 +141,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    from .fagcn import detection_report, load_model, rank_methods, score_methods
+    from .fagcn import load_model, rank_methods, score_methods
 
     _config_from_args(args)  # detect reads no key, but a bad --config is still an error
     model = load_model(args.model)
@@ -150,14 +150,14 @@ def cmd_detect(args) -> int:
     items = ((e.id, e.pdg) for e in _parsed(iter_corpus(args.corpus)))
     scored = score_methods(model, items)
     ranked = rank_methods(scored, model.threshold)
-    report = {"threshold": model.threshold, "methods": detection_report(ranked)}
+    report = {"threshold": model.threshold, "methods": [detection_row(r) for r in ranked]}
     _emit(dump_json(report, indent=2), args.out)
     _log(f"scored {len(scored)} method(s)")
     return 0
 
 
 def cmd_explain(args) -> int:
-    from .explain import explanation_report, extract_subgraph, learn_edge_mask, subgraph_to_dot
+    from .explain import extract_subgraph, learn_edge_mask, subgraph_to_dot
     from .fagcn import forward_methods, load_model
     from .patterns import abstract_subgraph
 
@@ -170,7 +170,7 @@ def cmd_explain(args) -> int:
     # The corpus streams into them, so a run holds one chunk of parsed
     # methods besides its explanations.
     explain_cfg = cfg.explain_settings()
-    results = []
+    rows, dots = [], []
     skipped: set = set()
     usable = 0
     items = ((e.id, e.pdg) for e in _parsed(iter_corpus(args.corpus), skipped))
@@ -181,24 +181,39 @@ def cmd_explain(args) -> int:
             continue
         mask = learn_edge_mask(pdg, model, decision, explain_cfg, feats=feats)
         sub = extract_subgraph(pdg, mask, cfg.k)
-        sub.method = mid
-        report = explanation_report(decision, sub)
-        report["score"] = score
-        graph = abstract_subgraph(sub, pdg)
-        report["abstract"] = {
-            "nodes": [[i, label] for i, label in graph.nodes],
-            "edges": [[s, d, kind] for s, d, kind in graph.edges],
-        }
-        results.append((report, subgraph_to_dot(pdg, sub)))
-    reports = [report for report, _ in results]
-    missing = forced - {report["method"] for report in reports}
+        rows.append(explanation_row(mid, decision, score, sub, abstract_subgraph(sub, pdg)))
+        dots.append((f"{mid}.dot", subgraph_to_dot(mid, pdg, sub)))
+    missing = forced - {row["method"] for row in rows}
     if missing & skipped:
         raise CorpusError(f"method ids skipped because their parse failed: {sorted(missing & skipped)}")
     if missing:
         raise CorpusError(f"method ids not in corpus: {sorted(missing)}")
-    _emit_dir(reports, args.out, "explanations.json", ((f"{r['method']}.dot", dot) for r, dot in results))
-    _log(f"explained {len(reports)} of {len(forced) or usable} method(s)")
+    _emit_dir(rows, args.out, "explanations.json", dots)
+    _log(f"explained {len(rows)} of {len(forced) or usable} method(s)")
     return 0
+
+
+def explanation_row(method: str, decision: str, score: float, sub, graph) -> dict:
+    """The explanations-file row of `method`, from its explain.InterpretationSubgraph
+    `sub` and that subgraph abstracted, `graph` (a patterns.AbstractGraph)."""
+    return {
+        "method": method,
+        "decision": decision,
+        "score": score,
+        "k": len(sub.edges),
+        "edges": [
+            {"src": s, "dst": d, "kind": kind, "var": var, "mask": mask}
+            for s, d, kind, var, mask in sub.edges
+        ],
+        "statements": [
+            {"index": stmt, "importance": importance}
+            for stmt, importance in sub.statement_ranking
+        ],
+        "abstract": {
+            "nodes": [[i, label] for i, label in graph.nodes],
+            "edges": [[s, d, kind] for s, d, kind in graph.edges],
+        },
+    }
 
 
 def read_explanations(path) -> list[tuple]:
@@ -227,6 +242,8 @@ def read_explanations(path) -> list[tuple]:
         ranking = [(s.get("index"), s.get("importance")) for s in statements]
         if not all(is_int(index) and is_number(importance) for index, importance in ranking):
             raise SchemaError(f"{where}: a statement has a non-integer index or a non-number importance")
+        if len({index for index, _ in ranking}) < len(ranking):
+            raise SchemaError(f"{where}: a statement index is listed twice")
         nodes = graph.get("nodes") if isinstance(graph, dict) else None
         edges = graph.get("edges") if isinstance(graph, dict) else None
         if not (_all_of(nodes, list, 2) and _all_of(edges, list, 3)):
@@ -235,13 +252,17 @@ def read_explanations(path) -> list[tuple]:
         ends = [v for s, d, _ in edges for v in (s, d)]
         if not all(is_int(v) for v in ids + ends):
             raise SchemaError(f"{where}: abstract node ids and edge ends must be integers")
+        if len(set(ids)) < len(ids):
+            raise SchemaError(f"{where}: an abstract node id is listed twice")
+        if not all(isinstance(label, str) for _, label in nodes):
+            raise SchemaError(f"{where}: an abstract node label is not a string")
         unknown = sorted(set(ends) - set(ids))
         if unknown:
             raise SchemaError(f"{where}: abstract edges name unknown nodes {unknown}")
         kinds = [k for _, _, k in edges if k not in EDGE_KINDS]
         if kinds:
             raise SchemaError(f"{where}: abstract edge kind {kinds[0]!r} is not data or control")
-        explanations.append((method, ranking, [(i, str(label)) for i, label in nodes], [tuple(e) for e in edges]))
+        explanations.append((method, ranking, [tuple(n) for n in nodes], [tuple(e) for e in edges]))
     return explanations
 
 
@@ -250,6 +271,11 @@ def _all_of(value, kind: type, length: int | None = None) -> bool:
     return isinstance(value, list) and all(
         isinstance(v, kind) and (length is None or len(v) == length) for v in value
     )
+
+
+def detection_row(r: RankedDetection) -> dict:
+    """The detections-file row of one ranked method."""
+    return {"method": r.method, "score": r.score, "decision": r.decision, "rank": r.rank}
 
 
 def read_detections(path) -> list[RankedDetection]:
@@ -294,7 +320,7 @@ def cmd_evaluate(args) -> int:
     if unknown:
         raise CorpusError(f"detected methods missing from corpus: {unknown[:5]}")
 
-    subgraphs = []
+    rankings = []
     skipped = 0
     for method, ranking, _, _ in explanations:
         n = stmt_counts.get(method)
@@ -305,18 +331,12 @@ def cmd_evaluate(args) -> int:
         if method not in truths or labels.get(method) != "V":
             skipped += 1
             continue
-        subgraphs.append(InterpretationSubgraph(method, [], (), ranking))
+        rankings.append((method, ranking))
 
-    report = evaluation_report(
-        ranked,
-        labels,
-        subgraphs=subgraphs if subgraphs else None,
-        truths=truths if subgraphs else None,
-        num_nodes=cfg.k,
-    )
+    report = evaluation_report(ranked, labels, rankings, truths, num_nodes=cfg.k)
     report["counts"] = {
         "methods_ranked": len(ranked),
-        "explanations_evaluated": len(subgraphs),
+        "explanations_evaluated": len(rankings),
         "explanations_skipped": skipped,
     }
     _emit(dump_json(report, indent=2), args.out)

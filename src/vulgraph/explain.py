@@ -17,7 +17,8 @@ the sigmoid of the mask logits themselves. Each has a hand-written backward
 that repeats the numpy steps of the equivalent one-node-per-op tape in its
 order, so masks are bitwise those of that tape. The slot list is built once
 per explanation, and an iteration's time and memory grow with the
-statements and edges.
+statements and edges. Only this module builds an InterpretationSubgraph;
+vulgraph.cli writes it as an explanations-file row and reads the file back.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .encoders import _sigmoid
 from .errors import MaskMisaligned
 from .fagcn import DetectionModel, frozen, graph_logits
 from .frontend import Pdg
-from .metrics import InterpretationSubgraph
 from .slots import Slots, dependence_pairs, normalize, normalize_grad, slot_list
 from .util import dot_escape
 
@@ -47,6 +47,13 @@ class EdgeMask:
 
     def values(self) -> np.ndarray:
         return _sigmoid(self.logits)
+
+
+@dataclass(frozen=True)
+class InterpretationSubgraph:
+    edges: list  # (src, dst, kind, var, mask_value), strongest first
+    nodes: tuple
+    statement_ranking: list  # (statement index, importance), strongest first
 
 
 @dataclass(frozen=True)
@@ -204,33 +211,17 @@ def extract_subgraph(pdg: Pdg, mask: EdgeMask, k: int = TOP_K) -> Interpretation
             importance[node] = importance.get(node, 0.0) + float(values[pos])
     ranking = sorted(importance.items(), key=lambda item: (-item[1], item[0]))
     return InterpretationSubgraph(
-        method=pdg.method,
         edges=edges,
         nodes=tuple(sorted(importance)),
         statement_ranking=ranking,
     )
 
 
-def explanation_report(decision: str, sub: InterpretationSubgraph) -> dict:
-    return {
-        "method": sub.method,
-        "decision": decision,
-        "k": len(sub.edges),
-        "edges": [
-            {"src": s, "dst": d, "kind": kind, "var": var, "mask": mask}
-            for s, d, kind, var, mask in sub.edges
-        ],
-        "statements": [
-            {"index": stmt, "importance": importance}
-            for stmt, importance in sub.statement_ranking
-        ],
-    }
+def subgraph_to_dot(method: str, pdg: Pdg, sub: InterpretationSubgraph) -> str:
+    """DOT rendering, named `method`, of the kept edges, labeled with their
+    mask values."""
 
-
-def subgraph_to_dot(pdg: Pdg, sub: InterpretationSubgraph) -> str:
-    """DOT rendering of the kept edges, labeled with their mask values."""
-
-    lines = [f'digraph "{dot_escape(sub.method)}" {{', "  node [shape=box];"]
+    lines = [f'digraph "{dot_escape(method)}" {{', "  node [shape=box];"]
     for idx in sub.nodes:
         lines.append(f'  n{idx} [label="{idx}: {dot_escape(pdg.nodes[idx].text)}"];')
     for src, dst, kind, var, value in sub.edges:

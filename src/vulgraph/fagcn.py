@@ -273,13 +273,6 @@ def rank_methods(scored: list, threshold: float = 0.5) -> list[RankedDetection]:
     ]
 
 
-def detection_report(ranked: list[RankedDetection]) -> list[dict]:
-    return [
-        {"method": r.method, "score": r.score, "decision": r.decision, "rank": r.rank}
-        for r in ranked
-    ]
-
-
 def best_threshold(scored: list, labels: dict) -> float:
     """F1-maximizing cut over candidate thresholds: midpoints between the
     distinct sorted scores, plus the smallest score (the all-V decision).

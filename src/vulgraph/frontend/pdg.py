@@ -147,6 +147,8 @@ def pdg_from_dict(data: dict) -> Pdg:
     for e in data["edges"]:
         if not isinstance(e.get("var"), (str, type(None))):
             raise SchemaError(f"pdg edge {e['src']!r}->{e['dst']!r} has a var that is not a string or null")
+    if not all(type(n["index"]) is int for n in data["nodes"]):  # before the sort compares them
+        raise SchemaError(f"pdg node indices must be 0..{len(data['nodes']) - 1}")
     nodes = [
         StmtNode(
             index=n["index"],

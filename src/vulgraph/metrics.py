@@ -2,14 +2,15 @@
 
 Ranking metrics operate on a relevance list: the detector's output order with
 a 1 wherever the method at that rank is actually vulnerable. Interpretation
-metrics compare explanation subgraphs against fix ground truth, i.e. the
-statements a real patch deleted or modified plus the statements depending on
-added lines.
+metrics compare explanations against fix ground truth, i.e. the statements a
+real patch deleted or modified plus the statements depending on added lines.
+They take explanations as `rankings`, a list of (method, statement ranking)
+pairs, each ranking (statement index, importance) pairs, strongest first.
 
-The two records the measures read, a RankedDetection and an
-InterpretationSubgraph, are defined here: the detector (vulgraph.fagcn) and
-the explainer (vulgraph.explain) build them, and `vulgraph evaluate` reads
-them back from report files without loading numpy or the model.
+The detector (vulgraph.fagcn) builds the RankedDetection records defined
+here. The detections and explanations files are written and read by the CLI
+(vulgraph.cli), so `vulgraph evaluate` hands these measures what it read
+without loading numpy or the model.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ class RankedDetection:
     score: float
     decision: str
     rank: int
-
-
-@dataclass
-class InterpretationSubgraph:
-    method: str
-    edges: list  # (src, dst, kind, var, mask_value), strongest first
-    nodes: tuple
-    statement_ranking: list  # (statement index, importance), strongest first
 
 
 @dataclass(frozen=True)
@@ -132,42 +125,38 @@ def precision_recall_f1(decisions, truth) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _kept_statements(subgraph, num_nodes: int) -> set:
-    return {stmt for stmt, _ in subgraph.statement_ranking[:num_nodes]}
-
-
-def interp_accuracy(subgraphs, truths: dict, num_nodes: int) -> float:
+def interp_accuracy(rankings, truths: dict, num_nodes: int) -> float:
     """Fraction of explanations whose top statements touch the fix.
 
     An explanation counts as correct when its `num_nodes` highest-ranked
     statements intersect either the deleted/modified statements or the
     statements dependent on added fix lines."""
-    if not subgraphs:
+    if not rankings:
         return 0.0
     correct = 0
-    for sub in subgraphs:
-        if sub.method not in truths:
-            raise MissingTruth(sub.method)
-        truth = truths[sub.method]
-        kept = _kept_statements(sub, num_nodes)
+    for method, ranking in rankings:
+        if method not in truths:
+            raise MissingTruth(method)
+        truth = truths[method]
+        kept = {stmt for stmt, _ in ranking[:num_nodes]}
         if kept & truth.deleted_or_modified or kept & truth.added_dependents:
             correct += 1
-    return correct / len(subgraphs)
+    return correct / len(rankings)
 
 
-def mfr_mar(subgraphs, truths: dict):
+def mfr_mar(rankings, truths: dict):
     """Mean first / mean average rank of fix statements inside explanations.
 
     Statements missing from an explanation's ranking are skipped; methods
     whose fix statements are all missing are excluded from both means."""
     firsts, averages = [], []
-    for sub in subgraphs:
-        if sub.method not in truths:
-            raise MissingTruth(sub.method)
-        wanted = truths[sub.method].all_statements()
+    for method, ranking in rankings:
+        if method not in truths:
+            raise MissingTruth(method)
+        wanted = truths[method].all_statements()
         ranks = [
             i
-            for i, (stmt, _) in enumerate(sub.statement_ranking, start=1)
+            for i, (stmt, _) in enumerate(ranking, start=1)
             if stmt in wanted
         ]
         if ranks:
@@ -186,12 +175,14 @@ def relevance_from_ranking(ranked, labels: dict) -> list[int]:
 def evaluation_report(
     ranked,
     labels: dict,
-    subgraphs=None,
+    rankings=(),
     truths: dict | None = None,
     num_nodes: int = TOP_K,
 ) -> dict:
     """All measures in one JSON-ready structure; ranking rows for the
-    REPORT_KS cutoffs the list is long enough to support."""
+    REPORT_KS cutoffs the list is long enough to support, and when
+    `rankings` holds explanations, their interpretation measures against
+    `truths`, each method's FixGroundTruth."""
     rel = relevance_from_ranking(ranked, labels)
     rows = []
     for k in REPORT_KS:
@@ -216,10 +207,10 @@ def evaluation_report(
         "auc": auc(pos, neg) if pos and neg else None,
         "classification": {"precision": precision, "recall": recall, "f1": f1},
     }
-    if subgraphs is not None and truths is not None:
-        mfr, mar = mfr_mar(subgraphs, truths)
+    if rankings:
+        mfr, mar = mfr_mar(rankings, truths)
         report["interpretation"] = {
-            "accuracy": interp_accuracy(subgraphs, truths, num_nodes),
+            "accuracy": interp_accuracy(rankings, truths, num_nodes),
             "mfr": mfr,
             "mar": mar,
             "top_statements": num_nodes,

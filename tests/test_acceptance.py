@@ -11,13 +11,13 @@ from functools import lru_cache
 import numpy as np
 
 from vulgraph.autodiff import Adam, Tensor
+from vulgraph.cli import detection_row
 from vulgraph.corpus import SplitSpec, fix_truth, split
 from vulgraph.encoders import EncoderConfig, gru_sequence
 from vulgraph.explain import extract_subgraph, learn_edge_mask
 from vulgraph.fagcn import (
     TrainConfig,
     _batch_loss,
-    detection_report,
     forward_methods,
     new_model,
     rank_methods,
@@ -368,26 +368,24 @@ def _end_to_end_result(run: int):
 
     by_id = {e.id: e for e in entries}
     detected = [m for m, s in scored if labels[m] == "V" and s >= model.threshold]
-    subgraphs, truths = [], {}
+    rankings, truths = [], {}
     feats = {m: f for (m, _), _, f in passes}
     for mid in detected:
         entry = by_id[mid]
         mask = learn_edge_mask(entry.pdg, model, "V", feats=feats[mid])
-        sub = extract_subgraph(entry.pdg, mask, 5)
-        sub.method = mid
-        subgraphs.append(sub)
+        rankings.append((mid, extract_subgraph(entry.pdg, mask, 5).statement_ranking))
         truths[mid] = fix_truth(entry)
-    accuracy = interp_accuracy(subgraphs, truths, num_nodes=5) if subgraphs else 0.0
+    accuracy = interp_accuracy(rankings, truths, num_nodes=5)
 
     ranked = rank_methods(scored, model.threshold)
     report = {
         "test_auc": test_auc,
         "interpretation_accuracy": accuracy,
         "detected_vulnerable": sorted(detected),
-        "ranking": detection_report(ranked),
+        "ranking": [detection_row(r) for r in ranked],
         "explanations": [
-            {"method": sub.method, "statements": list(sub.statement_ranking)}
-            for sub in subgraphs
+            {"method": mid, "statements": list(ranking)}
+            for mid, ranking in rankings
         ],
     }
     return dump_json(report, indent=None).encode(), test_auc, accuracy, len(detected)

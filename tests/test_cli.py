@@ -718,6 +718,29 @@ def test_mine_requires_abstract_graphs(tmp_path, capsys):
     assert "abstract" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        ("abstract", {"nodes": [[0, "A"], [0, "B"], [1, "C"]], "edges": [[0, 1, "data"]]},
+         "an abstract node id is listed twice"),
+        ("abstract", {"nodes": [[0, 7], [1, "C"]], "edges": [[0, 1, "data"]]},
+         "an abstract node label is not a string"),
+        ("abstract", {"nodes": [[0, {"x": 1}], [1, "C"]], "edges": [[0, 1, "data"]]},
+         "an abstract node label is not a string"),
+        ("statements", [{"index": 3, "importance": 0.9}, {"index": 3, "importance": 0.4}],
+         "a statement index is listed twice"),
+    ],
+    ids=["node_id_listed_twice", "label_an_integer", "label_an_object", "statement_index_listed_twice"],
+)
+def test_mine_rejects_a_repeated_id_or_a_label_that_is_not_a_string(tmp_path, capsys, part, value, message):
+    # read whole, the first row's B -> C would count toward a support of 2
+    second = dict(_fake_explanation("b"), abstract={"nodes": [[0, "B"], [1, "C"]], "edges": [[0, 1, "data"]]})
+    path = tmp_path / "expl.json"
+    path.write_text(json.dumps([dict(_fake_explanation("a"), **{part: value}), second]), encoding="utf-8")
+    assert main(["mine", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: explanations row 1: {message}\n"
+
+
 def _drop(key):
     def damage(rows):
         del rows[0][key]
@@ -822,6 +845,11 @@ def _first_statement_index(value):
     return damage
 
 
+def _statement_listed_twice(rows):
+    rows[0]["statements"].append(rows[0]["statements"][0])
+    return rows
+
+
 def _method_explained_twice(rows):
     return rows + [rows[0]]
 
@@ -874,6 +902,10 @@ def _unknown_edge_kind(rows):
         (["mine", "{bad}"], ("explanations", _method_explained_twice)),
         (
             ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
+            ("explanations", _statement_listed_twice),
+        ),
+        (
+            ["evaluate", "--corpus", "{test_corpus}", "--detections", "{detections}", "--explanations", "{bad}"],
             ("explanations", _edge_to_unknown_node),
         ),
     ],
@@ -881,7 +913,7 @@ def _unknown_edge_kind(rows):
          "decision_maybe", "statement_index_a_string", "fractional_node_id", "unknown_edge_kind",
          "rows_out_of_rank_order", "method_listed_twice", "method_not_a_string",
          "statement_index_past_the_method", "statement_index_negative", "method_explained_twice",
-         "mine_method_explained_twice", "evaluate_edge_to_unknown_node"],
+         "mine_method_explained_twice", "statement_listed_twice", "evaluate_edge_to_unknown_node"],
 )
 def test_bad_flag_and_report_values_are_validation_errors(pipeline, tmp_path, capsys, args, damage):
     paths = {name: str(path) for name, path in pipeline.items() if isinstance(path, pathlib.Path)}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vulgraph.autodiff import Adam, Tensor
+from vulgraph.cli import explanation_row, read_explanations
 from vulgraph.config import TOP_K
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import MaskMisaligned
@@ -9,7 +10,6 @@ from vulgraph.explain import (
     EdgeMask,
     ExplainConfig,
     edge_slots,
-    explanation_report,
     extract_subgraph,
     learn_edge_mask,
     masked_adjacency,
@@ -27,7 +27,9 @@ from vulgraph.fagcn import (
 )
 from vulgraph.features import build_vocabulary, extract_method_features
 from vulgraph.frontend import Pdg, PdgEdge, pdg_from_source
+from vulgraph.patterns import abstract_subgraph
 from vulgraph.slots import slot_list
+from vulgraph.util import dump_json
 
 import oracles
 from oracles import (
@@ -468,10 +470,11 @@ def test_learning_is_deterministic(demo, flip_fixture, flip_mask):
     assert flip_mask.loss_trace == again.loss_trace
 
 
-def test_explanation_report_shape(demo, flip_mask):
+def test_explanation_report_shape(demo, flip_mask, tmp_path):
     sub = extract_subgraph(demo, flip_mask)  # default K
     assert len(sub.edges) == min(TOP_K, len(demo.edges))
-    report = explanation_report("NV", sub)
+    graph = abstract_subgraph(sub, demo)
+    report = explanation_row(demo.method, "NV", 0.25, sub, graph)
     assert report["method"] == demo.method
     assert report["decision"] == "NV"
     assert report["k"] == len(sub.edges)
@@ -480,6 +483,13 @@ def test_explanation_report_shape(demo, flip_mask):
     assert [e["mask"] for e in report["edges"]] == sorted(
         (e["mask"] for e in report["edges"]), reverse=True
     )
+    path = tmp_path / "explanations.json"
+    path.write_text(dump_json([report], indent=2), encoding="utf-8")
+    ((method, ranking, nodes, edges),) = read_explanations(path)
+    assert method == demo.method
+    assert ranking == list(sub.statement_ranking)
+    assert nodes == list(graph.nodes)
+    assert edges == list(graph.edges)
 
 
 def test_learned_masks_are_bitwise_the_per_op_tape():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vulgraph.autodiff import Adam, ParamStore, Tensor, init_params
+from vulgraph.cli import detection_row
 from vulgraph.encoders import EncoderConfig
 from vulgraph.errors import EmptySplit, ShapeMismatch, SingleClassTuningSet
 from vulgraph import encoders, fagcn, features
@@ -18,7 +19,6 @@ from vulgraph.fagcn import (
     balanced_training_pairs,
     best_threshold,
     cross_entropy,
-    detection_report,
     detector_weights,
     forward_methods,
     graph_logits,
@@ -378,7 +378,7 @@ def test_rank_methods_rules():
     assert [r.rank for r in ranked] == [1, 2, 3]
     assert [r.decision for r in ranked] == ["V", "NV", "NV"]
     assert rank_methods([]) == []
-    rep = detection_report(ranked)
+    rep = [detection_row(r) for r in ranked]
     assert rep[0] == {"method": "c", "score": 0.9, "decision": "V", "rank": 1}
 
 

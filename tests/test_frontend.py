@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulgraph.corpus import generate_planted_corpus
-from vulgraph.errors import EmptyMethod, IllegalCharacter, ParseError, SourceError, UnterminatedString
+from vulgraph.errors import EmptyMethod, IllegalCharacter, ParseError, SchemaError, SourceError, UnterminatedString
 from vulgraph.frontend import (
     build_cfg,
     build_pdg,
@@ -570,6 +570,15 @@ def test_pdg_roundtrip_and_invariants():
                 assert pdg.nodes[e.src].kind in ("if-pred", "while-pred", "for-pred")
         again = pdg_from_dict(json.loads(pdg_to_json(pdg)))
         assert pdg_to_dict(again) == pdg_to_dict(pdg)
+
+
+def test_pdg_node_index_that_is_not_an_integer_is_a_schema_error():
+    # The nodes are sorted by index, so a string among the integers has to be
+    # refused before the sort compares it with them.
+    data = pdg_to_dict(pdg_from_source((FIXTURES / "device_xcmd.c").read_text()))
+    data["nodes"][1]["index"] = "x"
+    with pytest.raises(SchemaError, match=r"pdg node indices must be 0\.\.11$"):
+        pdg_from_dict(data)
 
 
 def test_pdg_neighbors_sorted_both_directions():

@@ -1,6 +1,6 @@
 import pytest
 
-from vulgraph.metrics import InterpretationSubgraph
+from vulgraph.explain import InterpretationSubgraph
 from vulgraph.frontend import pdg_from_source
 from vulgraph.patterns import (
     AbstractGraph,
@@ -28,7 +28,6 @@ int f(int a, int b) {
 
 def _sub(pdg, node_indices, edge_tuples=()):
     return InterpretationSubgraph(
-        method=pdg.method,
         edges=list(edge_tuples),
         nodes=tuple(node_indices),
         statement_ranking=tuple(node_indices),
